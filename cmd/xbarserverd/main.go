@@ -14,8 +14,8 @@
 //
 // Endpoints:
 //
-//	POST /v2/jobs        any request kinds — NDJSON stream, results
-//	                     flushed as workers finish; structured errors
+//	POST /v2/jobs        any request kinds — NDJSON stream in
+//	                     completion order; structured errors
 //	POST /v1/synthesize  one synthesize or compare request
 //	POST /v1/map         one per-chip map or yield-sweep request
 //	POST /v1/batch       {"requests": [...]} — fan-out, results in order

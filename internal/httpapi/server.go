@@ -6,8 +6,9 @@
 //     thin adapters over the typed engine layer; errors carry the
 //     machine-readable taxonomy code alongside the legacy message.
 //   - v2 (POST /v2/jobs): one endpoint for every request kind,
-//     responding with an NDJSON event stream flushed as workers
-//     finish (v2.go).
+//     responding with an NDJSON event stream in completion order;
+//     every frame but the batch's last result and the done frame is
+//     flushed as written (v2.go).
 //
 // The package is importable (unlike cmd/xbarserverd's main) so tests
 // and benchmarks can mount the exact production handler on httptest

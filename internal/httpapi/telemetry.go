@@ -68,6 +68,16 @@ func (w *statusWriter) Flush() {
 func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 	dur := s.reg.Histogram(metricHTTPRequestDuration,
 		"HTTP request latency by route, including streaming time.", "path", path)
+	requests := func(status int) *telemetry.Counter {
+		return s.reg.Counter(metricHTTPRequestsTotal,
+			"HTTP requests by route and status.",
+			"path", path, "status", strconv.Itoa(status))
+	}
+	// A registry lookup renders and sorts labels under the registry's
+	// global lock, so the route's status="200" series is looked up once,
+	// on its first success, and reused. It still appears in /metrics
+	// only once a 200 has been served; rarer statuses keep the lookup.
+	ok200 := sync.OnceValue(func() *telemetry.Counter { return requests(http.StatusOK) })
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := telemetry.SanitizeRequestID(r.Header.Get("X-Request-ID"))
@@ -90,9 +100,11 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		elapsed := time.Since(start)
 		dur.Observe(elapsed)
-		s.reg.Counter(metricHTTPRequestsTotal,
-			"HTTP requests by route and status.",
-			"path", path, "status", strconv.Itoa(status)).Inc()
+		if status == http.StatusOK {
+			ok200().Inc()
+		} else {
+			requests(status).Inc()
+		}
 		if s.logger.Enabled(r.Context(), slog.LevelInfo) {
 			s.logger.LogAttrs(r.Context(), slog.LevelInfo, "http request",
 				slog.String("method", r.Method),

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"nanoxbar/internal/apierr"
 	"nanoxbar/internal/cluster"
@@ -18,7 +19,11 @@ import (
 // flushed the moment their worker finishes — completion order, not
 // submission order — so a batch of per-chip mappings streams back
 // while slower yield sweeps still run, and with stream_dies a yield
-// request emits one event per die. The request context is threaded
+// request emits one event per die. The batch's last result or error
+// frame and the done frame are the exception: nothing follows them
+// but the handler's return, which writes them out, so a one-result
+// job leaves in a single write (with Content-Length rather than
+// chunked encoding when it is short). The request context is threaded
 // into the engine: a dropped connection cancels queued requests and
 // stops in-flight sweeps at the next die boundary.
 
@@ -31,10 +36,12 @@ func v2Error(w http.ResponseWriter, status int, code, format string, args ...any
 	}})
 }
 
-// eventStream serializes NDJSON events onto one response, flushing
-// after every line so clients observe results as they complete. Every
-// frame is stamped with the stream's request ID, so a single frame
-// fished out of a log pipeline still names the request it belongs to.
+// eventStream serializes NDJSON events onto one response. A frame sent
+// with flush set is pushed to the client at once, so results are
+// observed as they complete; an unflushed frame waits in the response
+// buffer for the next flush or the handler's return. Every frame is
+// stamped with the stream's request ID, so a single frame fished out
+// of a log pipeline still names the request it belongs to.
 type eventStream struct {
 	mu    sync.Mutex
 	enc   *json.Encoder
@@ -50,7 +57,7 @@ func newEventStream(w http.ResponseWriter, reqID string) *eventStream {
 	return &eventStream{enc: enc, fl: fl, reqID: reqID}
 }
 
-func (es *eventStream) send(ev nanoxbar.Event) {
+func (es *eventStream) send(ev nanoxbar.Event, flush bool) {
 	ev.RequestID = es.reqID
 	es.mu.Lock()
 	defer es.mu.Unlock()
@@ -61,7 +68,7 @@ func (es *eventStream) send(ev nanoxbar.Event) {
 		es.err = true
 		return
 	}
-	if es.fl != nil {
+	if flush && es.fl != nil {
 		es.fl.Flush()
 	}
 }
@@ -99,15 +106,22 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 	var errs int
 	var errMu sync.Mutex
+	// unresolved counts requests, local and cluster-routed alike, whose
+	// frame is not yet written. The one that takes it to zero writes the
+	// batch's last frame, which only the done frame can follow, so it
+	// is left for the handler's return to send.
+	var unresolved atomic.Int64
+	unresolved.Store(int64(len(jobs.Requests)))
 	emit := func(i int, res engine.Result) {
+		flush := unresolved.Add(-1) > 0
 		if err := res.TypedErr(); err != nil {
 			errMu.Lock()
 			errs++
 			errMu.Unlock()
-			es.send(nanoxbar.Event{Type: nanoxbar.EventError, Index: i, Error: nanoxbar.WireErrorFrom(err)})
+			es.send(nanoxbar.Event{Type: nanoxbar.EventError, Index: i, Error: nanoxbar.WireErrorFrom(err)}, flush)
 			return
 		}
-		es.send(nanoxbar.Event{Type: nanoxbar.EventResult, Index: i, Result: &res})
+		es.send(nanoxbar.Event{Type: nanoxbar.EventResult, Index: i, Result: &res}, flush)
 	}
 
 	// Cluster routing: synthesis requests in the batch take the same
@@ -149,7 +163,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			es.send(nanoxbar.Event{
 				Type: nanoxbar.EventDie, Index: orig[req], Die: die,
 				DieMap: mr, DieError: nanoxbar.WireErrorFrom(err),
-			})
+			}, true)
 		}
 	}
 	if len(submit) > 0 {
@@ -161,5 +175,5 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 	es.send(nanoxbar.Event{Type: nanoxbar.EventDone, Done: &nanoxbar.JobsSummary{
 		Results: len(jobs.Requests), Errors: errs,
-	}})
+	}}, false)
 }

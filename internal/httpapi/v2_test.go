@@ -3,14 +3,20 @@ package httpapi
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"nanoxbar/internal/apierr"
 	"nanoxbar/internal/engine"
 	"nanoxbar/pkg/nanoxbar"
+	"nanoxbar/pkg/nanoxbar/client"
 )
 
 // readEvents posts a jobs body and parses the full NDJSON stream.
@@ -266,5 +272,121 @@ func TestV1StructuredErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity || res.Code != apierr.CodeBadSpec {
 		t.Fatalf("engine failure: status %d result %+v", resp.StatusCode, res)
+	}
+}
+
+// writeCounter wraps a listener so every accepted conn counts the
+// Write calls the server makes on it.
+type writeCounter struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l writeCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countedConn{Conn: c, writes: l.writes}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countedConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestV2OneResultOneWrite: a job with a single result frame reaches the
+// socket in one write — header, result and done frame together —
+// instead of one write per flushed frame plus the chunk terminator.
+func TestV2OneResultOneWrite(t *testing.T) {
+	eng := engine.New(engine.Config{Workers: 4, CacheSize: 64})
+	t.Cleanup(eng.Close)
+	maj3 := engine.FunctionSpec{Name: "maj3"}
+	// Warm the cache in-process, so the synthesize below is a hit and
+	// no earlier HTTP exchange can leave a write behind.
+	if res := eng.Do(engine.Request{Kind: engine.KindSynthesize, Function: maj3}); !res.Ok() {
+		t.Fatalf("warm-up: %s", res.Error)
+	}
+	cases := []struct {
+		name string
+		call func(context.Context, *client.Client) error
+	}{
+		{"synthesize-hit", func(ctx context.Context, cl *client.Client) error {
+			_, err := cl.Synthesize(ctx, nanoxbar.Func("maj3"))
+			return err
+		}},
+		{"map", func(ctx context.Context, cl *client.Client) error {
+			_, err := cl.Map(ctx, nanoxbar.Func("maj3"), nanoxbar.WithDensity(0.05), nanoxbar.WithSeed(9))
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var writes atomic.Int64
+			ts := httptest.NewUnstartedServer(New(eng))
+			ts.Listener = writeCounter{Listener: ts.Listener, writes: &writes}
+			ts.Start()
+			cl := client.New(ts.URL)
+			defer cl.Close()
+			if err := tc.call(context.Background(), cl); err != nil {
+				ts.Close()
+				t.Fatal(err)
+			}
+			// Close waits for the handler and its connection to finish,
+			// so writes that trail the client's return are counted too.
+			ts.Close()
+			if n := writes.Load(); n != 1 {
+				t.Fatalf("server made %d writes for a one-result job, want 1", n)
+			}
+		})
+	}
+}
+
+// TestV2NonFinalResultsStream: only a batch's last frame waits for the
+// handler's return. The index-0 map result must reach the client while
+// the long yield sweep still runs, so canceling on it cancels the sweep.
+func TestV2NonFinalResultsStream(t *testing.T) {
+	eng := engine.New(engine.Config{Workers: 4, CacheSize: 64})
+	t.Cleanup(eng.Close)
+	ts := httptest.NewServer(New(eng))
+	t.Cleanup(ts.Close)
+	cl := client.New(ts.URL)
+	t.Cleanup(func() { cl.Close() })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	maj3 := nanoxbar.FunctionSpec{Name: "maj3"}
+	var sawMap, sawYield bool
+	err := cl.Jobs(ctx, nanoxbar.JobsRequest{Requests: []nanoxbar.Request{
+		{Kind: nanoxbar.KindMap, Function: maj3, Density: 0.05, Seed: 1},
+		{Kind: nanoxbar.KindYield, Function: maj3, Density: 0.05, Seed: 3, Chips: 50000, ChipSize: 64},
+	}}, func(ev nanoxbar.Event) {
+		switch {
+		case ev.Index == 0 && ev.Type == nanoxbar.EventResult:
+			sawMap = true
+			cancel()
+		case ev.Index == 1:
+			sawYield = true
+		}
+	})
+	if !sawMap {
+		t.Fatalf("index-0 map result never arrived (err %v)", err)
+	}
+	if !errors.Is(err, nanoxbar.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled: the map result was held back until the sweep finished", err)
+	}
+	if sawYield {
+		t.Fatal("yield frame delivered after the cancel")
+	}
+	// Close waits for the handler; the sweep must have ended as the one
+	// failed request, canceled by the dropped connection.
+	ts.Close()
+	if st := eng.Stats(); st.Requests != 2 || st.Failures != 1 {
+		t.Fatalf("engine saw %d requests and %d failures, want 2 and 1 (the canceled sweep)", st.Requests, st.Failures)
 	}
 }

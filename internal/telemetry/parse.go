@@ -37,7 +37,7 @@ type Exposition struct {
 func ParseExposition(r io.Reader) (*Exposition, error) {
 	exp := &Exposition{Types: make(map[string]string), Help: make(map[string]string)}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 16<<20)
+	sc.Buffer(nil, 16<<20)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

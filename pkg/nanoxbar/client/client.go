@@ -26,7 +26,9 @@ import (
 )
 
 // maxEventBytes bounds one NDJSON line from the server; result events
-// carrying explicit mappings stay far below this.
+// carrying explicit mappings stay far below this. The reader starts
+// from bufio's default 4 KiB buffer and grows only for longer lines,
+// so a round trip pays for the lines it actually reads.
 const maxEventBytes = 16 << 20
 
 // Client speaks the v2 streaming HTTP API. It is safe for concurrent
@@ -241,7 +243,7 @@ func (c *Client) jobsOnce(ctx context.Context, payload []byte, handle func(nanox
 	}
 
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), maxEventBytes)
+	sc.Buffer(nil, maxEventBytes)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

@@ -12,12 +12,15 @@ import (
 //	POST /v2/jobs
 //	{"requests": [...], "stream_dies": true}
 //
-// The response is NDJSON (application/x-ndjson, chunked): one Event
-// per line, flushed as workers finish — completion order, not
-// submission order; Index ties an event back to its request. A stream
-// always ends with a single "done" event. Request-body failures (bad
-// JSON, empty batch, oversized body) are plain JSON ErrorResponse
-// bodies with a 4xx status instead of a stream.
+// The response is NDJSON (application/x-ndjson): one Event per line,
+// in completion order, not submission order; Index ties an event back
+// to its request. Every frame is flushed as it is written, except the
+// batch's last result or error frame and the "done" event that always
+// ends the stream, which leave together when the handler returns. A
+// short response may therefore carry Content-Length instead of chunked
+// encoding. Request-body failures (bad JSON, empty batch, oversized
+// body) are plain JSON ErrorResponse bodies with a 4xx status instead
+// of a stream.
 //
 // pkg/nanoxbar/client speaks this protocol; the types are exported so
 // other consumers can too.
