@@ -92,7 +92,7 @@ func Synthesize(f truthtab.TT, tech Technology, opts Options) (*Implementation, 
 }
 
 // SynthesizeCtx is Synthesize with cancellation: the context is checked
-// before each synthesis phase (dual method, P-circuit search,
+// before each synthesis phase (covers, P-circuit search,
 // D-reducibility), so a canceled caller stops between the expensive
 // steps and gets an apierr.ErrCanceled-classified error. Synthesis
 // failures from the underlying engines are classified as
@@ -101,57 +101,80 @@ func SynthesizeCtx(ctx context.Context, f truthtab.TT, tech Technology, opts Opt
 	if err := ctx.Err(); err != nil {
 		return nil, apierr.Canceled(err)
 	}
-	fc, dc, _ := latsynth.Covers(f, opts.Synth)
+	if tech != Diode && tech != FET && tech != FourTerminal {
+		return nil, apierr.BadSpec("core: unknown technology %v", tech)
+	}
+	fc, dc, exact := latsynth.Covers(f, opts.Synth)
 	switch tech {
 	case Diode:
-		a := xbar2t.NewDiodeArray(fc)
-		return &Implementation{
-			Tech: Diode, Rows: a.Rows(), Cols: a.Cols(),
-			Method: "formula", FCover: fc, DualCover: dc, DiodeA: a,
-		}, nil
+		return diode(fc, dc), nil
 	case FET:
-		a := xbar2t.NewFETArray(fc, dc)
-		s := xbar2t.FormulaSizes(fc, dc)
-		return &Implementation{
-			Tech: FET, Rows: s.FETRows, Cols: s.FETCols,
-			Method: "formula", FCover: fc, DualCover: dc, FETA: a,
-		}, nil
-	case FourTerminal:
-		best, err := latsynth.DualMethod(f, opts.Synth)
-		if err != nil {
-			return nil, apierr.Infeasible("core: dual method: %v", err)
+		return fet(fc, dc), nil
+	}
+	return fourTerminal(ctx, f, fc, dc, exact, opts)
+}
+
+// diode builds the diode array of f from its covers.
+func diode(fc, dc cube.Cover) *Implementation {
+	a := xbar2t.NewDiodeArray(fc)
+	return &Implementation{
+		Tech: Diode, Rows: a.Rows(), Cols: a.Cols(),
+		Method: "formula", FCover: fc, DualCover: dc, DiodeA: a,
+	}
+}
+
+// fet builds the FET array of f from the covers of f and f^D.
+func fet(fc, dc cube.Cover) *Implementation {
+	a := xbar2t.NewFETArray(fc, dc)
+	s := xbar2t.FormulaSizes(fc, dc)
+	return &Implementation{
+		Tech: FET, Rows: s.FETRows, Cols: s.FETCols,
+		Method: "formula", FCover: fc, DualCover: dc, FETA: a,
+	}
+}
+
+// fourTerminal builds the dual-method lattice of f from its covers and
+// keeps a P-circuit or D-reducible lattice instead when one is strictly
+// smaller.
+func fourTerminal(ctx context.Context, f truthtab.TT, fc, dc cube.Cover, exact bool, opts Options) (*Implementation, error) {
+	best, err := latsynth.DualFromCovers(f, fc, dc, exact, opts.Synth)
+	if err != nil {
+		return nil, apierr.Infeasible("core: dual method: %v", err)
+	}
+	method := "dual"
+	bestL := best.Lattice
+	// P-circuit search is O(support) full syntheses; beyond 8
+	// support variables the exact engines are out of their
+	// comfort zone and the search would dominate runtime.
+	if opts.TryPCircuit && len(f.Support()) >= 2 && len(f.Support()) <= 8 {
+		if err := ctx.Err(); err != nil {
+			return nil, apierr.Canceled(err)
 		}
-		method := "dual"
-		bestL := best.Lattice
-		// P-circuit search is O(support) full syntheses; beyond 8
-		// support variables the exact engines are out of their
-		// comfort zone and the search would dominate runtime.
-		if opts.TryPCircuit && len(f.Support()) >= 2 && len(f.Support()) <= 8 {
-			if err := ctx.Err(); err != nil {
-				return nil, apierr.Canceled(err)
-			}
-			if pres, err := pcircuit.Best(f, pcircuit.Options{Synth: opts.Synth, Mode: pcircuit.WithIntersection}); err == nil {
-				if pres.Area() < bestL.Area() {
-					bestL, method = pres.Lattice, "pcircuit"
-				}
+		if pres, err := pcircuit.Best(f, pcircuit.Options{Synth: opts.Synth, Mode: pcircuit.WithIntersection}); err == nil {
+			if pres.Area() < bestL.Area() {
+				bestL, method = pres.Lattice, "pcircuit"
 			}
 		}
-		if opts.TryDReduce && !f.IsZero() {
-			if err := ctx.Err(); err != nil {
-				return nil, apierr.Canceled(err)
-			}
+	}
+	if opts.TryDReduce && !f.IsZero() {
+		if err := ctx.Err(); err != nil {
+			return nil, apierr.Canceled(err)
+		}
+		// Without an affine hull smaller than the whole space, dreduce
+		// synthesizes the dual-method lattice of f again, which the
+		// strict comparison below can never pick.
+		if an, err := dreduce.Analyze(f); err == nil && an.Reducible {
 			if dres, err := dreduce.Synthesize(f, opts.Synth); err == nil {
 				if dres.Area() < bestL.Area() {
 					bestL, method = dres.Lattice, "dreduce"
 				}
 			}
 		}
-		return &Implementation{
-			Tech: FourTerminal, Rows: bestL.R, Cols: bestL.C,
-			Method: method, FCover: best.FCover, DualCover: best.DualCover, Lattice: bestL,
-		}, nil
 	}
-	return nil, apierr.BadSpec("core: unknown technology %v", tech)
+	return &Implementation{
+		Tech: FourTerminal, Rows: bestL.R, Cols: bestL.C,
+		Method: method, FCover: best.FCover, DualCover: best.DualCover, Lattice: bestL,
+	}, nil
 }
 
 // Verify re-checks that the implementation computes f.
@@ -180,21 +203,18 @@ func CompareTechnologies(f truthtab.TT, opts Options) (*Comparison, error) {
 }
 
 // CompareTechnologiesCtx is CompareTechnologies with cancellation
-// between the per-technology syntheses.
+// between the synthesis phases. The covers of f and f^D are computed
+// once and shared by all three technologies.
 func CompareTechnologiesCtx(ctx context.Context, f truthtab.TT, opts Options) (*Comparison, error) {
-	d, err := SynthesizeCtx(ctx, f, Diode, opts)
+	if err := ctx.Err(); err != nil {
+		return nil, apierr.Canceled(err)
+	}
+	fc, dc, exact := latsynth.Covers(f, opts.Synth)
+	l, err := fourTerminal(ctx, f, fc, dc, exact, opts)
 	if err != nil {
 		return nil, err
 	}
-	ft, err := SynthesizeCtx(ctx, f, FET, opts)
-	if err != nil {
-		return nil, err
-	}
-	l, err := SynthesizeCtx(ctx, f, FourTerminal, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Comparison{Diode: d, FET: ft, Lattice: l}, nil
+	return &Comparison{Diode: diode(fc, dc), FET: fet(fc, dc), Lattice: l}, nil
 }
 
 // ToApp converts an implementation into the self-mapping application

@@ -131,7 +131,7 @@ func Synthesize(f truthtab.TT, opts latsynth.Options) (*Result, error) {
 			parts = append(parts, faRes.Lattice)
 		}
 		l = lattice.AndAll(parts...)
-		if opts.PostReduce && l.Area() <= 1200 {
+		if opts.PostReduce && l.Area() <= opts.PostReduceLimit() {
 			l = latsynth.PostReduce(l, f)
 		}
 	}

@@ -226,3 +226,38 @@ func TestGeneratorPanics(t *testing.T) {
 	mustPanic(func() { RandomDReducible(4, 4, 0.5, rng) })
 	mustPanic(func() { RandomDReducible(4, 1, 0, rng) })
 }
+
+func TestPostReduceMaxAreaHonoured(t *testing.T) {
+	// Below the area limit the composed AND(L(χA), L(fA)) lattice must
+	// stay exactly as composed, while the default limit reduces some.
+	small := latsynth.DefaultOptions()
+	small.PostReduceMaxArea = 1
+	off := latsynth.DefaultOptions()
+	off.PostReduce = false
+	rng := rand.New(rand.NewSource(8))
+	reduced := 0
+	for i := 0; i < 30; i++ {
+		f, _ := RandomDReducible(3+rng.Intn(3), 1+rng.Intn(2), 0.5, rng)
+		got, err := Synthesize(f, small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Synthesize(f, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Lattice.String() != want.Lattice.String() {
+			t.Fatalf("%v: PostReduceMaxArea=1 gave\n%vwant the unreduced\n%v", f, got.Lattice, want.Lattice)
+		}
+		def, err := Synthesize(f, latsynth.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if def.Area() < want.Area() {
+			reduced++
+		}
+	}
+	if reduced == 0 {
+		t.Fatal("default post-reduction never shrank a composed lattice; the test has no teeth")
+	}
+}

@@ -15,6 +15,7 @@ package latsynth
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nanoxbar/internal/cube"
 	"nanoxbar/internal/isop"
@@ -62,8 +63,10 @@ func DefaultOptions() Options {
 	return Options{Exact: true, QM: qm.DefaultOptions(), Cells: MostFrequent, PostReduce: true}
 }
 
-// postReduceLimit resolves the PostReduceMaxArea default.
-func (o Options) postReduceLimit() int {
+// PostReduceLimit resolves PostReduceMaxArea: the largest lattice area
+// that post-reduction runs on, here and in the composed P-circuit and
+// D-reducible lattices.
+func (o Options) PostReduceLimit() int {
 	if o.PostReduceMaxArea > 0 {
 		return o.PostReduceMaxArea
 	}
@@ -100,13 +103,18 @@ func Covers(f truthtab.TT, opts Options) (fc, dc cube.Cover, exact bool) {
 // The resulting size is #products(f^D) rows × #products(f) columns
 // before post-reduction (the paper's Fig. 5 formula).
 func DualMethod(f truthtab.TT, opts Options) (*Result, error) {
-	if f.IsZero() {
-		return &Result{Lattice: lattice.Constant(false), Method: "dual"}, nil
-	}
-	if f.IsOne() {
-		return &Result{Lattice: lattice.Constant(true), Method: "dual"}, nil
-	}
 	fc, dc, exact := Covers(f, opts)
+	return DualFromCovers(f, fc, dc, exact, opts)
+}
+
+// DualFromCovers is DualMethod on covers already computed by Covers(f,
+// opts), so a caller that needs the covers for other technologies too
+// minimizes f and f^D once. A constant f gets its 1×1 lattice and no
+// covers.
+func DualFromCovers(f truthtab.TT, fc, dc cube.Cover, exact bool, opts Options) (*Result, error) {
+	if f.IsZero() || f.IsOne() {
+		return &Result{Lattice: lattice.Constant(f.IsOne()), Method: "dual"}, nil
+	}
 	l, err := BuildDualGrid(fc, dc, opts.Cells)
 	if err != nil {
 		return nil, err
@@ -116,7 +124,7 @@ func DualMethod(f truthtab.TT, opts Options) (*Result, error) {
 		// and f^D; reaching this indicates a bug upstream.
 		return nil, fmt.Errorf("latsynth: dual-method lattice does not implement f (f=%v)", f)
 	}
-	if opts.PostReduce && l.Area() <= opts.postReduceLimit() {
+	if opts.PostReduce && l.Area() <= opts.PostReduceLimit() {
 		l = PostReduce(l, f)
 	}
 	return &Result{Lattice: l, FCover: fc, DualCover: dc, Method: "dual", ExactSOP: exact}, nil
@@ -131,37 +139,50 @@ func BuildDualGrid(fc, dc cube.Cover, choice CellChoice) (*lattice.Lattice, erro
 	if len(fc) == 0 || len(dc) == 0 {
 		return nil, fmt.Errorf("latsynth: empty cover")
 	}
-	rows, cols := len(dc), len(fc)
-	common := make([]cube.Cube, rows*cols)
-	freq := make(map[cube.Lit]int)
-	for i, q := range dc {
-		for j, p := range fc {
+	// freq[0][v] and freq[1][v] count the cells that may hold x_v and
+	// x_v' respectively.
+	var freq [2][64]int
+	for _, q := range dc {
+		for _, p := range fc {
 			sh := q.CommonLiterals(p)
 			if sh.IsUniverse() {
 				return nil, fmt.Errorf("latsynth: products %v and %v share no literal", p, q)
 			}
-			common[i*cols+j] = sh
-			for _, lit := range sh.Literals() {
-				freq[lit]++
+			for m := sh.Pos; m != 0; m &= m - 1 {
+				freq[0][bits.TrailingZeros64(m)]++
+			}
+			for m := sh.Neg; m != 0; m &= m - 1 {
+				freq[1][bits.TrailingZeros64(m)]++
 			}
 		}
 	}
-	l := lattice.New(rows, cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			cands := common[i*cols+j].Literals()
-			pick := cands[0]
-			if choice == MostFrequent {
-				for _, cand := range cands[1:] {
-					if freq[cand] > freq[pick] {
-						pick = cand
-					}
-				}
-			}
-			l.Set(i, j, lattice.Lit(pick.Var, pick.Neg))
+	l := lattice.New(len(dc), len(fc))
+	for i, q := range dc {
+		for j, p := range fc {
+			l.Set(i, j, pickLiteral(q.CommonLiterals(p), &freq, choice))
 		}
 	}
 	return l, nil
+}
+
+// pickLiteral chooses a cell's literal among the shared literals sh,
+// visited in ascending variable order, positive before negative: the
+// first one, or under MostFrequent the first of those with the highest
+// grid frequency (a later literal wins only on a strictly higher count).
+func pickLiteral(sh cube.Cube, freq *[2][64]int, choice CellChoice) lattice.Site {
+	pick, pickNeg := -1, 0
+	for m := sh.Pos | sh.Neg; m != 0; m &= m - 1 {
+		v := bits.TrailingZeros64(m)
+		for neg, lits := range [2]uint64{sh.Pos, sh.Neg} {
+			if lits>>v&1 == 0 {
+				continue
+			}
+			if pick < 0 || choice == MostFrequent && freq[neg][v] > freq[pickNeg][pick] {
+				pick, pickNeg = v, neg
+			}
+		}
+	}
+	return lattice.Lit(pick, pickNeg == 1)
 }
 
 // PostReduce repeatedly deletes any single row or column whose removal
@@ -170,64 +191,75 @@ func BuildDualGrid(fc, dc cube.Cover, choice CellChoice) (*lattice.Lattice, erro
 // area optimization. Each deletion trial re-verifies the function
 // through one shared bit-parallel evaluator, which exits on the first
 // mismatching 64-assignment word — the common case, since most
-// deletions break the function.
+// deletions break the function. The trials are written into one reused
+// spare lattice; l itself is never modified, and is returned as is
+// when no deletion applies.
 func PostReduce(l *lattice.Lattice, f truthtab.TT) *lattice.Lattice {
 	ev := lattice.NewEvaluator()
-	cur := l
-	for {
-		improved := false
-		if cur.R > 1 {
-			for i := 0; i < cur.R; i++ {
-				cand := deleteRow(cur, i)
-				if ev.Implements(cand, f) {
-					cur = cand
-					improved = true
-					break
-				}
-			}
-		}
-		if !improved && cur.C > 1 {
-			for j := 0; j < cur.C; j++ {
-				cand := deleteCol(cur, j)
-				if ev.Implements(cand, f) {
-					cur = cand
-					improved = true
-					break
-				}
-			}
-		}
-		if !improved {
-			return cur
+	// An accepted trial becomes cur, and cur's storage takes over as the
+	// trial buffer — except while cur is still the caller's l.
+	cur, trial := l, lattice.New(l.R, l.C)
+	for deleteOne(ev, cur, trial, f) {
+		prev := cur
+		cur = trial
+		if prev == l {
+			trial = lattice.New(l.R, l.C)
+		} else {
+			trial = prev
 		}
 	}
+	return cur
 }
 
-func deleteRow(l *lattice.Lattice, row int) *lattice.Lattice {
-	out := lattice.New(l.R-1, l.C)
+// deleteOne writes into trial the first single-row deletion of cur that
+// still implements f, or failing that the first single-column one, and
+// reports whether there was one.
+func deleteOne(ev *lattice.Evaluator, cur, trial *lattice.Lattice, f truthtab.TT) bool {
+	if cur.R > 1 {
+		for i := 0; i < cur.R; i++ {
+			deleteRow(trial, cur, i)
+			if ev.Implements(trial, f) {
+				return true
+			}
+		}
+	}
+	if cur.C > 1 {
+		for j := 0; j < cur.C; j++ {
+			deleteCol(trial, cur, j)
+			if ev.Implements(trial, f) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// deleteRow makes dst a copy of l without row.
+func deleteRow(dst, l *lattice.Lattice, row int) {
+	dst.Reset(l.R-1, l.C)
 	for i, oi := 0, 0; i < l.R; i++ {
 		if i == row {
 			continue
 		}
 		for j := 0; j < l.C; j++ {
-			out.Set(oi, j, l.At(i, j))
+			dst.Set(oi, j, l.At(i, j))
 		}
 		oi++
 	}
-	return out
 }
 
-func deleteCol(l *lattice.Lattice, col int) *lattice.Lattice {
-	out := lattice.New(l.R, l.C-1)
+// deleteCol makes dst a copy of l without col.
+func deleteCol(dst, l *lattice.Lattice, col int) {
+	dst.Reset(l.R, l.C-1)
 	for i := 0; i < l.R; i++ {
 		for j, oj := 0, 0; j < l.C; j++ {
 			if j == col {
 				continue
 			}
-			out.Set(i, oj, l.At(i, j))
+			dst.Set(i, oj, l.At(i, j))
 			oj++
 		}
 	}
-	return out
 }
 
 // SOPBaseline builds the naive composition lattice: the OR of one

@@ -345,3 +345,33 @@ func TestFig4SynthesisComparison(t *testing.T) {
 	t.Logf("Fig.4 function: dual-method %d×%d (area %d) vs hand lattice 3×2 (area 6)",
 		res.Lattice.R, res.Lattice.C, res.Area())
 }
+
+func TestPostReduceLeavesInputIntact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	opts := DefaultOptions()
+	opts.PostReduce = false
+	shrunk := 0
+	for i := 0; i < 40; i++ {
+		f := randTT(2+rng.Intn(4), rng)
+		res, err := DualMethod(f, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := res.Lattice.String()
+		got := PostReduce(res.Lattice, f)
+		if res.Lattice.String() != before {
+			t.Fatalf("PostReduce modified its input for %v", f)
+		}
+		if !got.Implements(f) {
+			t.Fatalf("post-reduced lattice wrong for %v", f)
+		}
+		if got.Area() < res.Area() {
+			shrunk++
+		} else if got != res.Lattice {
+			t.Fatalf("PostReduce copied a lattice it could not reduce (%v)", f)
+		}
+	}
+	if shrunk == 0 {
+		t.Fatal("no sample was reduced; the test has no teeth")
+	}
+}

@@ -87,6 +87,21 @@ func New(r, c int) *Lattice {
 	return &Lattice{R: r, C: c, sites: make([]Site, r*c)}
 }
 
+// Reset reshapes l into an r×c lattice of constant-0 sites, reusing its
+// site storage when that has room for r·c sites.
+func (l *Lattice) Reset(r, c int) {
+	if r < 1 || c < 1 {
+		panic(fmt.Sprintf("lattice: invalid shape %d×%d", r, c))
+	}
+	if cap(l.sites) < r*c {
+		l.sites = make([]Site, r*c)
+	} else {
+		l.sites = l.sites[:r*c]
+		clear(l.sites)
+	}
+	l.R, l.C = r, c
+}
+
 // At returns the site at row r, column c (0-indexed, row 0 on top).
 func (l *Lattice) At(r, c int) Site { return l.sites[r*l.C+c] }
 

@@ -314,3 +314,30 @@ func TestNewPanics(t *testing.T) {
 	}()
 	New(0, 3)
 }
+
+func TestResetReusesStorage(t *testing.T) {
+	l := New(3, 4)
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 4; j++ {
+			l.Set(i, j, Lit(i, j%2 == 1))
+		}
+	}
+	l.Reset(2, 5)
+	if l.R != 2 || l.C != 5 || l.Area() != 10 {
+		t.Fatalf("Reset(2,5) gave %d×%d", l.R, l.C)
+	}
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 5; j++ {
+			if l.At(i, j).Kind != Const0 {
+				t.Fatalf("site (%d,%d) = %v after Reset, want 0", i, j, l.At(i, j))
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { l.Reset(3, 4) }); a != 0 {
+		t.Fatalf("Reset within capacity allocates %.0f times", a)
+	}
+	l.Reset(5, 5)
+	if l.Area() != 25 || !l.Implements(truthtab.Zero(2)) {
+		t.Fatal("Reset beyond capacity did not grow to a constant-0 5×5 lattice")
+	}
+}

@@ -153,7 +153,7 @@ func Decompose(f truthtab.TT, v int, opts Options) (*Result, error) {
 	} else {
 		l = lattice.OrAll(terms...)
 	}
-	if opts.Synth.PostReduce && l.Area() <= 1200 {
+	if opts.Synth.PostReduce && l.Area() <= opts.Synth.PostReduceLimit() {
 		l = latsynth.PostReduce(l, f)
 	}
 	if !l.ImplementsFast(f) {

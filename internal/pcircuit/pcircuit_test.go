@@ -204,3 +204,45 @@ func TestHeuristicSynthInBlocks(t *testing.T) {
 		}
 	}
 }
+
+func TestPostReduceMaxAreaHonoured(t *testing.T) {
+	// Below the area limit the composed lattice must stay exactly as
+	// composed — the same lattice as with post-reduction off — while
+	// the default limit does reduce some of these.
+	small := DefaultOptions()
+	small.Synth.PostReduceMaxArea = 1
+	off := DefaultOptions()
+	off.Synth.PostReduce = false
+	reduced := 0
+	for _, s := range []string{"x1x2 + x1x3 + x2x3", "x1'x2 + x1x3", "x1x2 + x3x4 + x1'x4'", "x1x2x3 + x1'x2'x3' + x2x4"} {
+		f := tt(t, s)
+		for v := 0; v < f.NumVars(); v++ {
+			for _, m := range []Mode{Shannon, WithIntersection} {
+				small.Mode, off.Mode = m, m
+				got, err := Decompose(f, v, small)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Decompose(f, v, off)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Lattice.String() != want.Lattice.String() {
+					t.Fatalf("%s v=%d %v: PostReduceMaxArea=1 gave\n%vwant the unreduced\n%v", s, v, m, got.Lattice, want.Lattice)
+				}
+				def := DefaultOptions()
+				def.Mode = m
+				d, err := Decompose(f, v, def)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.Area() < want.Area() {
+					reduced++
+				}
+			}
+		}
+	}
+	if reduced == 0 {
+		t.Fatal("default post-reduction never shrank a composed lattice; the test has no teeth")
+	}
+}

@@ -12,10 +12,10 @@
 package qm
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"nanoxbar/internal/cube"
 	"nanoxbar/internal/truthtab"
@@ -67,13 +67,10 @@ func (im implicant) toCube(n int) cube.Cube {
 // Primes returns all prime implicants of on ∪ dc (the don't-care set
 // participates in prime formation but needs no covering).
 func Primes(on, dc truthtab.TT, opts Options) ([]cube.Cube, error) {
+	if err := checkVars(on, dc, opts); err != nil {
+		return nil, err
+	}
 	n := on.NumVars()
-	if dc.NumVars() != n {
-		return nil, fmt.Errorf("qm: on/dc variable mismatch")
-	}
-	if opts.MaxVars > 0 && n > opts.MaxVars {
-		return nil, fmt.Errorf("qm: %d variables exceeds limit %d", n, opts.MaxVars)
-	}
 	care := on.Or(dc)
 	if care.IsZero() {
 		return nil, nil
@@ -85,14 +82,16 @@ func Primes(on, dc truthtab.TT, opts Options) ([]cube.Cube, error) {
 	// The generation loop keeps the frontier in a slice sorted by
 	// (dc mask, popcount, value): pairing partners then live in
 	// adjacent popcount runs of the same dc run, and duplicates of the
-	// next generation compact away after one sort — no per-generation
-	// maps. The cur/next backing arrays and the combined flags are
-	// swapped and reused across generations, so steady-state work
-	// allocates only when a generation outgrows every previous one.
+	// next generation are adjacent in that order too, so one sort per
+	// generation both orders it and lets it compact — no
+	// per-generation maps. The cur/next backing arrays and the combined
+	// flags are swapped and reused across generations, so steady-state
+	// work allocates only when a generation outgrows every previous one.
 	cur := make([]implicant, 0, care.CountOnes())
 	care.ForEachMinterm(func(a uint64) {
 		cur = append(cur, implicant{val: a})
 	})
+	slices.SortFunc(cur, frontierOrder)
 	var (
 		next     []implicant
 		combined []bool
@@ -102,24 +101,6 @@ func Primes(on, dc truthtab.TT, opts Options) ([]cube.Cube, error) {
 		if opts.MaxPrimes > 0 && len(cur) > opts.MaxPrimes {
 			return nil, fmt.Errorf("qm: implicant frontier %d exceeds limit %d", len(cur), opts.MaxPrimes)
 		}
-		slices.SortFunc(cur, func(a, b implicant) int {
-			if a.dc != b.dc {
-				if a.dc < b.dc {
-					return -1
-				}
-				return 1
-			}
-			if d := bits.OnesCount64(a.val) - bits.OnesCount64(b.val); d != 0 {
-				return d
-			}
-			if a.val < b.val {
-				return -1
-			}
-			if a.val > b.val {
-				return 1
-			}
-			return 0
-		})
 		if cap(combined) < len(cur) {
 			combined = make([]bool, len(cur))
 		} else {
@@ -162,34 +143,44 @@ func Primes(on, dc truthtab.TT, opts Options) ([]cube.Cube, error) {
 				primes = append(primes, im.toCube(n))
 			}
 		}
-		// Dedup the next generation (one merged implicant arises once
-		// per don't-care bit) by sort + compact.
-		slices.SortFunc(next, func(a, b implicant) int {
-			if a.dc != b.dc {
-				if a.dc < b.dc {
-					return -1
-				}
-				return 1
-			}
-			if a.val < b.val {
-				return -1
-			}
-			if a.val > b.val {
-				return 1
-			}
-			return 0
-		})
+		// Order the next generation and dedup it (one merged implicant
+		// arises once per don't-care bit) by compacting.
+		slices.SortFunc(next, frontierOrder)
 		next = slices.Compact(next)
 		cur, next = next, cur
 	}
 	// Deterministic order for reproducible covers.
-	sort.Slice(primes, func(i, j int) bool {
-		if primes[i].Pos != primes[j].Pos {
-			return primes[i].Pos < primes[j].Pos
+	slices.SortFunc(primes, func(a, b cube.Cube) int {
+		if a.Pos != b.Pos {
+			return cmp.Compare(a.Pos, b.Pos)
 		}
-		return primes[i].Neg < primes[j].Neg
+		return cmp.Compare(a.Neg, b.Neg)
 	})
 	return primes, nil
+}
+
+// frontierOrder sorts implicants by (dc mask, popcount, value).
+func frontierOrder(a, b implicant) int {
+	if a.dc != b.dc {
+		return cmp.Compare(a.dc, b.dc)
+	}
+	if d := bits.OnesCount64(a.val) - bits.OnesCount64(b.val); d != 0 {
+		return d
+	}
+	return cmp.Compare(a.val, b.val)
+}
+
+// checkVars rejects on/dc pairs of different arity and functions over
+// more than opts.MaxVars variables.
+func checkVars(on, dc truthtab.TT, opts Options) error {
+	n := on.NumVars()
+	if dc.NumVars() != n {
+		return fmt.Errorf("qm: on/dc variable mismatch")
+	}
+	if opts.MaxVars > 0 && n > opts.MaxVars {
+		return fmt.Errorf("qm: %d variables exceeds limit %d", n, opts.MaxVars)
+	}
+	return nil
 }
 
 // Minimize returns a minimum SOP cover of the incompletely specified
@@ -197,12 +188,15 @@ func Primes(on, dc truthtab.TT, opts Options) ([]cube.Cube, error) {
 // on ∪ dc, uses the fewest possible products, and among those the fewest
 // literals.
 func Minimize(on, dc truthtab.TT, opts Options) (cube.Cover, error) {
-	primes, err := Primes(on, dc, opts)
-	if err != nil {
+	if err := checkVars(on, dc, opts); err != nil {
 		return nil, err
 	}
 	if on.IsZero() {
 		return cube.Cover{}, nil
+	}
+	primes, err := Primes(on, dc, opts)
+	if err != nil {
+		return nil, err
 	}
 	if on.Or(dc).IsOne() {
 		return cube.Cover{cube.Universe}, nil
@@ -234,10 +228,23 @@ type coverState struct {
 	primeCov [][]uint64 // per prime: bitset over minterm columns
 	primeLit []int
 	nCols    int
+	// frames[d] is the state of the search node at depth d: the node
+	// reduces its own frame in place and writes each branch's child
+	// state into frames[d+1], so the search copies no state per node.
+	frames []coverFrame
+	// masked[i] is prime i's coverage of the remaining columns, computed
+	// once per dominance sweep for every active prime.
+	masked   [][]uint64
+	sel      []int // primes chosen on the current search path
 	bestSel  []int
 	bestCost coverCost
 	work     int // abstract work spent
 	maxWork  int
+}
+
+type coverFrame struct {
+	remaining []uint64 // minterm columns still to cover
+	active    []bool   // primes still eligible
 }
 
 type coverCost struct {
@@ -254,6 +261,16 @@ func (c coverCost) less(d coverCost) bool {
 
 func bitsetWords(n int) int { return (n + 63) / 64 }
 
+// bitsets carves n bitsets of w words each out of one allocation.
+func bitsets(n, w int) [][]uint64 {
+	buf := make([]uint64, n*w)
+	out := make([][]uint64, n)
+	for i := range out {
+		out[i] = buf[i*w : (i+1)*w : (i+1)*w]
+	}
+	return out
+}
+
 // solveCover picks a minimum subset of primes covering all minterm
 // columns. Exact branch and bound over the cyclic core after essential
 // and dominance reductions. The second result is false when the node
@@ -264,34 +281,48 @@ func solveCover(primes []cube.Cube, ms []uint64, maxWork int) ([]int, bool) {
 	if maxWork <= 0 {
 		maxWork = 1 << 40
 	}
+	w := bitsetWords(nCols)
 	st := &coverState{nCols: nCols, bestCost: coverCost{cubes: 1 << 30}, maxWork: maxWork}
-	st.primeCov = make([][]uint64, len(primes))
+	st.primeCov = bitsets(len(primes), w)
+	st.masked = bitsets(len(primes), w)
 	st.primeLit = make([]int, len(primes))
 	for i, p := range primes {
-		w := make([]uint64, bitsetWords(nCols))
 		for j, m := range ms {
 			if p.Eval(m) {
-				w[j>>6] |= 1 << uint(j&63)
+				st.primeCov[i][j>>6] |= 1 << uint(j&63)
 			}
 		}
-		st.primeCov[i] = w
 		st.primeLit[i] = p.NumLiterals()
 	}
-	remaining := make([]uint64, bitsetWords(nCols))
+	root := st.frame(0)
 	for j := 0; j < nCols; j++ {
-		remaining[j>>6] |= 1 << uint(j&63)
+		root.remaining[j>>6] |= 1 << uint(j&63)
 	}
-	active := make([]bool, len(primes))
-	for i := range active {
-		active[i] = true
+	for i := range root.active {
+		root.active[i] = true
 	}
-	st.search(remaining, active, nil, coverCost{})
-	sel := append([]int(nil), st.bestSel...)
-	sort.Ints(sel)
+	st.search(0, coverCost{})
+	sel := slices.Clone(st.bestSel)
+	slices.Sort(sel)
 	return sel, st.work < st.maxWork
 }
 
-func (st *coverState) search(remaining []uint64, active []bool, sel []int, cost coverCost) {
+// frame returns the scratch frame of depth d, allocating it the first
+// time the search reaches that depth.
+func (st *coverState) frame(d int) coverFrame {
+	if d == len(st.frames) {
+		st.frames = append(st.frames, coverFrame{
+			remaining: make([]uint64, bitsetWords(st.nCols)),
+			active:    make([]bool, len(st.primeCov)),
+		})
+	}
+	return st.frames[d]
+}
+
+// search explores the node whose state is frames[d]; st.sel holds the
+// primes chosen on the path to it.
+func (st *coverState) search(d int, cost coverCost) {
+	remaining, active := st.frames[d].remaining, st.frames[d].active
 	nAct := 0
 	for _, a := range active {
 		if a {
@@ -303,14 +334,11 @@ func (st *coverState) search(remaining []uint64, active []bool, sel []int, cost 
 		return
 	}
 	// Reduction loop: essentials and dominance to fixpoint.
-	remaining = cloneBits(remaining)
-	active = append([]bool(nil), active...)
-	sel = append([]int(nil), sel...)
 	for {
 		if isEmpty(remaining) {
 			if cost.less(st.bestCost) {
 				st.bestCost = cost
-				st.bestSel = append([]int(nil), sel...)
+				st.bestSel = append(st.bestSel[:0], st.sel...)
 			}
 			return
 		}
@@ -342,7 +370,7 @@ func (st *coverState) search(remaining []uint64, active []bool, sel []int, cost 
 			}
 		}
 		if ess >= 0 {
-			sel = append(sel, ess)
+			st.sel = append(st.sel, ess)
 			cost.cubes++
 			cost.literals += st.primeLit[ess]
 			andNot(remaining, st.primeCov[ess])
@@ -350,37 +378,7 @@ func (st *coverState) search(remaining []uint64, active []bool, sel []int, cost 
 			changed = true
 		}
 		if !changed {
-			// Row dominance: drop prime b if some prime a covers a
-			// superset of b's remaining columns at no higher literal
-			// cost.
-			for b := range active {
-				if !active[b] {
-					continue
-				}
-				covB := andBits(st.primeCov[b], remaining)
-				if isEmpty(covB) {
-					active[b] = false
-					changed = true
-					continue
-				}
-				for a := range active {
-					if a == b || !active[a] {
-						continue
-					}
-					covA := andBits(st.primeCov[a], remaining)
-					if !containsBits(covA, covB) || st.primeLit[a] > st.primeLit[b] {
-						continue
-					}
-					// Equal coverage and cost: keep the lower index
-					// only, so the pair does not eliminate itself.
-					if containsBits(covB, covA) && st.primeLit[a] == st.primeLit[b] && a > b {
-						continue
-					}
-					active[b] = false
-					changed = true
-					break
-				}
-			}
+			changed = st.dropDominated(remaining, active)
 		}
 		if !changed {
 			break
@@ -405,21 +403,64 @@ func (st *coverState) search(remaining []uint64, active []bool, sel []int, cost 
 	if bestJ < 0 {
 		return
 	}
+	child := st.frame(d + 1)
+	path := len(st.sel)
 	for i, a := range active {
 		if !a || st.primeCov[i][bestJ>>6]>>uint(bestJ&63)&1 == 0 {
 			continue
 		}
-		rem2 := cloneBits(remaining)
-		andNot(rem2, st.primeCov[i])
-		act2 := append([]bool(nil), active...)
-		act2[i] = false
-		st.search(rem2, act2,
-			append(append([]int(nil), sel...), i),
-			coverCost{cost.cubes + 1, cost.literals + st.primeLit[i]})
+		copy(child.remaining, remaining)
+		andNot(child.remaining, st.primeCov[i])
+		copy(child.active, active)
+		child.active[i] = false
+		st.sel = append(st.sel[:path], i)
+		st.search(d+1, coverCost{cost.cubes + 1, cost.literals + st.primeLit[i]})
 	}
 }
 
-func cloneBits(w []uint64) []uint64 { return append([]uint64(nil), w...) }
+// dropDominated runs one row-dominance sweep and reports whether it
+// deactivated any prime: prime b goes when it covers no remaining
+// column, or when some prime a covers a superset of b's remaining
+// columns at no higher literal cost.
+func (st *coverState) dropDominated(remaining []uint64, active []bool) bool {
+	for i, a := range active {
+		if a {
+			for k, x := range st.primeCov[i] {
+				st.masked[i][k] = x & remaining[k]
+			}
+		}
+	}
+	changed := false
+	for b := range active {
+		if !active[b] {
+			continue
+		}
+		covB := st.masked[b]
+		if isEmpty(covB) {
+			active[b] = false
+			changed = true
+			continue
+		}
+		for a := range active {
+			if a == b || !active[a] || st.primeLit[a] > st.primeLit[b] {
+				continue
+			}
+			covA := st.masked[a]
+			if !containsBits(covA, covB) {
+				continue
+			}
+			// Equal coverage and cost: keep the lower index only, so
+			// the pair does not eliminate itself.
+			if st.primeLit[a] == st.primeLit[b] && a > b && containsBits(covB, covA) {
+				continue
+			}
+			active[b] = false
+			changed = true
+			break
+		}
+	}
+	return changed
+}
 
 func isEmpty(w []uint64) bool {
 	for _, x := range w {
@@ -434,14 +475,6 @@ func andNot(dst, src []uint64) {
 	for i := range dst {
 		dst[i] &^= src[i]
 	}
-}
-
-func andBits(a, b []uint64) []uint64 {
-	r := make([]uint64, len(a))
-	for i := range a {
-		r[i] = a[i] & b[i]
-	}
-	return r
 }
 
 // containsBits reports a ⊇ b.

@@ -256,3 +256,18 @@ func TestTieBreakLiterals(t *testing.T) {
 		t.Fatalf("cover = %v", c)
 	}
 }
+
+func TestMinimizeEmptyOnSet(t *testing.T) {
+	// An empty on-set has the empty cover whatever the don't-cares: no
+	// prime of them is generated, so no prime limit can trip.
+	tiny := Options{MaxVars: 12, MaxPrimes: 2}
+	dc := randTT(6, rand.New(rand.NewSource(7)))
+	c, err := Minimize(truthtab.Zero(6), dc, tiny)
+	if err != nil || c == nil || len(c) != 0 {
+		t.Fatalf("Minimize(0, dc) = %v, %v; want the empty cover", c, err)
+	}
+	// The variable limit still applies first.
+	if _, err := Minimize(truthtab.Zero(4), truthtab.Zero(4), Options{MaxVars: 3}); err == nil {
+		t.Fatal("expected MaxVars error for an empty on-set too")
+	}
+}
