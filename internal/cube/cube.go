@@ -11,9 +11,10 @@
 package cube
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 
 	"nanoxbar/internal/truthtab"
@@ -243,15 +244,17 @@ func (cv Cover) Absorb() Cover {
 	return r
 }
 
-// Sort orders cubes deterministically (by Pos, then Neg).
-func (cv Cover) Sort() {
-	sort.Slice(cv, func(i, j int) bool {
-		if cv[i].Pos != cv[j].Pos {
-			return cv[i].Pos < cv[j].Pos
-		}
-		return cv[i].Neg < cv[j].Neg
-	})
+// Compare orders cubes by Pos, then Neg: a total order on distinct
+// cubes, for slices.SortFunc.
+func Compare(a, b Cube) int {
+	if c := cmp.Compare(a.Pos, b.Pos); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Neg, b.Neg)
 }
+
+// Sort orders cubes deterministically (by Compare).
+func (cv Cover) Sort() { slices.SortFunc(cv, Compare) }
 
 // String renders the cover in paper notation, e.g. "x1x2 + x1'x2'".
 func (cv Cover) String() string {

@@ -23,8 +23,9 @@ func TestDualMethodAllocBound(t *testing.T) {
 	}
 }
 
-// TestPostReduceAllocBound: deletion trials reuse one spare lattice
-// instead of allocating a lattice each.
+// TestPostReduceAllocBound: deletion trials run in place on a pooled
+// evaluator, so the only allocation is the copy the first accepted
+// deletion makes (a lattice and its sites).
 func TestPostReduceAllocBound(t *testing.T) {
 	f := benchTT(6, 9)
 	opts := DefaultOptions()
@@ -34,7 +35,7 @@ func TestPostReduceAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() { PostReduce(res.Lattice, f) })
-	if allocs > 8 {
-		t.Fatalf("PostReduce allocates %.0f times, want ≤ 8", allocs)
+	if allocs > 2 {
+		t.Fatalf("PostReduce allocates %.0f times, want ≤ 2", allocs)
 	}
 }

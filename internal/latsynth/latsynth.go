@@ -188,78 +188,51 @@ func pickLiteral(sh cube.Cube, freq *[2][64]int, choice CellChoice) lattice.Site
 // PostReduce repeatedly deletes any single row or column whose removal
 // leaves the lattice still implementing f, until no deletion applies.
 // Deleting a wire is always physically realizable, so this is a safe
-// area optimization. Each deletion trial re-verifies the function
-// through one shared bit-parallel evaluator, which exits on the first
-// mismatching 64-assignment word — the common case, since most
-// deletions break the function. The trials are written into one reused
-// spare lattice; l itself is never modified, and is returned as is
-// when no deletion applies.
+// area optimization. Each deletion trial checks the lattice minus one
+// row or column in place, through one pooled bit-parallel evaluator that
+// exits on the first mismatching 64-assignment word — the common case,
+// since most deletions break the function. Only an accepted deletion is
+// carried out, on a copy made at the first one; l itself is never
+// modified, and is returned as is when no deletion applies.
 func PostReduce(l *lattice.Lattice, f truthtab.TT) *lattice.Lattice {
-	ev := lattice.NewEvaluator()
-	// An accepted trial becomes cur, and cur's storage takes over as the
-	// trial buffer — except while cur is still the caller's l.
-	cur, trial := l, lattice.New(l.R, l.C)
-	for deleteOne(ev, cur, trial, f) {
-		prev := cur
-		cur = trial
-		if prev == l {
-			trial = lattice.New(l.R, l.C)
+	ev := lattice.GetEvaluator()
+	defer lattice.PutEvaluator(ev)
+	cur := l
+	for {
+		row, col := firstDeletion(ev, cur, f)
+		if row < 0 && col < 0 {
+			return cur
+		}
+		if cur == l {
+			cur = l.Clone()
+		}
+		if row >= 0 {
+			cur.DeleteRow(row)
 		} else {
-			trial = prev
+			cur.DeleteCol(col)
 		}
 	}
-	return cur
 }
 
-// deleteOne writes into trial the first single-row deletion of cur that
-// still implements f, or failing that the first single-column one, and
-// reports whether there was one.
-func deleteOne(ev *lattice.Evaluator, cur, trial *lattice.Lattice, f truthtab.TT) bool {
+// firstDeletion returns the first row of cur whose deletion still
+// implements f, or failing that the first such column; −1 for the other
+// index, or for both when no deletion applies.
+func firstDeletion(ev *lattice.Evaluator, cur *lattice.Lattice, f truthtab.TT) (row, col int) {
 	if cur.R > 1 {
 		for i := 0; i < cur.R; i++ {
-			deleteRow(trial, cur, i)
-			if ev.Implements(trial, f) {
-				return true
+			if ev.ImplementsWithoutRow(cur, i, f) {
+				return i, -1
 			}
 		}
 	}
 	if cur.C > 1 {
 		for j := 0; j < cur.C; j++ {
-			deleteCol(trial, cur, j)
-			if ev.Implements(trial, f) {
-				return true
+			if ev.ImplementsWithoutCol(cur, j, f) {
+				return -1, j
 			}
 		}
 	}
-	return false
-}
-
-// deleteRow makes dst a copy of l without row.
-func deleteRow(dst, l *lattice.Lattice, row int) {
-	dst.Reset(l.R-1, l.C)
-	for i, oi := 0, 0; i < l.R; i++ {
-		if i == row {
-			continue
-		}
-		for j := 0; j < l.C; j++ {
-			dst.Set(oi, j, l.At(i, j))
-		}
-		oi++
-	}
-}
-
-// deleteCol makes dst a copy of l without col.
-func deleteCol(dst, l *lattice.Lattice, col int) {
-	dst.Reset(l.R, l.C-1)
-	for i := 0; i < l.R; i++ {
-		for j, oj := 0, 0; j < l.C; j++ {
-			if j == col {
-				continue
-			}
-			dst.Set(i, oj, l.At(i, j))
-			oj++
-		}
-	}
+	return -1, -1
 }
 
 // SOPBaseline builds the naive composition lattice: the OR of one

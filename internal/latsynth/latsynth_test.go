@@ -2,6 +2,7 @@ package latsynth
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -374,4 +375,44 @@ func TestPostReduceLeavesInputIntact(t *testing.T) {
 	if shrunk == 0 {
 		t.Fatal("no sample was reduced; the test has no teeth")
 	}
+}
+
+// TestPostReduceConcurrent runs the dual method — QM covers on pooled
+// implicant planes, then PostReduce on a pooled evaluator — from
+// several goroutines at once, as the engine's workers do, so the race
+// detector sees the pooled scratch move between them; every lattice
+// must equal the sequential one.
+func TestPostReduceConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	opts := DefaultOptions()
+	fs := make([]truthtab.TT, 24)
+	want := make([]string, len(fs))
+	for i := range fs {
+		fs[i] = randTT(3+rng.Intn(5), rng)
+		res, err := DualMethod(fs[i], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Lattice.String()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range fs {
+				i := (k + 5*g) % len(fs)
+				res, err := DualMethod(fs[i], opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := res.Lattice.String(); got != want[i] {
+					t.Errorf("concurrent DualMethod of %v:\n%s\nwant\n%s", fs[i], got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

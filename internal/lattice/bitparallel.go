@@ -12,12 +12,18 @@
 //
 //	reach[site] |= OR(reach[neighbors]) & on[site]
 //
-// iterated to fixpoint, so one sweep pass evaluates 64 assignments at
-// once. Sweeps alternate direction (top-left→bottom-right, then
-// reversed) Gauss–Seidel style; a full sweep with no change certifies
-// the least fixpoint, and the reached set only grows, which gives
-// Implements an early exit the moment the function overshoots its
-// target on any word.
+// iterated to fixpoint, so one pass evaluates 64 assignments at once.
+// One scanline kernel serves both readings. A pass visits the rows in
+// order, alternately downward and upward; each row gathers from the
+// rows beside it (diagonals too in the 8-connected dual reading), then
+// closes itself left→right and right→left. A row that gains nothing
+// from outside, or whose neighbours have not changed since its last
+// scan, is skipped. A pass with no gain certifies the least fixpoint,
+// and the reached set only grows, which gives Implements an early exit
+// the moment the function overshoots its target on any word.
+// PostReduce's deletion trials run through the same kernel in place:
+// ImplementsWithoutRow/Col gather the on-masks of the lattice minus one
+// row or column straight from its sites.
 
 package lattice
 
@@ -68,17 +74,16 @@ func onMask(s Site, wi int, vm uint64) uint64 {
 	case Const1:
 		return vm
 	}
+	var p, neg uint64
 	if s.Var < 6 {
-		p := varPattern[s.Var]
-		if s.Neg {
-			p = ^p
-		}
-		return p & vm
+		p = varPattern[s.Var]
+	} else {
+		p = -uint64(wi >> (s.Var - 6) & 1)
 	}
-	if ((wi>>(s.Var-6))&1 == 1) != s.Neg {
-		return vm
+	if s.Neg {
+		neg = ^uint64(0)
 	}
-	return 0
+	return (p ^ neg) & vm
 }
 
 // dualOnMask is onMask for the dual (left-to-right, 8-connected)
@@ -130,6 +135,7 @@ func CounterSnapshot() Counters {
 type Evaluator struct {
 	onw   []uint64 // per-site on-masks of the current word block
 	reach []uint64 // per-site reached-from-source masks
+	stale []bool   // per row: a neighbour row changed since its last scan
 	fn    []uint64 // FunctionWords result buffer
 
 	// Scalar scratch (zero-alloc Eval/EvalDual).
@@ -143,8 +149,9 @@ func NewEvaluator() *Evaluator { return &Evaluator{} }
 
 func (e *Evaluator) grow(sites int) {
 	if len(e.onw) < sites {
-		e.onw = make([]uint64, sites)
-		e.reach = make([]uint64, sites)
+		buf := make([]uint64, 2*sites)
+		e.onw, e.reach = buf[:sites:sites], buf[sites:]
+		e.stale = make([]bool, sites)
 	}
 }
 
@@ -166,27 +173,31 @@ func (e *Evaluator) buildOnWord(l *Lattice, wi int, vm uint64, dual bool, filled
 	}
 }
 
-// runWord percolates one word block to fixpoint over e.onw and returns
-// the sink mask: bit a set iff a source-to-sink path of conducting
-// sites exists under assignment (wi<<6 | a). Normal mode percolates top
-// row → bottom row over 4-connected sites; dual mode left column →
-// right column over 8-connected sites. When bounded, iteration aborts
-// with ok=false as soon as the sink mask leaves limit (reach only
-// grows, so any excess is permanent).
-func (e *Evaluator) runWord(R, C int, dual, bounded bool, limit uint64) (sink uint64, ok bool) {
+// percolate runs the scanline kernel over e.onw: it percolates one
+// word block to fixpoint and returns the sink mask, bit a set iff a
+// source-to-sink path of conducting sites exists under assignment
+// (wi<<6 | a). Normal mode percolates top row → bottom row over
+// 4-connected sites; dual mode left column → right column over
+// 8-connected sites. When bounded, it stops with ok=false after the
+// first pass whose sink mask leaves limit (reach only grows, so any
+// excess is permanent).
+//
+// Passes alternate down and up the rows. Each visited row first gathers
+// what its conducting sites receive from the rows above and below (and,
+// in dual mode, diagonally, plus the left plate into column 0; the top
+// plate feeds row 0 in normal mode), then closes the row left→right and
+// right→left, so a pass follows a path through any number of
+// horizontal runs and vertical steps in its own direction. A row whose
+// sites gain nothing from outside the row is left as it is: its reach
+// is already closed. A row is not even gathered again until a
+// neighbouring row has changed since its last scan. A pass in which no
+// row gains certifies the least fixpoint, so the pass count tracks the
+// number of vertical direction reversals in the longest percolation
+// path.
+func (e *Evaluator) percolate(R, C int, dual, bounded bool, limit uint64) (sink uint64, ok bool) {
 	sites := R * C
 	onw, reach := e.onw[:sites], e.reach[:sites]
-	for i := range reach {
-		reach[i] = 0
-	}
-	// Seed the source plate.
-	if dual {
-		for i := 0; i < sites; i += C {
-			reach[i] = onw[i]
-		}
-	} else {
-		copy(reach, onw[:C])
-	}
+	clear(reach)
 	sinkOr := func() uint64 {
 		var s uint64
 		if dual {
@@ -200,72 +211,41 @@ func (e *Evaluator) runWord(R, C int, dual, bounded bool, limit uint64) (sink ui
 		}
 		return s
 	}
-	// Gauss–Seidel sweeps with in-place updates, alternating direction:
-	// a forward (top-left→bottom-right) sweep propagates down/rightward
-	// chains in one pass, a backward sweep the up/leftward ones, so the
-	// sweep count tracks the number of direction reversals in the
-	// longest percolation path rather than its length. A complete sweep
-	// with no change certifies the fixpoint in either direction.
-	for forward := true; ; forward = !forward {
+	stale := e.stale[:R]
+	for i := range stale {
+		stale[i] = true
+	}
+	for down := true; ; down = !down {
 		changed := false
-		if forward {
-			for r := 0; r < R; r++ {
-				for i := r * C; i < (r+1)*C; i++ {
-					o := onw[i]
-					if o == 0 {
-						continue
-					}
-					c := i - r*C
-					acc := reach[i]
-					if r > 0 {
-						acc |= reach[i-C]
-					}
-					if r < R-1 {
-						acc |= reach[i+C]
-					}
-					if c > 0 {
-						acc |= reach[i-1]
-					}
-					if c < C-1 {
-						acc |= reach[i+1]
-					}
-					if dual {
-						acc |= gatherDiag(reach, i, r, c, R, C)
-					}
-					if acc &= o; acc != reach[i] {
-						reach[i] = acc
-						changed = true
-					}
-				}
+		for k := 0; k < R; k++ {
+			r := k
+			if !down {
+				r = R - 1 - k
 			}
-		} else {
-			for r := R - 1; r >= 0; r-- {
-				for i := (r+1)*C - 1; i >= r*C; i-- {
-					o := onw[i]
-					if o == 0 {
-						continue
-					}
-					c := i - r*C
-					acc := reach[i]
-					if r > 0 {
-						acc |= reach[i-C]
-					}
-					if r < R-1 {
-						acc |= reach[i+C]
-					}
-					if c > 0 {
-						acc |= reach[i-1]
-					}
-					if c < C-1 {
-						acc |= reach[i+1]
-					}
-					if dual {
-						acc |= gatherDiag(reach, i, r, c, R, C)
-					}
-					if acc &= o; acc != reach[i] {
-						reach[i] = acc
-						changed = true
-					}
+			if !stale[r] {
+				continue
+			}
+			stale[r] = false
+			// A missing neighbour row reads as the row itself, which
+			// offers it nothing new; the top plate reads as the row's
+			// own on-masks.
+			on, row := onw[r*C:(r+1)*C], reach[r*C:(r+1)*C]
+			above, below := row, row
+			if r > 0 {
+				above = reach[(r-1)*C : r*C]
+			} else if !dual {
+				above = on
+			}
+			if r < R-1 {
+				below = reach[(r+1)*C : (r+2)*C]
+			}
+			if scanRow(on, row, above, below, dual) {
+				changed = true
+				if r > 0 {
+					stale[r-1] = true
+				}
+				if r < R-1 {
+					stale[r+1] = true
 				}
 			}
 		}
@@ -280,26 +260,48 @@ func (e *Evaluator) runWord(R, C int, dual, bounded bool, limit uint64) (sink ui
 	}
 }
 
-// gatherDiag ORs the four diagonal neighbors (8-connected dual mode).
-func gatherDiag(reach []uint64, i, r, c, R, C int) uint64 {
-	var acc uint64
-	if r > 0 {
-		if c > 0 {
-			acc |= reach[i-C-1]
+// scanRow gathers into row what its conducting sites receive from the
+// rows above and below — in dual mode also diagonally, and from the
+// left plate into column 0 — and when any site gained, closes the row
+// left→right, then right→left. It reports whether any site gained.
+func scanRow(on, row, above, below []uint64, dual bool) bool {
+	C := len(on)
+	row, above, below = row[:C], above[:C], below[:C]
+	var gained uint64
+	for c, o := range on {
+		g := (above[c] | below[c]) & o &^ row[c]
+		row[c] |= g
+		gained |= g
+	}
+	if dual {
+		g := on[0] &^ row[0]
+		row[0] |= g
+		gained |= g
+		for c := 1; c < C; c++ {
+			g := (above[c-1] | below[c-1]) & on[c] &^ row[c]
+			row[c] |= g
+			gained |= g
 		}
-		if c < C-1 {
-			acc |= reach[i-C+1]
+		for c := 0; c < C-1; c++ {
+			g := (above[c+1] | below[c+1]) & on[c] &^ row[c]
+			row[c] |= g
+			gained |= g
 		}
 	}
-	if r < R-1 {
-		if c > 0 {
-			acc |= reach[i+C-1]
-		}
-		if c < C-1 {
-			acc |= reach[i+C+1]
-		}
+	if gained == 0 {
+		return false
 	}
-	return acc
+	carry := row[0]
+	for c := 1; c < C; c++ {
+		carry = row[c] | carry&on[c]
+		row[c] = carry
+	}
+	// carry is row[C-1] here, where the right-to-left run starts.
+	for c := C - 2; c >= 0; c-- {
+		carry = row[c] | carry&on[c]
+		row[c] = carry
+	}
+	return true
 }
 
 // functionWords expands the (dual=false: top-to-bottom, dual=true:
@@ -316,7 +318,7 @@ func (e *Evaluator) functionWords(l *Lattice, n int, dual bool) []uint64 {
 	fn := e.fn[:W]
 	for wi := 0; wi < W; wi++ {
 		e.buildOnWord(l, wi, vm, dual, len(l.sites), 0)
-		fn[wi], _ = e.runWord(l.R, l.C, dual, false, 0)
+		fn[wi], _ = e.percolate(l.R, l.C, dual, false, 0)
 	}
 	// One batched counter update per expansion, not per word block:
 	// these are process-wide atomics, and per-block increments would
@@ -350,14 +352,46 @@ func (e *Evaluator) DualFunction(l *Lattice, n int) truthtab.TT {
 // grows), or at the block's fixpoint when it undershoots — which makes
 // the failing trials of PostReduce cheap.
 func (e *Evaluator) Implements(l *Lattice, f truthtab.TT) bool {
+	return e.implements(l, -1, -1, f)
+}
+
+// ImplementsWithoutRow reports whether l with row r deleted computes f,
+// without building that lattice: the on-masks are gathered straight
+// from l's sites. l must have at least two rows. It counts as one
+// Implements in the evaluation counters.
+func (e *Evaluator) ImplementsWithoutRow(l *Lattice, r int, f truthtab.TT) bool {
+	if l.R < 2 || r < 0 || r >= l.R {
+		panic("lattice: ImplementsWithoutRow needs an existing row of a lattice with two or more")
+	}
+	return e.implements(l, r, -1, f)
+}
+
+// ImplementsWithoutCol is ImplementsWithoutRow for column c.
+func (e *Evaluator) ImplementsWithoutCol(l *Lattice, c int, f truthtab.TT) bool {
+	if l.C < 2 || c < 0 || c >= l.C {
+		panic("lattice: ImplementsWithoutCol needs an existing column of a lattice with two or more")
+	}
+	return e.implements(l, -1, c, f)
+}
+
+// implements is Implements on l minus row skipRow or column skipCol
+// (−1 skips none).
+func (e *Evaluator) implements(l *Lattice, skipRow, skipCol int, f truthtab.TT) bool {
 	ctrFastImplements.Add(1)
-	e.grow(len(l.sites))
+	R, C := l.R, l.C
+	if skipRow >= 0 {
+		R--
+	}
+	if skipCol >= 0 {
+		C--
+	}
+	e.grow(R * C)
 	n := f.NumVars()
 	W, vm := numWords(n), validMask(n)
 	for wi := 0; wi < W; wi++ {
 		fw := f.Word(wi)
-		e.buildOnWord(l, wi, vm, false, len(l.sites), 0)
-		sink, ok := e.runWord(l.R, l.C, false, true, fw)
+		e.gatherOnWord(l, wi, vm, skipRow, skipCol)
+		sink, ok := e.percolate(R, C, false, true, fw)
 		if !ok || sink != fw {
 			ctrWordBlocks.Add(uint64(wi + 1))
 			return false
@@ -365,6 +399,23 @@ func (e *Evaluator) Implements(l *Lattice, f truthtab.TT) bool {
 	}
 	ctrWordBlocks.Add(uint64(W))
 	return true
+}
+
+// gatherOnWord fills e.onw, row-major, with the word-wi on-masks of l
+// minus row skipRow or column skipCol (−1 skips none).
+func (e *Evaluator) gatherOnWord(l *Lattice, wi int, vm uint64, skipRow, skipCol int) {
+	k := 0
+	for r := 0; r < l.R; r++ {
+		if r == skipRow {
+			continue
+		}
+		for c, s := range l.sites[r*l.C : (r+1)*l.C] {
+			if c != skipCol {
+				e.onw[k] = onMask(s, wi, vm)
+				k++
+			}
+		}
+	}
 }
 
 // FeasiblePartial applies the optimal search's two monotone prunes to a
@@ -384,7 +435,7 @@ func (e *Evaluator) FeasiblePartial(l *Lattice, filled int, f truthtab.TT) bool 
 		fw := f.Word(wi)
 		if fw != 0 {
 			e.buildOnWord(l, wi, vm, false, filled, vm)
-			opt, _ := e.runWord(l.R, l.C, false, false, 0)
+			opt, _ := e.percolate(l.R, l.C, false, false, 0)
 			blocks++
 			if fw&^opt != 0 {
 				return false
@@ -393,7 +444,7 @@ func (e *Evaluator) FeasiblePartial(l *Lattice, filled int, f truthtab.TT) bool 
 		if fw != vm {
 			e.buildOnWord(l, wi, vm, false, filled, 0)
 			blocks++
-			if sink, ok := e.runWord(l.R, l.C, false, true, fw); !ok || sink&^fw != 0 {
+			if sink, ok := e.percolate(l.R, l.C, false, true, fw); !ok || sink&^fw != 0 {
 				return false
 			}
 		}
@@ -415,7 +466,7 @@ func (e *Evaluator) PercolateMasks(R, C int, on []uint64) uint64 {
 	}
 	e.grow(len(on))
 	copy(e.onw[:len(on)], on)
-	sink, _ := e.runWord(R, C, false, false, 0)
+	sink, _ := e.percolate(R, C, false, false, 0)
 	ctrWordBlocks.Add(1)
 	return sink
 }
@@ -522,6 +573,14 @@ func (e *Evaluator) percolateScalar(R, C int, dual bool) bool {
 // evalPool backs the pooled convenience wrappers so call sites that
 // cannot hold an Evaluator still skip per-call scratch allocation.
 var evalPool = sync.Pool{New: func() any { return NewEvaluator() }}
+
+// GetEvaluator takes an evaluator from the pool behind the *Fast
+// wrappers, for a caller that runs a series of evaluations; hand it back
+// with PutEvaluator.
+func GetEvaluator() *Evaluator { return evalPool.Get().(*Evaluator) }
+
+// PutEvaluator returns an evaluator taken with GetEvaluator.
+func PutEvaluator(e *Evaluator) { evalPool.Put(e) }
 
 // FunctionFast is Function via a pooled bit-parallel evaluator:
 // identical result, one frontier percolation per 64 assignments instead

@@ -187,3 +187,108 @@ func TestCounterSnapshot(t *testing.T) {
 		t.Fatalf("counters did not advance: before %+v after %+v", before, after)
 	}
 }
+
+// TestPercolateAgreesWithScalar pins the scanline kernel to the scalar
+// single-assignment search, bit by bit, on random on-mask grids of 1–12
+// rows and columns in both readings. Unbounded, the sink masks are
+// equal. Bounded, the verdicts callers draw are equal — Implements'
+// (sink == limit) and FeasiblePartial's (sink ⊆ limit) — and a stop
+// before the fixpoint happens only on a real overshoot.
+func TestPercolateAgreesWithScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ev := NewEvaluator()
+	for trial := 0; trial < 600; trial++ {
+		R, C := 1+rng.Intn(12), 1+rng.Intn(12)
+		dual := trial%2 == 1
+		density := 0.3 + 0.6*rng.Float64()
+		on := make([]uint64, R*C)
+		for i := range on {
+			for b := 0; b < 64; b++ {
+				if rng.Float64() < density {
+					on[i] |= 1 << b
+				}
+			}
+		}
+		ev.growScalar(R * C)
+		var want uint64
+		for b := 0; b < 64; b++ {
+			for i, o := range on {
+				ev.sOn[i] = o>>b&1 == 1
+			}
+			if ev.percolateScalar(R, C, dual) {
+				want |= 1 << b
+			}
+		}
+		ev.grow(R * C)
+		copy(ev.onw, on)
+		if got, ok := ev.percolate(R, C, dual, false, 0); !ok || got != want {
+			t.Fatalf("trial %d (%d×%d dual=%v): sink %#x ok=%v, scalar %#x", trial, R, C, dual, got, ok, want)
+		}
+		for _, limit := range []uint64{want, want &^ (1 << rng.Intn(64)), want | 1<<rng.Intn(64), rng.Uint64()} {
+			copy(ev.onw, on)
+			got, ok := ev.percolate(R, C, dual, true, limit)
+			if ok && got != want || !ok && want&^limit == 0 {
+				t.Fatalf("trial %d (%d×%d dual=%v, limit %#x): sink %#x ok=%v, scalar %#x", trial, R, C, dual, limit, got, ok, want)
+			}
+			if (ok && got == limit) != (want == limit) || (ok && got&^limit == 0) != (want&^limit == 0) {
+				t.Fatalf("trial %d: bounded verdicts differ from the scalar ones", trial)
+			}
+		}
+	}
+}
+
+// TestImplementsWithoutMatchesMaterialized: the in-place deletion trial
+// gives the verdict of building the lattice minus that row or column
+// and verifying it with the scalar reference, for every row and column
+// of random lattices over 2–8 variables (multi-word from 7 up), and it
+// moves the evaluation counters exactly as Implements on the built
+// lattice does.
+func TestImplementsWithoutMatchesMaterialized(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	ev := NewEvaluator()
+	accepted := 0
+	for trial := 0; trial < 150; trial++ {
+		n := 2 + rng.Intn(7)
+		l := randomLattice(rng, 1+rng.Intn(6), 1+rng.Intn(6), n)
+		var dels [][2]int // {row, col}, −1 for the other
+		for i := 0; l.R > 1 && i < l.R; i++ {
+			dels = append(dels, [2]int{i, -1})
+		}
+		for j := 0; l.C > 1 && j < l.C; j++ {
+			dels = append(dels, [2]int{-1, j})
+		}
+		for _, d := range dels {
+			m := l.Clone()
+			if d[0] >= 0 {
+				m.DeleteRow(d[0])
+			} else {
+				m.DeleteCol(d[1])
+			}
+			for _, f := range []truthtab.TT{l.Function(n), m.Function(n), randomLattice(rng, 2, 2, n).Function(n)} {
+				c0 := CounterSnapshot()
+				var got bool
+				if d[0] >= 0 {
+					got = ev.ImplementsWithoutRow(l, d[0], f)
+				} else {
+					got = ev.ImplementsWithoutCol(l, d[1], f)
+				}
+				c1 := CounterSnapshot()
+				ev.Implements(m, f)
+				c2 := CounterSnapshot()
+				if want := m.Implements(f); got != want {
+					t.Fatalf("trial %d, deleting %v: in place %v, materialized %v for\n%v", trial, d, got, want, l)
+				}
+				if got {
+					accepted++
+				}
+				if c1.FastImplements-c0.FastImplements != c2.FastImplements-c1.FastImplements ||
+					c1.WordBlocks-c0.WordBlocks != c2.WordBlocks-c1.WordBlocks {
+					t.Fatalf("trial %d, deleting %v: counter deltas differ from Implements on the built lattice", trial, d)
+				}
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no deletion trial was accepted; the test has no teeth")
+	}
+}

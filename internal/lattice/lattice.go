@@ -87,19 +87,30 @@ func New(r, c int) *Lattice {
 	return &Lattice{R: r, C: c, sites: make([]Site, r*c)}
 }
 
-// Reset reshapes l into an r×c lattice of constant-0 sites, reusing its
-// site storage when that has room for r·c sites.
-func (l *Lattice) Reset(r, c int) {
-	if r < 1 || c < 1 {
-		panic(fmt.Sprintf("lattice: invalid shape %d×%d", r, c))
+// DeleteRow removes row r in place; the lattice keeps its storage.
+func (l *Lattice) DeleteRow(r int) {
+	if l.R < 2 || r < 0 || r >= l.R {
+		panic(fmt.Sprintf("lattice: cannot delete row %d of %d×%d", r, l.R, l.C))
 	}
-	if cap(l.sites) < r*c {
-		l.sites = make([]Site, r*c)
-	} else {
-		l.sites = l.sites[:r*c]
-		clear(l.sites)
+	copy(l.sites[r*l.C:], l.sites[(r+1)*l.C:])
+	l.R--
+	l.sites = l.sites[:l.R*l.C]
+}
+
+// DeleteCol removes column c in place; the lattice keeps its storage.
+func (l *Lattice) DeleteCol(c int) {
+	if l.C < 2 || c < 0 || c >= l.C {
+		panic(fmt.Sprintf("lattice: cannot delete column %d of %d×%d", c, l.R, l.C))
 	}
-	l.R, l.C = r, c
+	k := 0
+	for i, s := range l.sites {
+		if i%l.C != c {
+			l.sites[k] = s
+			k++
+		}
+	}
+	l.C--
+	l.sites = l.sites[:k]
 }
 
 // At returns the site at row r, column c (0-indexed, row 0 on top).

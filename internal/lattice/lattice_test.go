@@ -315,29 +315,47 @@ func TestNewPanics(t *testing.T) {
 	New(0, 3)
 }
 
-func TestResetReusesStorage(t *testing.T) {
+func TestDeleteRowColInPlace(t *testing.T) {
 	l := New(3, 4)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 4; j++ {
-			l.Set(i, j, Lit(i, j%2 == 1))
+			l.Set(i, j, Lit(4*i+j, false))
 		}
 	}
-	l.Reset(2, 5)
-	if l.R != 2 || l.C != 5 || l.Area() != 10 {
-		t.Fatalf("Reset(2,5) gave %d×%d", l.R, l.C)
+	l.DeleteRow(1)
+	l.DeleteCol(2)
+	want := [][]int{{0, 1, 3}, {8, 9, 11}}
+	if l.R != 2 || l.C != 3 {
+		t.Fatalf("deleting row 1 and column 2 of 3×4 gave %d×%d", l.R, l.C)
 	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 5; j++ {
-			if l.At(i, j).Kind != Const0 {
-				t.Fatalf("site (%d,%d) = %v after Reset, want 0", i, j, l.At(i, j))
+	for i, row := range want {
+		for j, v := range row {
+			if l.At(i, j) != Lit(v, false) {
+				t.Fatalf("site (%d,%d) = %v, want x%d", i, j, l.At(i, j), v+1)
 			}
 		}
 	}
-	if a := testing.AllocsPerRun(10, func() { l.Reset(3, 4) }); a != 0 {
-		t.Fatalf("Reset within capacity allocates %.0f times", a)
+	if c := l.Clone(); c.Area() != 6 || c.String() != l.String() {
+		t.Fatal("Clone of a reduced lattice differs")
 	}
-	l.Reset(5, 5)
-	if l.Area() != 25 || !l.Implements(truthtab.Zero(2)) {
-		t.Fatal("Reset beyond capacity did not grow to a constant-0 5×5 lattice")
+	if a := testing.AllocsPerRun(10, func() {
+		m := New(3, 3)
+		m.DeleteRow(0)
+		m.DeleteCol(2)
+	}); a != 2 {
+		t.Fatalf("New plus in-place deletions allocate %.0f times, want 2", a)
+	}
+	for _, del := range []func(*Lattice){
+		func(m *Lattice) { m.DeleteRow(0) },
+		func(m *Lattice) { m.DeleteCol(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("deleting the last row or column must panic")
+				}
+			}()
+			del(New(1, 1))
+		}()
 	}
 }

@@ -5,7 +5,11 @@
 
 package qm
 
-import "testing"
+import (
+	"testing"
+
+	"nanoxbar/internal/truthtab"
+)
 
 // TestMinimizeAllocBound: the covering search keeps one scratch frame
 // per depth and masks each prime's coverage once per dominance sweep,
@@ -20,5 +24,21 @@ func TestMinimizeAllocBound(t *testing.T) {
 	})
 	if allocs > 60 {
 		t.Fatalf("MinimizeTT allocates %.0f times, want ≤ 60", allocs)
+	}
+}
+
+// TestPrimesAllocBound: the implicant planes come from a pool, so prime
+// generation allocates only the returned list.
+func TestPrimesAllocBound(t *testing.T) {
+	f := benchFunc(6, 1)
+	z := truthtab.Zero(6)
+	opts := DefaultOptions()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Primes(f, z, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("Primes allocates %.0f times, want ≤ 1", allocs)
 	}
 }

@@ -3,6 +3,18 @@
 // branch-and-bound minimum covering step with essential-prime and
 // dominance reductions.
 //
+// Primes are generated from implicant planes rather than by pairwise
+// merging. For every don't-care mask D the plane I_D is a truth table
+// whose bit m says that the cube through m with free variables D lies
+// in on ∪ dc. I_∅ is on ∪ dc itself, and I_{D∪{v}} = I_D ∧ flip_v(I_D),
+// where flip_v complements variable v of the index: a shift and a mask
+// inside a 64-bit word, a word swap across words. A plane that is zero
+// has no nonzero extensions and is never extended. The implicants with
+// k free variables are the planes' canonical points (free bits zero)
+// over the masks with |D| = k — exactly the k-th merge generation of
+// the textbook procedure — and a prime is a canonical point of I_D set
+// in no I_{D∪{v}}.
+//
 // The minimizer is exact — it returns a cover with the minimum number of
 // products, breaking ties by total literal count — and is therefore the
 // reference used for the paper's array-size formulas (Fig. 3 and Fig. 5),
@@ -12,18 +24,25 @@
 package qm
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"nanoxbar/internal/cube"
 	"nanoxbar/internal/truthtab"
 )
 
+// maxPlaneVars is the most variables Primes accepts: its planes take
+// 2^n × 2^n bits, 2 MiB at 12 variables.
+const maxPlaneVars = 12
+
 // Options bound the exact minimization effort.
 type Options struct {
-	MaxVars   int // reject functions with more variables (default 12)
+	// MaxVars rejects functions with more variables (default 12).
+	// Values ≤ 0 or above 12 mean 12: the implicant planes take
+	// 2^n × 2^n bits, 2 MiB at 12 variables and 32 MiB at 14.
+	MaxVars   int
 	MaxPrimes int // abort if prime generation exceeds this (default 50000)
 	// MaxCoverPrimes rejects covering problems with more primes than
 	// this before the branch-and-bound starts: large prime sets are
@@ -42,143 +61,205 @@ func DefaultOptions() Options {
 	return Options{MaxVars: 12, MaxPrimes: 50000, MaxCoverPrimes: 96, MaxCoverWork: 2_000_000}
 }
 
-// implicant is a cube in (value, don't-care-mask) representation.
-type implicant struct {
-	val uint64 // variable values on cared positions
-	dc  uint64 // positions not in the cube
+// varWord[v] is the word pattern of variable v < 6: bit a is bit v of a.
+var varWord = [6]uint64{
+	0xAAAAAAAAAAAAAAAA,
+	0xCCCCCCCCCCCCCCCC,
+	0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00,
+	0xFFFF0000FFFF0000,
+	0xFFFFFFFF00000000,
 }
 
-func (im implicant) toCube(n int) cube.Cube {
-	var c cube.Cube
-	for v := 0; v < n; v++ {
-		bit := uint64(1) << uint(v)
-		if im.dc&bit != 0 {
-			continue
-		}
-		if im.val&bit != 0 {
-			c.Pos |= bit
-		} else {
-			c.Neg |= bit
-		}
+// planes is the scratch of Primes. Plane D occupies w[D·W:(D+1)·W] for
+// W words per table; bit D of live is set when plane D was written by
+// the current call and is nonzero; covered is the one table the prime
+// extraction reuses for every mask; primes collects the result before
+// it is copied out. Planes of masks that are not live are stale.
+type planes struct {
+	w       []uint64
+	live    []uint64
+	covered []uint64
+	primes  []cube.Cube
+}
+
+// planePool shares plane scratch across calls and goroutines: at most
+// 2 MiB per concurrent Primes call, allocated once.
+var planePool = sync.Pool{New: func() any { return new(planes) }}
+
+// reset sizes the scratch for n variables of W words each and marks
+// every plane stale.
+func (ps *planes) reset(n, W int) {
+	if need := W << n; cap(ps.w) < need {
+		ps.w = make([]uint64, need)
+	} else {
+		ps.w = ps.w[:need]
 	}
-	return c
+	nl := (1<<n + 63) / 64
+	if cap(ps.live) < nl {
+		ps.live = make([]uint64, nl)
+	} else {
+		ps.live = ps.live[:nl]
+		clear(ps.live)
+	}
+	if cap(ps.covered) < W {
+		ps.covered = make([]uint64, W)
+	}
+	ps.covered = ps.covered[:W]
+}
+
+func (ps *planes) plane(d, W int) []uint64 { return ps.w[d*W : (d+1)*W : (d+1)*W] }
+
+func (ps *planes) isLive(d int) bool { return ps.live[d>>6]>>(d&63)&1 == 1 }
+
+// canonical returns the points of plane d with every free variable
+// zero: the in-word mask (restricted to vm) and the word-index bits a
+// canonical word has clear.
+func canonical(d int, vm uint64) (inWord uint64, wordFree int) {
+	inWord = vm
+	for m := d & 63; m != 0; m &= m - 1 {
+		inWord &^= varWord[bits.TrailingZeros(uint(m))]
+	}
+	return inWord, d >> 6
 }
 
 // Primes returns all prime implicants of on ∪ dc (the don't-care set
-// participates in prime formation but needs no covering).
+// participates in prime formation but needs no covering), sorted by
+// cube.Compare.
 func Primes(on, dc truthtab.TT, opts Options) ([]cube.Cube, error) {
 	if err := checkVars(on, dc, opts); err != nil {
 		return nil, err
 	}
-	n := on.NumVars()
-	care := on.Or(dc)
-	if care.IsZero() {
+	n, W := on.NumVars(), on.NumWords()
+	vm := ^uint64(0)
+	if n < 6 {
+		vm = uint64(1)<<(1<<n) - 1
+	}
+	ps := planePool.Get().(*planes)
+	defer planePool.Put(ps)
+	ps.reset(n, W)
+	care := ps.plane(0, W)
+	zero, one := true, true
+	for i := range care {
+		care[i] = on.Word(i) | dc.Word(i)
+		zero = zero && care[i] == 0
+		one = one && care[i] == vm
+	}
+	if zero {
 		return nil, nil
 	}
-	if care.IsOne() {
+	if one {
 		return []cube.Cube{cube.Universe}, nil
 	}
-
-	// The generation loop keeps the frontier in a slice sorted by
-	// (dc mask, popcount, value): pairing partners then live in
-	// adjacent popcount runs of the same dc run, and duplicates of the
-	// next generation are adjacent in that order too, so one sort per
-	// generation both orders it and lets it compact — no
-	// per-generation maps. The cur/next backing arrays and the combined
-	// flags are swapped and reused across generations, so steady-state
-	// work allocates only when a generation outgrows every previous one.
-	cur := make([]implicant, 0, care.CountOnes())
-	care.ForEachMinterm(func(a uint64) {
-		cur = append(cur, implicant{val: a})
-	})
-	slices.SortFunc(cur, frontierOrder)
-	var (
-		next     []implicant
-		combined []bool
-		primes   []cube.Cube
-	)
-	for len(cur) > 0 {
-		if opts.MaxPrimes > 0 && len(cur) > opts.MaxPrimes {
-			return nil, fmt.Errorf("qm: implicant frontier %d exceeds limit %d", len(cur), opts.MaxPrimes)
+	for _, k := range ps.build(n, W, vm) {
+		if k == 0 {
+			break
 		}
-		if cap(combined) < len(cur) {
-			combined = make([]bool, len(cur))
-		} else {
-			combined = combined[:len(cur)]
-			clear(combined)
+		if opts.MaxPrimes > 0 && k > opts.MaxPrimes {
+			return nil, fmt.Errorf("qm: implicant frontier %d exceeds limit %d", k, opts.MaxPrimes)
 		}
-		next = next[:0]
-		for gs := 0; gs < len(cur); {
-			ge := gs
-			for ge < len(cur) && cur[ge].dc == cur[gs].dc {
-				ge++
-			}
-			// Pair each popcount run with the run one higher.
-			for ls := gs; ls < ge; {
-				pc := bits.OnesCount64(cur[ls].val)
-				le := ls
-				for le < ge && bits.OnesCount64(cur[le].val) == pc {
-					le++
-				}
-				he := le
-				for he < ge && bits.OnesCount64(cur[he].val) == pc+1 {
-					he++
-				}
-				for i := ls; i < le; i++ {
-					for j := le; j < he; j++ {
-						diff := cur[i].val ^ cur[j].val
-						if bits.OnesCount64(diff) != 1 {
-							continue
-						}
-						combined[i], combined[j] = true, true
-						next = append(next, implicant{val: cur[i].val &^ diff, dc: cur[i].dc | diff})
-					}
-				}
-				ls = le
-			}
-			gs = ge
-		}
-		for i, im := range cur {
-			if !combined[i] {
-				primes = append(primes, im.toCube(n))
-			}
-		}
-		// Order the next generation and dedup it (one merged implicant
-		// arises once per don't-care bit) by compacting.
-		slices.SortFunc(next, frontierOrder)
-		next = slices.Compact(next)
-		cur, next = next, cur
 	}
+	primes := ps.extract(n, W, vm)
 	// Deterministic order for reproducible covers.
-	slices.SortFunc(primes, func(a, b cube.Cube) int {
-		if a.Pos != b.Pos {
-			return cmp.Compare(a.Pos, b.Pos)
-		}
-		return cmp.Compare(a.Neg, b.Neg)
-	})
-	return primes, nil
+	slices.SortFunc(primes, cube.Compare)
+	return slices.Clone(primes), nil
 }
 
-// frontierOrder sorts implicants by (dc mask, popcount, value).
-func frontierOrder(a, b implicant) int {
-	if a.dc != b.dc {
-		return cmp.Compare(a.dc, b.dc)
+// build writes every live plane, plane 0 (on ∪ dc) given, and returns
+// the implicant count per number of free variables: the frontier sizes
+// of the pairwise merge generations.
+func (ps *planes) build(n, W int, vm uint64) (frontier [maxPlaneVars + 1]int) {
+	for d := 0; d < 1<<n; d++ {
+		p := ps.plane(d, W)
+		if d > 0 {
+			v := bits.TrailingZeros(uint(d))
+			parent := d &^ (1 << v)
+			if !ps.isLive(parent) || !flipAnd(p, ps.plane(parent, W), v) {
+				continue
+			}
+		}
+		ps.live[d>>6] |= 1 << (d & 63)
+		inWord, wordFree := canonical(d, vm)
+		k := 0
+		for wi, x := range p {
+			if wi&wordFree == 0 {
+				k += bits.OnesCount64(x & inWord)
+			}
+		}
+		frontier[bits.OnesCount(uint(d))] += k
 	}
-	if d := bits.OnesCount64(a.val) - bits.OnesCount64(b.val); d != 0 {
-		return d
+	return frontier
+}
+
+// flipAnd sets dst = src ∧ flip_v(src) and reports whether it is
+// nonzero.
+func flipAnd(dst, src []uint64, v int) bool {
+	var nz uint64
+	if v < 6 {
+		s, hi := uint(1)<<v, varWord[v]
+		for i, x := range src {
+			y := x & (x&hi>>s | x&^hi<<s)
+			dst[i] = y
+			nz |= y
+		}
+		return nz != 0
 	}
-	return cmp.Compare(a.val, b.val)
+	stride := 1 << (v - 6)
+	for i, x := range src {
+		y := x & src[i^stride]
+		dst[i] = y
+		nz |= y
+	}
+	return nz != 0
+}
+
+// extract collects, for every live plane D, the canonical points that
+// no live plane D ∪ {v} contains: the primes with free variables D.
+func (ps *planes) extract(n, W int, vm uint64) []cube.Cube {
+	full := uint64(1)<<n - 1
+	cov := ps.covered
+	ps.primes = ps.primes[:0]
+	for d := 0; d < 1<<n; d++ {
+		if !ps.isLive(d) {
+			continue
+		}
+		inWord, wordFree := canonical(d, vm)
+		clear(cov)
+		for free := full &^ uint64(d); free != 0; free &= free - 1 {
+			up := d | 1<<bits.TrailingZeros64(free)
+			if !ps.isLive(up) {
+				continue
+			}
+			for wi, x := range ps.plane(up, W) {
+				cov[wi] |= x
+			}
+		}
+		for wi, x := range ps.plane(d, W) {
+			if wi&wordFree != 0 {
+				continue
+			}
+			for m := x & inWord &^ cov[wi]; m != 0; m &= m - 1 {
+				a := uint64(wi)<<6 | uint64(bits.TrailingZeros64(m))
+				ps.primes = append(ps.primes, cube.Cube{Pos: a, Neg: full &^ a &^ uint64(d)})
+			}
+		}
+	}
+	return ps.primes
 }
 
 // checkVars rejects on/dc pairs of different arity and functions over
-// more than opts.MaxVars variables.
+// more than opts.MaxVars variables (12 when unset or above 12).
 func checkVars(on, dc truthtab.TT, opts Options) error {
 	n := on.NumVars()
 	if dc.NumVars() != n {
 		return fmt.Errorf("qm: on/dc variable mismatch")
 	}
-	if opts.MaxVars > 0 && n > opts.MaxVars {
-		return fmt.Errorf("qm: %d variables exceeds limit %d", n, opts.MaxVars)
+	limit := opts.MaxVars
+	if limit <= 0 || limit > maxPlaneVars {
+		limit = maxPlaneVars
+	}
+	if n > limit {
+		return fmt.Errorf("qm: %d variables exceeds limit %d", n, limit)
 	}
 	return nil
 }
