@@ -329,6 +329,59 @@ func geoGap(rng *rand.Rand, invLambda float64) int {
 	return int(g)
 }
 
+// skipSampler is the geometric-gap (skip) sampler over independent
+// Bernoulli(p) indices, and the package's only one: VisitBernoulli
+// (and through it RandomInto) and the resumable lane draw all find
+// their indices with first and walk.
+type skipSampler struct{ p, invLambda float64 }
+
+func newSkipSampler(p float64) skipSampler {
+	s := skipSampler{p: p}
+	if p > 0 && p < 1 { // the only case that draws gaps
+		s.invLambda = -1 / math.Log1p(-p)
+	}
+	return s
+}
+
+// first returns the first index of [0, n) that succeeds its Bernoulli
+// draw, or n when none does. It draws one gap when 0 < p < 1 and n > 0,
+// and nothing otherwise.
+func (s skipSampler) first(rng *rand.Rand, n int) int {
+	switch {
+	case s.p <= 0 || n <= 0:
+		return n
+	case s.p >= 1:
+		return 0
+	}
+	return min(geoGap(rng, s.invLambda), n)
+}
+
+// walk calls visit on i, an index returned by first or walk, and on
+// every later index that succeeds its draw, in increasing order, until
+// it reaches one at or past limit. It returns that index without
+// visiting it, or n when no index of [0, n) remains. Besides what visit
+// draws, the walk draws one gap per visited index (none when p ≥ 1), so
+// a walk stopped at limit resumes from the returned index and the RNG
+// state it left, and continues the stream one pass over [0, n) would
+// have drawn.
+func (s skipSampler) walk(rng *rand.Rand, i, limit, n int, visit func(i int)) int {
+	if s.p >= 1 {
+		for ; i < limit; i++ {
+			visit(i)
+		}
+		return i
+	}
+	for inv := s.invLambda; i < limit; {
+		visit(i)
+		g := geoGap(rng, inv)
+		if i >= n-1-g { // i + 1 + g ≥ n, overflow-safe
+			return n
+		}
+		i += 1 + g
+	}
+	return i
+}
+
 // VisitBernoulli calls visit(i) for each i in [0,n) that succeeds an
 // independent Bernoulli(p) draw, using geometric-gap (skip) sampling:
 // the cost is O(p·n) random draws instead of n, the indices are visited
@@ -337,24 +390,8 @@ func geoGap(rng *rand.Rand, invLambda float64) int {
 // the fault-tolerance paths: defect maps here, transient-upset masks in
 // internal/redundancy.
 func VisitBernoulli(rng *rand.Rand, p float64, n int, visit func(i int)) {
-	if p <= 0 || n <= 0 {
-		return
-	}
-	if p >= 1 {
-		for i := 0; i < n; i++ {
-			visit(i)
-		}
-		return
-	}
-	invLambda := -1 / math.Log1p(-p)
-	for i := geoGap(rng, invLambda); i < n; {
-		visit(i)
-		g := geoGap(rng, invLambda)
-		if i > n-1-g { // i + 1 + g overflow-safe termination
-			return
-		}
-		i += 1 + g
-	}
+	s := newSkipSampler(p)
+	s.walk(rng, s.first(rng, n), n, n, visit)
 }
 
 // Random draws a defect map.
@@ -367,18 +404,22 @@ func Random(r, c int, p Params, rng *rand.Rand) *Map {
 // clusterPt is one cluster center of a clustered draw.
 type clusterPt struct{ r, c int }
 
-// drawClusters draws the cluster-center geometry — the shared RNG
-// prefix of every die draw, scalar map (RandomInto) and lane plane
-// (LanePlanes.DrawLane) alike. Nil when the parameters are unclustered.
-func drawClusters(r, c int, p Params, rng *rand.Rand) []clusterPt {
+// appendClusters draws the cluster-center geometry into dst[:0] — the
+// shared RNG prefix of every die draw, scalar map (RandomInto) and lane
+// plane (LanePlanes.BeginLane) alike. Empty when the parameters are
+// unclustered.
+func appendClusters(dst []clusterPt, r, c int, p Params, rng *rand.Rand) []clusterPt {
+	dst = dst[:0]
 	if !p.Clustered || p.ClusterCount <= 0 {
-		return nil
+		return dst
 	}
-	centers := make([]clusterPt, p.ClusterCount)
-	for i := range centers {
-		centers[i] = clusterPt{rng.Intn(r), rng.Intn(c)}
+	if cap(dst) < p.ClusterCount {
+		dst = make([]clusterPt, 0, p.ClusterCount)
 	}
-	return centers
+	for i := 0; i < p.ClusterCount; i++ {
+		dst = append(dst, clusterPt{rng.Intn(r), rng.Intn(c)})
+	}
+	return dst
 }
 
 // boostAt returns the local probability multiplier of site (ri,ci):
@@ -418,6 +459,13 @@ func envelopeP(p Params) float64 {
 	return pEnv
 }
 
+// wireFaults reports whether p can break or bridge a wire. Wire planes
+// come after every crosspoint in a die's stream, and every check reads
+// them, so a lane with wire faults is drawn whole on first extension.
+func (p *Params) wireFaults() bool {
+	return p.PRowBreak > 0 || p.PColBreak > 0 || p.PRowBridge > 0 || p.PColBridge > 0
+}
+
 // RandomInto redraws m in place from p — Random without the allocation,
 // for per-worker die scratch. The crosspoint planes are filled by skip
 // sampling over the R·C sites: defects arrive at geometric gaps under an
@@ -432,12 +480,12 @@ func envelopeP(p Params) float64 {
 func RandomInto(m *Map, p Params, rng *rand.Rand) {
 	m.Reset()
 	r, c := m.R, m.C
-	centers := drawClusters(r, c, p, rng)
+	centers := appendClusters(nil, r, c, p, rng)
 	pEnv := envelopeP(p)
 	VisitBernoulli(rng, pEnv, r*c, func(i int) {
 		ri, ci := i/c, i%c
 		b := 1.0
-		if centers != nil {
+		if len(centers) > 0 {
 			b = boostAt(centers, p, ri, ci)
 		}
 		po := minF(p.PStuckOpen*b, 1)
@@ -451,6 +499,9 @@ func RandomInto(m *Map, p Params, rng *rand.Rand) {
 		}
 	})
 
+	if !p.wireFaults() {
+		return
+	}
 	VisitBernoulli(rng, p.PRowBreak, r, func(i int) { setBit(m.rowBroken, i, true) })
 	VisitBernoulli(rng, p.PColBreak, c, func(i int) { setBit(m.colBroken, i, true) })
 	VisitBernoulli(rng, p.PRowBridge, r-1, func(i int) { setBit(m.rowBridge, i, true) })

@@ -22,9 +22,11 @@ import (
 //   - rowBridge/colBridge: one word per adjacent line pair — word r bit
 //     L set iff die L bridges rows r and r+1 (max(R-1,0) words).
 //
-// A group is filled by Reset followed by one DrawLane per die; lanes
-// never drawn stay defect-free (all-zero), so callers must mask results
-// to the lanes they actually drew.
+// A group is filled by Reset followed by one DrawLane per die, or by
+// one BeginLane per die and ExtendLane calls that draw each die only as
+// far as its checks read; lanes (and rows) never drawn stay defect-free
+// (all-zero), so callers must mask results to the lanes they actually
+// drew.
 type LanePlanes struct {
 	R, C int
 	open []uint64
@@ -63,23 +65,69 @@ func (lp *LanePlanes) Reset() {
 // DrawLane draws die `lane` into the group from p, using exactly the
 // same random stream as RandomInto on a same-shape Map: seed a source
 // identically and the lane's plane bits equal the map's, draw for draw
-// and bit for bit. That equivalence (pinned by the property tests) is
-// what lets the yield engine's demotion path reseed and redraw a
-// scalar Map for a failing lane without any state hand-off. The lane
-// must be clear (Reset, or never drawn since); DrawLane only ORs bits
-// in.
+// and bit for bit, and the source ends in the same state. That
+// equivalence (pinned by the property tests) is what lets the yield
+// engine's demotion path reseed and redraw a scalar Map for a failing
+// lane without any state hand-off. The lane must be clear (Reset, or
+// never drawn since); DrawLane only ORs bits in. It is BeginLane
+// followed by ExtendLane through the last row.
 func (lp *LanePlanes) DrawLane(lane int, p Params, rng *rand.Rand) {
-	if lane < 0 || lane > 63 {
-		panic(fmt.Sprintf("defect: lane %d outside [0,64)", lane))
+	var cur LaneCursor
+	lp.BeginLane(lane, &cur, p, rng)
+	lp.ExtendLane(lane, &cur, p, rng, lp.R)
+}
+
+// LaneCursor is one lane's place in its die's defect stream, between
+// BeginLane and the ExtendLane that finishes the die: the crosspoint
+// sampler, the next site it visits (R·C once the die is final) and the
+// die's cluster centres. With the RNG state the caller saved after its
+// last call on the lane, it is all a resumed draw needs. A cursor is
+// reusable across dies; BeginLane overwrites it.
+type LaneCursor struct {
+	sites   skipSampler
+	next    int
+	centers []clusterPt
+}
+
+// BeginLane starts a resumable draw of die `lane` from p: it draws the
+// cluster prefix and the first geometric gap, the head of the stream
+// DrawLane consumes. The lane must be clear. A die whose first gap
+// passes every crosspoint is finished here, wire planes included.
+func (lp *LanePlanes) BeginLane(lane int, cur *LaneCursor, p Params, rng *rand.Rand) {
+	bit := laneBit(lane)
+	cur.centers = appendClusters(cur.centers, lp.R, lp.C, p, rng)
+	n := lp.R * lp.C
+	cur.sites = newSkipSampler(envelopeP(p))
+	cur.next = cur.sites.first(rng, n)
+	if cur.next == n {
+		lp.drawWires(bit, p, rng)
 	}
-	bit := uint64(1) << uint(lane)
-	r, c := lp.R, lp.C
-	centers := drawClusters(r, c, p, rng)
-	pEnv := envelopeP(p)
-	open, clsd := lp.open, lp.clsd
-	VisitBernoulli(rng, pEnv, r*c, func(i int) {
+}
+
+// ExtendLane continues, with the same p, the draw BeginLane started on
+// `lane`, through row `rows`: afterwards every plane a footprint check inside rows
+// [0, rows) reads holds its final bits. rng must resume where the
+// lane's previous call left its source. Crosspoints come in site-major
+// order, and the wire planes come after all R·C of them; every check
+// reads the wire planes, so when p has any wire-fault probability the
+// first extension draws the whole die. Extending through R (or through
+// fewer rows than before) is idempotent once the die is final, and a
+// die extended to R leaves rng exactly where DrawLane would.
+func (lp *LanePlanes) ExtendLane(lane int, cur *LaneCursor, p Params, rng *rand.Rand, rows int) {
+	bit := laneBit(lane)
+	n := lp.R * lp.C
+	limit := rows * lp.C
+	if rows >= lp.R || p.wireFaults() {
+		limit = n
+	}
+	if cur.next >= limit {
+		return
+	}
+	pEnv := cur.sites.p
+	open, clsd, c, centers := lp.open, lp.clsd, lp.C, cur.centers
+	cur.next = cur.sites.walk(rng, cur.next, limit, n, func(i int) {
 		b := 1.0
-		if centers != nil {
+		if len(centers) > 0 {
 			b = boostAt(centers, p, i/c, i%c)
 		}
 		po := minF(p.PStuckOpen*b, 1)
@@ -92,11 +140,31 @@ func (lp *LanePlanes) DrawLane(lane int, p Params, rng *rand.Rand) {
 			clsd[i] |= bit
 		}
 	})
+	if cur.next == n {
+		lp.drawWires(bit, p, rng)
+	}
+}
 
+// drawWires draws the wire planes of the lane `bit` — the tail of a
+// die's stream, empty when p has no wire faults.
+func (lp *LanePlanes) drawWires(bit uint64, p Params, rng *rand.Rand) {
+	if !p.wireFaults() {
+		return
+	}
+	r, c := lp.R, lp.C
 	VisitBernoulli(rng, p.PRowBreak, r, func(i int) { lp.rowBroken[i] |= bit })
 	VisitBernoulli(rng, p.PColBreak, c, func(i int) { lp.colBroken[i] |= bit })
 	VisitBernoulli(rng, p.PRowBridge, r-1, func(i int) { lp.rowBridge[i] |= bit })
 	VisitBernoulli(rng, p.PColBridge, c-1, func(i int) { lp.colBridge[i] |= bit })
+}
+
+// laneBit returns the lane word bit of `lane`, rejecting lanes outside
+// the word.
+func laneBit(lane int) uint64 {
+	if lane < 0 || lane > 63 {
+		panic(fmt.Sprintf("defect: lane %d outside [0,64)", lane))
+	}
+	return uint64(1) << uint(lane)
 }
 
 // OpenWords returns the stuck-open plane, R·C site-major lane words
@@ -128,10 +196,7 @@ func (lp *LanePlanes) ExtractLane(dst *Map, lane int) {
 	if dst.R != lp.R || dst.C != lp.C {
 		panic(fmt.Sprintf("defect: extract %d×%d lane into %d×%d map", lp.R, lp.C, dst.R, dst.C))
 	}
-	if lane < 0 || lane > 63 {
-		panic(fmt.Sprintf("defect: lane %d outside [0,64)", lane))
-	}
-	bit := uint64(1) << uint(lane)
+	bit := laneBit(lane)
 	dst.Reset()
 	for r := 0; r < lp.R; r++ {
 		for c := 0; c < lp.C; c++ {

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"nanoxbar/internal/xrand"
 )
 
 // laneTestParams are the draw distributions the lane/scalar equivalence
@@ -62,6 +64,91 @@ func TestDrawLaneMatchesRandomInto(t *testing.T) {
 				if laneRng.Uint64() != refRng.Uint64() {
 					t.Fatalf("%s %dx%d lane %d: RNG states diverge after draw", name, r, c, lane)
 				}
+			}
+		}
+	}
+}
+
+// TestExtendLaneMatchesDrawLane is the resumable-draw contract the
+// lane yield runner rests on. On random shapes up to 70×70 a lane is
+// begun and extended through a random increasing sequence of rows,
+// each call resuming the source state the previous one saved. After
+// every extension through row r, each crosspoint in rows < r already
+// holds its full-draw value; with wire faults the first extension
+// finishes the whole die; and the lane ends bit-identical to DrawLane,
+// with the source in the same state.
+func TestExtendLaneMatchesDrawLane(t *testing.T) {
+	named := laneTestParams()
+	params := []struct {
+		name string
+		p    Params
+	}{
+		{"uniform0", UniformCrosspoint(0)},
+		{"uniform2%", UniformCrosspoint(0.02)},
+		{"uniform30%", UniformCrosspoint(0.3)},
+		{"dense", UniformCrosspoint(1.0)},
+		{"wires", named["wires"]},
+		{"everything", named["everything"]},
+		{"clustered", named["clustered"]},
+	}
+	shapes := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		r, c := 1+shapes.Intn(70), 1+shapes.Intn(70)
+		if trial == 0 {
+			r, c = 1, 1
+		}
+		lane := shapes.Intn(64)
+		for _, tc := range params {
+			name, p := tc.name, tc.p
+			seed := shapes.Int63()
+			fullSrc, fullRng := xrand.New()
+			fullSrc.Seed(seed)
+			full := NewLanePlanes(r, c)
+			full.DrawLane(lane, p, fullRng)
+			want := NewMap(r, c)
+			full.ExtractLane(want, lane)
+
+			// As in the yield runner, the lane's source state is saved
+			// after each call and restored before the next, and the
+			// shared source draws for other dies in between.
+			src, rng := xrand.New()
+			src.Seed(seed)
+			lp := NewLanePlanes(r, c)
+			var cur LaneCursor
+			lp.BeginLane(lane, &cur, p, rng)
+			saved := *src
+			got := NewMap(r, c)
+			for through, first := 0, true; through < r; first = false {
+				through += shapes.Intn(r/3 + 2)
+				if through > r {
+					through = r
+				}
+				src.Seed(shapes.Int63())
+				rng.Float64()
+				*src = saved
+				lp.ExtendLane(lane, &cur, p, rng, through)
+				saved = *src
+				lp.ExtractLane(got, lane)
+				for ri := 0; ri < through; ri++ {
+					for ci := 0; ci < c; ci++ {
+						if got.At(ri, ci) != want.At(ri, ci) {
+							t.Fatalf("%s %dx%d lane %d: crosspoint (%d,%d) after extending through row %d is %v, full draw %v",
+								name, r, c, lane, ri, ci, through, got.At(ri, ci), want.At(ri, ci))
+						}
+					}
+				}
+				if first && p.wireFaults() && !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %dx%d lane %d: wire faults, but the first extension (row %d) left the die unfinished",
+						name, r, c, lane, through)
+				}
+			}
+			lp.ExtendLane(lane, &cur, p, rng, r) // idempotent once final
+			lp.ExtractLane(got, lane)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %dx%d lane %d: extended lane differs from DrawLane\ngot:\n%s\nwant:\n%s", name, r, c, lane, got, want)
+			}
+			if rng.Uint64() != fullRng.Uint64() {
+				t.Fatalf("%s %dx%d lane %d: source state diverges from DrawLane's", name, r, c, lane)
 			}
 		}
 	}

@@ -62,11 +62,6 @@ type Config struct {
 	// exact search, no post-reduction) instead of the defaults, trading
 	// area optimality for latency under load. 0 disables degradation.
 	DegradeAfter time.Duration
-
-	// Yield executes KindYield sweeps (default yield.LaneRunner{}, the
-	// bit-sliced 64-dies-per-word path; yield.ScalarRunner{} is the
-	// retained scalar reference).
-	Yield yield.Runner
 }
 
 // defaultMaxAttempts bounds self-mapping effort when a request does not
@@ -127,6 +122,8 @@ type Engine struct {
 	// implementation instead of recomputing it.
 	peerFill atomic.Pointer[PeerFillFunc]
 
+	// yield executes KindYield sweeps: always the bit-sliced
+	// yield.LaneRunner in production; tests substitute a fake.
 	yield yield.Runner
 }
 
@@ -181,9 +178,6 @@ func New(cfg Config) *Engine {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	if cfg.Yield == nil {
-		cfg.Yield = yield.LaneRunner{}
-	}
 	e := &Engine{
 		cache:        newShardedCache(cfg.CacheSize, cfg.CacheShards),
 		pool:         newPool(cfg.Workers, cfg.QueueDepth),
@@ -191,7 +185,7 @@ func New(cfg Config) *Engine {
 		maxQueueWait: cfg.MaxQueueWait,
 		degradeAfter: cfg.DegradeAfter,
 		logger:       cfg.Logger,
-		yield:        cfg.Yield,
+		yield:        yield.LaneRunner{},
 	}
 	e.met = newEngineMetrics(e)
 	return e
@@ -287,13 +281,11 @@ func (e *Engine) DoCtx(ctx context.Context, req Request) Result {
 // aggregate result returns. Calls to onDie are serialized.
 func (e *Engine) DoStream(ctx context.Context, req Request, onDie DieFunc) Result {
 	var res Result
-	e.SubmitStream(ctx, []Request{req},
-		func(_ int, r Result) { res = r },
-		func(_ int, die int, mr *MapResult, err error) {
-			if onDie != nil {
-				onDie(die, mr, err)
-			}
-		})
+	var df func(req, die int, mr *MapResult, err error)
+	if onDie != nil {
+		df = func(_ int, die int, mr *MapResult, err error) { onDie(die, mr, err) }
+	}
+	e.SubmitStream(ctx, []Request{req}, func(_ int, r Result) { res = r }, df)
 	return res
 }
 
@@ -663,12 +655,13 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 		return errResult(req.Kind, apierr.Infeasible("engine: implementation %d×%d exceeds chip %d×%d", app.R, app.C, size, size))
 	}
 
-	// Hand the sweep to the configured yield runner — by default the
-	// bit-sliced lane path: 64 dies drawn per lane-word group, one BIST
-	// session per candidate mapping covering the whole group, and only
-	// the dies no candidate fits demoted to the scalar mapper. Each die
-	// is sub-seeded from req.Seed, so results are independent of worker
-	// scheduling; emit fires serialized, in die order within a group.
+	// Hand the sweep to the yield runner — the bit-sliced lane path: 64
+	// dies drawn per lane-word group, one BIST session per candidate
+	// mapping covering the whole group, and only the dies no candidate
+	// fits demoted to the scalar mapper. Each die is sub-seeded from
+	// req.Seed, so results are independent of worker scheduling; emit
+	// fires serialized, in die order within a group, so the running sums
+	// below need no lock.
 	spec := yield.Spec{
 		App:         app,
 		Scheme:      scheme,
@@ -679,16 +672,20 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 		MaxAttempts: maxAttempts,
 		Parallel:    e.workers,
 	}
-	type dieOut struct {
-		st  bism.Stats
-		err error
-	}
-	outs := make([]dieOut, chips)
+	yr := &YieldResult{Chips: chips}
+	var configs, bist, bisd int
+	// A failed sweep reports its lowest-index failing die, whatever
+	// order the dies complete in.
+	var dieErr error
+	errDie := chips
 	runErr := e.yield.Run(ctx, spec, func(dr yield.DieResult) {
 		if dr.Err != nil {
-			outs[dr.Die] = dieOut{err: apierr.Internal("engine: die %d: %v", dr.Die, dr.Err)}
+			err := apierr.Internal("engine: die %d: %v", dr.Die, dr.Err)
+			if dr.Die < errDie {
+				errDie, dieErr = dr.Die, err
+			}
 			if onDie != nil {
-				onDie(dr.Die, nil, outs[dr.Die].err)
+				onDie(dr.Die, nil, err)
 			}
 			return
 		}
@@ -700,10 +697,15 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 		} else {
 			e.diesDemoted.Add(1)
 		}
-		outs[dr.Die] = dieOut{st: dr.Stats}
+		if dr.Stats.Success {
+			yr.Successes++
+		}
+		configs += dr.Stats.Configs
+		bist += dr.Stats.BISTCalls
+		bisd += dr.Stats.BISDCalls
 		if onDie != nil {
 			// The MapResult is materialized only for streaming
-			// observers; the aggregate below reads the raw stats.
+			// observers; the aggregate reads the raw stats.
 			mr := &MapResult{
 				Success:   dr.Stats.Success,
 				Configs:   dr.Stats.Configs,
@@ -724,19 +726,8 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 		}
 		return errResult(req.Kind, apierr.Internal("engine: yield runner %s: %v", e.yield.Name(), runErr))
 	}
-
-	yr := &YieldResult{Chips: chips}
-	var configs, bist, bisd int
-	for _, o := range outs {
-		if o.err != nil {
-			return errResult(req.Kind, o.err)
-		}
-		if o.st.Success {
-			yr.Successes++
-		}
-		configs += o.st.Configs
-		bist += o.st.BISTCalls
-		bisd += o.st.BISDCalls
+	if dieErr != nil {
+		return errResult(req.Kind, dieErr)
 	}
 	yr.SuccessRate = float64(yr.Successes) / float64(chips)
 	yr.AvgConfigs = float64(configs) / float64(chips)

@@ -1,14 +1,20 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"nanoxbar/internal/apierr"
 	"nanoxbar/internal/benchfn"
+	"nanoxbar/internal/bism"
 	"nanoxbar/internal/core"
 	"nanoxbar/internal/defect"
+	"nanoxbar/internal/yield"
 )
 
 func newTestEngine(t *testing.T) *Engine {
@@ -253,6 +259,48 @@ func TestYieldSweep(t *testing.T) {
 	}
 	if want := float64(st.MapAttempts) / float64(st.DiesMapped); st.MeanMapAttempts != want {
 		t.Fatalf("mean attempts %v, want %v", st.MeanMapAttempts, want)
+	}
+}
+
+// outOfOrderErrRunner stands in for a parallel runner whose dies
+// complete out of index order: die 7 fails, then die 3, then every
+// other die passes candidate 0.
+type outOfOrderErrRunner struct{}
+
+func (outOfOrderErrRunner) Name() string { return "out-of-order-errors" }
+
+func (outOfOrderErrRunner) Run(_ context.Context, spec yield.Spec, emit func(yield.DieResult)) error {
+	emit(yield.DieResult{Die: 7, Err: errors.New("seven")})
+	emit(yield.DieResult{Die: 3, Err: errors.New("three")})
+	for die := 0; die < spec.Dies; die++ {
+		if die != 3 && die != 7 {
+			emit(yield.DieResult{Die: die, Stats: bism.Stats{Configs: 1, BISTCalls: 1, Success: true}, Fast: true})
+		}
+	}
+	return nil
+}
+
+// TestYieldReportsLowestFailingDie: a sweep aggregates dies as they
+// arrive, yet its error names the lowest-index failing die, and the
+// observer still sees every die error in completion order.
+func TestYieldReportsLowestFailingDie(t *testing.T) {
+	e := newTestEngine(t)
+	e.yield = outOfOrderErrRunner{}
+	req := Request{Kind: KindYield, Function: FunctionSpec{Name: "maj3"}, Density: 0.02, Chips: 10, ChipSize: 20, Seed: 1}
+	var errDies []int
+	res := e.DoStream(context.Background(), req, func(die int, _ *MapResult, err error) {
+		if err != nil {
+			errDies = append(errDies, die)
+		}
+	})
+	if res.Ok() || !strings.Contains(res.Error, "die 3:") || !errors.Is(res.Err, apierr.ErrInternal) {
+		t.Fatalf("result %+v, want an internal error naming die 3", res)
+	}
+	if !reflect.DeepEqual(errDies, []int{7, 3}) {
+		t.Fatalf("observer saw die errors %v, want [7 3]", errDies)
+	}
+	if res := e.Do(req); !strings.Contains(res.Error, "die 3:") {
+		t.Fatalf("non-streaming result %+v, want an error naming die 3", res)
 	}
 }
 

@@ -151,9 +151,12 @@ func TestDrainRejectsWorkKeepsOps(t *testing.T) {
 
 func TestDeadlineHeaderBoundsRequest(t *testing.T) {
 	ts, _ := protectedServer(t)
-	// A 1ms budget cannot cover a 2000-die yield sweep: the request
-	// must come back canceled (deadline exceeded server-side), not hang.
-	body := `{"kind":"yield","function":{"name":"maj5"},"chips":2000,"seed":1}`
+	// A 1ms budget cannot cover a 2000-die yield sweep whose dies all
+	// demote to greedy repair (40% density): the request must come back
+	// canceled (deadline exceeded server-side), not hang. Defect-free
+	// dies would not do: they resolve on the lane fast path and can
+	// finish inside the budget.
+	body := `{"kind":"yield","function":{"name":"maj5"},"chips":2000,"chip_size":48,"density":0.4,"seed":1}`
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/map", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -364,7 +364,9 @@ func TestV2NonFinalResultsStream(t *testing.T) {
 	var sawMap, sawYield bool
 	err := cl.Jobs(ctx, nanoxbar.JobsRequest{Requests: []nanoxbar.Request{
 		{Kind: nanoxbar.KindMap, Function: maj3, Density: 0.05, Seed: 1},
-		{Kind: nanoxbar.KindYield, Function: maj3, Density: 0.05, Seed: 3, Chips: 50000, ChipSize: 64},
+		// Every die demotes to greedy repair at 40% density, so the
+		// sweep outlasts the client's cancel by a wide margin.
+		{Kind: nanoxbar.KindYield, Function: maj3, Density: 0.4, Seed: 3, Chips: 50000, ChipSize: 48},
 	}}, func(ev nanoxbar.Event) {
 		switch {
 		case ev.Index == 0 && ev.Type == nanoxbar.EventResult:

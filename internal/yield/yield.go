@@ -9,10 +9,14 @@
 // applies the remaining 64x axis — the same 64-lanes-per-word trick the
 // redundancy engine uses for Monte Carlo trials — across dies:
 //
-//  1. Draw. A worker draws a group of 64 dies' defect planes directly
-//     into defect.LanePlanes lane words (die-major transposed layout),
+//  1. Draw. A worker begins a group of 64 dies' defect draws directly
+//     in defect.LanePlanes lane words (die-major transposed layout),
 //     one seeded stream per die, bit-for-bit the stream RandomInto
-//     would have produced for the same die seed.
+//     would produce for the same die seed. Each die is drawn only as
+//     far as its checks read: before candidate k is probed, the dies
+//     still pending are extended through row (k+1)·appR, each resuming
+//     its own saved source state. Most dies pass candidate 0, so most
+//     of a die's crosspoints are never drawn.
 //  2. Fast check. A fixed schedule of disjoint block-diagonal candidate
 //     mappings (candidate k places the application at rows/cols k·appR,
 //     k·appC) is probed with bism.CheckLanes — one BIST session per
@@ -20,18 +24,18 @@
 //     die passing candidate k is done: it took k+1 configurations and
 //     k+1 BIST calls, and its mapping is the shared candidate.
 //  3. Demote. Only dies failing every candidate fall back to the
-//     retained scalar path: reseed the die's stream, redraw its map
-//     with RandomInto (identical bits, and it leaves the RNG exactly
-//     where the lane draw did), and run the requested bism mapper with
-//     its full greedy/hybrid repair machinery.
+//     scalar path: reseed the die's stream, draw its whole map with
+//     RandomInto (the same bits the lane holds so far, and it leaves
+//     the RNG where a full lane draw would), and run the requested bism
+//     mapper with its full greedy/hybrid repair machinery.
 //
 // Because the candidates are disjoint, their failure events are
 // independent under uniform defects, so the demotion rate falls
 // geometrically with the schedule length and almost every die resolves
-// in step 2. ScalarRunner executes the identical per-die algorithm with
-// scalar checks; the property suite pins the two runners bit-for-bit
-// equal — mappings, stats, and success flags — across word boundaries
-// and degenerate defect densities.
+// in step 2. The tests hold LaneRunner bit-for-bit — mappings, stats,
+// and success flags — to a scalar oracle that draws every die whole
+// and checks it with bism.Validate, across word boundaries, degenerate
+// defect densities, and schedules that end on the chip's last row.
 package yield
 
 import (
@@ -171,9 +175,10 @@ type LaneRunner struct{}
 // Name implements Runner.
 func (LaneRunner) Name() string { return "lane64" }
 
-// Run implements Runner: groups of 64 dies are drawn into lane planes
-// and probed per candidate as single word-kernel BIST sessions; only
-// failing lanes touch the scalar mapper.
+// Run implements Runner: groups of 64 dies are drawn into lane planes,
+// each die only as far as its probes read, and probed per candidate as
+// single word-kernel BIST sessions; only failing lanes touch the scalar
+// mapper.
 func (LaneRunner) Run(ctx context.Context, spec Spec, emit func(DieResult)) error {
 	if err := spec.validate(); err != nil {
 		return err
@@ -203,17 +208,14 @@ func (LaneRunner) Run(ctx context.Context, spec Spec, emit func(DieResult)) erro
 	)
 	done := ctx.Done()
 	wg.Add(par)
-	for w := 0; w < par; w++ {
+	for range par {
 		go func() {
 			defer wg.Done()
-			// Per-worker scratch, reused across every group the worker
-			// pulls from the shared counter: the lane planes, one scalar
-			// map for demotions, the reseedable die stream, and the
-			// per-group result buffer.
-			lp := defect.NewLanePlanes(spec.ChipSize, spec.ChipSize)
-			chip := defect.NewMap(spec.ChipSize, spec.ChipSize)
-			src, rng := xrand.New()
-			var out [64]DieResult
+			w := laneWorker{
+				lp:   defect.NewLanePlanes(spec.ChipSize, spec.ChipSize),
+				chip: defect.NewMap(spec.ChipSize, spec.ChipSize),
+			}
+			w.src, w.rng = xrand.New()
 			for {
 				// The group boundary is the cancellation point: a sweep
 				// canceled mid-flight stops drawing new groups; the
@@ -232,10 +234,10 @@ func (LaneRunner) Run(ctx context.Context, spec Spec, emit func(DieResult)) erro
 				if lanes > groupSize {
 					lanes = groupSize
 				}
-				runLaneGroup(spec, cands, die0, lanes, lp, chip, src, rng, &out)
+				w.runGroup(spec, cands, die0, lanes)
 				emitMu.Lock()
 				for l := 0; l < lanes; l++ {
-					emit(out[l])
+					emit(w.out[l])
 				}
 				emitMu.Unlock()
 			}
@@ -245,118 +247,71 @@ func (LaneRunner) Run(ctx context.Context, spec Spec, emit func(DieResult)) erro
 	return ctx.Err()
 }
 
-// runLaneGroup processes dies [die0, die0+lanes) into out[0:lanes]. A
-// panic anywhere in the group (defect draw, lane check, demoted mapper)
-// becomes an Err on every die of the group rather than unwinding the
-// worker goroutine.
-func runLaneGroup(spec Spec, cands []*bism.Mapping, die0, lanes int, lp *defect.LanePlanes, chip *defect.Map, src *xrand.SplitMix, rng *rand.Rand, out *[64]DieResult) {
+// laneWorker is one worker's scratch, reused across every group it
+// pulls from the shared counter: the lane planes, one scalar map for
+// demotions, the worker's one reseedable die stream, each lane's draw
+// cursor and saved stream state between probes, and the group's
+// results.
+type laneWorker struct {
+	lp     *defect.LanePlanes
+	chip   *defect.Map
+	src    *xrand.SplitMix
+	rng    *rand.Rand
+	cursor [64]defect.LaneCursor
+	state  [64]xrand.SplitMix
+	out    [64]DieResult
+}
+
+// runGroup processes dies [die0, die0+lanes) into w.out[0:lanes]. Each
+// die's stream is drawn only as far as the checks read it: before
+// candidate k is probed, the lanes still pending are extended through
+// its last row, (k+1)·appR, resuming each lane's saved SplitMix state
+// on the worker's one source. A die that passes candidate 0 thus draws
+// about appR/N of its crosspoints. A panic anywhere in the group
+// (defect draw, lane check, demoted mapper) becomes an Err on every
+// die of the group rather than unwinding the worker goroutine.
+func (w *laneWorker) runGroup(spec Spec, cands []*bism.Mapping, die0, lanes int) {
 	defer func() {
 		if r := recover(); r != nil {
 			for l := 0; l < lanes; l++ {
-				out[l] = DieResult{Die: die0 + l, Err: fmt.Errorf("yield: panic mapping die group at %d: %v", die0, r)}
+				w.out[l] = DieResult{Die: die0 + l, Err: fmt.Errorf("yield: panic mapping die group at %d: %v", die0, r)}
 			}
 		}
 	}()
-	lp.Reset()
+	w.lp.Reset()
 	for l := 0; l < lanes; l++ {
-		src.Seed(xrand.SubSeed(spec.Seed, die0+l))
-		lp.DrawLane(l, spec.Params, rng)
+		w.src.Seed(xrand.SubSeed(spec.Seed, die0+l))
+		w.lp.BeginLane(l, &w.cursor[l], spec.Params, w.rng)
+		w.state[l] = *w.src
 	}
 	pending := bitlane.Mask(lanes)
 	for k, cand := range cands {
 		if pending == 0 {
 			break
 		}
-		failed := bism.CheckLanes(spec.App, lp, k*spec.App.R, k*spec.App.C, pending)
+		for p := pending; p != 0; p &= p - 1 {
+			l := bits.TrailingZeros64(p)
+			*w.src = w.state[l]
+			w.lp.ExtendLane(l, &w.cursor[l], spec.Params, w.rng, (k+1)*spec.App.R)
+			w.state[l] = *w.src
+		}
+		failed := bism.CheckLanes(spec.App, w.lp, k*spec.App.R, k*spec.App.C, pending)
 		passed := pending &^ failed
 		pending &= failed
 		for p := passed; p != 0; p &= p - 1 {
 			l := bits.TrailingZeros64(p)
-			out[l] = DieResult{Die: die0 + l, Mapping: cand, Stats: fastStats(k), Fast: true}
+			w.out[l] = DieResult{Die: die0 + l, Mapping: cand, Stats: fastStats(k), Fast: true}
 		}
 	}
 	// Demote the lanes no candidate fit: replay the die scalar-side.
 	for p := pending; p != 0; p &= p - 1 {
 		l := bits.TrailingZeros64(p)
 		die := die0 + l
-		src.Seed(xrand.SubSeed(spec.Seed, die))
-		defect.RandomInto(chip, spec.Params, rng)
-		m, st := spec.Scheme.Map(bism.NewChip(chip), spec.App, spec.MaxAttempts, rng)
+		w.src.Seed(xrand.SubSeed(spec.Seed, die))
+		defect.RandomInto(w.chip, spec.Params, w.rng)
+		m, st := spec.Scheme.Map(bism.NewChip(w.chip), spec.App, spec.MaxAttempts, w.rng)
 		st.Configs += len(cands)
 		st.BISTCalls += len(cands)
-		out[l] = DieResult{Die: die, Mapping: m, Stats: st}
+		w.out[l] = DieResult{Die: die, Mapping: m, Stats: st}
 	}
-}
-
-// ScalarRunner is the retained reference path: the identical per-die
-// algorithm — same seeds, same candidate schedule, same demotion — with
-// every check running on one scalar defect map. The property suite
-// holds LaneRunner bit-for-bit to this.
-type ScalarRunner struct{}
-
-// Name implements Runner.
-func (ScalarRunner) Name() string { return "scalar" }
-
-// Run implements Runner.
-func (ScalarRunner) Run(ctx context.Context, spec Spec, emit func(DieResult)) error {
-	if err := spec.validate(); err != nil {
-		return err
-	}
-	par := spec.parallel()
-	if par > spec.Dies {
-		par = spec.Dies
-	}
-	cands := candidateMappings(spec.App, spec.ChipSize)
-	var (
-		next   atomic.Int64
-		wg     sync.WaitGroup
-		emitMu sync.Mutex
-	)
-	done := ctx.Done()
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			chip := defect.NewMap(spec.ChipSize, spec.ChipSize)
-			src, rng := xrand.New()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				die := int(next.Add(1)) - 1
-				if die >= spec.Dies {
-					return
-				}
-				dr := runScalarDie(spec, cands, die, chip, src, rng)
-				emitMu.Lock()
-				emit(dr)
-				emitMu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
-// runScalarDie executes the per-die algorithm on scalar state.
-func runScalarDie(spec Spec, cands []*bism.Mapping, die int, chip *defect.Map, src *xrand.SplitMix, rng *rand.Rand) (dr DieResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			dr = DieResult{Die: die, Err: fmt.Errorf("yield: panic mapping die %d: %v", die, r)}
-		}
-	}()
-	src.Seed(xrand.SubSeed(spec.Seed, die))
-	defect.RandomInto(chip, spec.Params, rng)
-	ch := bism.NewChip(chip)
-	for k, cand := range cands {
-		if bism.Validate(ch, spec.App, cand) {
-			return DieResult{Die: die, Mapping: cand, Stats: fastStats(k), Fast: true}
-		}
-	}
-	m, st := spec.Scheme.Map(ch, spec.App, spec.MaxAttempts, rng)
-	st.Configs += len(cands)
-	st.BISTCalls += len(cands)
-	return DieResult{Die: die, Mapping: m, Stats: st}
 }

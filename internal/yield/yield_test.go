@@ -60,35 +60,49 @@ func sameMapping(a, b *bism.Mapping) bool {
 }
 
 // TestLaneMatchesScalarBitForBit is the tentpole contract: the lane
-// path equals the retained scalar reference die for die — mapping,
-// stats, fast flag — across die counts that are not multiples of 64
-// (tail-lane masking), all-defective and zero-defect planes, every
-// mapping scheme, and both serial and parallel execution.
+// path equals the scalar oracle die for die — mapping, stats, fast
+// flag — across die counts that are not multiples of 64 (tail-lane
+// masking), all-defective and zero-defect planes, every mapping scheme,
+// both serial and parallel execution, and schedules whose progressive
+// draws end on the chip's last row (a tall application with K·appR = N)
+// or stop after one candidate (a chip that fits only one).
 func TestLaneMatchesScalarBitForBit(t *testing.T) {
 	app := testApp(t)
+	tall := bism.RandomApp(6, 4, 0.5, rand.New(rand.NewSource(23)))
+	layouts := []struct {
+		name string
+		app  *bism.App
+		chip int
+	}{
+		{"4x6 on 48", app, 48},
+		{"6x4 on 48, K·appR = N", tall, 48},
+		{"4x6 on 9, one candidate", app, 9},
+	}
 	schemes := []bism.Mapper{bism.Greedy{}, bism.Blind{}, bism.Hybrid{}}
 	densities := []float64{0, 0.03, 1.0}
 	dieCounts := []int{1, 63, 64, 65, 130}
-	for _, scheme := range schemes {
-		for _, density := range densities {
-			for _, dies := range dieCounts {
-				for _, par := range []int{1, 4} {
-					spec := Spec{
-						App: app, Scheme: scheme, ChipSize: 48,
-						Params: defect.UniformCrosspoint(density),
-						Dies:   dies, Seed: 99, MaxAttempts: 50, Parallel: par,
-					}
-					lane := collect(t, LaneRunner{}, spec)
-					scalar := collect(t, ScalarRunner{}, spec)
-					for die := range lane {
-						l, s := lane[die], scalar[die]
-						if l.Err != nil || s.Err != nil {
-							t.Fatalf("%s d=%v dies=%d par=%d die %d: unexpected errors %v / %v",
-								scheme.Name(), density, dies, par, die, l.Err, s.Err)
+	for _, lay := range layouts {
+		for _, scheme := range schemes {
+			for _, density := range densities {
+				for _, dies := range dieCounts {
+					for _, par := range []int{1, 4} {
+						spec := Spec{
+							App: lay.app, Scheme: scheme, ChipSize: lay.chip,
+							Params: defect.UniformCrosspoint(density),
+							Dies:   dies, Seed: 99, MaxAttempts: 50, Parallel: par,
 						}
-						if l.Fast != s.Fast || !reflect.DeepEqual(l.Stats, s.Stats) || !sameMapping(l.Mapping, s.Mapping) {
-							t.Fatalf("%s d=%v dies=%d par=%d die %d: lane %+v != scalar %+v",
-								scheme.Name(), density, dies, par, die, l, s)
+						lane := collect(t, LaneRunner{}, spec)
+						scalar := collect(t, ScalarRunner{}, spec)
+						for die := range lane {
+							l, s := lane[die], scalar[die]
+							if l.Err != nil || s.Err != nil {
+								t.Fatalf("%s %s d=%v dies=%d par=%d die %d: unexpected errors %v / %v",
+									lay.name, scheme.Name(), density, dies, par, die, l.Err, s.Err)
+							}
+							if l.Fast != s.Fast || !reflect.DeepEqual(l.Stats, s.Stats) || !sameMapping(l.Mapping, s.Mapping) {
+								t.Fatalf("%s %s d=%v dies=%d par=%d die %d: lane %+v != scalar %+v",
+									lay.name, scheme.Name(), density, dies, par, die, l, s)
+							}
 						}
 					}
 				}
