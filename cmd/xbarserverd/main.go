@@ -16,9 +16,6 @@
 //
 //	POST /v2/jobs        any request kinds — NDJSON stream in
 //	                     completion order; structured errors
-//	POST /v1/synthesize  one synthesize or compare request
-//	POST /v1/map         one per-chip map or yield-sweep request
-//	POST /v1/batch       {"requests": [...]} — fan-out, results in order
 //	GET  /healthz        liveness probe + uptime/build + cache summary
 //	GET  /stats          engine counters (cache hits/misses, workers, ...)
 //	GET  /metrics        Prometheus text exposition (latency histograms,

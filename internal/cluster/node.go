@@ -30,6 +30,7 @@ import (
 	"nanoxbar/internal/core"
 	"nanoxbar/internal/engine"
 	"nanoxbar/internal/resilience"
+	"nanoxbar/pkg/nanoxbar/client"
 )
 
 // ForwardedHeader marks a synthesis request that already crossed one
@@ -107,6 +108,9 @@ type peerState struct {
 	url     string
 	fill    *resilience.Breaker
 	forward *resilience.Breaker
+	// jobs forwards synthesis requests to the peer's /v2/jobs under the
+	// forwarded marker.
+	jobs *client.Client
 }
 
 // Node is one cluster member: failure detector + hash ring + peer
@@ -198,6 +202,8 @@ func New(eng *engine.Engine, cfg Config) (*Node, error) {
 		peers:           make(map[string]*peerState),
 		retrier:         resilience.NewRetrier(cfg.Retry, cfg.Clock, cfg.Seed),
 	}
+	fwd := *cfg.HTTPClient
+	fwd.Transport = markForwarded{id: cfg.NodeID, next: cfg.HTTPClient.Transport}
 	n.det = newDetector(cfg.Clock, cfg.SuspectAfter, cfg.DeadAfter, func(id string, from, to State) {
 		n.logger.Info("cluster member transition", "peer", id, "from", from.String(), "to", to.String())
 	})
@@ -210,6 +216,7 @@ func New(eng *engine.Engine, cfg Config) (*Node, error) {
 			url:     url,
 			fill:    resilience.NewBreaker(cfg.Breaker, cfg.Clock, nil),
 			forward: resilience.NewBreaker(cfg.Breaker, cfg.Clock, nil),
+			jobs:    client.New(url, client.WithHTTPClient(&fwd)),
 		}
 		n.det.add(id, url)
 	}

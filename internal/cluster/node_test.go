@@ -12,11 +12,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nanoxbar/internal/cluster"
 	"nanoxbar/internal/engine"
 	"nanoxbar/internal/httpapi"
+	"nanoxbar/pkg/nanoxbar"
 )
 
 // swapHandler lets the httptest server start (fixing its URL) before
@@ -104,22 +106,52 @@ func requestOwnedBy(t *testing.T, eng *engine.Engine, members []string, owner st
 	return engine.Request{}, ""
 }
 
-func postSynthesize(t *testing.T, url string, req engine.Request) (*http.Response, engine.Result) {
+// postJob submits reqs to url's /v2/jobs and returns the stream's
+// result and error frames by request index plus its done summary. Each
+// index must resolve exactly once, before the done frame.
+func postJob(t *testing.T, url string, reqs ...engine.Request) ([]nanoxbar.Event, nanoxbar.JobsSummary) {
 	t.Helper()
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(nanoxbar.JobsRequest{Requests: reqs})
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	resp, err := http.Post(url+"/v1/synthesize", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v2/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /v1/synthesize: %v", err)
+		t.Fatalf("POST /v2/jobs: %v", err)
 	}
 	defer resp.Body.Close()
-	var res engine.Result
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatalf("decode result: %v", err)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v2/jobs: HTTP %d", resp.StatusCode)
 	}
-	return resp, res
+	out := make([]nanoxbar.Event, len(reqs))
+	for dec := json.NewDecoder(resp.Body); ; {
+		var ev nanoxbar.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("stream ended before done: %v", err)
+		}
+		switch ev.Type {
+		case nanoxbar.EventResult, nanoxbar.EventError:
+			if out[ev.Index].Type != "" {
+				t.Fatalf("request %d resolved twice", ev.Index)
+			}
+			out[ev.Index] = ev
+		case nanoxbar.EventDone:
+			for i, ev := range out {
+				if ev.Type == "" {
+					t.Fatalf("request %d never resolved", i)
+				}
+			}
+			return out, *ev.Done
+		}
+	}
+}
+
+// postSynthesize submits one synthesis request as a /v2/jobs job and
+// returns its result or error frame.
+func postSynthesize(t *testing.T, url string, req engine.Request) nanoxbar.Event {
+	t.Helper()
+	evs, _ := postJob(t, url, req)
+	return evs[0]
 }
 
 // TestPeerFillHit: a cold node whose key is owned by a warm sibling
@@ -171,6 +203,18 @@ func TestPeerFillMiss(t *testing.T) {
 	if got := nodes["a"].eng.Stats().SynthCalls; got != 1 {
 		t.Fatalf("a SynthCalls = %d, want 1 (local fallback)", got)
 	}
+
+	// A fill without a key is a structured 400.
+	resp, err := http.Get(nodes["b"].srv.URL + cluster.FillPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var er nanoxbar.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil ||
+		resp.StatusCode != http.StatusBadRequest || er.Error.Code != nanoxbar.CodeBadSpec {
+		t.Fatalf("keyless fill: HTTP %d, body %+v (err %v)", resp.StatusCode, er, err)
+	}
 }
 
 // TestForwardToOwner: a synthesis POSTed to a non-owner is proxied to
@@ -179,9 +223,8 @@ func TestForwardToOwner(t *testing.T) {
 	nodes := startCluster(t, []string{"a", "b"}, nil)
 	req, _ := requestOwnedBy(t, nodes["a"].eng, []string{"a", "b"}, "b")
 
-	resp, res := postSynthesize(t, nodes["a"].srv.URL, req)
-	if resp.StatusCode != http.StatusOK || !res.Ok() || res.Synthesis == nil {
-		t.Fatalf("forwarded request: HTTP %d, err %q", resp.StatusCode, res.Error)
+	if ev := postSynthesize(t, nodes["a"].srv.URL, req); ev.Result == nil || ev.Result.Synthesis == nil {
+		t.Fatalf("forwarded request: %+v", ev)
 	}
 	if st := nodes["a"].node.Status(); st.Forwards != 1 || st.Failovers != 0 {
 		t.Fatalf("a forwards/failovers = %d/%d, want 1/0", st.Forwards, st.Failovers)
@@ -203,9 +246,8 @@ func TestForwardFailover(t *testing.T) {
 
 	nodes["b"].srv.Close() // abrupt kill; a's detector still believes b alive
 
-	resp, res := postSynthesize(t, nodes["a"].srv.URL, req)
-	if resp.StatusCode != http.StatusOK || !res.Ok() {
-		t.Fatalf("failover request: HTTP %d, err %q", resp.StatusCode, res.Error)
+	if ev := postSynthesize(t, nodes["a"].srv.URL, req); ev.Result == nil || ev.Result.Synthesis == nil {
+		t.Fatalf("failover request: %+v", ev)
 	}
 	st := nodes["a"].node.Status()
 	if st.Failovers != 1 {
@@ -228,9 +270,8 @@ func TestLocalDegrade(t *testing.T) {
 
 	nodes["b"].srv.Close()
 
-	resp, res := postSynthesize(t, nodes["a"].srv.URL, req)
-	if resp.StatusCode != http.StatusOK || !res.Ok() || res.Synthesis == nil {
-		t.Fatalf("degraded request: HTTP %d, err %q", resp.StatusCode, res.Error)
+	if ev := postSynthesize(t, nodes["a"].srv.URL, req); ev.Result == nil || ev.Result.Synthesis == nil {
+		t.Fatalf("degraded request: %+v", ev)
 	}
 	st := nodes["a"].node.Status()
 	if st.LocalDegrades != 1 || st.Forwards != 0 {
@@ -242,30 +283,38 @@ func TestLocalDegrade(t *testing.T) {
 	}
 }
 
-// TestForwardDomainErrorPassesThrough: a 422 from the owner is the
-// answer, not a failure — it must come back typed with the owner's
-// code, without tripping the failover ladder.
-func TestForwardDomainErrorPassesThrough(t *testing.T) {
-	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/synthesize" {
+// jobsStub stands in for a member whose /v2/jobs answers every job
+// with the given frame followed by done, recording the marker header
+// of the last job it saw.
+func jobsStub(frame string, marker *atomic.Value) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v2/jobs" {
 			http.NotFound(w, r)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusUnprocessableEntity)
-		json.NewEncoder(w).Encode(map[string]string{
-			"error": "core: no feasible implementation", "code": "infeasible",
-		})
+		marker.Store(r.Header.Get(cluster.ForwardedHeader))
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprintln(w, frame)
+		fmt.Fprintln(w, `{"type":"done","done":{"results":1,"errors":1}}`)
 	})
+}
+
+// TestForwardDomainErrorPassesThrough: a domain error frame from the
+// owner is the answer, not a failure — it must come back typed with the
+// owner's code, without tripping the failover ladder.
+func TestForwardDomainErrorPassesThrough(t *testing.T) {
+	var marker atomic.Value
+	stub := jobsStub(`{"type":"error","error":{"code":"infeasible","message":"core: no feasible implementation"}}`, &marker)
 	nodes := startCluster(t, []string{"a", "z"}, map[string]http.Handler{"z": stub})
 	req, _ := requestOwnedBy(t, nodes["a"].eng, []string{"a", "z"}, "z")
 
-	resp, res := postSynthesize(t, nodes["a"].srv.URL, req)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status = %d, want 422", resp.StatusCode)
+	ev := postSynthesize(t, nodes["a"].srv.URL, req)
+	if ev.Type != nanoxbar.EventError || ev.Error.Code != "infeasible" ||
+		ev.Error.Message != "core: no feasible implementation" {
+		t.Fatalf("frame = %+v, want the owner's infeasible error", ev)
 	}
-	if res.Code != "infeasible" {
-		t.Fatalf("code = %q, want infeasible", res.Code)
+	if got := marker.Load(); got != "a" {
+		t.Fatalf("forward carried %s = %q, want the sender's id", cluster.ForwardedHeader, got)
 	}
 	st := nodes["a"].node.Status()
 	if st.Forwards != 1 || st.Failovers != 0 || st.LocalDegrades != 0 {
@@ -274,6 +323,70 @@ func TestForwardDomainErrorPassesThrough(t *testing.T) {
 	}
 	if got := nodes["a"].eng.Stats().SynthCalls; got != 0 {
 		t.Fatalf("domain error retried locally: SynthCalls = %d", got)
+	}
+}
+
+// TestForwardOverloadedOwnerFailsOver: an owner that sheds the
+// forwarded job with an overloaded error frame is a forward failure.
+// The ladder falls over to the replica, and the client never sees the
+// overload.
+func TestForwardOverloadedOwnerFailsOver(t *testing.T) {
+	var marker atomic.Value
+	stub := jobsStub(`{"type":"error","error":{"code":"overloaded","message":"engine: queue saturated","retry_after_ms":1000}}`, &marker)
+	members := []string{"a", "c", "z"}
+	nodes := startCluster(t, members, map[string]http.Handler{"z": stub})
+	req, _ := requestOwnedBy(t, nodes["a"].eng, members, "z")
+
+	if ev := postSynthesize(t, nodes["a"].srv.URL, req); ev.Result == nil || ev.Result.Synthesis == nil {
+		t.Fatalf("request behind an overloaded owner: %+v", ev)
+	}
+	if marker.Load() == nil {
+		t.Fatal("the overloaded owner never saw the forward")
+	}
+	st := nodes["a"].node.Status()
+	if st.Forwards != 1 || st.Failovers != 1 || st.LocalDegrades != 0 {
+		t.Fatalf("forwards/failovers/degrades = %d/%d/%d, want 1/1/0",
+			st.Forwards, st.Failovers, st.LocalDegrades)
+	}
+	if a, c := nodes["a"].eng.Stats().SynthCalls, nodes["c"].eng.Stats().SynthCalls; a != 0 || c != 1 {
+		t.Fatalf("synth calls a=%d c=%d, want the replica c alone", a, c)
+	}
+}
+
+// TestForwardInJobsBatch: inside one /v2/jobs batch, the peer-owned
+// synthesis is forwarded while the map requests run locally; every
+// index resolves once under its original position.
+func TestForwardInJobsBatch(t *testing.T) {
+	members := []string{"a", "b"}
+	nodes := startCluster(t, members, nil)
+	synth, key := requestOwnedBy(t, nodes["a"].eng, members, "b")
+	local, _ := requestOwnedBy(t, nodes["a"].eng, members, "a")
+	mapReq := func(seed int64) engine.Request {
+		return engine.Request{Kind: engine.KindMap, Function: local.Function, Density: 0.05, Seed: seed}
+	}
+	synthB := nodes["b"].eng.Stats().SynthCalls
+
+	evs, done := postJob(t, nodes["a"].srv.URL, mapReq(1), synth, mapReq(2))
+	if done.Results != 3 || done.Errors != 0 {
+		t.Fatalf("done = %+v, want 3 results and no errors", done)
+	}
+	if r := evs[1].Result; r == nil || r.Synthesis == nil {
+		t.Fatalf("index 1 is not the synthesis: %+v", evs[1])
+	}
+	for _, i := range []int{0, 2} {
+		if r := evs[i].Result; r == nil || r.Map == nil {
+			t.Fatalf("index %d is not a map: %+v", i, evs[i])
+		}
+	}
+	if st := nodes["a"].node.Status(); st.Forwards != 1 || st.Failovers != 0 || st.LocalDegrades != 0 {
+		t.Fatalf("forwards/failovers/degrades = %d/%d/%d, want 1/0/0",
+			st.Forwards, st.Failovers, st.LocalDegrades)
+	}
+	if got := nodes["b"].eng.Stats().SynthCalls; got != synthB+1 {
+		t.Fatalf("owner SynthCalls %d -> %d, want one more", synthB, got)
+	}
+	if _, ok := nodes["b"].eng.PeekCached(key); !ok {
+		t.Fatal("the owner's one synthesis is not the forwarded key")
 	}
 }
 

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +13,7 @@ import (
 	"nanoxbar/internal/core"
 	"nanoxbar/internal/engine"
 	"nanoxbar/internal/resilience"
+	"nanoxbar/pkg/nanoxbar"
 )
 
 // errFillMiss marks a clean 204 from a peer: the peer is healthy, it
@@ -147,20 +146,13 @@ func (n *Node) RouteSynthesize(ctx context.Context, req engine.Request) (res eng
 	return engine.Result{}, false
 }
 
-// v1ErrorBody is the flat v1 error shape the remote node writes on
-// failed results.
-type v1ErrorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
-
 // forwardTo proxies req to one peer, guarded by its forward breaker.
-// A 200 or a typed *domain* failure (bad_spec, infeasible, canceled)
-// is a successful forward — the owner gave the same answer local
-// serving would. Overload, unavailability, and transport errors are
-// forward failures: the ladder moves on, and local synthesis is the
-// backstop, so an overloaded owner never turns into a client-visible
-// overload here.
+// A result or a typed *domain* failure (bad_spec, infeasible, canceled,
+// internal) is a successful forward — the owner gave the same answer
+// local serving would. Overload, unavailability, and transport errors
+// are forward failures: the ladder moves on, and local synthesis is
+// the backstop, so an overloaded owner never turns into a
+// client-visible overload here.
 func (n *Node) forwardTo(ctx context.Context, p *peerState, req engine.Request) (engine.Result, error) {
 	if err := p.forward.Allow(); err != nil {
 		return engine.Result{}, err
@@ -170,46 +162,52 @@ func (n *Node) forwardTo(ctx context.Context, p *peerState, req engine.Request) 
 	return res, err
 }
 
+// forwardOnce posts req to the peer's /v2/jobs as a one-request job and
+// reads the stream up to its done frame. The request's result or error
+// frame is the answer; a non-200 status, a transport failure, or a
+// stream that ends without that frame or without done is a failure.
 func (n *Node) forwardOnce(ctx context.Context, p *peerState, req engine.Request) (engine.Result, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, p.url+"/v1/synthesize", bytes.NewReader(body))
-	if err != nil {
-		return engine.Result{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set(ForwardedHeader, n.id)
-	resp, err := n.hc.Do(hreq)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxFillBody))
-		resp.Body.Close()
-	}()
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		var res engine.Result
-		if err := json.NewDecoder(io.LimitReader(resp.Body, maxFillBody)).Decode(&res); err != nil {
-			return engine.Result{}, fmt.Errorf("cluster: peer %s forward: %w", p.id, err)
+	var res engine.Result
+	answered := false
+	err := p.jobs.Jobs(ctx, nanoxbar.JobsRequest{Requests: []nanoxbar.Request{req}}, func(ev nanoxbar.Event) {
+		switch ev.Type {
+		case nanoxbar.EventResult:
+			if ev.Result != nil {
+				res, answered = *ev.Result, true
+			}
+		case nanoxbar.EventError:
+			if ferr := ev.Error.Err(); ferr != nil {
+				res = engine.Result{Kind: req.Kind, Error: ferr.Error(), Code: apierr.CodeOf(ferr), Err: ferr}
+				answered = true
+			}
 		}
-		return res, nil
-	case resp.StatusCode == http.StatusUnprocessableEntity:
-		// Typed domain failure: pass it through as the request's result.
-		var eb v1ErrorBody
-		if err := json.NewDecoder(io.LimitReader(resp.Body, maxFillBody)).Decode(&eb); err != nil || eb.Code == "" {
-			return engine.Result{}, fmt.Errorf("cluster: peer %s forward: undecodable 422", p.id)
-		}
-		ferr := apierr.FromCode(eb.Code, eb.Error)
-		return engine.Result{Kind: req.Kind, Error: eb.Error, Code: eb.Code, Err: ferr}, nil
-	default:
-		// Overloaded/draining/unknown peer: a forward failure, not a
-		// client-visible error — the ladder falls over to the replica
-		// and then to local synthesis.
-		return engine.Result{}, fmt.Errorf("cluster: peer %s forward: HTTP %d", p.id, resp.StatusCode)
+	})
+	switch rerr := res.TypedErr(); {
+	case err != nil:
+		return engine.Result{}, fmt.Errorf("cluster: peer %s forward: %w", p.id, err)
+	case !answered:
+		return engine.Result{}, fmt.Errorf("cluster: peer %s forward: stream carried no result", p.id)
+	case errors.Is(rerr, apierr.ErrOverloaded), errors.Is(rerr, apierr.ErrUnavailable):
+		return engine.Result{}, fmt.Errorf("cluster: peer %s forward: %w", p.id, rerr)
 	}
+	return res, nil
+}
+
+// markForwarded stamps ForwardedHeader on every request of the
+// forwarding client, so the receiving node serves the job locally.
+type markForwarded struct {
+	id   string
+	next http.RoundTripper
+}
+
+func (m markForwarded) RoundTrip(r *http.Request) (*http.Response, error) {
+	r = r.Clone(r.Context())
+	r.Header.Set(ForwardedHeader, m.id)
+	next := m.next
+	if next == nil {
+		next = http.DefaultTransport
+	}
+	return next.RoundTrip(r)
 }
 
 // WarmStart bootstraps the local cache from the first peer that can

@@ -9,9 +9,10 @@ import (
 	"nanoxbar/internal/apierr"
 )
 
-// TestSubmitBatchCtxCanceledUpfront: a context that is already dead
-// must not run any request — every result is ErrCanceled.
-func TestSubmitBatchCtxCanceledUpfront(t *testing.T) {
+// TestSubmitStreamCanceledUpfront: a batch submitted on a context
+// that is already dead must not run any request — every result is
+// ErrCanceled.
+func TestSubmitStreamCanceledUpfront(t *testing.T) {
 	e := New(Config{Workers: 2, CacheSize: 8})
 	defer e.Close()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -21,9 +22,14 @@ func TestSubmitBatchCtxCanceledUpfront(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = Request{Kind: KindMap, Function: FunctionSpec{Name: "maj3"}, Seed: int64(i), Density: 0.05}
 	}
-	results := e.SubmitBatchCtx(ctx, reqs)
-	if len(results) != 16 {
-		t.Fatalf("got %d results, want 16", len(results))
+	results := make([]Result, len(reqs))
+	var resolved atomic.Int32
+	e.SubmitStream(ctx, reqs, func(i int, r Result) {
+		results[i] = r
+		resolved.Add(1)
+	}, nil)
+	if n := resolved.Load(); n != 16 {
+		t.Fatalf("resolved %d requests, want 16", n)
 	}
 	for i, r := range results {
 		if r.Ok() {
@@ -42,13 +48,13 @@ func TestSubmitBatchCtxCanceledUpfront(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchCtxMidBatchCancellation: cancel while the batch is in
+// TestSubmitStreamMidBatchCancellation: cancel while the batch is in
 // flight on a single-worker engine; queued-but-unstarted requests must
 // come back ErrCanceled instead of running to completion. Canceling
 // from inside the first completion callback is deterministic: the
 // single worker invokes done synchronously before dequeuing its next
 // job, so every later request observes a dead context.
-func TestSubmitBatchCtxMidBatchCancellation(t *testing.T) {
+func TestSubmitStreamMidBatchCancellation(t *testing.T) {
 	e := New(Config{Workers: 1, CacheSize: 8})
 	defer e.Close()
 	ctx, cancel := context.WithCancel(context.Background())

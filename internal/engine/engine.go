@@ -293,16 +293,8 @@ func (e *Engine) DoStream(ctx context.Context, req Request, onDie DieFunc) Resul
 // their results in submission order. It blocks until every request has
 // completed; it is safe to call from many goroutines at once.
 func (e *Engine) SubmitBatch(reqs []Request) []Result {
-	return e.SubmitBatchCtx(context.Background(), reqs)
-}
-
-// SubmitBatchCtx is SubmitBatch with cancellation: once the context is
-// done, requests that have not started return apierr.ErrCanceled
-// results instead of running to completion, and in-flight yield sweeps
-// stop at the next die boundary.
-func (e *Engine) SubmitBatchCtx(ctx context.Context, reqs []Request) []Result {
 	results := make([]Result, len(reqs))
-	e.SubmitStream(ctx, reqs, func(i int, r Result) { results[i] = r }, nil)
+	e.SubmitStream(context.Background(), reqs, func(i int, r Result) { results[i] = r }, nil)
 	return results
 }
 

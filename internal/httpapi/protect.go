@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"nanoxbar/internal/apierr"
-	"nanoxbar/internal/engine"
 	"nanoxbar/internal/resilience"
 	"nanoxbar/internal/telemetry"
 )
@@ -44,7 +43,7 @@ const (
 	metricHTTPLimitedInflight = "nanoxbar_http_limited_inflight"
 )
 
-// WithLimits bounds concurrent work requests (the /v1/* and /v2/jobs
+// WithLimits bounds concurrent work requests (/v2/jobs and the peer
 // routes; ops routes are exempt so health checks and metric scrapes
 // survive overload). A request that cannot get a slot within maxWait is
 // shed with a structured 429 and a Retry-After header. maxConcurrent
@@ -151,21 +150,4 @@ func (s *Server) recoverPanic(w *statusWriter, r *http.Request) {
 	}
 	// Headers already sent (e.g. mid-stream): nothing more to write;
 	// the connection closes and the client sees a truncated stream.
-}
-
-// statusForResult maps a failed engine result onto its HTTP status:
-// overload is 429 (retryable, with a hint), unavailability 503, and
-// everything else the legacy 422. Success never reaches here.
-func statusForResult(w http.ResponseWriter, res engine.Result) int {
-	err := res.TypedErr()
-	switch {
-	case errors.Is(err, apierr.ErrOverloaded):
-		setRetryAfter(w, shedRetryAfter)
-		return http.StatusTooManyRequests
-	case errors.Is(err, apierr.ErrUnavailable):
-		setRetryAfter(w, shedRetryAfter)
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusUnprocessableEntity
-	}
 }

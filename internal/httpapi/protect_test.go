@@ -14,6 +14,7 @@ import (
 
 	"nanoxbar/internal/apierr"
 	"nanoxbar/internal/engine"
+	"nanoxbar/pkg/nanoxbar"
 )
 
 // protectedServer builds a server with a tiny concurrency limit and a
@@ -28,10 +29,26 @@ func protectedServer(t *testing.T, opts ...Option) (*httptest.Server, *Server) {
 	return ts, srv
 }
 
-// slowSweep is a yield body big enough to hold a worker for the whole
+// slowSweep is a jobs body big enough to hold a worker for the whole
 // test: 100k dies on oversized chips. Holders run it under a
 // cancellable context so tests can release the slot deterministically.
-const slowSweep = `{"kind":"yield","function":{"name":"maj5"},"chips":100000,"chip_size":48,"density":0.4,"seed":1}`
+const slowSweep = `{"requests":[{"kind":"yield","function":{"name":"maj5"},"chips":100000,"chip_size":48,"density":0.4,"seed":1}]}`
+
+// synthJob is a one-request job that a free server answers at once.
+var synthJob = map[string]any{"requests": []map[string]any{{
+	"kind": "synthesize", "function": map[string]string{"tt": "2:0x6"},
+}}}
+
+// errorBody decodes a non-200 body in the one error shape the server
+// writes, failing the test unless it carries wantCode.
+func errorBody(t *testing.T, body []byte, wantCode string) nanoxbar.WireError {
+	t.Helper()
+	var er nanoxbar.ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil || er.Error.Code != wantCode || er.Error.Message == "" {
+		t.Fatalf("error body = %s (err %v), want {\"error\":{\"code\":%q,...}}", body, err, wantCode)
+	}
+	return er.Error
+}
 
 // startHolder posts slowSweep on its own context and returns a stop
 // function that cancels it and waits for the connection to unwind.
@@ -42,7 +59,7 @@ func startHolder(t *testing.T, url string) (stop func()) {
 	go func() {
 		defer close(done)
 		for ctx.Err() == nil {
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/map",
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v2/jobs",
 				strings.NewReader(slowSweep))
 			if err != nil {
 				return
@@ -84,9 +101,7 @@ func TestShedReturns429WithRetryAfter(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("never observed a 429")
 		}
-		resp, body := postJSON(t, ts.URL+"/v1/synthesize", map[string]any{
-			"kind": "synthesize", "function": map[string]string{"tt": "2:0x6"},
-		})
+		resp, body := postJSON(t, ts.URL+"/v2/jobs", synthJob)
 		if resp.StatusCode == http.StatusOK {
 			time.Sleep(time.Millisecond)
 			continue
@@ -97,10 +112,7 @@ func TestShedReturns429WithRetryAfter(t *testing.T) {
 		if ra := resp.Header.Get("Retry-After"); ra == "" {
 			t.Fatal("429 without Retry-After")
 		}
-		var ae apiError
-		if err := json.Unmarshal(body, &ae); err != nil || ae.Code != apierr.CodeOverloaded {
-			t.Fatalf("shed body = %s (err %v), want code %q", body, err, apierr.CodeOverloaded)
-		}
+		errorBody(t, body, apierr.CodeOverloaded)
 		break
 	}
 	stop()
@@ -108,9 +120,7 @@ func TestShedReturns429WithRetryAfter(t *testing.T) {
 	// With the holder gone the slot frees as soon as its handler
 	// unwinds; poll until requests flow again.
 	waitFor(t, "post-shed recovery", func() bool {
-		resp, _ := postJSON(t, ts.URL+"/v1/synthesize", map[string]any{
-			"kind": "synthesize", "function": map[string]string{"tt": "2:0x6"},
-		})
+		resp, _ := postJSON(t, ts.URL+"/v2/jobs", synthJob)
 		return resp.StatusCode == http.StatusOK
 	})
 }
@@ -122,19 +132,14 @@ func TestDrainRejectsWorkKeepsOps(t *testing.T) {
 		t.Fatal("Draining() = false after Drain")
 	}
 
-	resp, body := postJSON(t, ts.URL+"/v1/synthesize", map[string]any{
-		"kind": "synthesize", "function": map[string]string{"tt": "2:0x6"},
-	})
+	resp, body := postJSON(t, ts.URL+"/v2/jobs", synthJob)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining work route status = %d, want 503", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("draining 503 without Retry-After")
 	}
-	var ae apiError
-	if err := json.Unmarshal(body, &ae); err != nil || ae.Code != apierr.CodeUnavailable {
-		t.Fatalf("drain body = %s, want code %q", body, apierr.CodeUnavailable)
-	}
+	errorBody(t, body, apierr.CodeUnavailable)
 
 	for _, path := range []string{"/healthz", "/stats", "/metrics"} {
 		r, err := http.Get(ts.URL + path)
@@ -156,8 +161,8 @@ func TestDeadlineHeaderBoundsRequest(t *testing.T) {
 	// canceled (deadline exceeded server-side), not hang. Defect-free
 	// dies would not do: they resolve on the lane fast path and can
 	// finish inside the budget.
-	body := `{"kind":"yield","function":{"name":"maj5"},"chips":2000,"chip_size":48,"density":0.4,"seed":1}`
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/map", strings.NewReader(body))
+	body := `{"requests":[{"kind":"yield","function":{"name":"maj5"},"chips":2000,"chip_size":48,"density":0.4,"seed":1}]}`
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/jobs", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,16 +174,38 @@ func TestDeadlineHeaderBoundsRequest(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
-	var res engine.Result
-	if err := json.Unmarshal(raw, &res); err != nil {
-		t.Fatalf("bad body %s: %v", raw, err)
+	first, _, _ := bytes.Cut(raw, []byte("\n"))
+	var ev nanoxbar.Event
+	if err := json.Unmarshal(first, &ev); err != nil {
+		t.Fatalf("bad stream %s: %v", raw, err)
 	}
-	if res.Ok() {
-		t.Fatal("1ms-budget sweep succeeded — deadline header ignored")
+	if ev.Type != nanoxbar.EventError {
+		t.Fatalf("1ms-budget sweep answered %q — deadline header ignored (stream %s)", ev.Type, raw)
 	}
-	if res.Code != apierr.CodeCanceled {
-		t.Fatalf("code = %q, want %q (body %s)", res.Code, apierr.CodeCanceled, raw)
+	if ev.Error.Code != apierr.CodeCanceled {
+		t.Fatalf("code = %q, want %q (stream %s)", ev.Error.Code, apierr.CodeCanceled, raw)
 	}
+}
+
+// TestCanceledAdmissionReturns503: a client that gives up while waiting
+// for a concurrency slot gets the structured 503 (code canceled), not
+// a bare status.
+func TestCanceledAdmissionReturns503(t *testing.T) {
+	_, srv := protectedServer(t, WithLimits(1, time.Minute))
+	if err := srv.limiter.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.limiter.Release()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequestWithContext(ctx, http.MethodPost, "/v2/jobs", nil)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503", rec.Code)
+	}
+	errorBody(t, rec.Body.Bytes(), apierr.CodeCanceled)
 }
 
 func TestPanicRecoveryReturns500WithRequestID(t *testing.T) {
@@ -205,20 +232,14 @@ func TestPanicRecoveryReturns500WithRequestID(t *testing.T) {
 	if id == "" {
 		t.Fatal("500 without X-Request-ID")
 	}
-	var ae apiError
-	if err := json.Unmarshal(body, &ae); err != nil || ae.Code != apierr.CodeInternal {
-		t.Fatalf("panic body = %s, want internal code", body)
-	}
-	if !bytes.Contains(body, []byte(id)) {
-		t.Fatalf("panic body %s does not reference request ID %s", body, id)
+	if we := errorBody(t, body, apierr.CodeInternal); !strings.Contains(we.Message, id) {
+		t.Fatalf("panic message %q does not reference request ID %s", we.Message, id)
 	}
 	if srv.panics.Load() != 1 {
 		t.Fatalf("panics counter = %d, want 1", srv.panics.Load())
 	}
 	// The server survives: a normal request still works.
-	resp2, _ := postJSON(t, ts.URL+"/v1/synthesize", map[string]any{
-		"kind": "synthesize", "function": map[string]string{"tt": "2:0x6"},
-	})
+	resp2, _ := postJSON(t, ts.URL+"/v2/jobs", synthJob)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-panic status = %d", resp2.StatusCode)
 	}
@@ -234,41 +255,5 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestOverloadedResultMapsTo429(t *testing.T) {
-	// Engine-level shed (queue saturation) must surface as HTTP 429,
-	// not the blanket 422.
-	eng := engine.New(engine.Config{Workers: 1, CacheSize: 8, QueueDepth: 1, MaxQueueWait: 50 * time.Millisecond})
-	t.Cleanup(eng.Close)
-	srv := New(eng)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-
-	// Saturate in sequence so neither holder sheds: the first sweep
-	// must own the worker before the second fills the one queue slot.
-	stop1 := startHolder(t, ts.URL)
-	defer stop1()
-	waitFor(t, "worker pickup", func() bool { return eng.Stats().Requests >= 1 })
-	stop2 := startHolder(t, ts.URL)
-	defer stop2()
-	waitFor(t, "queue occupancy", func() bool { return eng.Stats().QueuedJobs == 1 })
-
-	resp, body := postJSON(t, ts.URL+"/v1/synthesize", map[string]any{
-		"kind": "synthesize", "function": map[string]string{"tt": "2:0x6"},
-	})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429; body %s", resp.StatusCode, body)
-	}
-	var res engine.Result
-	if err := json.Unmarshal(body, &res); err != nil || res.Code != apierr.CodeOverloaded {
-		t.Fatalf("shed result body = %s, want code %q", body, apierr.CodeOverloaded)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
-	}
-	if eng.Stats().Shed != 1 {
-		t.Fatalf("engine shed counter = %d, want 1", eng.Stats().Shed)
 	}
 }

@@ -3,12 +3,13 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"nanoxbar/internal/apierr"
 	"nanoxbar/internal/engine"
+	"nanoxbar/pkg/nanoxbar"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -36,6 +37,47 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, buf.Bytes()
+}
+
+// submit runs one request as a /v2/jobs job and returns its result,
+// rebuilt from the result or error frame so callers assert on one shape.
+func submit(t *testing.T, url string, req engine.Request) engine.Result {
+	t.Helper()
+	code, evs := readEvents(t, url, nanoxbar.JobsRequest{Requests: []engine.Request{req}})
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %+v", code, evs[0].Error)
+	}
+	for _, ev := range evs {
+		switch ev.Type {
+		case nanoxbar.EventResult:
+			return *ev.Result
+		case nanoxbar.EventError:
+			return engine.Result{Kind: req.Kind, Error: ev.Error.Message, Code: ev.Error.Code}
+		}
+	}
+	t.Fatalf("stream carried no result: %+v", evs)
+	return engine.Result{}
+}
+
+// byIndex collects a jobs stream's result and error frames by request
+// index, failing the test if any index resolves twice or the done frame
+// does not count n requests.
+func byIndex(t *testing.T, evs []nanoxbar.Event, n int) []nanoxbar.Event {
+	t.Helper()
+	out := make([]nanoxbar.Event, n)
+	for _, ev := range evs {
+		if ev.Type != nanoxbar.EventResult && ev.Type != nanoxbar.EventError {
+			continue
+		}
+		if out[ev.Index].Type != "" {
+			t.Fatalf("request %d resolved twice", ev.Index)
+		}
+		out[ev.Index] = ev
+	}
+	if done := evs[len(evs)-1]; done.Type != nanoxbar.EventDone || done.Done.Results != n {
+		t.Fatalf("last frame %+v, want done with %d results", done, n)
+	}
+	return out
 }
 
 func TestHealthz(t *testing.T) {
@@ -67,25 +109,23 @@ func TestHealthz(t *testing.T) {
 // the fault-path counters surface consistently on /healthz and /stats.
 func TestFaultCountersReported(t *testing.T) {
 	ts := newTestServer(t)
-	resp, _ := postJSON(t, ts.URL+"/v1/map", engine.Request{
+	if res := submit(t, ts.URL, engine.Request{
 		Kind:     engine.KindMap,
 		Function: engine.FunctionSpec{Name: "maj3"},
 		Density:  0.02,
 		Seed:     1,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("map status %d", resp.StatusCode)
+	}); !res.Ok() {
+		t.Fatalf("map: %s", res.Error)
 	}
 	const chips = 7
-	resp, _ = postJSON(t, ts.URL+"/v1/map", engine.Request{
+	if res := submit(t, ts.URL, engine.Request{
 		Kind:     engine.KindYield,
 		Function: engine.FunctionSpec{Name: "maj3"},
 		Density:  0.02,
 		Chips:    chips,
 		Seed:     2,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("yield status %d", resp.StatusCode)
+	}); !res.Ok() {
+		t.Fatalf("yield: %s", res.Error)
 	}
 
 	hr, err := http.Get(ts.URL + "/healthz")
@@ -188,111 +228,56 @@ func TestHealthzAndStatsReportPersistence(t *testing.T) {
 		t.Fatalf("stats shards=%d entries=%d loaded=%d, want 8/1/1", st.CacheShards, st.CacheEntries, st.CacheLoaded)
 	}
 	// The loaded entry must serve as a hit, with no synthesis run.
-	resp, body := postJSON(t, ts.URL+"/v1/synthesize", engine.Request{
+	res := submit(t, ts.URL, engine.Request{
+		Kind:     engine.KindSynthesize,
 		Function: engine.FunctionSpec{Name: "maj3"},
 	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("synthesize status %d: %s", resp.StatusCode, body)
-	}
-	var res engine.Result
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatal(err)
-	}
 	if res.Synthesis == nil || !res.Synthesis.CacheHit {
-		t.Fatalf("warm-loaded function was not a cache hit: %s", body)
+		t.Fatalf("warm-loaded function was not a cache hit: %+v", res)
 	}
 }
 
 func TestSynthesizeEndpoint(t *testing.T) {
 	ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/synthesize", engine.Request{
-		Function: engine.FunctionSpec{Expr: "x1x2 + x1'x2'"},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var res engine.Result
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatal(err)
-	}
+	xor := engine.Request{Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Expr: "x1x2 + x1'x2'"}}
+	res := submit(t, ts.URL, xor)
 	if res.Synthesis == nil || res.Synthesis.Area == 0 {
-		t.Fatalf("bad synthesis result: %s", body)
+		t.Fatalf("bad synthesis result: %+v", res)
 	}
 	if res.Synthesis.CacheHit {
 		t.Fatal("first request reported a cache hit")
 	}
 	// Same function again: must hit.
-	_, body = postJSON(t, ts.URL+"/v1/synthesize", engine.Request{
-		Function: engine.FunctionSpec{Expr: "x1x2 + x1'x2'"},
-	})
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatal(err)
-	}
-	if !res.Synthesis.CacheHit {
-		t.Fatal("second request missed the cache")
+	if res = submit(t, ts.URL, xor); res.Synthesis == nil || !res.Synthesis.CacheHit {
+		t.Fatalf("second request missed the cache: %+v", res)
 	}
 	// Compare rides the same endpoint.
-	resp, body = postJSON(t, ts.URL+"/v1/synthesize", engine.Request{
+	res = submit(t, ts.URL, engine.Request{
 		Kind:     engine.KindCompare,
 		Function: engine.FunctionSpec{Name: "maj3"},
 	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compare status %d: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &res); err != nil || res.Compare == nil {
-		t.Fatalf("bad compare result (err %v): %s", err, body)
-	}
-	// Map requests are rejected here.
-	resp, _ = postJSON(t, ts.URL+"/v1/synthesize", engine.Request{
-		Kind:     engine.KindMap,
-		Function: engine.FunctionSpec{Name: "maj3"},
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("map on /v1/synthesize: status %d, want 400", resp.StatusCode)
+	if res.Compare == nil {
+		t.Fatalf("bad compare result: %+v", res)
 	}
 }
 
 func TestMapEndpointValidation(t *testing.T) {
 	ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/map", engine.Request{
+	// A request without a kind is a per-chip map.
+	res := submit(t, ts.URL, engine.Request{
 		Function: engine.FunctionSpec{Name: "maj3"},
 		Density:  0.05,
 		Seed:     1,
 	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	if res.Map == nil {
+		t.Fatalf("bad map result: %+v", res)
 	}
-	var res engine.Result
-	if err := json.Unmarshal(body, &res); err != nil || res.Map == nil {
-		t.Fatalf("bad map result (err %v): %s", err, body)
-	}
-	// Engine-level failures surface as 422 with the error in the body.
-	resp, body = postJSON(t, ts.URL+"/v1/map", engine.Request{
+	// Engine-level failures arrive as a typed error frame.
+	res = submit(t, ts.URL, engine.Request{
 		Function: engine.FunctionSpec{Name: "no-such-benchmark"},
 	})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status %d, want 422: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &res); err != nil || res.Error == "" {
-		t.Fatalf("missing error detail: %s", body)
-	}
-	// Malformed JSON is a 400.
-	r, err := http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader([]byte("{nope")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body: status %d, want 400", r.StatusCode)
-	}
-	// GET is not allowed.
-	g, err := http.Get(ts.URL + "/v1/map")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Body.Close()
-	if g.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/map: status %d, want 405", g.StatusCode)
+	if res.Code != apierr.CodeBadSpec || res.Error == "" {
+		t.Fatalf("unknown benchmark: %+v, want a bad_spec error frame", res)
 	}
 }
 
@@ -301,9 +286,7 @@ func TestMapEndpointValidation(t *testing.T) {
 // one underlying synthesis, deterministic results for fixed seeds.
 func TestBatchHundredChipsOneMiss(t *testing.T) {
 	ts := newTestServer(t)
-	var batch struct {
-		Requests []engine.Request `json:"requests"`
-	}
+	var batch nanoxbar.JobsRequest
 	for i := 0; i < 100; i++ {
 		batch.Requests = append(batch.Requests, engine.Request{
 			Kind:     engine.KindMap,
@@ -312,23 +295,14 @@ func TestBatchHundredChipsOneMiss(t *testing.T) {
 			Seed:     int64(i),
 		})
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/batch", batch)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	code, evs := readEvents(t, ts.URL, batch)
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
 	}
-	var out struct {
-		Results []engine.Result `json:"results"`
-		Errors  int             `json:"errors"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != 100 || out.Errors != 0 {
-		t.Fatalf("got %d results, %d errors", len(out.Results), out.Errors)
-	}
-	for i, r := range out.Results {
-		if r.Map == nil {
-			t.Fatalf("result %d has no map payload: %+v", i, r)
+	out := byIndex(t, evs, 100)
+	for i, ev := range out {
+		if ev.Type != nanoxbar.EventResult || ev.Result.Map == nil {
+			t.Fatalf("request %d has no map result: %+v", i, ev)
 		}
 	}
 
@@ -352,17 +326,11 @@ func TestBatchHundredChipsOneMiss(t *testing.T) {
 	// Determinism: a fresh server given the same batch returns the
 	// same results.
 	ts2 := newTestServer(t)
-	_, body2 := postJSON(t, ts2.URL+"/v1/batch", batch)
-	var out2 struct {
-		Results []engine.Result `json:"results"`
-		Errors  int             `json:"errors"`
-	}
-	if err := json.Unmarshal(body2, &out2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range out.Results {
-		a, _ := json.Marshal(out.Results[i])
-		b, _ := json.Marshal(out2.Results[i])
+	_, evs2 := readEvents(t, ts2.URL, batch)
+	out2 := byIndex(t, evs2, 100)
+	for i := range out {
+		a, _ := json.Marshal(out[i].Result)
+		b, _ := json.Marshal(out2[i].Result)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("result %d differs across servers:\n%s\n%s", i, a, b)
 		}
@@ -413,7 +381,8 @@ func TestPprofOptIn(t *testing.T) {
 		return st
 	}
 	before := getStats()
-	postJSON(t, tsp.URL+"/v1/synthesize", engine.Request{
+	submit(t, tsp.URL, engine.Request{
+		Kind:     engine.KindSynthesize,
 		Function: engine.FunctionSpec{Expr: "x1x2 + x2x3 + x1x3"},
 	})
 	after := getStats()
@@ -424,51 +393,30 @@ func TestPprofOptIn(t *testing.T) {
 	}
 }
 
-func TestBatchLimits(t *testing.T) {
-	ts := newTestServer(t)
-	resp, _ := postJSON(t, ts.URL+"/v1/batch", map[string]any{"requests": []engine.Request{}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty batch: status %d, want 400", resp.StatusCode)
-	}
-	big := make([]engine.Request, maxBatchSize+1)
-	for i := range big {
-		big[i] = engine.Request{Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"}}
-	}
-	resp, _ = postJSON(t, ts.URL+"/v1/batch", map[string]any{"requests": big})
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized batch: status %d, want 413", resp.StatusCode)
-	}
-}
-
 func TestBatchMixedKindsAndDefaulting(t *testing.T) {
 	ts := newTestServer(t)
-	batch := map[string]any{"requests": []engine.Request{
+	code, evs := readEvents(t, ts.URL, nanoxbar.JobsRequest{Requests: []engine.Request{
 		{Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"}},
 		{Function: engine.FunctionSpec{Name: "maj3"}, Density: 0.05, Seed: 3}, // kind defaults to map
 		{Kind: engine.KindYield, Function: engine.FunctionSpec{Name: "maj3"}, Density: 0.03, Chips: 10, ChipSize: 16, Seed: 4},
 		{Kind: engine.KindMap, Function: engine.FunctionSpec{Name: "not-a-benchmark"}},
-	}}
-	resp, body := postJSON(t, ts.URL+"/v1/batch", batch)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}})
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
 	}
-	var out struct {
-		Results []engine.Result `json:"results"`
-		Errors  int             `json:"errors"`
+	if errs := evs[len(evs)-1].Done.Errors; errs != 1 {
+		t.Fatalf("done.errors=%d, want 1", errs)
 	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
+	out := byIndex(t, evs, 4)
+	if out[0].Result == nil || out[0].Result.Synthesis == nil ||
+		out[1].Result == nil || out[1].Result.Map == nil ||
+		out[2].Result == nil || out[2].Result.Yield == nil {
+		t.Fatalf("payloads do not match their requests: %+v", out)
 	}
-	if out.Errors != 1 {
-		t.Fatalf("errors=%d, want 1: %s", out.Errors, body)
+	if out[3].Type != nanoxbar.EventError || out[3].Error.Message == "" {
+		t.Fatalf("failed request lost its error: %+v", out[3])
 	}
-	if out.Results[0].Synthesis == nil || out.Results[1].Map == nil || out.Results[2].Yield == nil {
-		t.Fatalf("payloads out of order: %s", body)
-	}
-	if out.Results[3].Error == "" {
-		t.Fatal("failed request lost its error")
-	}
-	if fmt.Sprintf("%v", out.Results[2].Yield.Chips) != "10" {
-		t.Fatalf("yield chips %v, want 10", out.Results[2].Yield.Chips)
+	if out[2].Result.Yield.Chips != 10 {
+		t.Fatalf("yield chips %v, want 10", out[2].Result.Yield.Chips)
 	}
 }

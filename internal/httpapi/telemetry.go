@@ -116,12 +116,12 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// requireGET rejects non-GET methods with a structured 405 in the v2
-// error shape, shared by the three read-only endpoints.
+// requireGET rejects non-GET methods with a structured 405, shared by
+// the read-only endpoints.
 func requireGET(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			v2Error(w, http.StatusMethodNotAllowed, apierr.CodeBadSpec, "use GET")
+			writeError(w, http.StatusMethodNotAllowed, apierr.CodeBadSpec, "use GET")
 			return
 		}
 		h(w, r)
@@ -136,7 +136,7 @@ const metricsContentType = "text/plain; version=0.0.4; charset=utf-8"
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	if err := s.reg.WriteText(&buf); err != nil {
-		v2Error(w, http.StatusInternalServerError, apierr.CodeInternal, "rendering metrics: %v", err)
+		writeError(w, http.StatusInternalServerError, apierr.CodeInternal, "rendering metrics: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", metricsContentType)

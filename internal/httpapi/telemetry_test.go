@@ -27,19 +27,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	// per-chip map: populates request histograms, cache counters, and
 	// the fault path.
 	for i := 0; i < 2; i++ {
-		resp, _ := postJSON(t, ts.URL+"/v1/synthesize", engine.Request{
+		if res := submit(t, ts.URL, engine.Request{
 			Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"},
-		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("synthesize status %d", resp.StatusCode)
+		}); !res.Ok() {
+			t.Fatalf("synthesize: %s", res.Error)
 		}
 	}
-	resp, _ := postJSON(t, ts.URL+"/v1/map", engine.Request{
+	if res := submit(t, ts.URL, engine.Request{
 		Kind: engine.KindMap, Function: engine.FunctionSpec{Name: "maj3"},
 		Seed: 7, Density: 0.03,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("map status %d", resp.StatusCode)
+	}); !res.Ok() {
+		t.Fatalf("map: %s", res.Error)
 	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")
@@ -101,11 +99,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("requests_total{synthesize} = %v (found %v), want 2", v, ok)
 	}
 	// HTTP-layer families: route-labeled latency and status counters.
-	if _, ok := exp.Histogram("nanoxbar_http_request_duration_seconds", map[string]string{"path": "/v1/map"}); !ok {
-		t.Error("no HTTP duration histogram for /v1/map")
+	if h, ok := exp.Histogram("nanoxbar_http_request_duration_seconds", map[string]string{"path": "/v2/jobs"}); !ok || h.Count != 3 {
+		t.Errorf("HTTP duration histogram for /v2/jobs: %+v (found %v), want count 3", h, ok)
 	}
-	if v, ok := exp.Value("nanoxbar_http_requests_total", map[string]string{"path": "/v1/synthesize", "status": "200"}); !ok || v != 2 {
-		t.Errorf("http_requests_total{/v1/synthesize,200} = %v (found %v), want 2", v, ok)
+	if v, ok := exp.Value("nanoxbar_http_requests_total", map[string]string{"path": "/v2/jobs", "status": "200"}); !ok || v != 3 {
+		t.Errorf("http_requests_total{/v2/jobs,200} = %v (found %v), want 3", v, ok)
 	}
 	// Runtime + server identity families.
 	if v, ok := exp.Value("go_goroutines", nil); !ok || v < 1 {
@@ -213,8 +211,8 @@ func TestRequestIDPropagation(t *testing.T) {
 	ts, logs := newLoggedServer(t)
 	const id = "conformance-trace-0042"
 
-	body := strings.NewReader(`{"kind":"synthesize","function":{"name":"maj3"}}`)
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/synthesize", body)
+	const job = `{"requests":[{"kind":"synthesize","function":{"name":"maj3"}}]}`
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/jobs", strings.NewReader(job))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +232,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 
 	// No header → a 16-hex-char ID is minted and echoed.
-	resp2, err := http.Post(ts.URL+"/v1/synthesize", "application/json",
-		strings.NewReader(`{"kind":"synthesize","function":{"name":"maj3"}}`))
+	resp2, err := http.Post(ts.URL+"/v2/jobs", "application/json", strings.NewReader(job))
 	if err != nil {
 		t.Fatal(err)
 	}

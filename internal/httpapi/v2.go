@@ -27,9 +27,10 @@ import (
 // into the engine: a dropped connection cancels queued requests and
 // stops in-flight sweeps at the next die boundary.
 
-// v2Error writes a structured non-streaming error body
-// ({"error":{code,message}}) for failures that precede the stream.
-func v2Error(w http.ResponseWriter, status int, code, format string, args ...any) {
+// writeError writes the structured error body ({"error":{code,message}})
+// of every non-200 response: request-body and method failures before
+// the stream, and the middleware's drain, shed and panic answers.
+func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
 	writeJSON(w, status, nanoxbar.ErrorResponse{Error: nanoxbar.WireError{
 		Code:    code,
 		Message: fmt.Sprintf(format, args...),
@@ -75,21 +76,19 @@ func (es *eventStream) send(ev nanoxbar.Event, flush bool) {
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		v2Error(w, http.StatusMethodNotAllowed, apierr.CodeBadSpec, "use POST")
+		writeError(w, http.StatusMethodNotAllowed, apierr.CodeBadSpec, "use POST")
 		return
 	}
 	var jobs nanoxbar.JobsRequest
-	if err := decodeBody(w, r, &jobs); err != nil {
-		status, code, msg := classifyDecodeError(err)
-		v2Error(w, status, code, "%s", msg)
+	if !decodeBody(w, r, &jobs) {
 		return
 	}
 	if len(jobs.Requests) == 0 {
-		v2Error(w, http.StatusBadRequest, apierr.CodeBadSpec, "empty jobs request")
+		writeError(w, http.StatusBadRequest, apierr.CodeBadSpec, "empty jobs request")
 		return
 	}
 	if len(jobs.Requests) > maxBatchSize {
-		v2Error(w, http.StatusRequestEntityTooLarge, apierr.CodeBadSpec,
+		writeError(w, http.StatusRequestEntityTooLarge, apierr.CodeBadSpec,
 			"batch of %d exceeds limit %d", len(jobs.Requests), maxBatchSize)
 		return
 	}
@@ -124,10 +123,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		es.send(nanoxbar.Event{Type: nanoxbar.EventResult, Index: i, Result: &res}, flush)
 	}
 
-	// Cluster routing: synthesis requests in the batch take the same
-	// forward → failover → local-degrade ladder as /v1/synthesize, each
-	// on its own goroutine so a slow forward never stalls the local
-	// stream. Indices into the original batch are preserved, so frames
+	// Cluster routing: synthesis requests in the batch take the
+	// forward → failover → local-degrade ladder, each on its own
+	// goroutine so a slow forward never stalls the local stream.
+	// Indices into the original batch are preserved, so frames
 	// interleave transparently. Everything else — and every request on
 	// an already-forwarded stream (loop marker) — runs locally.
 	submit := jobs.Requests

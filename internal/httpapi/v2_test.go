@@ -194,6 +194,11 @@ func TestV2StatusMapping(t *testing.T) {
 	if code, er := post(`{"requests":[]}`); code != http.StatusBadRequest || er.Error.Code != apierr.CodeBadSpec {
 		t.Fatalf("empty jobs: %d %+v", code, er)
 	}
+	// Oversized body bytes.
+	huge := `{"requests":[{"kind":"map","function":{"expr":"` + strings.Repeat("x", maxBodyBytes+1024) + `"}}]}`
+	if code, er := post(huge); code != http.StatusRequestEntityTooLarge || er.Error.Code != apierr.CodeBadSpec {
+		t.Fatalf("oversized body: %d %+v", code, er)
+	}
 	// Oversized batch count.
 	var big bytes.Buffer
 	big.WriteString(`{"requests":[`)
@@ -219,59 +224,6 @@ func TestV2StatusMapping(t *testing.T) {
 	var er nanoxbar.ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error.Code != apierr.CodeBadSpec {
 		t.Fatalf("GET error body: %+v (err %v)", er, err)
-	}
-}
-
-// TestV1StructuredErrors: the v1 adapters now carry taxonomy codes in
-// both transport-level and engine-level failures.
-func TestV1StructuredErrors(t *testing.T) {
-	ts := newTestServer(t)
-
-	// Empty batch → structured 400 with a code.
-	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(`{"requests":[]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ae struct {
-		Error string `json:"error"`
-		Code  string `json:"code"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || ae.Code != apierr.CodeBadSpec || ae.Error == "" {
-		t.Fatalf("empty batch: status %d body %+v", resp.StatusCode, ae)
-	}
-
-	// Oversized body → 413 with a code (MaxBytesReader satellite).
-	huge := `{"requests":[{"kind":"map","function":{"expr":"` + strings.Repeat("x", maxBodyBytes+1024) + `"}}]}`
-	resp, err = http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(huge))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge || ae.Code != apierr.CodeBadSpec {
-		t.Fatalf("oversized body: status %d body %+v", resp.StatusCode, ae)
-	}
-
-	// Engine-level failure keeps the v1 422 shape but now carries the
-	// machine-readable code.
-	resp, err = http.Post(ts.URL+"/v1/map", "application/json",
-		strings.NewReader(`{"function":{"name":"no-such-benchmark"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res engine.Result
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity || res.Code != apierr.CodeBadSpec {
-		t.Fatalf("engine failure: status %d result %+v", resp.StatusCode, res)
 	}
 }
 

@@ -280,26 +280,6 @@ func ErrorRates(l *lattice.Lattice, nVars int, nmr int, p float64, trials int, r
 	return float64(bareErr) / float64(trials), float64(protErr) / float64(trials)
 }
 
-// ErrorRatesScalar is the retained scalar reference for ErrorRates: one
-// graph walk per trial and per redundant copy. The property tests pin
-// the bit-parallel path against it; it is not used on serving paths.
-func ErrorRatesScalar(l *lattice.Lattice, nVars int, nmr int, p float64, trials int, rng *rand.Rand) (bare, protected float64) {
-	m := NewNMR(l, nmr)
-	bareErr, protErr := 0, 0
-	size := uint64(1) << uint(nVars)
-	for t := 0; t < trials; t++ {
-		a := rng.Uint64() % size
-		want := l.Eval(a)
-		if TransientEval(l, a, p, rng) != want {
-			bareErr++
-		}
-		if m.EvalTransient(a, p, rng) != want {
-			protErr++
-		}
-	}
-	return float64(bareErr) / float64(trials), float64(protErr) / float64(trials)
-}
-
 // LifetimeParams configure the permanent-fault aging simulation.
 type LifetimeParams struct {
 	ChipN       int     // physical array dimension

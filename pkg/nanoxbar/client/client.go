@@ -297,27 +297,17 @@ func (c *Client) transportErr(ctx context.Context, err error) error {
 	return nanoxbar.ErrorFromCode(nanoxbar.CodeUnavailable, fmt.Sprintf("client: %v", err))
 }
 
-// decodeErrorBody turns a non-200 response into its typed error. It
-// accepts both wire shapes — the v2 {"error":{code,message}} object and
-// the v1/middleware {"error":message,"code":code} flat form — and
-// attaches the Retry-After header (when present) as a backoff hint for
-// the resilience layer.
+// decodeErrorBody turns a non-200 response into its typed error: the
+// {"error":{code,message}} body the server writes, or ErrInternal
+// naming the status when the body is not that shape. A Retry-After
+// header (when present) rides along as a backoff hint for the
+// resilience layer.
 func (c *Client) decodeErrorBody(resp *http.Response) error {
-	var raw struct {
-		Error json.RawMessage `json:"error"`
-		Code  string          `json:"code"`
-	}
 	err := nanoxbar.ErrorFromCode(nanoxbar.CodeInternal,
 		fmt.Sprintf("client: server status %d", resp.StatusCode))
-	if derr := json.NewDecoder(resp.Body).Decode(&raw); derr == nil && len(raw.Error) > 0 {
-		var wire nanoxbar.WireError
-		var msg string
-		switch {
-		case json.Unmarshal(raw.Error, &wire) == nil && wire.Code != "":
-			err = wire.Err()
-		case json.Unmarshal(raw.Error, &msg) == nil && raw.Code != "":
-			err = nanoxbar.ErrorFromCode(raw.Code, msg)
-		}
+	var er nanoxbar.ErrorResponse
+	if json.NewDecoder(resp.Body).Decode(&er) == nil && er.Error.Code != "" {
+		err = er.Error.Err()
 	}
 	return c.withRetryAfterHint(resp, err)
 }

@@ -6,8 +6,8 @@ import (
 
 // The request/result vocabulary of the serving API. These are aliases
 // of the engine's wire types: the same structs travel in-process, over
-// the v1 and v2 HTTP APIs, and in batch files, so local and remote
-// callers are bit-for-bit interchangeable.
+// the HTTP API, and in batch files, so local and remote callers are
+// bit-for-bit interchangeable.
 type (
 	// Kind selects the scenario a Request runs ("synthesize",
 	// "compare", "map", "yield").
