@@ -106,6 +106,20 @@ func TestLaneGateSoakSubBlockDeclared(t *testing.T) {
 	}
 }
 
+// TestLaneGateSoakOnlyInTestFile: a block named only by a test file is
+// not one the program emits, so a gate on it is flagged.
+func TestLaneGateSoakOnlyInTestFile(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		".github/workflows/ci.yml":     "run: benchjson -compare base.json -against soak.json -only 'Soak/cluster'\n",
+		"cmd/xbarload/harness.go":      "package main\n\nconst a = \"Soak/renamed\"\n",
+		"cmd/xbarload/harness_test.go": "package main\n\nconst want = \"Soak/cluster\"\n",
+	})
+	got := runLaneGate(root)
+	if len(got) != 1 || !strings.Contains(got[0].Message, "Soak/cluster") {
+		t.Fatalf("got %v, want exactly one Soak/cluster finding", got)
+	}
+}
+
 func TestLaneGateNoWorkflowsIsClean(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"a_test.go": "package m\n\nfunc BenchmarkA(b *testing.B) {}\n",

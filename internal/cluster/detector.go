@@ -41,7 +41,7 @@ type memberRecord struct {
 	state  State
 	lastOK time.Time
 	// left pins the peer dead after it announced drain via its
-	// /healthz cluster block, without waiting out DeadAfter. A later
+	// /healthz cluster block, without waiting out deadAfter. A later
 	// successful probe (the process restarted) revives it.
 	left bool
 }
@@ -77,7 +77,7 @@ func newDetector(clock resilience.Clock, suspectAfter, deadAfter time.Duration, 
 
 // add registers a peer, optimistically alive: a booting cluster routes
 // immediately, and a peer that is actually down ages into suspect/dead
-// within DeadAfter without ever having answered a probe.
+// within deadAfter without ever having answered a probe.
 func (d *Detector) add(id, url string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -132,7 +132,7 @@ func (d *Detector) MarkLeft(id string) {
 }
 
 // Tick ages every member against the suspicion timeouts: no successful
-// probe for SuspectAfter demotes to suspect, for DeadAfter to dead.
+// probe for suspectAfter demotes to suspect, for deadAfter to dead.
 // Tick only demotes; revival is Observe's job.
 func (d *Detector) Tick() {
 	now := d.clock.Now()

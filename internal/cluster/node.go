@@ -47,6 +47,20 @@ const (
 	SnapshotPath = "/internal/v1/peer/snapshot"
 )
 
+// Round-trip bounds of the node-to-node calls. A fill blocks a cold
+// synthesis, so it gives up well before the caller's deadline and falls
+// through to local compute.
+const (
+	probeTimeout    = time.Second
+	fillTimeout     = 2 * time.Second
+	snapshotTimeout = 30 * time.Second
+)
+
+// fillRetry is the peer-fill retry policy. Fills race local synthesis,
+// so the budget is deliberately tiny compared to the client-facing
+// policy.
+var fillRetry = resilience.RetryPolicy{MaxAttempts: 2, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
+
 // Config wires a Node. NodeID and the Peers map are the static
 // membership universe; liveness within it is the failure detector's
 // job.
@@ -61,25 +75,10 @@ type Config struct {
 	// matching NodeID is ignored, so all nodes can share one flag value.
 	Peers map[string]string
 
-	// ProbeInterval is the heartbeat period (default 500ms).
+	// ProbeInterval is the heartbeat period (default 500ms). A peer
+	// without a successful probe turns suspect after 3×ProbeInterval
+	// and dead after 6×ProbeInterval.
 	ProbeInterval time.Duration
-	// SuspectAfter demotes a peer to suspect after this long without a
-	// successful probe (default 3×ProbeInterval).
-	SuspectAfter time.Duration
-	// DeadAfter removes a peer from the ring after this long without a
-	// successful probe (default 2×SuspectAfter).
-	DeadAfter time.Duration
-	// ProbeTimeout bounds one heartbeat round-trip (default 1s).
-	ProbeTimeout time.Duration
-	// FillTimeout bounds one peer cache-fill round-trip (default 2s) —
-	// a fill blocks a cold synthesis, so it must give up well before
-	// the caller's deadline and fall through to local compute.
-	FillTimeout time.Duration
-	// SnapshotTimeout bounds a warm-start snapshot transfer (default 30s).
-	SnapshotTimeout time.Duration
-
-	// Vnodes is the virtual-node count per ring member (default 64).
-	Vnodes int
 
 	// Clock drives probes, suspicion timeouts, breakers, and retries
 	// (default the wall clock; tests inject resilience.Fake).
@@ -90,12 +89,6 @@ type Config struct {
 	// client on the default transport). The cluster soak injects a
 	// seeded resilience.ChaosTransport here to model partitions.
 	HTTPClient *http.Client
-	// Breaker configures the per-peer, per-endpoint circuit breakers.
-	Breaker resilience.BreakerConfig
-	// Retry configures the peer-fill retry policy. Default: 2 attempts,
-	// 10ms base delay — fills race local synthesis, so the budget is
-	// deliberately tiny compared to the client-facing policy.
-	Retry resilience.RetryPolicy
 
 	Logger *slog.Logger
 }
@@ -123,11 +116,7 @@ type Node struct {
 	logger    *slog.Logger
 	hc        *http.Client
 
-	probeInterval   time.Duration
-	probeTimeout    time.Duration
-	fillTimeout     time.Duration
-	snapshotTimeout time.Duration
-	vnodes          int
+	probeInterval time.Duration
 
 	det     *Detector
 	peers   map[string]*peerState
@@ -157,24 +146,6 @@ func New(eng *engine.Engine, cfg Config) (*Node, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 500 * time.Millisecond
 	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 3 * cfg.ProbeInterval
-	}
-	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = 2 * cfg.SuspectAfter
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = time.Second
-	}
-	if cfg.FillTimeout <= 0 {
-		cfg.FillTimeout = 2 * time.Second
-	}
-	if cfg.SnapshotTimeout <= 0 {
-		cfg.SnapshotTimeout = 30 * time.Second
-	}
-	if cfg.Vnodes <= 0 {
-		cfg.Vnodes = defaultVnodes
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = resilience.Wall()
 	}
@@ -184,27 +155,21 @@ func New(eng *engine.Engine, cfg Config) (*Node, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	if cfg.Retry.MaxAttempts == 0 {
-		cfg.Retry = resilience.RetryPolicy{MaxAttempts: 2, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
-	}
 	n := &Node{
-		id:              cfg.NodeID,
-		advertise:       cfg.Advertise,
-		eng:             eng,
-		clock:           cfg.Clock,
-		logger:          cfg.Logger,
-		hc:              cfg.HTTPClient,
-		probeInterval:   cfg.ProbeInterval,
-		probeTimeout:    cfg.ProbeTimeout,
-		fillTimeout:     cfg.FillTimeout,
-		snapshotTimeout: cfg.SnapshotTimeout,
-		vnodes:          cfg.Vnodes,
-		peers:           make(map[string]*peerState),
-		retrier:         resilience.NewRetrier(cfg.Retry, cfg.Clock, cfg.Seed),
+		id:            cfg.NodeID,
+		advertise:     cfg.Advertise,
+		eng:           eng,
+		clock:         cfg.Clock,
+		logger:        cfg.Logger,
+		hc:            cfg.HTTPClient,
+		probeInterval: cfg.ProbeInterval,
+		peers:         make(map[string]*peerState),
+		retrier:       resilience.NewRetrier(fillRetry, cfg.Clock, cfg.Seed),
 	}
 	fwd := *cfg.HTTPClient
 	fwd.Transport = markForwarded{id: cfg.NodeID, next: cfg.HTTPClient.Transport}
-	n.det = newDetector(cfg.Clock, cfg.SuspectAfter, cfg.DeadAfter, func(id string, from, to State) {
+	suspectAfter := 3 * cfg.ProbeInterval
+	n.det = newDetector(cfg.Clock, suspectAfter, 2*suspectAfter, func(id string, from, to State) {
 		n.logger.Info("cluster member transition", "peer", id, "from", from.String(), "to", to.String())
 	})
 	for id, url := range cfg.Peers {
@@ -214,8 +179,8 @@ func New(eng *engine.Engine, cfg Config) (*Node, error) {
 		n.peers[id] = &peerState{
 			id:      id,
 			url:     url,
-			fill:    resilience.NewBreaker(cfg.Breaker, cfg.Clock, nil),
-			forward: resilience.NewBreaker(cfg.Breaker, cfg.Clock, nil),
+			fill:    resilience.NewBreaker(resilience.BreakerConfig{}, cfg.Clock, nil),
+			forward: resilience.NewBreaker(resilience.BreakerConfig{}, cfg.Clock, nil),
 			jobs:    client.New(url, client.WithHTTPClient(&fwd)),
 		}
 		n.det.add(id, url)
@@ -252,7 +217,7 @@ func (n *Node) rebuildRing() {
 	if !n.leaving.Load() {
 		members = append(members, n.id)
 	}
-	ring := NewRing(members, n.vnodes)
+	ring := NewRing(members, defaultVnodes)
 	n.ringMu.Lock()
 	n.ring = ring
 	n.ringVersion = n.det.Version()
@@ -291,7 +256,7 @@ func (n *Node) Run(ctx context.Context) {
 	}
 }
 
-// probeAll heartbeats every peer concurrently, bounded by ProbeTimeout.
+// probeAll heartbeats every peer concurrently, each bounded by probeTimeout.
 func (n *Node) probeAll(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, p := range n.peers {
@@ -314,7 +279,7 @@ type probeBody struct {
 // probe runs one heartbeat against p and feeds the outcome to the
 // detector. A peer that reports leaving is pinned dead on the spot.
 func (n *Node) probe(ctx context.Context, p *peerState) {
-	pctx, cancel := context.WithTimeout(ctx, n.probeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, p.url+"/healthz", nil)
 	if err != nil {

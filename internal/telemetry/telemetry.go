@@ -306,16 +306,20 @@ func appendLabel(b *strings.Builder, k, v string) {
 // WriteText renders every family in registration order as Prometheus
 // text exposition format 0.0.4.
 func (r *Registry) WriteText(w io.Writer) error {
-	// Snapshot the family list under the lock, render outside it:
-	// family series slices are append-only and samples are atomics or
-	// closures safe to call concurrently.
+	// Snapshot the families under the lock, render outside it. A
+	// family copy pins its series slice header: registration appends
+	// past it and never rewrites the elements it covers, and samples
+	// are atomics or closures safe to call concurrently.
 	r.mu.Lock()
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
+	fams := make([]family, len(r.families))
+	for i, f := range r.families {
+		fams[i] = *f
+	}
 	r.mu.Unlock()
 
 	var b strings.Builder
-	for _, f := range fams {
+	for i := range fams {
+		f := &fams[i]
 		b.Reset()
 		b.WriteString("# HELP ")
 		b.WriteString(f.name)

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -56,6 +57,40 @@ func TestRegistrationIsIdempotent(t *testing.T) {
 	h2 := reg.Histogram("dup_hist", "x", "b", "2", "a", "1")
 	if h1 != h2 {
 		t.Fatal("label order produced distinct series")
+	}
+}
+
+// TestWriteTextDuringRegistration: a scrape may run while handlers
+// register series lazily (a route's first response of a status); run
+// it under -race.
+func TestWriteTextDuringRegistration(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("test_requests_total", "Requests.", "status", "200")
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			reg.Counter("test_requests_total", "Requests.", "status", strconv.Itoa(300+i)).Inc()
+			reg.Histogram("test_seconds", "Latency.", "status", strconv.Itoa(300+i))
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		var b strings.Builder
+		if err := reg.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), `test_requests_total{status="200"} 0`) {
+			t.Fatalf("scrape lost a registered series:\n%s", b.String())
+		}
+	}
+	wg.Wait()
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), `test_requests_total{status="499"} 1`) {
+		t.Fatalf("final scrape misses the last series:\n%s", b.String())
 	}
 }
 
