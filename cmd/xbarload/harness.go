@@ -46,12 +46,6 @@ type member struct {
 	node   *cluster.Node // nil for the plain server
 	srv    *http.Server
 	cancel context.CancelFunc // stops node.Run's heartbeat loop
-
-	// A cluster node's handlers hold gate shared and kill holds it
-	// exclusively, so the engine never closes under a handler that is
-	// still submitting to it; killed turns away the calls after.
-	gate   sync.RWMutex
-	killed bool
 }
 
 // harness owns the in-process nodes and, in a cluster, the kill/restart
@@ -139,15 +133,7 @@ func (h *harness) startMember(i int, ln net.Listener) error {
 			return err
 		}
 		m.eng.SetPeerFill(node.PeerFill)
-		api := httpapi.New(m.eng, httpapi.WithCluster(node))
-		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			m.gate.RLock()
-			defer m.gate.RUnlock()
-			if m.killed {
-				panic(http.ErrAbortHandler)
-			}
-			api.ServeHTTP(w, r)
-		})
+		handler = httpapi.New(m.eng, httpapi.WithCluster(node))
 		var runCtx context.Context
 		runCtx, m.cancel = context.WithCancel(context.Background())
 		m.node = node
@@ -187,10 +173,8 @@ func (h *harness) kill(id string) {
 	}
 	m.cancel()
 	m.srv.Close()
-	// Close does not wait for the handlers it interrupted.
-	m.gate.Lock()
-	m.killed = true
-	m.gate.Unlock()
+	// Close does not wait for the handlers it interrupted: what they
+	// submit after the engine closes resolves unavailable.
 	m.eng.Close()
 }
 

@@ -109,19 +109,12 @@ func (l Lit) String() string {
 	return fmt.Sprintf("x%d", l.Var+1)
 }
 
-// ToTT expands the cube to an n-variable truth table.
+// ToTT expands the cube to an n-variable truth table; literals of
+// variables ≥ n are ignored.
 func (c Cube) ToTT(n int) truthtab.TT {
-	if c.IsContradiction() {
-		return truthtab.Zero(n)
-	}
-	t := truthtab.One(n)
-	for v := 0; v < n; v++ {
-		if c.Pos>>uint(v)&1 == 1 {
-			t = t.And(truthtab.Var(n, v))
-		}
-		if c.Neg>>uint(v)&1 == 1 {
-			t = t.And(truthtab.Var(n, v).Not())
-		}
+	t := truthtab.New(n)
+	if !c.IsContradiction() {
+		t.OrProduct(c.Pos, c.Neg)
 	}
 	return t
 }
@@ -155,11 +148,14 @@ func (cv Cover) Eval(a uint64) bool {
 	return false
 }
 
-// ToTT expands the cover to an n-variable truth table.
+// ToTT expands the cover to an n-variable truth table, filling one
+// table product by product.
 func (cv Cover) ToTT(n int) truthtab.TT {
-	t := truthtab.Zero(n)
+	t := truthtab.New(n)
 	for _, c := range cv {
-		t = t.Or(c.ToTT(n))
+		if !c.IsContradiction() {
+			t.OrProduct(c.Pos, c.Neg)
+		}
 	}
 	return t
 }

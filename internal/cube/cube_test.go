@@ -132,6 +132,66 @@ func TestCoverEvalAndTT(t *testing.T) {
 	}
 }
 
+// literalProductTT is the literal-by-literal construction the
+// word-parallel ToTT replaced: a Var, a Not and an And per literal of
+// a variable below n, and an Or per cube of a cover.
+func literalProductTT(c Cube, n int) truthtab.TT {
+	if c.IsContradiction() {
+		return truthtab.Zero(n)
+	}
+	t := truthtab.One(n)
+	for v := 0; v < n; v++ {
+		if c.Pos>>uint(v)&1 == 1 {
+			t = t.And(truthtab.Var(n, v))
+		}
+		if c.Neg>>uint(v)&1 == 1 {
+			t = t.And(truthtab.Var(n, v).Not())
+		}
+	}
+	return t
+}
+
+// TestToTTMatchesLiteralProducts: Cube.ToTT and Cover.ToTT fill the
+// same tables as the literal-by-literal construction, for random cubes
+// over 0–10 variables with literals beyond n, contradictions inside and
+// beyond n, and the universe.
+func TestToTTMatchesLiteralProducts(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	randCube := func(n int) Cube {
+		var c Cube
+		for v := 0; v < n+3; v++ {
+			switch rng.Intn(4) {
+			case 0:
+				c.Pos |= 1 << v
+			case 1:
+				c.Neg |= 1 << v
+			}
+		}
+		if rng.Intn(8) == 0 {
+			v := rng.Intn(n + 3)
+			c.Pos, c.Neg = c.Pos|1<<v, c.Neg|1<<v
+		}
+		return c
+	}
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(11)
+		cv := Cover{Universe}[:rng.Intn(2)]
+		for k := rng.Intn(5); k > 0; k-- {
+			cv = append(cv, randCube(n))
+		}
+		want := truthtab.Zero(n)
+		for _, c := range cv {
+			if got, w := c.ToTT(n), literalProductTT(c, n); !got.Equal(w) {
+				t.Fatalf("n=%d cube %+v: ToTT %v, literal products %v", n, c, got, w)
+			}
+			want = want.Or(literalProductTT(c, n))
+		}
+		if got := cv.ToTT(n); !got.Equal(want) {
+			t.Fatalf("n=%d cover %+v: ToTT %v, literal products %v", n, cv, got, want)
+		}
+	}
+}
+
 func TestPaperExampleCounts(t *testing.T) {
 	// §III-A running example: f = x1x2 + x1'x2' has 4 literals, 2
 	// products; its dual x1x2' + x1'x2 has 2 products.

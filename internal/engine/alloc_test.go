@@ -6,6 +6,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"testing"
 )
@@ -37,5 +38,21 @@ func TestYieldSweepBytesFlatInDies(t *testing.T) {
 	t.Logf("64 dies: %d B, 6400 dies: %d B", short, long)
 	if long > short+8<<10 {
 		t.Fatalf("a 6400-die sweep allocates %d B, a 64-die sweep %d B: the bytes grow with the die count", long, short)
+	}
+}
+
+// TestSubmitAcceptAllocFree: the close guard keeps submitWait's
+// accepting path allocation-free.
+func TestSubmitAcceptAllocFree(t *testing.T) {
+	p := newPool(1, 64)
+	defer p.close()
+	job := func() {}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := p.submitWait(context.Background(), 0, job); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("an accepted submission allocates %.1f times, want 0", allocs)
 	}
 }

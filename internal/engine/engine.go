@@ -212,7 +212,10 @@ func defaultCacheShards(workers int) int {
 	return n
 }
 
-// Close stops the worker pool after draining queued jobs.
+// Close stops the worker pool after draining queued jobs. It is safe
+// against concurrent callers: a request submitted after Close begins
+// resolves with an apierr.ErrUnavailable result, and a second Close
+// does nothing.
 func (e *Engine) Close() { e.pool.close() }
 
 // Synthesize implements f on tech through the cache. The returned
@@ -306,7 +309,9 @@ func (e *Engine) SubmitBatch(reqs []Request) []Result {
 // Both callbacks may be invoked concurrently from pool workers; callers
 // synchronize shared state. SubmitStream returns when every request has
 // been resolved (run, shed with an apierr.ErrOverloaded result when the
-// queue stayed saturated past MaxQueueWait, or reported canceled).
+// queue stayed saturated past MaxQueueWait, refused with an
+// apierr.ErrUnavailable result once Close has begun, or reported
+// canceled).
 func (e *Engine) SubmitStream(ctx context.Context, reqs []Request, done func(int, Result), onDie func(req, die int, mr *MapResult, err error)) {
 	var wg sync.WaitGroup
 	wg.Add(len(reqs))
@@ -331,9 +336,12 @@ func (e *Engine) SubmitStream(ctx context.Context, reqs []Request, done func(int
 			// Never reached a worker: resolve the job here, typed by
 			// why admission failed.
 			wg.Done()
-			if errors.Is(err, errQueueFull) {
+			switch err {
+			case errQueueFull:
 				done(i, e.overloadedResult(reqs[i].Kind))
-			} else {
+			case errClosed:
+				done(i, e.unavailableResult(reqs[i].Kind))
+			default:
 				done(i, e.canceledResult(reqs[i].Kind, err))
 			}
 		}
@@ -364,6 +372,13 @@ func (e *Engine) overloadedResult(kind Kind) Result {
 	e.shed.Add(1)
 	return errResult(kind, resilience.WithRetryAfter(apierr.Overloaded(
 		"engine: job queue saturated past the %v admission budget", e.maxQueueWait), ShedRetryAfter))
+}
+
+// unavailableResult accounts a request refused because Close has begun.
+func (e *Engine) unavailableResult(kind Kind) Result {
+	e.requests.Add(1)
+	e.failures.Add(1)
+	return errResult(kind, apierr.Unavailable("engine: closed"))
 }
 
 // run executes one request inline on the calling goroutine.

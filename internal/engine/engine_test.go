@@ -364,3 +364,87 @@ func TestConcurrentBatches(t *testing.T) {
 		t.Fatalf("synth calls=%d, want 4", st.SynthCalls)
 	}
 }
+
+// TestCloseRacesSubmitters: submitters racing Close never panic — each
+// request either runs or resolves with an unavailable result, and every
+// request after Close is refused that way.
+func TestCloseRacesSubmitters(t *testing.T) {
+	req := Request{Kind: KindSynthesize, Function: FunctionSpec{Name: "maj3"}}
+	refused := 0
+	for round := 0; round < 50; round++ {
+		e := New(Config{Workers: 2, CacheSize: 8})
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					r := e.Do(req)
+					if !r.Ok() {
+						if !errors.Is(r.Err, apierr.ErrUnavailable) || r.Code != apierr.CodeUnavailable {
+							t.Errorf("round %d: a request racing Close failed with %q (code %q), want unavailable", round, r.Error, r.Code)
+						}
+						mu.Lock()
+						refused++
+						mu.Unlock()
+					}
+				}
+			}()
+		}
+		e.Close()
+		wg.Wait()
+		if r := e.Do(req); !errors.Is(r.Err, apierr.ErrUnavailable) {
+			t.Fatalf("round %d: Do after Close gave %q, want unavailable", round, r.Error)
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no request raced Close; the test has no teeth")
+	}
+}
+
+// TestCloseTwice: a second Close, sequential or concurrent, is a no-op.
+func TestCloseTwice(t *testing.T) {
+	e := New(Config{Workers: 2, CacheSize: 8})
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); e.Close() }()
+	}
+	wg.Wait()
+	e.Close()
+	if st := e.Stats(); st.Requests != 0 || st.Failures != 0 {
+		t.Fatalf("closing counted requests: %+v", st)
+	}
+}
+
+// TestCloseReleasesBlockedSubmitter: a submitter waiting on a full
+// queue is refused when Close begins, not left holding Close until a
+// worker frees a slot. The submitter usually blocks before Close
+// starts; when Close wins the race the closed check refuses it
+// instead, so the rounds repeat.
+func TestCloseReleasesBlockedSubmitter(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		p := newPool(1, 1)
+		started, release := make(chan struct{}), make(chan struct{})
+		for _, job := range []func(){func() { close(started); <-release }, func() {}} {
+			if err := p.submitWait(context.Background(), 0, job); err != nil {
+				t.Fatal(err)
+			}
+			<-started // the worker holds the first job, the second fills the queue
+		}
+		submitting, refused := make(chan struct{}), make(chan error)
+		go func() {
+			close(submitting)
+			refused <- p.submitWait(context.Background(), 0, func() {})
+		}()
+		<-submitting
+		closed := make(chan struct{})
+		go func() { p.close(); close(closed) }()
+		if err := <-refused; err != errClosed {
+			t.Fatalf("round %d: a submitter blocked on a full queue got %v when Close began, want errClosed", round, err)
+		}
+		close(release)
+		<-closed
+	}
+}

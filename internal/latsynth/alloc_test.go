@@ -18,8 +18,8 @@ func TestDualMethodAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 150 {
-		t.Fatalf("DualMethod allocates %.0f times, want ≤ 150", allocs)
+	if allocs > 12 {
+		t.Fatalf("DualMethod allocates %.0f times, want ≤ 12", allocs)
 	}
 }
 

@@ -188,12 +188,14 @@ func pickLiteral(sh cube.Cube, freq *[2][64]int, choice CellChoice) lattice.Site
 // PostReduce repeatedly deletes any single row or column whose removal
 // leaves the lattice still implementing f, until no deletion applies.
 // Deleting a wire is always physically realizable, so this is a safe
-// area optimization. Each deletion trial checks the lattice minus one
-// row or column in place, through one pooled bit-parallel evaluator that
-// exits on the first mismatching 64-assignment word — the common case,
-// since most deletions break the function. Only an accepted deletion is
-// carried out, on a copy made at the first one; l itself is never
-// modified, and is returned as is when no deletion applies.
+// area optimization. Each round computes the lattice's on-masks once
+// per word block, and each deletion trial checks the lattice minus one
+// row or column in place from them, through one pooled bit-parallel
+// evaluator that exits on the first mismatching 64-assignment word —
+// the common case, since most deletions break the function. Only an
+// accepted deletion is carried out, on a copy made at the first one; l
+// itself is never modified, and is returned as is when no deletion
+// applies.
 func PostReduce(l *lattice.Lattice, f truthtab.TT) *lattice.Lattice {
 	ev := lattice.GetEvaluator()
 	defer lattice.PutEvaluator(ev)
@@ -218,16 +220,17 @@ func PostReduce(l *lattice.Lattice, f truthtab.TT) *lattice.Lattice {
 // implements f, or failing that the first such column; −1 for the other
 // index, or for both when no deletion applies.
 func firstDeletion(ev *lattice.Evaluator, cur *lattice.Lattice, f truthtab.TT) (row, col int) {
+	ev.LoadDeletions(cur, f.NumVars())
 	if cur.R > 1 {
 		for i := 0; i < cur.R; i++ {
-			if ev.ImplementsWithoutRow(cur, i, f) {
+			if ev.ImplementsWithoutRow(i, f) {
 				return i, -1
 			}
 		}
 	}
 	if cur.C > 1 {
 		for j := 0; j < cur.C; j++ {
-			if ev.ImplementsWithoutCol(cur, j, f) {
+			if ev.ImplementsWithoutCol(j, f) {
 				return -1, j
 			}
 		}

@@ -22,8 +22,9 @@
 // and the reached set only grows, which gives Implements an early exit
 // the moment the function overshoots its target on any word.
 // PostReduce's deletion trials run through the same kernel in place:
-// ImplementsWithoutRow/Col gather the on-masks of the lattice minus one
-// row or column straight from its sites.
+// LoadDeletions computes a lattice's on-masks once per word block, and
+// ImplementsWithoutRow/Col copy each trial's masks around the deleted
+// row or column.
 
 package lattice
 
@@ -33,19 +34,6 @@ import (
 
 	"nanoxbar/internal/truthtab"
 )
-
-// varPattern[v] is the truth-table word pattern of variable v for
-// v < 6: bit a of the pattern is bit v of assignment a. Variables ≥ 6
-// are constant across a 64-assignment word and select whole words by
-// word index instead.
-var varPattern = [6]uint64{
-	0xAAAAAAAAAAAAAAAA,
-	0xCCCCCCCCCCCCCCCC,
-	0xF0F0F0F0F0F0F0F0,
-	0xFF00FF00FF00FF00,
-	0xFFFF0000FFFF0000,
-	0xFFFFFFFF00000000,
-}
 
 // numWords returns ceil(2^n / 64) with a one-word minimum, matching the
 // truthtab Words layout.
@@ -76,7 +64,7 @@ func onMask(s Site, wi int, vm uint64) uint64 {
 	}
 	var p, neg uint64
 	if s.Var < 6 {
-		p = varPattern[s.Var]
+		p = truthtab.VarWord(s.Var)
 	} else {
 		p = -uint64(wi >> (s.Var - 6) & 1)
 	}
@@ -137,6 +125,11 @@ type Evaluator struct {
 	reach []uint64 // per-site reached-from-source masks
 	stale []bool   // per row: a neighbour row changed since its last scan
 	fn    []uint64 // FunctionWords result buffer
+
+	// On-masks of the lattice loaded for deletion trials, word block
+	// wi at del[wi·S:(wi+1)·S] for its S = delR·delC sites.
+	del              []uint64
+	delR, delC, delN int
 
 	// Scalar scratch (zero-alloc Eval/EvalDual).
 	sOn      []bool
@@ -352,47 +345,20 @@ func (e *Evaluator) DualFunction(l *Lattice, n int) truthtab.TT {
 // grows), or at the block's fixpoint when it undershoots — which makes
 // the failing trials of PostReduce cheap.
 func (e *Evaluator) Implements(l *Lattice, f truthtab.TT) bool {
-	return e.implements(l, -1, -1, f)
+	e.grow(len(l.sites))
+	vm := validMask(f.NumVars())
+	return e.implements(l.R, l.C, f, func(wi int) { e.buildOnWord(l, wi, vm, false, len(l.sites), 0) })
 }
 
-// ImplementsWithoutRow reports whether l with row r deleted computes f,
-// without building that lattice: the on-masks are gathered straight
-// from l's sites. l must have at least two rows. It counts as one
-// Implements in the evaluation counters.
-func (e *Evaluator) ImplementsWithoutRow(l *Lattice, r int, f truthtab.TT) bool {
-	if l.R < 2 || r < 0 || r >= l.R {
-		panic("lattice: ImplementsWithoutRow needs an existing row of a lattice with two or more")
-	}
-	return e.implements(l, r, -1, f)
-}
-
-// ImplementsWithoutCol is ImplementsWithoutRow for column c.
-func (e *Evaluator) ImplementsWithoutCol(l *Lattice, c int, f truthtab.TT) bool {
-	if l.C < 2 || c < 0 || c >= l.C {
-		panic("lattice: ImplementsWithoutCol needs an existing column of a lattice with two or more")
-	}
-	return e.implements(l, -1, c, f)
-}
-
-// implements is Implements on l minus row skipRow or column skipCol
-// (−1 skips none).
-func (e *Evaluator) implements(l *Lattice, skipRow, skipCol int, f truthtab.TT) bool {
+// implements checks, word block by word block, that the R×C on-masks
+// fill(wi) writes into e.onw percolate to f's word wi.
+func (e *Evaluator) implements(R, C int, f truthtab.TT, fill func(wi int)) bool {
 	ctrFastImplements.Add(1)
-	R, C := l.R, l.C
-	if skipRow >= 0 {
-		R--
-	}
-	if skipCol >= 0 {
-		C--
-	}
-	e.grow(R * C)
-	n := f.NumVars()
-	W, vm := numWords(n), validMask(n)
+	W := f.NumWords()
 	for wi := 0; wi < W; wi++ {
+		fill(wi)
 		fw := f.Word(wi)
-		e.gatherOnWord(l, wi, vm, skipRow, skipCol)
-		sink, ok := e.percolate(R, C, false, true, fw)
-		if !ok || sink != fw {
+		if sink, ok := e.percolate(R, C, false, true, fw); !ok || sink != fw {
 			ctrWordBlocks.Add(uint64(wi + 1))
 			return false
 		}
@@ -401,21 +367,74 @@ func (e *Evaluator) implements(l *Lattice, skipRow, skipCol int, f truthtab.TT) 
 	return true
 }
 
-// gatherOnWord fills e.onw, row-major, with the word-wi on-masks of l
-// minus row skipRow or column skipCol (−1 skips none).
-func (e *Evaluator) gatherOnWord(l *Lattice, wi int, vm uint64, skipRow, skipCol int) {
-	k := 0
-	for r := 0; r < l.R; r++ {
-		if r == skipRow {
-			continue
-		}
-		for c, s := range l.sites[r*l.C : (r+1)*l.C] {
-			if c != skipCol {
-				e.onw[k] = onMask(s, wi, vm)
-				k++
-			}
+// LoadDeletions computes the on-masks of l over n variables once per
+// word block, for the deletion trials of ImplementsWithoutRow/Col that
+// follow. The trials read these masks, not l: load again after l
+// changes.
+func (e *Evaluator) LoadDeletions(l *Lattice, n int) {
+	S, W, vm := len(l.sites), numWords(n), validMask(n)
+	e.grow(S)
+	if cap(e.del) < W*S {
+		e.del = make([]uint64, W*S)
+	}
+	e.del = e.del[:W*S]
+	for wi := 0; wi < W; wi++ {
+		block := e.del[wi*S : (wi+1)*S]
+		for i, s := range l.sites {
+			block[i] = onMask(s, wi, vm)
 		}
 	}
+	e.delR, e.delC, e.delN = l.R, l.C, n
+}
+
+// ImplementsWithoutRow reports whether the lattice of the last
+// LoadDeletions, with row r deleted, computes f, without building that
+// lattice: the trial copies the loaded on-masks around row r. The
+// lattice must have at least two rows. It counts as one Implements in
+// the evaluation counters.
+func (e *Evaluator) ImplementsWithoutRow(r int, f truthtab.TT) bool {
+	if e.delR < 2 || r < 0 || r >= e.delR {
+		panic("lattice: ImplementsWithoutRow needs an existing row of a lattice with two or more")
+	}
+	return e.implementsWithout(r, -1, f)
+}
+
+// ImplementsWithoutCol is ImplementsWithoutRow for column c.
+func (e *Evaluator) ImplementsWithoutCol(c int, f truthtab.TT) bool {
+	if e.delC < 2 || c < 0 || c >= e.delC {
+		panic("lattice: ImplementsWithoutCol needs an existing column of a lattice with two or more")
+	}
+	return e.implementsWithout(-1, c, f)
+}
+
+// implementsWithout is Implements on the loaded lattice minus row
+// skipRow or column skipCol (−1 for the other).
+func (e *Evaluator) implementsWithout(skipRow, skipCol int, f truthtab.TT) bool {
+	if f.NumVars() != e.delN {
+		panic("lattice: deletion trial over another variable count than LoadDeletions")
+	}
+	R0, C0 := e.delR, e.delC
+	R, C := R0, C0
+	if skipRow >= 0 {
+		R--
+	} else {
+		C--
+	}
+	onw := e.onw[:R*C]
+	return e.implements(R, C, f, func(wi int) {
+		block := e.del[wi*R0*C0 : (wi+1)*R0*C0]
+		if skipRow >= 0 {
+			k := copy(onw, block[:skipRow*C0])
+			copy(onw[k:], block[(skipRow+1)*C0:])
+			return
+		}
+		k := 0
+		for r := 0; r < R0; r++ {
+			row := block[r*C0 : (r+1)*C0]
+			k += copy(onw[k:], row[:skipCol])
+			k += copy(onw[k:], row[skipCol+1:])
+		}
+	})
 }
 
 // FeasiblePartial applies the optimal search's two monotone prunes to a

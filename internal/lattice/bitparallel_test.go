@@ -240,9 +240,10 @@ func TestPercolateAgreesWithScalar(t *testing.T) {
 // TestImplementsWithoutMatchesMaterialized: the in-place deletion trial
 // gives the verdict of building the lattice minus that row or column
 // and verifying it with the scalar reference, for every row and column
-// of random lattices over 2–8 variables (multi-word from 7 up), and it
-// moves the evaluation counters exactly as Implements on the built
-// lattice does.
+// of random lattices over 2–8 variables (multi-word from 7 up), all
+// trials of a lattice reading one LoadDeletions with Implements calls
+// in between, and it moves the evaluation counters exactly as
+// Implements on the built lattice does.
 func TestImplementsWithoutMatchesMaterialized(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	ev := NewEvaluator()
@@ -257,6 +258,7 @@ func TestImplementsWithoutMatchesMaterialized(t *testing.T) {
 		for j := 0; l.C > 1 && j < l.C; j++ {
 			dels = append(dels, [2]int{-1, j})
 		}
+		ev.LoadDeletions(l, n)
 		for _, d := range dels {
 			m := l.Clone()
 			if d[0] >= 0 {
@@ -268,9 +270,9 @@ func TestImplementsWithoutMatchesMaterialized(t *testing.T) {
 				c0 := CounterSnapshot()
 				var got bool
 				if d[0] >= 0 {
-					got = ev.ImplementsWithoutRow(l, d[0], f)
+					got = ev.ImplementsWithoutRow(d[0], f)
 				} else {
-					got = ev.ImplementsWithoutCol(l, d[1], f)
+					got = ev.ImplementsWithoutCol(d[1], f)
 				}
 				c1 := CounterSnapshot()
 				ev.Implements(m, f)

@@ -11,9 +11,9 @@ import (
 	"nanoxbar/internal/truthtab"
 )
 
-// TestMinimizeAllocBound: the covering search keeps one scratch frame
-// per depth and masks each prime's coverage once per dominance sweep,
-// so its allocations do not grow with the nodes or prime pairs visited.
+// TestMinimizeAllocBound: the implicant planes and the covering matrix,
+// frames and masks come from pools, so a minimization allocates only
+// MinimizeTT's empty don't-care table, the selection and the cover.
 func TestMinimizeAllocBound(t *testing.T) {
 	f := benchFunc(6, 2)
 	opts := DefaultOptions()
@@ -22,8 +22,8 @@ func TestMinimizeAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 60 {
-		t.Fatalf("MinimizeTT allocates %.0f times, want ≤ 60", allocs)
+	if allocs > 3 {
+		t.Fatalf("MinimizeTT allocates %.0f times, want ≤ 3", allocs)
 	}
 }
 

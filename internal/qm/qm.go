@@ -61,16 +61,6 @@ func DefaultOptions() Options {
 	return Options{MaxVars: 12, MaxPrimes: 50000, MaxCoverPrimes: 96, MaxCoverWork: 2_000_000}
 }
 
-// varWord[v] is the word pattern of variable v < 6: bit a is bit v of a.
-var varWord = [6]uint64{
-	0xAAAAAAAAAAAAAAAA,
-	0xCCCCCCCCCCCCCCCC,
-	0xF0F0F0F0F0F0F0F0,
-	0xFF00FF00FF00FF00,
-	0xFFFF0000FFFF0000,
-	0xFFFFFFFF00000000,
-}
-
 // planes is the scratch of Primes. Plane D occupies w[D·W:(D+1)·W] for
 // W words per table; bit D of live is set when plane D was written by
 // the current call and is nonzero; covered is the one table the prime
@@ -118,7 +108,7 @@ func (ps *planes) isLive(d int) bool { return ps.live[d>>6]>>(d&63)&1 == 1 }
 func canonical(d int, vm uint64) (inWord uint64, wordFree int) {
 	inWord = vm
 	for m := d & 63; m != 0; m &= m - 1 {
-		inWord &^= varWord[bits.TrailingZeros(uint(m))]
+		inWord &^= truthtab.VarWord(bits.TrailingZeros(uint(m)))
 	}
 	return inWord, d >> 6
 }
@@ -127,6 +117,14 @@ func canonical(d int, vm uint64) (inWord uint64, wordFree int) {
 // participates in prime formation but needs no covering), sorted by
 // cube.Compare.
 func Primes(on, dc truthtab.TT, opts Options) ([]cube.Cube, error) {
+	ps := planePool.Get().(*planes)
+	defer planePool.Put(ps)
+	primes, err := ps.primesOf(on, dc, opts)
+	return slices.Clone(primes), err
+}
+
+// primesOf is Primes into the scratch: the result aliases ps.primes.
+func (ps *planes) primesOf(on, dc truthtab.TT, opts Options) ([]cube.Cube, error) {
 	if err := checkVars(on, dc, opts); err != nil {
 		return nil, err
 	}
@@ -135,8 +133,6 @@ func Primes(on, dc truthtab.TT, opts Options) ([]cube.Cube, error) {
 	if n < 6 {
 		vm = uint64(1)<<(1<<n) - 1
 	}
-	ps := planePool.Get().(*planes)
-	defer planePool.Put(ps)
 	ps.reset(n, W)
 	care := ps.plane(0, W)
 	zero, one := true, true
@@ -149,7 +145,8 @@ func Primes(on, dc truthtab.TT, opts Options) ([]cube.Cube, error) {
 		return nil, nil
 	}
 	if one {
-		return []cube.Cube{cube.Universe}, nil
+		ps.primes = append(ps.primes[:0], cube.Universe)
+		return ps.primes, nil
 	}
 	for _, k := range ps.build(n, W, vm) {
 		if k == 0 {
@@ -162,7 +159,7 @@ func Primes(on, dc truthtab.TT, opts Options) ([]cube.Cube, error) {
 	primes := ps.extract(n, W, vm)
 	// Deterministic order for reproducible covers.
 	slices.SortFunc(primes, cube.Compare)
-	return slices.Clone(primes), nil
+	return primes, nil
 }
 
 // build writes every live plane, plane 0 (on ∪ dc) given, and returns
@@ -196,7 +193,7 @@ func (ps *planes) build(n, W int, vm uint64) (frontier [maxPlaneVars + 1]int) {
 func flipAnd(dst, src []uint64, v int) bool {
 	var nz uint64
 	if v < 6 {
-		s, hi := uint(1)<<v, varWord[v]
+		s, hi := uint(1)<<v, truthtab.VarWord(v)
 		for i, x := range src {
 			y := x & (x&hi>>s | x&^hi<<s)
 			dst[i] = y
@@ -275,26 +272,29 @@ func Minimize(on, dc truthtab.TT, opts Options) (cube.Cover, error) {
 	if on.IsZero() {
 		return cube.Cover{}, nil
 	}
-	primes, err := Primes(on, dc, opts)
+	ps := planePool.Get().(*planes)
+	defer planePool.Put(ps)
+	primes, err := ps.primesOf(on, dc, opts)
 	if err != nil {
 		return nil, err
 	}
-	if on.Or(dc).IsOne() {
+	// The universe is a prime exactly when on ∪ dc is the constant 1,
+	// and then it is the only one.
+	if len(primes) == 1 && primes[0].IsUniverse() {
 		return cube.Cover{cube.Universe}, nil
 	}
 	if opts.MaxCoverPrimes > 0 && len(primes) > opts.MaxCoverPrimes {
 		return nil, fmt.Errorf("qm: %d primes exceeds covering limit %d", len(primes), opts.MaxCoverPrimes)
 	}
-	ms := on.Minterms()
-	sel, complete := solveCover(primes, ms, opts.MaxCoverWork)
+	sel, complete := solveCover(primes, on, opts.MaxCoverWork)
 	if !complete {
 		return nil, fmt.Errorf("qm: covering search exceeded %d work units", opts.MaxCoverWork)
 	}
-	out := make(cube.Cover, 0, len(sel))
-	for _, i := range sel {
-		out = append(out, primes[i])
+	// sel ascends and primes are sorted, so the cover comes out sorted.
+	out := make(cube.Cover, len(sel))
+	for k, i := range sel {
+		out[k] = primes[i]
 	}
-	out.Sort()
 	return out, nil
 }
 
@@ -305,17 +305,28 @@ func MinimizeTT(f truthtab.TT, opts Options) (cube.Cover, error) {
 
 // --- minimum covering ---
 
+// coverState is a covering problem and its search scratch. The matrix
+// is kept both ways as bitsets: row i holds the on-minterm columns
+// prime i covers, column j the primes covering minterm j. A search
+// node's state is a frame of two bitsets, the columns it has still to
+// cover and the primes still eligible, so counting a column's
+// coverers is a popcount of the column and the active set.
 type coverState struct {
-	primeCov [][]uint64 // per prime: bitset over minterm columns
-	primeLit []int
-	nCols    int
-	// frames[d] is the state of the search node at depth d: the node
-	// reduces its own frame in place and writes each branch's child
-	// state into frames[d+1], so the search copies no state per node.
-	frames []coverFrame
-	// masked[i] is prime i's coverage of the remaining columns, computed
-	// once per dominance sweep for every active prime.
-	masked   [][]uint64
+	cw, pw int      // words per bitset over columns, over primes
+	rows   []uint64 // row i: rows[i·cw:(i+1)·cw]
+	cols   []uint64 // column j: cols[j·pw:(j+1)·pw]
+	lit    []int    // literal count per prime
+	// masked holds, per active prime, its coverage of the remaining
+	// columns (laid out like rows) and maskedN its popcount; both are
+	// computed once per dominance sweep.
+	masked  []uint64
+	maskedN []int
+	cand    []uint64 // one prime's dominator candidates
+	// frames[d] is the state of the search node at depth d, remaining
+	// columns (cw words) then active primes (pw words): the node reduces
+	// its own frame in place and writes each branch's child state into
+	// frames[d+1], so the search copies no state per node.
+	frames   [][]uint64
 	sel      []int // primes chosen on the current search path
 	bestSel  []int
 	bestCost coverCost
@@ -323,10 +334,8 @@ type coverState struct {
 	maxWork  int
 }
 
-type coverFrame struct {
-	remaining []uint64 // minterm columns still to cover
-	active    []bool   // primes still eligible
-}
+// coverPool shares covering scratch across calls and goroutines.
+var coverPool = sync.Pool{New: func() any { return new(coverState) }}
 
 type coverCost struct {
 	cubes    int
@@ -342,74 +351,121 @@ func (c coverCost) less(d coverCost) bool {
 
 func bitsetWords(n int) int { return (n + 63) / 64 }
 
-// bitsets carves n bitsets of w words each out of one allocation.
-func bitsets(n, w int) [][]uint64 {
-	buf := make([]uint64, n*w)
-	out := make([][]uint64, n)
-	for i := range out {
-		out[i] = buf[i*w : (i+1)*w : (i+1)*w]
+// resize returns buf with length n, reusing its storage when it can;
+// the contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	return out
+	return buf[:n]
 }
 
-// solveCover picks a minimum subset of primes covering all minterm
-// columns. Exact branch and bound over the cyclic core after essential
-// and dominance reductions. The second result is false when the node
+// solveCover picks a minimum subset of primes covering every on-minterm
+// of on. Exact branch and bound over the cyclic core after essential
+// and dominance reductions. The second result is false when the work
 // budget was exhausted before the search completed (the best solution
 // found so far may be suboptimal, so callers treat it as failure).
-func solveCover(primes []cube.Cube, ms []uint64, maxWork int) ([]int, bool) {
-	nCols := len(ms)
+func solveCover(primes []cube.Cube, on truthtab.TT, maxWork int) ([]int, bool) {
 	if maxWork <= 0 {
 		maxWork = 1 << 40
 	}
-	w := bitsetWords(nCols)
-	st := &coverState{nCols: nCols, bestCost: coverCost{cubes: 1 << 30}, maxWork: maxWork}
-	st.primeCov = bitsets(len(primes), w)
-	st.masked = bitsets(len(primes), w)
-	st.primeLit = make([]int, len(primes))
-	for i, p := range primes {
-		for j, m := range ms {
-			if p.Eval(m) {
-				st.primeCov[i][j>>6] |= 1 << uint(j&63)
-			}
-		}
-		st.primeLit[i] = p.NumLiterals()
-	}
-	root := st.frame(0)
-	for j := 0; j < nCols; j++ {
-		root.remaining[j>>6] |= 1 << uint(j&63)
-	}
-	for i := range root.active {
-		root.active[i] = true
-	}
+	st := coverPool.Get().(*coverState)
+	defer coverPool.Put(st)
+	st.reset(primes, on, maxWork)
 	st.search(0, coverCost{})
 	sel := slices.Clone(st.bestSel)
 	slices.Sort(sel)
 	return sel, st.work < st.maxWork
 }
 
-// frame returns the scratch frame of depth d, allocating it the first
-// time the search reaches that depth.
-func (st *coverState) frame(d int) coverFrame {
-	if d == len(st.frames) {
-		st.frames = append(st.frames, coverFrame{
-			remaining: make([]uint64, bitsetWords(st.nCols)),
-			active:    make([]bool, len(st.primeCov)),
-		})
+// reset builds the covering matrix of primes over the on-minterms of on
+// (column j is the j-th minterm in ascending order) and the root frame,
+// every column remaining and every prime active, and starts a search
+// with maxWork to spend.
+func (st *coverState) reset(primes []cube.Cube, on truthtab.TT, maxWork int) {
+	st.bestCost, st.work, st.maxWork = coverCost{cubes: 1 << 30}, 0, maxWork
+	st.sel, st.bestSel = st.sel[:0], st.bestSel[:0]
+	nP, nC := len(primes), int(on.CountOnes())
+	st.cw, st.pw = bitsetWords(nC), bitsetWords(nP)
+	st.rows = resize(st.rows, nP*st.cw)
+	clear(st.rows)
+	st.cols = resize(st.cols, nC*st.pw)
+	clear(st.cols)
+	st.masked = resize(st.masked, nP*st.cw)
+	st.maskedN = resize(st.maskedN, nP)
+	st.cand = resize(st.cand, st.pw)
+	st.lit = resize(st.lit, nP)
+	for i, p := range primes {
+		st.lit[i] = p.NumLiterals()
 	}
-	return st.frames[d]
+	base := 0 // the column of word block wi's first on-minterm
+	for wi := range on.NumWords() {
+		w := on.Word(wi)
+		for i, p := range primes {
+			for x := w & truthtab.ProductWord(p.Pos, p.Neg, wi); x != 0; x &= x - 1 {
+				b := bits.TrailingZeros64(x)
+				j := base + bits.OnesCount64(w&(1<<b-1))
+				st.rows[i*st.cw+j>>6] |= 1 << (j & 63)
+				st.cols[j*st.pw+i>>6] |= 1 << (i & 63)
+			}
+		}
+		base += bits.OnesCount64(w)
+	}
+	remaining, active := st.frame(0)
+	fill(remaining, nC)
+	fill(active, nP)
+}
+
+// fill sets bits 0..n-1 of set and clears the rest.
+func fill(set []uint64, n int) {
+	clear(set)
+	for i := range n {
+		set[i>>6] |= 1 << (i & 63)
+	}
+}
+
+func (st *coverState) row(i int) []uint64 {
+	return st.rows[i*st.cw : (i+1)*st.cw : (i+1)*st.cw]
+}
+
+func (st *coverState) col(j int) []uint64 {
+	return st.cols[j*st.pw : (j+1)*st.pw : (j+1)*st.pw]
+}
+
+func (st *coverState) maskedRow(i int) []uint64 {
+	return st.masked[i*st.cw : (i+1)*st.cw : (i+1)*st.cw]
+}
+
+// frame returns the remaining columns and active primes of depth d,
+// allocating that depth's storage the first time any search reaches it.
+func (st *coverState) frame(d int) (remaining, active []uint64) {
+	fw := st.cw + st.pw
+	if d == len(st.frames) {
+		st.frames = append(st.frames, nil)
+	}
+	st.frames[d] = resize(st.frames[d], fw)
+	f := st.frames[d]
+	return f[:st.cw:st.cw], f[st.cw:]
+}
+
+// coverers returns how many active primes cover column j and, when
+// that is one, which.
+func (st *coverState) coverers(j int, active []uint64) (n, only int) {
+	for k, c := range st.col(j) {
+		x := c & active[k]
+		if x != 0 {
+			only = k<<6 | bits.TrailingZeros64(x)
+		}
+		n += bits.OnesCount64(x)
+	}
+	return n, only
 }
 
 // search explores the node whose state is frames[d]; st.sel holds the
 // primes chosen on the path to it.
 func (st *coverState) search(d int, cost coverCost) {
-	remaining, active := st.frames[d].remaining, st.frames[d].active
-	nAct := 0
-	for _, a := range active {
-		if a {
-			nAct++
-		}
-	}
+	remaining, active := st.frame(d)
+	nAct := onesCount(active)
 	st.work += 1 + nAct*nAct/64
 	if st.work >= st.maxWork {
 		return
@@ -426,121 +482,133 @@ func (st *coverState) search(d int, cost coverCost) {
 		if !cost.less(st.bestCost) {
 			return // bound
 		}
-		changed := false
 		// Essential columns: covered by exactly one active prime.
 		ess := -1
-		for j := 0; j < st.nCols && ess < 0; j++ {
-			if remaining[j>>6]>>uint(j&63)&1 == 0 {
-				continue
-			}
-			cnt, last := 0, -1
-			for i, a := range active {
-				if a && st.primeCov[i][j>>6]>>uint(j&63)&1 == 1 {
-					cnt++
-					last = i
-					if cnt > 1 {
-						break
-					}
+	scan:
+		for k, w := range remaining {
+			for ; w != 0; w &= w - 1 {
+				switch n, only := st.coverers(k<<6|bits.TrailingZeros64(w), active); n {
+				case 0:
+					return // uncoverable (cannot happen with all primes)
+				case 1:
+					ess = only
+					break scan
 				}
-			}
-			if cnt == 0 {
-				return // uncoverable (cannot happen with all primes)
-			}
-			if cnt == 1 {
-				ess = last
 			}
 		}
 		if ess >= 0 {
 			st.sel = append(st.sel, ess)
 			cost.cubes++
-			cost.literals += st.primeLit[ess]
-			andNot(remaining, st.primeCov[ess])
-			active[ess] = false
-			changed = true
+			cost.literals += st.lit[ess]
+			andNot(remaining, st.row(ess))
+			active[ess>>6] &^= 1 << (ess & 63)
+			continue
 		}
-		if !changed {
-			changed = st.dropDominated(remaining, active)
-		}
-		if !changed {
+		if !st.dropDominated(remaining, active) {
 			break
 		}
 	}
-	// Branch on the hardest column (fewest covering primes).
-	bestJ, bestCnt := -1, 1<<30
-	for j := 0; j < st.nCols; j++ {
-		if remaining[j>>6]>>uint(j&63)&1 == 0 {
-			continue
-		}
-		cnt := 0
-		for i, a := range active {
-			if a && st.primeCov[i][j>>6]>>uint(j&63)&1 == 1 {
-				cnt++
+	// Branch on the hardest column (fewest covering primes, the first
+	// such). The reduction left every remaining column at least two
+	// coverers, so the first column with two is the one.
+	bestJ, bestN := -1, 1<<30
+pick:
+	for k, w := range remaining {
+		for ; w != 0; w &= w - 1 {
+			j := k<<6 | bits.TrailingZeros64(w)
+			if n, _ := st.coverers(j, active); n < bestN {
+				bestN, bestJ = n, j
+				if n == 2 {
+					break pick
+				}
 			}
 		}
-		if cnt < bestCnt {
-			bestCnt, bestJ = cnt, j
-		}
 	}
-	if bestJ < 0 {
-		return
-	}
-	child := st.frame(d + 1)
+	childRem, childAct := st.frame(d + 1)
 	path := len(st.sel)
-	for i, a := range active {
-		if !a || st.primeCov[i][bestJ>>6]>>uint(bestJ&63)&1 == 0 {
-			continue
+	for k, c := range st.col(bestJ) {
+		for x := c & active[k]; x != 0; x &= x - 1 {
+			i := k<<6 | bits.TrailingZeros64(x)
+			copy(childRem, remaining)
+			andNot(childRem, st.row(i))
+			copy(childAct, active)
+			childAct[k] &^= 1 << (i & 63)
+			st.sel = append(st.sel[:path], i)
+			st.search(d+1, coverCost{cost.cubes + 1, cost.literals + st.lit[i]})
 		}
-		copy(child.remaining, remaining)
-		andNot(child.remaining, st.primeCov[i])
-		copy(child.active, active)
-		child.active[i] = false
-		st.sel = append(st.sel[:path], i)
-		st.search(d+1, coverCost{cost.cubes + 1, cost.literals + st.primeLit[i]})
 	}
 }
 
 // dropDominated runs one row-dominance sweep and reports whether it
 // deactivated any prime: prime b goes when it covers no remaining
 // column, or when some prime a covers a superset of b's remaining
-// columns at no higher literal cost.
-func (st *coverState) dropDominated(remaining []uint64, active []bool) bool {
-	for i, a := range active {
-		if a {
-			for k, x := range st.primeCov[i] {
-				st.masked[i][k] = x & remaining[k]
+// columns at no higher literal cost. The primes covering all of b's
+// remaining columns are the active ones in every such column's set.
+func (st *coverState) dropDominated(remaining, active []uint64) bool {
+	for k, a := range active {
+		for ; a != 0; a &= a - 1 {
+			i := k<<6 | bits.TrailingZeros64(a)
+			m, n := st.maskedRow(i), 0
+			for w, x := range st.row(i) {
+				m[w] = x & remaining[w]
+				n += bits.OnesCount64(m[w])
 			}
+			st.maskedN[i] = n
 		}
 	}
 	changed := false
-	for b := range active {
-		if !active[b] {
-			continue
-		}
-		covB := st.masked[b]
-		if isEmpty(covB) {
-			active[b] = false
-			changed = true
-			continue
-		}
-		for a := range active {
-			if a == b || !active[a] || st.primeLit[a] > st.primeLit[b] {
-				continue
+	for k, snapshot := range active {
+		// Only b itself leaves the active set while b is examined, so
+		// the word's primes above b are still active when reached.
+		for ; snapshot != 0; snapshot &= snapshot - 1 {
+			b := k<<6 | bits.TrailingZeros64(snapshot)
+			if st.maskedN[b] == 0 || st.dominated(b, active) {
+				active[k] &^= 1 << (b & 63)
+				changed = true
 			}
-			covA := st.masked[a]
-			if !containsBits(covA, covB) {
-				continue
-			}
-			// Equal coverage and cost: keep the lower index only, so
-			// the pair does not eliminate itself.
-			if st.primeLit[a] == st.primeLit[b] && a > b && containsBits(covB, covA) {
-				continue
-			}
-			active[b] = false
-			changed = true
-			break
 		}
 	}
 	return changed
+}
+
+// dominated reports whether an active prime other than b covers every
+// remaining column of b at no higher literal cost. Of two primes with
+// equal coverage and cost only the lower index dominates, so the pair
+// does not eliminate itself, and b does not dominate itself.
+func (st *coverState) dominated(b int, active []uint64) bool {
+	cand := st.cand
+	copy(cand, active)
+	for w, y := range st.maskedRow(b) {
+		for ; y != 0; y &= y - 1 {
+			var nz uint64
+			for t, c := range st.col(w<<6 | bits.TrailingZeros64(y)) {
+				cand[t] &= c
+				nz |= cand[t]
+			}
+			if nz == 0 {
+				return false
+			}
+		}
+	}
+	lb, nb := st.lit[b], st.maskedN[b]
+	for t, y := range cand {
+		for ; y != 0; y &= y - 1 {
+			a := t<<6 | bits.TrailingZeros64(y)
+			// a covers b's columns, so equal counts mean equal coverage.
+			if st.lit[a] < lb || st.lit[a] == lb && (a < b || st.maskedN[a] != nb) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func onesCount(set []uint64) int {
+	n := 0
+	for _, x := range set {
+		n += bits.OnesCount64(x)
+	}
+	return n
 }
 
 func isEmpty(w []uint64) bool {
@@ -556,14 +624,4 @@ func andNot(dst, src []uint64) {
 	for i := range dst {
 		dst[i] &^= src[i]
 	}
-}
-
-// containsBits reports a ⊇ b.
-func containsBits(a, b []uint64) bool {
-	for i := range a {
-		if b[i]&^a[i] != 0 {
-			return false
-		}
-	}
-	return true
 }

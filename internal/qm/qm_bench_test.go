@@ -51,3 +51,21 @@ func BenchmarkMinimizeMaj7(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMinimizeRnd7 minimizes benchfn's rnd7_d20_s3 and its dual,
+// as latsynth.Covers does: covering the dual's 106 on-minterms is most
+// of that function's cold synthesis.
+func BenchmarkMinimizeRnd7(b *testing.B) {
+	f, err := truthtab.Parse("7:0x180880e200040aa8020845010a000000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	fd := f.Dual()
+	for i := 0; i < b.N; i++ {
+		for _, g := range []truthtab.TT{f, fd} {
+			if _, err := MinimizeTT(g, DefaultOptions()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

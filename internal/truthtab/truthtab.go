@@ -8,7 +8,8 @@
 // notation of the DATE'17 paper this library reproduces.
 //
 // All operations return fresh values; a TT is never mutated after
-// construction except through SetBit on a table the caller owns.
+// construction except through SetBit and OrProduct on a table the
+// caller owns.
 package truthtab
 
 import (
@@ -72,6 +73,17 @@ func One(n int) TT {
 	return t
 }
 
+// varWord[v] is the word pattern of variable v < 6: bit a is bit v of a,
+// blocks of 2^v zeros and ones alternating.
+var varWord = [6]uint64{
+	0xAAAAAAAAAAAAAAAA,
+	0xCCCCCCCCCCCCCCCC,
+	0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00,
+	0xFFFF0000FFFF0000,
+	0xFFFFFFFF00000000,
+}
+
 // Var returns the projection function x_v of n variables.
 func Var(n, v int) TT {
 	checkN(n)
@@ -80,15 +92,7 @@ func Var(n, v int) TT {
 	}
 	t := New(n)
 	if v < 6 {
-		// Pattern within each word: blocks of 2^v ones alternating.
-		var p uint64
-		blk := uint64(1)<<(1<<v) - 1
-		for s := uint(1 << v); s < 64; s += uint(2 << v) {
-			p |= blk << s
-		}
-		if n < 6 {
-			p &= mask(n)
-		}
+		p := varWord[v] & mask(n)
 		for i := range t.w {
 			t.w[i] = p
 		}
@@ -102,6 +106,44 @@ func Var(n, v int) TT {
 		}
 	}
 	return t
+}
+
+// VarWord returns the word pattern of variable v < 6: bit a is bit v
+// of a. Variables ≥ 6 are constant across a word and select whole words
+// by word index instead.
+func VarWord(v int) uint64 { return varWord[v] }
+
+// ProductWord returns word wi of the truth table of the product of the
+// literals x_v for bit v of pos and x_v' for bit v of neg: the
+// variables below 6 select bits inside the word, the others decide
+// whether word wi holds any.
+func ProductWord(pos, neg uint64, wi int) uint64 {
+	hp, hn := pos>>6, neg>>6
+	if uint64(wi)&hp != hp || uint64(wi)&hn != 0 {
+		return 0
+	}
+	m := ^uint64(0)
+	for v := range 6 {
+		if pos>>v&1 == 1 {
+			m &= varWord[v]
+		}
+		if neg>>v&1 == 1 {
+			m &^= varWord[v]
+		}
+	}
+	return m
+}
+
+// OrProduct sets, in a table the caller owns, every assignment that
+// satisfies the product of the literals x_v for bit v of pos and x_v'
+// for bit v of neg. Literals of variables ≥ n are ignored.
+func (t TT) OrProduct(pos, neg uint64) {
+	pos &= 1<<t.n - 1
+	neg &= 1<<t.n - 1
+	for i := range t.w {
+		t.w[i] |= ProductWord(pos, neg, i)
+	}
+	t.w[len(t.w)-1] &= mask(t.n)
 }
 
 // Literal returns x_v (neg=false) or its complement (neg=true).

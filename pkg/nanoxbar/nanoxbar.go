@@ -103,8 +103,9 @@ func NewClient(cfg ClientConfig) *Client {
 	})}
 }
 
-// Close stops the engine's worker pool after draining queued work. No
-// calls may follow Close.
+// Close stops the engine's worker pool after draining queued work. A
+// call that reaches the pool after Close begins fails with
+// ErrUnavailable, and a second Close does nothing.
 func (c *Client) Close() error {
 	c.eng.Close()
 	return nil
