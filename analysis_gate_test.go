@@ -2,10 +2,11 @@ package nanoxbar_test
 
 // The static-analysis gate: go test enforces every xbarvet invariant
 // (depguard, clockdiscipline, seededrand, metricnames, errtaxonomy,
-// ctxfirst) over the whole module, so a convention violation fails the
-// ordinary test run, not just a separately-invoked linter. This is the
-// successor to the old file-walking depguard test — the import rule now
-// lives in internal/analysis/depguard.go with the other invariants.
+// ctxfirst, lanegate, testonly) over the whole module, so a convention
+// violation fails the ordinary test run, not just a separately-invoked
+// linter. This is the successor to the old file-walking depguard test —
+// the import rule now lives in internal/analysis/depguard.go with the
+// other invariants.
 //
 // CI also runs `go run ./cmd/xbarvet ./...` in the lint job; this test
 // keeps local `go test ./...` equivalent to that gate.

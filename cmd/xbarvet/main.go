@@ -1,8 +1,9 @@
 // Command xbarvet runs the project's invariant analyzers (package
 // internal/analysis) over module packages: depguard, clockdiscipline,
-// seededrand, metricnames, errtaxonomy, ctxfirst, lanegate. It is the
-// static-analysis companion to go vet — the conventions the repo's
-// correctness story rests on, machine-checked.
+// seededrand, metricnames, errtaxonomy, ctxfirst, lanegate, testonly
+// (which judges only a whole-module load). It is the static-analysis
+// companion to go vet — the conventions the repo's correctness story
+// rests on, machine-checked.
 //
 // Usage:
 //

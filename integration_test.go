@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"nanoxbar/internal/arith"
-	"nanoxbar/internal/bdd"
 	"nanoxbar/internal/benchfn"
 	"nanoxbar/internal/bexpr"
 	"nanoxbar/internal/bism"
@@ -79,24 +78,6 @@ func TestEndToEndTestAndDiagnoseMatchesDefects(t *testing.T) {
 	for _, fault := range bist.Universe(r, c) {
 		if !suite.Detects(fault) {
 			t.Fatalf("undetected fault %v on the synthesized %d×%d shape", fault, r, c)
-		}
-	}
-}
-
-func TestEndToEndSuiteCrossCheckTTvsBDD(t *testing.T) {
-	// Every benchmark function elaborated via both engines must agree
-	// (guards the two independent function-representation substrates).
-	for _, s := range benchfn.Suite() {
-		if s.N() > 10 {
-			continue
-		}
-		m := bdd.New(s.N())
-		ref := m.FromTT(s.F)
-		if !m.ToTT(ref).Equal(s.F) {
-			t.Fatalf("%s: BDD round trip diverges", s.Name)
-		}
-		if m.SatCount(ref) != s.F.CountOnes() {
-			t.Fatalf("%s: SatCount disagrees with popcount", s.Name)
 		}
 	}
 }

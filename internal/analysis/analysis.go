@@ -17,8 +17,9 @@
 //   - Run (run.go): drives every analyzer over every loaded package,
 //     applies //xbarvet:ignore suppressions, and renders the result as
 //     text or JSON.
-//   - The six project analyzers (one file each): depguard,
-//     clockdiscipline, seededrand, metricnames, errtaxonomy, ctxfirst.
+//   - The eight project analyzers (one file each): depguard,
+//     clockdiscipline, seededrand, metricnames, errtaxonomy, ctxfirst,
+//     lanegate, testonly.
 //
 // Fixture packages under testdata/src carry `// want "regexp"`
 // expectation comments; harness_test.go diffs reported diagnostics
@@ -62,10 +63,12 @@ type Analyzer struct {
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
 	// Finish, if non-nil, runs once after every package pass — the hook
-	// for whole-module invariants that live outside loaded Go packages
-	// (CI workflow files, test-only declarations). Findings it reports
-	// skip //xbarvet:ignore filtering, since they anchor to files the
-	// loader never parsed.
+	// for whole-module invariants: ones that need every package at once
+	// (test-only declarations) or live outside loaded Go packages (CI
+	// workflow files). Run filters its findings like per-package ones:
+	// a finding anchored on a line of a loaded Go file honours that
+	// file's //xbarvet:ignore directives, while one anchored in a file
+	// the loader never parsed is always reported.
 	Finish func(l *Loader, report func(Diagnostic))
 }
 
@@ -100,6 +103,7 @@ func Analyzers() []*Analyzer {
 		newErrTaxonomy(),
 		newCtxFirst(),
 		newLaneGate(),
+		newTestOnly(),
 	}
 }
 

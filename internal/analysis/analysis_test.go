@@ -2,14 +2,17 @@ package analysis
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // TestAnalyzerRoster pins the suite's membership: dropping an analyzer
 // from Analyzers() must fail loudly, not silently shrink coverage.
 func TestAnalyzerRoster(t *testing.T) {
-	wantNames := []string{"depguard", "clockdiscipline", "seededrand", "metricnames", "errtaxonomy", "ctxfirst", "lanegate"}
+	wantNames := []string{"depguard", "clockdiscipline", "seededrand", "metricnames", "errtaxonomy", "ctxfirst", "lanegate", "testonly"}
 	got := Analyzers()
 	if len(got) != len(wantNames) {
 		t.Fatalf("Analyzers() returned %d analyzers, want %d", len(got), len(wantNames))
@@ -74,6 +77,104 @@ func TestErrTaxonomyFixtures(t *testing.T) {
 func TestCtxFirstFixtures(t *testing.T) {
 	dirs := []string{fixtureDir("ctxfirst", "bad")}
 	checkWants(t, runOn(t, "ctxfirst", dirs...), dirs...)
+}
+
+// testOnlyLoader loads the testonly fixture, a module of its own: the
+// analyzer judges only loads of a whole module, and the repository
+// module's ./... walk skips testdata.
+var testOnlyLoader = sync.OnceValues(func() (*Loader, error) {
+	return NewLoader("testdata/src/testonly")
+})
+
+// runTestOnly loads patterns from the testonly fixture module and runs
+// the testonly analyzer alone over them.
+func runTestOnly(t *testing.T, patterns ...string) Result {
+	t.Helper()
+	l, err := testOnlyLoader()
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	return runWith(t, l, []*Analyzer{newTestOnly()}, patterns...)
+}
+
+func TestTestOnlyFixtures(t *testing.T) {
+	res := runTestOnly(t, "./...")
+	// Paths come back relative to the fixture module; the want comments
+	// are keyed relative to this module. The reasonless ignore over
+	// Silent is reported at the directive, where a want comment would
+	// become its reason, so it is asserted directly.
+	var kept []Diagnostic
+	var reasonless int
+	for _, d := range res.Diagnostics {
+		if d.Analyzer == "xbarvet" {
+			if d.File != "internal/lib/lib.go" || !strings.Contains(d.Message, "missing a reason") {
+				t.Errorf("unexpected driver diagnostic: %s", d)
+			}
+			reasonless++
+			continue
+		}
+		d.File = fixtureDir("testonly", d.File)
+		kept = append(kept, d)
+	}
+	if reasonless != 1 {
+		t.Errorf("got %d reasonless-ignore diagnostics, want 1", reasonless)
+	}
+	res.Diagnostics = kept
+	checkWants(t, res, fixtureDir("testonly", "internal/lib"), fixtureDir("testonly", "cmd/tool"), fixtureDir("testonly", "pkg/nanoxbar"))
+	if res.Suppressed != 1 {
+		t.Errorf("Suppressed = %d, want 1 (the reasoned ignore over Seam)", res.Suppressed)
+	}
+}
+
+// TestTestOnlyPartialLoadReportsNothing: without every package of the
+// module loaded, a missing reference proves nothing, so the analyzer
+// stays silent.
+func TestTestOnlyPartialLoadReportsNothing(t *testing.T) {
+	for _, d := range runTestOnly(t, "internal/lib").Diagnostics {
+		if d.Analyzer == "testonly" {
+			t.Errorf("partial load reported %s", d)
+		}
+	}
+}
+
+// TestFinishFindingsHonourIgnores pins how Run filters Finish findings:
+// one anchored on a loaded Go line under a reasoned //xbarvet:ignore is
+// suppressed like a per-package finding, while one anchored in a file
+// the loader never parses, such as a CI workflow, always surfaces.
+func TestFinishFindingsHonourIgnores(t *testing.T) {
+	l := loader(t)
+	dir := fixtureDir("ignore", "reasoned")
+	pkgs, err := l.Load(dir)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	goFile := filepath.Join(l.Root, filepath.FromSlash(dir), "reasoned.go")
+	src, err := os.ReadFile(goFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := 0
+	for i, text := range strings.Split(string(src), "\n") {
+		if strings.TrimSpace(text) == "return 42" {
+			line = i + 1
+		}
+	}
+	if line == 0 {
+		t.Fatal("fixture lost its ignored line")
+	}
+	workflow := filepath.Join(l.Root, ".github", "workflows", "ci.yml")
+	probe := &Analyzer{Name: "probe", Doc: "reports two Finish findings", Run: func(*Pass) {}}
+	probe.Finish = func(_ *Loader, report func(Diagnostic)) {
+		report(Diagnostic{Analyzer: "probe", File: goFile, Line: line, Col: 2, Message: "on an ignored Go line"})
+		report(Diagnostic{Analyzer: "probe", File: workflow, Line: line, Col: 1, Message: "on a workflow"})
+	}
+	res := Run(l, pkgs, []*Analyzer{probe})
+	if res.Suppressed != 1 {
+		t.Errorf("Suppressed = %d, want 1", res.Suppressed)
+	}
+	if len(res.Diagnostics) != 1 || res.Diagnostics[0].File != ".github/workflows/ci.yml" {
+		t.Errorf("diagnostics = %v, want only the workflow finding", res.Diagnostics)
+	}
 }
 
 // TestIgnoreMissingReason checks the driver-level rule that a

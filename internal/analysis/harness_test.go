@@ -33,15 +33,9 @@ func fixtureDir(analyzer, sub string) string {
 }
 
 // runOn loads the fixture dirs and runs the named analyzer (all of them
-// when name is "") over the result. Fixtures must type-check: a fixture
-// that does not compile would let every analyzer pass vacuously.
+// when name is "") over the result.
 func runOn(t *testing.T, name string, dirs ...string) Result {
 	t.Helper()
-	l := loader(t)
-	pkgs, err := l.Load(dirs...)
-	if err != nil {
-		t.Fatalf("Load(%v): %v", dirs, err)
-	}
 	var as []*Analyzer
 	for _, a := range Analyzers() {
 		if name == "" || a.Name == name {
@@ -51,7 +45,19 @@ func runOn(t *testing.T, name string, dirs ...string) Result {
 	if len(as) == 0 {
 		t.Fatalf("no analyzer named %q in Analyzers()", name)
 	}
-	res := Run(l, pkgs, as)
+	return runWith(t, loader(t), as, dirs...)
+}
+
+// runWith loads patterns through l and runs analyzers over them.
+// Fixtures must type-check: a fixture that does not compile would let
+// every analyzer pass vacuously.
+func runWith(t *testing.T, l *Loader, analyzers []*Analyzer, patterns ...string) Result {
+	t.Helper()
+	pkgs, err := l.Load(patterns...)
+	if err != nil {
+		t.Fatalf("Load(%v): %v", patterns, err)
+	}
+	res := Run(l, pkgs, analyzers)
 	if len(res.TypeErrors) > 0 {
 		t.Fatalf("fixture type errors: %v", res.TypeErrors)
 	}

@@ -134,9 +134,6 @@ func NewLoader(startDir string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Load resolves patterns into packages. A pattern is a module-root-
 // relative directory ("internal/engine", "./cmd/xbarvet") or a
 // recursive form ending in "/..." ("./...", "internal/..."). Recursive
@@ -158,24 +155,12 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			dirs[base] = true
 			continue
 		}
-		err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if path != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			if hasGoFiles(path) {
-				dirs[path] = true
-			}
-			return nil
-		})
+		found, err := packageDirs(base)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: walking %s: %w", pat, err)
+		}
+		for _, dir := range found {
+			dirs[dir] = true
 		}
 	}
 	var pkgs []*Package
@@ -191,6 +176,30 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
+}
+
+// packageDirs lists the package directories at or below base: those
+// holding a non-test .go file, skipping testdata, hidden, and
+// underscore directories below base.
+func packageDirs(base string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		name := d.Name()
+		if path != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if hasGoFiles(path) {
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	return dirs, err
 }
 
 // hasGoFiles reports whether dir contains at least one non-test .go

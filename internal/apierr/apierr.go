@@ -71,9 +71,6 @@ func (e *Error) Error() string {
 
 func (e *Error) Unwrap() error { return e.Sentinel }
 
-// Code returns the wire code of the sentinel.
-func (e *Error) Code() string { return CodeOf(e.Sentinel) }
-
 func wrap(sentinel error, format string, args ...any) error {
 	return &Error{Sentinel: sentinel, Detail: fmt.Sprintf(format, args...)}
 }

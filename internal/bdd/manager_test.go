@@ -1,12 +1,12 @@
-// Package bdd implements reduced ordered binary decision diagrams
-// (ROBDDs) with a hash-consed unique table and a memoized if-then-else
-// operator.
-//
-// In this library BDDs serve as the scalable cross-check substrate: every
-// truth-table algorithm (package truthtab) is validated against the same
-// computation on BDDs, and function manipulation beyond exhaustive
-// truth-table range can run here. The variable order is fixed to the
-// natural order x0 < x1 < … (sufficient for the paper's function sizes).
+// Package bdd is a test-only package: the reduced ordered binary
+// decision diagram (ROBDD) manager below, with a hash-consed unique
+// table and a memoized if-then-else operator, is the oracle the
+// module's truth-table code is cross-checked against. It lives in
+// _test.go files because no production path uses BDDs; the tests here
+// pin the manager against truth tables, and bexpr_test.go checks bexpr's
+// elaboration and the benchmark suite through it. The variable order is
+// fixed to the natural order x0 < x1 < … (sufficient for the paper's
+// function sizes).
 package bdd
 
 import (

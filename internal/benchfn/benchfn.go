@@ -86,16 +86,6 @@ func NineSym() Spec {
 	return Spec{Name: "9sym", Description: "9-input symmetric, ones-count in 3..6", F: f}
 }
 
-// SymRange generalizes 9sym: ones-count within [lo, hi] among n inputs.
-func SymRange(n, lo, hi int) Spec {
-	f := truthtab.FromFunc(n, func(a uint64) bool {
-		c := bits.OnesCount64(a)
-		return c >= lo && c <= hi
-	})
-	return Spec{Name: fmt.Sprintf("sym%d_%d_%d", n, lo, hi),
-		Description: fmt.Sprintf("%d-input symmetric, count in %d..%d", n, lo, hi), F: f}
-}
-
 // AdderBit returns output bit b (0-indexed; b == n is the carry) of an
 // n-bit + n-bit adder over 2n inputs (a in low vars, b in high vars).
 func AdderBit(n, b int) Spec {

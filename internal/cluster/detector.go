@@ -173,17 +173,6 @@ func (d *Detector) Ringable() []string {
 	return ids
 }
 
-// StateOf returns a member's current state.
-func (d *Detector) StateOf(id string) (State, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, ok := d.members[id]
-	if !ok {
-		return StateDead, false
-	}
-	return m.state, true
-}
-
 // Counts returns the number of members per state.
 func (d *Detector) Counts() (alive, suspect, dead int) {
 	d.mu.Lock()

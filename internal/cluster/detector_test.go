@@ -208,3 +208,14 @@ func TestDetectorVersionGatesRebuilds(t *testing.T) {
 		t.Fatal("version did not move on a state transition")
 	}
 }
+
+// StateOf returns a member's current state.
+func (d *Detector) StateOf(id string) (State, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	m, ok := d.members[id]
+	if !ok {
+		return StateDead, false
+	}
+	return m.state, true
+}

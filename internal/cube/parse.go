@@ -15,6 +15,8 @@ import (
 //
 //	x1x2 + x1'x2'
 //	x1 * x2' + x3
+//
+//xbarvet:ignore testonly: lattice, qm and xbar2t tests spell their covers as SOP text
 func ParseSOP(s string) (Cover, int, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -198,25 +200,4 @@ func ParsePLA(text string) (*PLA, error) {
 		return nil, fmt.Errorf("pla: missing .i or .o")
 	}
 	return p, nil
-}
-
-// FormatPLA renders a single-output cover as an espresso-format PLA.
-func FormatPLA(cv Cover, inputs int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, ".i %d\n.o 1\n.p %d\n", inputs, len(cv))
-	for _, c := range cv {
-		for v := 0; v < inputs; v++ {
-			switch {
-			case c.Pos>>uint(v)&1 == 1:
-				sb.WriteByte('1')
-			case c.Neg>>uint(v)&1 == 1:
-				sb.WriteByte('0')
-			default:
-				sb.WriteByte('-')
-			}
-		}
-		sb.WriteString(" 1\n")
-	}
-	sb.WriteString(".e\n")
-	return sb.String()
 }

@@ -192,6 +192,8 @@ func (lp *LanePlanes) ColBridgeWords() []uint64 { return lp.colBridge }
 // ExtractLane copies die `lane` out of the group into dst (same shape),
 // overwriting it — the test-side bridge between the lane and scalar
 // representations.
+//
+//xbarvet:ignore testonly: bism tests bridge lanes to maps with it, and the fault path is to hand demoted dies over through it
 func (lp *LanePlanes) ExtractLane(dst *Map, lane int) {
 	if dst.R != lp.R || dst.C != lp.C {
 		panic(fmt.Sprintf("defect: extract %d×%d lane into %d×%d map", lp.R, lp.C, dst.R, dst.C))

@@ -10,14 +10,13 @@
 //
 // Extraction is the maximum balanced defect-free sub-crossbar problem
 // (NP-hard in general); the package provides the classic greedy
-// worst-line-removal heuristic plus an exact branch-free enumeration for
-// small N used to audit the heuristic's quality.
+// worst-line-removal heuristic, and its tests audit the heuristic's
+// quality against an exact enumeration for small N.
 package dflow
 
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 
 	"nanoxbar/internal/defect"
 )
@@ -47,6 +46,8 @@ func RawMapBits(n int) int { return n*n + 4*n }
 // IsUniversal verifies that the selection is a defect-free sub-crossbar
 // of the map: usable for any application, the defining property of the
 // defect-unaware flow.
+//
+//xbarvet:ignore testonly: the root integration tests verify extractions with it
 func IsUniversal(m *defect.Map, rows, cols []int) bool {
 	selRow := make(map[int]bool, len(rows))
 	for _, r := range rows {
@@ -236,89 +237,6 @@ func Greedy(m *defect.Map) *Extraction {
 	return &Extraction{Rows: rows[:k], Cols: cols[:k]}
 }
 
-// ExactMaxK returns the true maximum k of any universal k×k sub-crossbar
-// by enumerating row subsets; usable for N ≤ ~14 (audits Greedy). The
-// second result is false when N exceeds maxN.
-func ExactMaxK(m *defect.Map, maxN int) (int, bool) {
-	if m.R > maxN || m.R > 20 || m.C > 64 {
-		return 0, false
-	}
-	best := 0
-	for sub := uint64(0); sub < uint64(1)<<uint(m.R); sub++ {
-		nRows := bits.OnesCount64(sub)
-		if nRows <= best {
-			continue
-		}
-		ok := true
-		for r := 0; r < m.R && ok; r++ {
-			if sub>>uint(r)&1 == 0 {
-				continue
-			}
-			if m.RowBroken(r) {
-				ok = false
-			}
-			if r+1 < m.R && m.RowBridge(r) && sub>>uint(r+1)&1 == 1 {
-				ok = false
-			}
-		}
-		if !ok {
-			continue
-		}
-		// Columns clean against every selected row.
-		clean := make([]bool, m.C)
-		for c := 0; c < m.C; c++ {
-			clean[c] = !m.ColBroken(c)
-			for r := 0; r < m.R && clean[c]; r++ {
-				if sub>>uint(r)&1 == 1 && m.At(r, c) != defect.None {
-					clean[c] = false
-				}
-			}
-		}
-		// Maximum clean column subset avoiding bridged adjacent pairs:
-		// maximum independent selection on a path, by DP. takePrev /
-		// skipPrev are the best counts over columns 0..c with column c
-		// selected / not selected.
-		const negInf = -1 << 20
-		takePrev, skipPrev := negInf, 0
-		for c := 0; c < m.C; c++ {
-			t := negInf
-			if clean[c] {
-				if c > 0 && m.ColBridge(c-1) {
-					t = skipPrev + 1
-				} else {
-					t = max(takePrev, skipPrev) + 1
-				}
-			}
-			takePrev, skipPrev = t, max(takePrev, skipPrev)
-		}
-		nCols := max(takePrev, skipPrev)
-		if nCols < 0 {
-			nCols = 0
-		}
-		k := nRows
-		if nCols < k {
-			k = nCols
-		}
-		if k > best {
-			best = k
-		}
-	}
-	return best, true
-}
-
-// Yield estimates P(Greedy recovers k ≥ want) by Monte Carlo over
-// random defect maps.
-func Yield(n int, p defect.Params, want, trials int, rng *rand.Rand) float64 {
-	hits := 0
-	for i := 0; i < trials; i++ {
-		m := defect.Random(n, n, p, rng)
-		if Greedy(m).K() >= want {
-			hits++
-		}
-	}
-	return float64(hits) / float64(trials)
-}
-
 // Costs parameterizes the abstract effort model of the two flows
 // (arbitrary units; only ratios matter).
 type Costs struct {
@@ -355,11 +273,4 @@ func CompareFlows(n, k, nChips, nApps int, c Costs) (aware, unaware float64) {
 // String renders an extraction compactly.
 func (e *Extraction) String() string {
 	return fmt.Sprintf("k=%d rows=%v cols=%v", e.K(), e.Rows, e.Cols)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

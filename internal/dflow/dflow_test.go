@@ -125,8 +125,18 @@ func TestExactHandlesBridges(t *testing.T) {
 func TestYieldMonotoneInDensity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n, want, trials := 16, 12, 60
-	yLow := Yield(n, defect.UniformCrosspoint(0.01), want, trials, rng)
-	yHigh := Yield(n, defect.UniformCrosspoint(0.25), want, trials, rng)
+	// yield estimates P(Greedy recovers k ≥ want) over random maps.
+	yield := func(p defect.Params) float64 {
+		hits := 0
+		for i := 0; i < trials; i++ {
+			if Greedy(defect.Random(n, n, p, rng)).K() >= want {
+				hits++
+			}
+		}
+		return float64(hits) / float64(trials)
+	}
+	yLow := yield(defect.UniformCrosspoint(0.01))
+	yHigh := yield(defect.UniformCrosspoint(0.25))
 	if yLow < yHigh {
 		t.Fatalf("yield should fall with density: %.2f vs %.2f", yLow, yHigh)
 	}

@@ -221,6 +221,8 @@ func (e *Engine) Close() { e.pool.close() }
 // Synthesize implements f on tech through the cache. The returned
 // Implementation is shared: callers must treat it as read-only. The
 // boolean reports a cache hit.
+//
+//xbarvet:ignore testonly: cachestore, bench/check and the root integration tests synthesize through the cache with it
 func (e *Engine) Synthesize(f truthtab.TT, tech core.Technology, opts core.Options) (*core.Implementation, bool, error) {
 	imp, _, hit, err := e.synthKeyed(context.Background(), f, tech, opts)
 	return imp, hit, err
@@ -267,6 +269,8 @@ func (e *Engine) synthKeyed(ctx context.Context, f truthtab.TT, tech core.Techno
 type DieFunc func(die int, mr *MapResult, err error)
 
 // Do executes one request on the worker pool and waits for its result.
+//
+//xbarvet:ignore testonly: cluster, httpapi, resilience and client tests drive the engine with it
 func (e *Engine) Do(req Request) Result {
 	return e.DoCtx(context.Background(), req)
 }
@@ -295,6 +299,8 @@ func (e *Engine) DoStream(ctx context.Context, req Request, onDie DieFunc) Resul
 // SubmitBatch fans the requests out across the worker pool and returns
 // their results in submission order. It blocks until every request has
 // completed; it is safe to call from many goroutines at once.
+//
+//xbarvet:ignore testonly: the documented in-process batch API, kept by decision
 func (e *Engine) SubmitBatch(reqs []Request) []Result {
 	results := make([]Result, len(reqs))
 	e.SubmitStream(context.Background(), reqs, func(i int, r Result) { results[i] = r }, nil)
@@ -362,7 +368,7 @@ func (e *Engine) canceledResult(kind Kind, cause error) Result {
 // long enough for a saturation spike to drain, short enough that
 // clients re-offer load promptly. It rides Result.Err in-process and
 // the wire error's retry_after_ms over HTTP, so both client shapes
-// observe the same hint.
+// observe the same hint; httpapi's drain 503 sends it as Retry-After.
 const ShedRetryAfter = time.Second
 
 // overloadedResult accounts a request shed at admission.

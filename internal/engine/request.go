@@ -134,40 +134,6 @@ func (s DefectMapSpec) ToMap() (*defect.Map, error) {
 	return m, nil
 }
 
-// FromMap encodes a defect map into its wire form.
-func FromMap(m *defect.Map) DefectMapSpec {
-	var s DefectMapSpec
-	s.Rows = make([]string, m.R)
-	for r := 0; r < m.R; r++ {
-		var sb strings.Builder
-		for c := 0; c < m.C; c++ {
-			switch m.At(r, c) {
-			case defect.StuckOpen:
-				sb.WriteByte('o')
-			case defect.StuckClosed:
-				sb.WriteByte('c')
-			default:
-				sb.WriteByte('.')
-			}
-		}
-		s.Rows[r] = sb.String()
-	}
-	pick := func(n int, get func(int) bool) []int {
-		var idx []int
-		for i := 0; i < n; i++ {
-			if get(i) {
-				idx = append(idx, i)
-			}
-		}
-		return idx
-	}
-	s.RowBroken = pick(m.R, m.RowBroken)
-	s.ColBroken = pick(m.C, m.ColBroken)
-	s.RowBridges = pick(m.R-1, m.RowBridge)
-	s.ColBridges = pick(m.C-1, m.ColBridge)
-	return s
-}
-
 // Request is one unit of work.
 type Request struct {
 	Kind     Kind         `json:"kind"`

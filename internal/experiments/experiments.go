@@ -44,20 +44,3 @@ func table(header string, rows [][]string) []string {
 	out := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	return out
 }
-
-// All runs every experiment with default parameters.
-func All() []*Report {
-	return []*Report{
-		E1TwoTerminalSizes(),
-		E2FourTerminalComparison(),
-		E3Fig4(),
-		E4PCircuit(),
-		E5DReducible(),
-		E6BIST(),
-		E7BISM(DefaultE7Params()),
-		E8DefectUnaware(DefaultE8Params()),
-		E9ArithSSM(),
-		E10Variation(),
-		E11Lifetime(),
-	}
-}

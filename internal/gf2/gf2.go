@@ -138,6 +138,8 @@ type Affine struct {
 func (a *Affine) Dim() int { return len(a.Basis) }
 
 // Contains reports whether x lies in the affine space.
+//
+//xbarvet:ignore testonly: dreduce tests check affine constraints with it
 func (a *Affine) Contains(x uint64) bool {
 	m := NewMatrix(a.N, a.Basis...)
 	return m.SpanContains((x ^ a.Point) & mask(a.N))

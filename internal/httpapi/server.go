@@ -22,7 +22,6 @@ import (
 	"nanoxbar/internal/apierr"
 	"nanoxbar/internal/cluster"
 	"nanoxbar/internal/engine"
-	"nanoxbar/internal/resilience"
 	"nanoxbar/internal/telemetry"
 )
 
@@ -42,10 +41,8 @@ type Server struct {
 	logger *slog.Logger
 	start  time.Time
 
-	// Protection state (protect.go): the optional work-route
-	// concurrency limiter, the drain flag, and the panic/drain
-	// counters.
-	limiter      *resilience.Limiter
+	// Protection state (protect.go): the drain flag and the
+	// panic/drain counters.
 	draining     atomic.Bool
 	panics       atomic.Uint64
 	drainRejects atomic.Uint64

@@ -237,25 +237,3 @@ func firstDeletion(ev *lattice.Evaluator, cur *lattice.Lattice, f truthtab.TT) (
 	}
 	return -1, -1
 }
-
-// SOPBaseline builds the naive composition lattice: the OR of one
-// column lattice per product of the cover. It is correct for any cover
-// and serves as the "no dual information" baseline.
-func SOPBaseline(f truthtab.TT, opts Options) (*Result, error) {
-	if f.IsZero() {
-		return &Result{Lattice: lattice.Constant(false), Method: "sop-or"}, nil
-	}
-	if f.IsOne() {
-		return &Result{Lattice: lattice.Constant(true), Method: "sop-or"}, nil
-	}
-	fc, _, exact := Covers(f, opts)
-	ls := make([]*lattice.Lattice, len(fc))
-	for i, c := range fc {
-		ls[i] = lattice.FromCube(c)
-	}
-	l := lattice.OrAll(ls...)
-	if !l.ImplementsFast(f) {
-		return nil, fmt.Errorf("latsynth: SOP baseline lattice incorrect")
-	}
-	return &Result{Lattice: l, FCover: fc, Method: "sop-or", ExactSOP: exact}, nil
-}

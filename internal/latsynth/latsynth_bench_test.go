@@ -1,6 +1,7 @@
 package latsynth
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -54,7 +55,7 @@ func BenchmarkOptimal3Var(b *testing.B) {
 	f := benchTT(3, 5)
 	opts := DefaultOptimalOptions()
 	for i := 0; i < b.N; i++ {
-		if _, done := Optimal(f, opts); !done {
+		if _, done := OptimalCtx(context.Background(), f, opts); !done {
 			b.Fatal("optimal search did not complete")
 		}
 	}

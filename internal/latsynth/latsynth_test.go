@@ -1,6 +1,7 @@
 package latsynth
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -212,22 +213,6 @@ func TestPostReduceShrinksOrKeeps(t *testing.T) {
 	}
 }
 
-func TestSOPBaseline(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	opts := DefaultOptions()
-	for i := 0; i < 60; i++ {
-		n := 1 + rng.Intn(4)
-		f := randTT(n, rng)
-		res, err := SOPBaseline(f, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Lattice.Implements(f) {
-			t.Fatalf("baseline wrong for %v", f)
-		}
-	}
-}
-
 func TestISOPFallbackForLargerN(t *testing.T) {
 	// Exact QM is limited to opts.QM.MaxVars; beyond it the dual
 	// method must silently fall back to ISOP covers and stay correct.
@@ -251,17 +236,17 @@ func TestISOPFallbackForLargerN(t *testing.T) {
 func TestOptimalKnownSizes(t *testing.T) {
 	o := DefaultOptimalOptions()
 	// Single literal: 1×1.
-	l, done := Optimal(tt(t, "x1"), o)
+	l, done := OptimalCtx(context.Background(), tt(t, "x1"), o)
 	if !done || l == nil || l.Area() != 1 {
 		t.Fatalf("optimal(x1): area %v", l)
 	}
 	// x1x2: 2 cells minimum.
-	l, done = Optimal(tt(t, "x1x2"), o)
+	l, done = OptimalCtx(context.Background(), tt(t, "x1x2"), o)
 	if !done || l == nil || l.Area() != 2 {
 		t.Fatalf("optimal(x1x2) area = %d", l.Area())
 	}
 	// XNOR needs 4 cells (2×2).
-	l, done = Optimal(tt(t, "x1x2 + x1'x2'"), o)
+	l, done = OptimalCtx(context.Background(), tt(t, "x1x2 + x1'x2'"), o)
 	if !done || l == nil || l.Area() != 4 {
 		t.Fatalf("optimal(xnor) area = %d", l.Area())
 	}
@@ -279,7 +264,7 @@ func TestOptimalNeverWorseThanDual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, done := Optimal(f, oOpts)
+		l, done := OptimalCtx(context.Background(), f, oOpts)
 		if !done {
 			continue // budget exhausted: no claim
 		}

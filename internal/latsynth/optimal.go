@@ -20,7 +20,7 @@ func DefaultOptimalOptions() OptimalOptions {
 	return OptimalOptions{MaxArea: 9, NodeBudget: 2_000_000, AllowConstants: true}
 }
 
-// Optimal searches for a minimum-area lattice implementing f by
+// OptimalCtx searches for a minimum-area lattice implementing f by
 // iterative deepening on the area and backtracking over site
 // assignments, pruning with monotone partial evaluations:
 //
@@ -32,15 +32,10 @@ func DefaultOptimalOptions() OptimalOptions {
 // It is the repository's stand-in for the SAT-based optimal synthesis of
 // reference [9]. The boolean result reports whether the search completed
 // within budget; when true and the lattice is non-nil, the lattice has
-// provably minimum area among shapes up to MaxArea.
-func Optimal(f truthtab.TT, opts OptimalOptions) (*lattice.Lattice, bool) {
-	return OptimalCtx(context.Background(), f, opts)
-}
-
-// OptimalCtx is Optimal with cancellation: the backtracking search
-// checks the context every cancelCheckNodes expanded nodes, so a
-// canceled caller abandons the search promptly (the boolean result is
-// false, as for a budget exhaustion).
+// provably minimum area among shapes up to MaxArea. The search checks
+// ctx every cancelCheckNodes expanded nodes, so a canceled caller
+// abandons it promptly (the boolean result is false, as for a budget
+// exhaustion).
 func OptimalCtx(ctx context.Context, f truthtab.TT, opts OptimalOptions) (*lattice.Lattice, bool) {
 	if f.IsZero() {
 		return lattice.Constant(false), true

@@ -99,7 +99,7 @@ var (
 // Counters is a point-in-time snapshot of the process-wide lattice
 // evaluation counters.
 type Counters struct {
-	ScalarEvals    uint64 `json:"scalar_evals"`     // assignments walked by scalar expansions and Evaluator.Eval/EvalDual
+	ScalarEvals    uint64 `json:"scalar_evals"`     // assignments walked by scalar expansions
 	FastFunctions  uint64 `json:"fast_functions"`   // bit-parallel function expansions
 	FastImplements uint64 `json:"fast_implements"`  // bit-parallel Implements/feasibility checks
 	WordBlocks     uint64 `json:"fast_word_blocks"` // 64-assignment word blocks percolated
@@ -115,9 +115,9 @@ func CounterSnapshot() Counters {
 	}
 }
 
-// Evaluator runs bit-parallel (and zero-alloc scalar) lattice
-// evaluations with reusable scratch. The zero value is ready to use;
-// scratch grows to the largest lattice seen and is reused across calls.
+// Evaluator runs bit-parallel lattice evaluations with reusable
+// scratch. The zero value is ready to use; scratch grows to the largest
+// lattice seen and is reused across calls.
 // An Evaluator is not safe for concurrent use — give each goroutine its
 // own, or use the pooled Lattice.FunctionFast/ImplementsFast wrappers.
 type Evaluator struct {
@@ -130,11 +130,6 @@ type Evaluator struct {
 	// wi at del[wi·S:(wi+1)·S] for its S = delR·delC sites.
 	del              []uint64
 	delR, delC, delN int
-
-	// Scalar scratch (zero-alloc Eval/EvalDual).
-	sOn      []bool
-	sVisited []bool
-	sStack   []int32
 }
 
 // NewEvaluator returns an empty evaluator.
@@ -323,6 +318,8 @@ func (e *Evaluator) functionWords(l *Lattice, n int, dual bool) []uint64 {
 // FunctionWords computes the top-to-bottom function of l over n
 // variables in the truthtab Words layout. The returned slice aliases
 // the evaluator's scratch: valid until the next call on e.
+//
+//xbarvet:ignore testonly: the gated BenchmarkEvaluatorWords6Var times it
 func (e *Evaluator) FunctionWords(l *Lattice, n int) []uint64 {
 	return e.functionWords(l, n, false)
 }
@@ -488,105 +485,6 @@ func (e *Evaluator) PercolateMasks(R, C int, on []uint64) uint64 {
 	sink, _ := e.percolate(R, C, false, false, 0)
 	ctrWordBlocks.Add(1)
 	return sink
-}
-
-func (e *Evaluator) growScalar(sites int) {
-	if len(e.sOn) < sites {
-		e.sOn = make([]bool, sites)
-		e.sVisited = make([]bool, sites)
-	}
-	if cap(e.sStack) < sites {
-		e.sStack = make([]int32, 0, sites)
-	}
-}
-
-// Eval is a zero-alloc scalar equivalent of Lattice.Eval backed by the
-// evaluator's scratch.
-func (e *Evaluator) Eval(l *Lattice, a uint64) bool {
-	ctrScalarEvals.Add(1)
-	e.growScalar(len(l.sites))
-	on := e.sOn[:len(l.sites)]
-	for i, s := range l.sites {
-		on[i] = s.On(a)
-	}
-	return e.percolateScalar(l.R, l.C, false)
-}
-
-// EvalDual is a zero-alloc scalar equivalent of Lattice.EvalDual.
-func (e *Evaluator) EvalDual(l *Lattice, a uint64) bool {
-	ctrScalarEvals.Add(1)
-	e.growScalar(len(l.sites))
-	on := e.sOn[:len(l.sites)]
-	for i, s := range l.sites {
-		on[i] = !s.On(^a)
-	}
-	return e.percolateScalar(l.R, l.C, true)
-}
-
-// percolateScalar runs the single-assignment DFS over e.sOn.
-func (e *Evaluator) percolateScalar(R, C int, dual bool) bool {
-	sites := R * C
-	on, visited := e.sOn[:sites], e.sVisited[:sites]
-	for i := range visited {
-		visited[i] = false
-	}
-	stack := e.sStack[:0]
-	if dual {
-		for i := 0; i < sites; i += C {
-			if on[i] {
-				stack = append(stack, int32(i))
-				visited[i] = true
-			}
-		}
-	} else {
-		for i := 0; i < C; i++ {
-			if on[i] {
-				stack = append(stack, int32(i))
-				visited[i] = true
-			}
-		}
-	}
-	for len(stack) > 0 {
-		cur := int(stack[len(stack)-1])
-		stack = stack[:len(stack)-1]
-		r, c := cur/C, cur%C
-		if dual && c == C-1 || !dual && r == R-1 {
-			e.sStack = stack[:0]
-			return true
-		}
-		lo, hi := 0, 0 // row offsets: 4-conn visits (±1,0),(0,±1); 8-conn all
-		if dual {
-			lo, hi = -1, 1
-		}
-		for dr := -1; dr <= 1; dr++ {
-			nr := r + dr
-			if nr < 0 || nr >= R {
-				continue
-			}
-			dlo, dhi := lo, hi
-			if dr == 0 {
-				dlo, dhi = -1, 1
-			} else if !dual {
-				dlo, dhi = 0, 0
-			}
-			for dc := dlo; dc <= dhi; dc++ {
-				if dr == 0 && dc == 0 {
-					continue
-				}
-				nc := c + dc
-				if nc < 0 || nc >= C {
-					continue
-				}
-				ni := nr*C + nc
-				if on[ni] && !visited[ni] {
-					visited[ni] = true
-					stack = append(stack, int32(ni))
-				}
-			}
-		}
-	}
-	e.sStack = stack[:0]
-	return false
 }
 
 // evalPool backs the pooled convenience wrappers so call sites that

@@ -39,17 +39,6 @@ func BenchmarkFunction6Var(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalFast8x8 is the zero-alloc scalar path: same BFS as
-// BenchmarkEval8x8 with the evaluator's reused scratch.
-func BenchmarkEvalFast8x8(b *testing.B) {
-	l := benchLattice(8, 8, 6, 1)
-	ev := NewEvaluator()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ev.Eval(l, uint64(i)&63)
-	}
-}
-
 // BenchmarkFunctionFast6Var is the bit-parallel counterpart of
 // BenchmarkFunction6Var: one 64-wide frontier percolation instead of 64
 // BFS passes.

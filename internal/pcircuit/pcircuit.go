@@ -56,11 +56,6 @@ type Options struct {
 	Mode  Mode
 }
 
-// DefaultOptions use exact covers and the intersection mode.
-func DefaultOptions() Options {
-	return Options{Synth: latsynth.DefaultOptions(), Mode: WithIntersection}
-}
-
 // Result is a synthesized P-circuit lattice.
 type Result struct {
 	Lattice *lattice.Lattice

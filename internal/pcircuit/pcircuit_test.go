@@ -246,3 +246,8 @@ func TestPostReduceMaxAreaHonoured(t *testing.T) {
 		t.Fatal("default post-reduction never shrank a composed lattice; the test has no teeth")
 	}
 }
+
+// DefaultOptions use exact covers and the intersection mode.
+func DefaultOptions() Options {
+	return Options{Synth: latsynth.DefaultOptions(), Mode: WithIntersection}
+}

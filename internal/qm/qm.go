@@ -113,17 +113,9 @@ func canonical(d int, vm uint64) (inWord uint64, wordFree int) {
 	return inWord, d >> 6
 }
 
-// Primes returns all prime implicants of on ∪ dc (the don't-care set
+// primesOf returns all prime implicants of on ∪ dc (the don't-care set
 // participates in prime formation but needs no covering), sorted by
-// cube.Compare.
-func Primes(on, dc truthtab.TT, opts Options) ([]cube.Cube, error) {
-	ps := planePool.Get().(*planes)
-	defer planePool.Put(ps)
-	primes, err := ps.primesOf(on, dc, opts)
-	return slices.Clone(primes), err
-}
-
-// primesOf is Primes into the scratch: the result aliases ps.primes.
+// cube.Compare. The result aliases the scratch's ps.primes.
 func (ps *planes) primesOf(on, dc truthtab.TT, opts Options) ([]cube.Cube, error) {
 	if err := checkVars(on, dc, opts); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package qm
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nanoxbar/internal/cube"
@@ -270,4 +271,14 @@ func TestMinimizeEmptyOnSet(t *testing.T) {
 	if _, err := Minimize(truthtab.Zero(4), truthtab.Zero(4), Options{MaxVars: 3}); err == nil {
 		t.Fatal("expected MaxVars error for an empty on-set too")
 	}
+}
+
+// Primes returns all prime implicants of on ∪ dc (the don't-care set
+// participates in prime formation but needs no covering), sorted by
+// cube.Compare.
+func Primes(on, dc truthtab.TT, opts Options) ([]cube.Cube, error) {
+	ps := planePool.Get().(*planes)
+	defer planePool.Put(ps)
+	primes, err := ps.primesOf(on, dc, opts)
+	return slices.Clone(primes), err
 }

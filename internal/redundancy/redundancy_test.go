@@ -140,9 +140,9 @@ func TestTransientEval64ZeroUpsetMatchesEval(t *testing.T) {
 		for i := range a {
 			a[i] = rng.Uint64() % 8
 		}
-		got := TransientEval64(l, &a, 0, rng)
 		mc := NewMC()
 		mc.Load(l, &a)
+		got := mc.TransientEval64(0, rng)
 		if ev := mc.Eval64(); ev != got {
 			t.Fatalf("Eval64 %#x != TransientEval64(p=0) %#x", ev, got)
 		}
@@ -160,7 +160,9 @@ func TestTransientEval64CertainUpset(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	l := lattice.Constant(true)
 	var a [64]uint64
-	if got := TransientEval64(l, &a, 1, rng); got != 0 {
+	mc := NewMC()
+	mc.Load(l, &a)
+	if got := mc.TransientEval64(1, rng); got != 0 {
 		t.Fatalf("total upset should break the constant-1 lattice in all lanes, got %#x", got)
 	}
 }

@@ -112,14 +112,6 @@ func NewBreaker(cfg BreakerConfig, clock Clock, onTransition func(from, to Break
 	return &Breaker{cfg: cfg.Normalize(), clock: clock, onTransition: onTransition}
 }
 
-// State returns the current position (open circuits past their cooldown
-// still report open until the next Allow flips them half-open).
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
 // Stats snapshots the breaker's counters.
 func (b *Breaker) Stats() BreakerStats {
 	b.mu.Lock()

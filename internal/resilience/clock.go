@@ -15,16 +15,15 @@
 //   - Breaker: a per-endpoint circuit breaker (closed → open →
 //     half-open with probing) that fails fast while a dependency is
 //     down instead of burning a timeout per call.
-//   - Limiter: a concurrency limit with a bounded acquisition wait —
-//     the admission-control primitive behind HTTP load shedding.
 //   - ChaosTransport: a fault-injecting http.RoundTripper (latency
 //     spikes, dropped connections, 5xx bursts, truncated streams),
 //     seeded so a chaos soak replays exactly.
 //
-// internal/engine uses the queue-wait budget for admission control,
-// internal/httpapi mounts the limiter as shed middleware, and
-// pkg/nanoxbar/client wires the retrier and breaker around every HTTP
-// call; cmd/xbarload drives the whole stack through ChaosTransport.
+// Admission control is not here: internal/engine's queue-wait budget is
+// the one admission point, and its shed results carry a Retry-After
+// hint through WithRetryAfter. pkg/nanoxbar/client wires the retrier
+// and breaker around every HTTP call; cmd/xbarload drives the whole
+// stack through ChaosTransport.
 package resilience
 
 import (
@@ -80,6 +79,8 @@ type Fake struct {
 }
 
 // NewFake returns a fake clock starting at start.
+//
+//xbarvet:ignore testonly: the deterministic clock cluster and client tests inject
 func NewFake(start time.Time) *Fake { return &Fake{now: start} }
 
 func (f *Fake) Now() time.Time {
@@ -90,6 +91,8 @@ func (f *Fake) Now() time.Time {
 
 // Advance moves the clock forward without recording a sleep — the
 // "time passes while nobody waits" of a breaker cooldown.
+//
+//xbarvet:ignore testonly: the deterministic clock cluster and client tests inject
 func (f *Fake) Advance(d time.Duration) {
 	f.mu.Lock()
 	f.now = f.now.Add(d)
@@ -113,6 +116,8 @@ func (f *Fake) Sleep(ctx context.Context, d time.Duration) error {
 }
 
 // Sleeps returns a copy of every duration passed to Sleep, in order.
+//
+//xbarvet:ignore testonly: the deterministic clock cluster and client tests inject
 func (f *Fake) Sleeps() []time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -287,66 +287,6 @@ func TestBreakerLateReportWhileOpenIgnored(t *testing.T) {
 	}
 }
 
-func TestLimiterShedsWhenSaturated(t *testing.T) {
-	l := NewLimiter(2, 0)
-	ctx := context.Background()
-	if err := l.Acquire(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Acquire(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.Inflight(); got != 2 {
-		t.Fatalf("Inflight = %d", got)
-	}
-	if err := l.Acquire(ctx); !errors.Is(err, ErrLimited) {
-		t.Fatalf("saturated Acquire = %v, want ErrLimited", err)
-	}
-	l.Release()
-	if err := l.Acquire(ctx); err != nil {
-		t.Fatalf("Acquire after Release: %v", err)
-	}
-	if l.Admitted() != 3 || l.Shed() != 1 {
-		t.Fatalf("admitted=%d shed=%d", l.Admitted(), l.Shed())
-	}
-}
-
-func TestLimiterBoundedWait(t *testing.T) {
-	l := NewLimiter(1, 10*time.Millisecond)
-	ctx := context.Background()
-	if err := l.Acquire(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Saturated past the wait budget: shed.
-	start := time.Now()
-	if err := l.Acquire(ctx); !errors.Is(err, ErrLimited) {
-		t.Fatalf("Acquire = %v, want ErrLimited", err)
-	}
-	if waited := time.Since(start); waited < 5*time.Millisecond {
-		t.Fatalf("shed after %v, want a bounded wait first", waited)
-	}
-	// A release during the wait admits instead.
-	go func() { time.Sleep(2 * time.Millisecond); l.Release() }()
-	if err := l.Acquire(ctx); err != nil {
-		t.Fatalf("Acquire with mid-wait release: %v", err)
-	}
-	// Context death beats the wait.
-	dead, cancel := context.WithCancel(ctx)
-	cancel()
-	if err := l.Acquire(dead); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Acquire on dead ctx = %v", err)
-	}
-}
-
-func TestLimiterReleaseWithoutAcquirePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Release without Acquire did not panic")
-		}
-	}()
-	NewLimiter(1, 0).Release()
-}
-
 // chaosGet runs one GET through a ChaosTransport-wrapped client and
 // classifies the outcome.
 func chaosGet(t *testing.T, hc *http.Client, url string) (status int, body string, err error) {
@@ -481,4 +421,12 @@ func TestChaosTransportLatencyHonorsContext(t *testing.T) {
 	if time.Since(start) > time.Second {
 		t.Fatal("latency injection ignored the context")
 	}
+}
+
+// State returns the current position (open circuits past their cooldown
+// still report open until the next Allow flips them half-open).
+func (b *Breaker) State() BreakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
 }

@@ -34,11 +34,6 @@ var bucketLE = func() [numBuckets]string {
 	return les
 }()
 
-// bucketBound returns the upper bound of finite bucket i, in seconds.
-func bucketBound(i int) float64 {
-	return float64(uint64(1)<<(histMinShift+i)) / 1e9
-}
-
 // Histogram is a lock-free fixed-bucket latency histogram. Observe is
 // two atomic adds plus a bits.Len64 — no locks, no allocation — so it
 // can sit on the per-die mapping path. Obtain instances from
@@ -79,21 +74,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[bucketIndex(ns)].Add(1)
 	h.sumNs.Add(ns)
 }
-
-// Since is shorthand for Observe(time.Since(start)).
-func (h *Histogram) Since(start time.Time) { h.Observe(time.Since(start)) }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of observed durations in seconds.
-func (h *Histogram) Sum() float64 { return float64(h.sumNs.Load()) / 1e9 }
 
 // snapshot loads the per-bucket counts and the sum. The counts are a
 // best-effort consistent view: concurrent Observes may land between

@@ -53,9 +53,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
@@ -63,12 +60,6 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 type Gauge struct {
 	v atomic.Int64
 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the value by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }

@@ -146,15 +146,6 @@ func (t TT) OrProduct(pos, neg uint64) {
 	t.w[len(t.w)-1] &= mask(t.n)
 }
 
-// Literal returns x_v (neg=false) or its complement (neg=true).
-func Literal(n, v int, neg bool) TT {
-	t := Var(n, v)
-	if neg {
-		return t.Not()
-	}
-	return t
-}
-
 // FromMinterms builds a function from the list of on-set minterm indices.
 func FromMinterms(n int, ms []uint64) TT {
 	t := New(n)

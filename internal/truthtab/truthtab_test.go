@@ -49,16 +49,6 @@ func TestVarProjection(t *testing.T) {
 	}
 }
 
-func TestLiteral(t *testing.T) {
-	lit := Literal(3, 1, true)
-	for a := uint64(0); a < 8; a++ {
-		want := a>>1&1 == 0
-		if lit.Bit(a) != want {
-			t.Fatalf("x1' at %b = %v", a, lit.Bit(a))
-		}
-	}
-}
-
 func TestBooleanOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n <= 9; n++ {

@@ -44,14 +44,6 @@ func NewMap(r, c int) *Map {
 // At returns the delay factor of crosspoint (r, c).
 func (m *Map) At(r, c int) float64 { return m.delay[r*m.C+c] }
 
-// Set assigns a delay factor.
-func (m *Map) Set(r, c int, d float64) {
-	if d <= 0 {
-		panic("variation: delay factors must be positive")
-	}
-	m.delay[r*m.C+c] = d
-}
-
 // Lognormal draws a map whose factors are exp(N(0, sigma)) — median 1,
 // spread controlled by sigma (sigma 0.3–0.7 covers published nanowire
 // spreads).

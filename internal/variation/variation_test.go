@@ -162,3 +162,11 @@ func TestPanics(t *testing.T) {
 	big := lattice.New(3, 3)
 	mustPanic(func() { BestPlacement(big, NewMap(2, 2), 1, 1) })
 }
+
+// Set assigns a delay factor.
+func (m *Map) Set(r, c int, d float64) {
+	if d <= 0 {
+		panic("variation: delay factors must be positive")
+	}
+	m.delay[r*m.C+c] = d
+}

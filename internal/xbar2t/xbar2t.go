@@ -39,9 +39,6 @@ func (s Sizes) DiodeArea() int { return s.DiodeRows * s.DiodeCols }
 // FETArea returns rows×columns of the FET array.
 func (s Sizes) FETArea() int { return s.FETRows * s.FETCols }
 
-// LatticeArea returns rows×columns of the four-terminal lattice formula.
-func (s Sizes) LatticeArea() int { return s.LatticeRows * s.LatticeCols }
-
 // FormulaSizes evaluates the Fig. 3 and Fig. 5 formulas on SOP covers of
 // f (fc) and of its dual (dc).
 func FormulaSizes(fc, dc cube.Cover) Sizes {
@@ -83,9 +80,6 @@ func (a *DiodeArray) Rows() int { return len(a.Products) }
 
 // Cols returns the column count including the output column.
 func (a *DiodeArray) Cols() int { return len(a.Literals) + 1 }
-
-// Area returns Rows × Cols, the Fig. 3 diode size.
-func (a *DiodeArray) Area() int { return a.Rows() * a.Cols() }
 
 // Eval computes the output for input assignment x: each product row is
 // the wired-AND of its connected literal columns; the output column is
@@ -171,9 +165,6 @@ func (a *FETArray) NumRows() int { return len(a.Rows) }
 // NumCols returns P(f) + P(f^D).
 func (a *FETArray) NumCols() int { return len(a.FProducts) + len(a.DProducts) }
 
-// Area returns the structural array size.
-func (a *FETArray) Area() int { return a.NumRows() * a.NumCols() }
-
 // EvalDrive returns the electrical output state and its value for input
 // x. For implicant covers of a dual pair (f, f^D) the output is always
 // Driven; Floating or Conflict indicate a malformed or faulty array.
@@ -213,17 +204,6 @@ func (a *FETArray) Eval(x uint64) bool {
 // Function expands the output over n variables.
 func (a *FETArray) Function(n int) truthtab.TT {
 	return truthtab.FromFunc(n, a.Eval)
-}
-
-// WellFormed reports whether the output is driven without conflict for
-// every assignment over n variables.
-func (a *FETArray) WellFormed(n int) bool {
-	for x := uint64(0); x < uint64(1)<<uint(n); x++ {
-		if _, st := a.EvalDrive(x); st != Driven {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders both planes.

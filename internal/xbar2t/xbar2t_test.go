@@ -46,7 +46,7 @@ func TestPaperFig3And5Examples(t *testing.T) {
 	if s.LatticeRows != 2 || s.LatticeCols != 2 {
 		t.Fatalf("lattice %d×%d, want 2×2", s.LatticeRows, s.LatticeCols)
 	}
-	if s.DiodeArea() != 10 || s.FETArea() != 16 || s.LatticeArea() != 4 {
+	if s.DiodeArea() != 10 || s.FETArea() != 16 || s.LatticeRows*s.LatticeCols != 4 {
 		t.Fatal("areas wrong")
 	}
 }
@@ -159,4 +159,15 @@ func TestFETString(t *testing.T) {
 	if len(s) == 0 {
 		t.Fatal("empty rendering")
 	}
+}
+
+// WellFormed reports whether the output is driven without conflict for
+// every assignment over n variables.
+func (a *FETArray) WellFormed(n int) bool {
+	for x := uint64(0); x < uint64(1)<<uint(n); x++ {
+		if _, st := a.EvalDrive(x); st != Driven {
+			return false
+		}
+	}
+	return true
 }

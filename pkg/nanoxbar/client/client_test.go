@@ -196,8 +196,8 @@ func TestConformanceErrorTaxonomy(t *testing.T) {
 				if !errors.As(err, &ae) {
 					t.Fatalf("errors.As(*apierr.Error) failed for %v", err)
 				}
-				if ae.Code() != nanoxbar.ErrorCode(tc.sentinel) {
-					t.Fatalf("code %q, want %q", ae.Code(), nanoxbar.ErrorCode(tc.sentinel))
+				if code := apierr.CodeOf(ae.Sentinel); code != nanoxbar.ErrorCode(tc.sentinel) {
+					t.Fatalf("code %q, want %q", code, nanoxbar.ErrorCode(tc.sentinel))
 				}
 			})
 		}
