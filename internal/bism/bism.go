@@ -24,9 +24,12 @@
 // planes: a BIST/BISD session intersects the application's used-column
 // masks against the chip's stuck-open/stuck-closed planes 64 physical
 // columns per operation, accumulating the diagnosis in a reusable
-// bad-line bitset, and every mapper draws its permutations and spare
-// lines from pooled scratch — a repair attempt performs zero heap
-// allocations.
+// bad-line bitset. The masks stay live between configurations: a
+// repair moves only the bits of the lines it moves, and draws only the
+// spare lines it uses, uniformly without replacement from the lines
+// the failed configuration left unselected. Masks, permutations and
+// spare lists live in pooled scratch — a repair attempt performs zero
+// heap allocations.
 package bism
 
 import (
@@ -185,11 +188,16 @@ func (b *BadSet) Resources() []Resource {
 // scratch is the pooled per-session working set of the mappers: the
 // current mapping, selection and diagnosis bitsets, the application
 // scattered into physical column space, and permutation/spare buffers.
+//
+// The selection masks and the scattered application stay live between
+// configurations: randomMapping marks them stale and the next check
+// rebuilds them, while replaceBad moves only the repaired lines' bits.
 type scratch struct {
 	n, w int
 
 	selRow, selCol []uint64 // selected physical lines
 	usedPhys       []uint64 // appR×w: used physical columns per logical row
+	stale          bool     // the three masks above do not describe wm
 	bad            BadSet
 
 	perm       []int
@@ -217,6 +225,7 @@ func getScratch(n, appR int) *scratch {
 		s.perm = make([]int, n)
 		s.spare = make([]int, 0, n)
 	}
+	s.stale = true
 	return s
 }
 
@@ -240,6 +249,7 @@ func (s *scratch) randomMapping(n int, app *App, rng *rand.Rand, m *Mapping) {
 	if app.R > n || app.C > n {
 		panic(fmt.Sprintf("bism: %d×%d application exceeds %d×%d chip", app.R, app.C, n, n))
 	}
+	s.stale = true
 	draw := func(out []int) {
 		perm := s.perm[:n]
 		for i := range perm {
@@ -257,6 +267,57 @@ func (s *scratch) randomMapping(n int, app *App, rng *rand.Rand, m *Mapping) {
 
 func bitOf(w []uint64, i int) bool { return w[i>>6]>>uint(i&63)&1 == 1 }
 func setBitOf(w []uint64, i int)   { w[i>>6] |= 1 << uint(i&63) }
+func clearBitOf(w []uint64, i int) { w[i>>6] &^= 1 << uint(i&63) }
+
+// rebuild recomputes the live masks from the mapping: the selected
+// physical lines, and the application scattered into physical column
+// space (bit pc of usedPhys[i] is set iff logical crosspoint (i,j) with
+// Cols[j]=pc must close).
+func (s *scratch) rebuild(app *App, m *Mapping) {
+	clear(s.selRow)
+	clear(s.selCol)
+	for _, pr := range m.Rows {
+		setBitOf(s.selRow, pr)
+	}
+	for _, pc := range m.Cols {
+		setBitOf(s.selCol, pc)
+	}
+	w := s.w
+	up := s.usedPhys[:app.R*w]
+	clear(up)
+	for i, idx := range app.usedIdx {
+		row := up[i*w : (i+1)*w]
+		for _, j := range idx {
+			setBitOf(row, m.Cols[j])
+		}
+	}
+	s.stale = false
+}
+
+// moveRow reassigns logical row i to the unselected physical row to,
+// moving its selection bit.
+func (s *scratch) moveRow(m *Mapping, i, to int) {
+	clearBitOf(s.selRow, m.Rows[i])
+	setBitOf(s.selRow, to)
+	m.Rows[i] = to
+}
+
+// moveCol reassigns logical column j to the unselected physical column
+// to, moving its selection bit and its bit in every logical row that
+// uses it.
+func (s *scratch) moveCol(app *App, m *Mapping, j, to int) {
+	from := m.Cols[j]
+	clearBitOf(s.selCol, from)
+	setBitOf(s.selCol, to)
+	for i, used := range app.Used {
+		if used[j] {
+			row := s.usedPhys[i*s.w:]
+			clearBitOf(row, from)
+			setBitOf(row, to)
+		}
+	}
+	m.Cols[j] = to
+}
 
 // markBridgePairs diagnoses bridges between adjacent selected lines:
 // for every bit r with bridge(r,r+1) and both lines selected, lines r
@@ -282,36 +343,16 @@ func markBridgePairs(bridge, sel, bad []uint64, w int) bool {
 
 // check runs one combined BIST/BISD session over the mapped
 // configuration: mask intersections of the application against the
-// chip's defect word planes, 64 physical columns at a time. The
-// diagnosis lands in scr.bad; check reports whether the configuration
-// passed. It performs no heap allocation.
+// chip's defect word planes, 64 physical columns at a time, rebuilding
+// the live masks first only when they are stale. The diagnosis lands in
+// scr.bad; check reports whether the configuration passed. It performs
+// no heap allocation.
 func (ch *Chip) check(app *App, m *Mapping, scr *scratch) bool {
+	if scr.stale {
+		scr.rebuild(app, m)
+	}
 	d, w := ch.defects, scr.w
-	selRow, selCol := scr.selRow, scr.selCol
-	for k := 0; k < w; k++ {
-		selRow[k] = 0
-		selCol[k] = 0
-	}
-	for _, pr := range m.Rows {
-		setBitOf(selRow, pr)
-	}
-	for _, pc := range m.Cols {
-		setBitOf(selCol, pc)
-	}
-
-	// Scatter the application into physical column space: bit pc of
-	// usedPhys[i] is set iff logical crosspoint (i,j) with cols[j]=pc
-	// must close.
-	up := scr.usedPhys[:app.R*w]
-	for k := range up {
-		up[k] = 0
-	}
-	for i, idx := range app.usedIdx {
-		row := up[i*w : (i+1)*w]
-		for _, j := range idx {
-			setBitOf(row, m.Cols[j])
-		}
-	}
+	selRow, selCol, up := scr.selRow, scr.selCol, scr.usedPhys[:app.R*w]
 
 	scr.bad.grow(w)
 	badRows, badCols := scr.bad.rows, scr.bad.cols
@@ -432,72 +473,94 @@ func (g Greedy) Map(ch *Chip, app *App, maxAttempts int, rng *rand.Rand) (*Mappi
 	m := scr.mapping(app)
 	scr.randomMapping(ch.N, app, rng, m)
 	st.Configs++
+	st.BISTCalls++
+	if ch.check(app, m, scr) {
+		st.Success = true
+		return m.clone(), st
+	}
 	return g.repair(ch, app, m, maxAttempts, rng, st, scr)
 }
 
-// repair runs the greedy BISD/bypass loop from an existing mapping.
+// repair runs the greedy BISD/bypass loop from a mapping whose BIST
+// session just failed, starting from the diagnosis in scr.bad.
 func (Greedy) repair(ch *Chip, app *App, m *Mapping, maxAttempts int, rng *rand.Rand, st Stats, scr *scratch) (*Mapping, Stats) {
-	for {
+	for st.Configs < maxAttempts {
+		// The failed session's diagnosis (scr.bad) is the BISD answer.
+		st.BISDCalls++
+		if !replaceBad(app, m, scr, rng) {
+			// Not enough spare lines to bypass: restart randomly.
+			scr.randomMapping(ch.N, app, rng, m)
+		}
+		st.Configs++
 		st.BISTCalls++
 		if ch.check(app, m, scr) {
 			st.Success = true
 			return m.clone(), st
 		}
-		if st.Configs >= maxAttempts {
-			return nil, st
-		}
-		// The failed session's diagnosis (scr.bad) is the BISD answer.
-		st.BISDCalls++
-		if !replaceBad(ch.N, app, m, scr, rng) {
-			// Not enough spare lines to bypass: restart randomly.
-			scr.randomMapping(ch.N, app, rng, m)
-		}
-		st.Configs++
 	}
+	return nil, st
+}
+
+// spares draws spare lines uniformly without replacement: a partial
+// Fisher–Yates over the lines the failed configuration left unselected,
+// listed a mask word at a time on the first draw, so a repair pays one
+// random draw per line it moves.
+type spares struct {
+	free   []int
+	drawn  int
+	listed bool
+}
+
+// next returns the next spare line, or false when none is left. sel is
+// the failed configuration's selection mask over n lines; it is read
+// only by the first call.
+func (s *spares) next(sel []uint64, n int, rng *rand.Rand) (int, bool) {
+	if !s.listed {
+		s.listed = true
+		for k, word := range sel {
+			free := ^word
+			if rest := n - k<<6; rest < 64 {
+				free &= 1<<uint(rest) - 1
+			}
+			for ; free != 0; free &= free - 1 {
+				s.free = append(s.free, k<<6+bits.TrailingZeros64(free))
+			}
+		}
+	}
+	if s.drawn == len(s.free) {
+		return 0, false
+	}
+	k := s.drawn + rng.Intn(len(s.free)-s.drawn)
+	s.free[s.drawn], s.free[k] = s.free[k], s.free[s.drawn]
+	s.drawn++
+	return s.free[s.drawn-1], true
 }
 
 // replaceBad remaps every logical line currently assigned to a reported
-// defective physical line onto a random unused physical line. It
-// reports false when the chip has no spare lines left to try.
-func replaceBad(n int, app *App, m *Mapping, scr *scratch, rng *rand.Rand) bool {
-	// Spare lines: physical indices outside the current selection
-	// (selRow/selCol are valid from the just-failed check), in random
-	// order.
-	collect := func(sel []uint64) []int {
-		s := scr.spare[:0]
-		for p := 0; p < n; p++ {
-			if !bitOf(sel, p) {
-				s = append(s, p)
-			}
-		}
-		for i := len(s) - 1; i > 0; i-- {
-			j := rng.Intn(i + 1)
-			s[i], s[j] = s[j], s[i]
-		}
-		return s
-	}
+// defective physical line onto a random line the failed configuration
+// left unselected, keeping the live masks in step. It reports false
+// when no line could move for want of spares.
+func replaceBad(app *App, m *Mapping, scr *scratch, rng *rand.Rand) bool {
 	replaced := false
-	spare := collect(scr.selRow)
-	si := 0
+	sp := spares{free: scr.spare[:0]}
 	for i, pr := range m.Rows {
 		if scr.bad.Row(pr) {
-			if si == len(spare) {
+			to, ok := sp.next(scr.selRow, scr.n, rng)
+			if !ok {
 				return replaced
 			}
-			m.Rows[i] = spare[si]
-			si++
+			scr.moveRow(m, i, to)
 			replaced = true
 		}
 	}
-	spare = collect(scr.selCol)
-	si = 0
+	sp = spares{free: scr.spare[:0]}
 	for j, pc := range m.Cols {
 		if scr.bad.Col(pc) {
-			if si == len(spare) {
+			to, ok := sp.next(scr.selCol, scr.n, rng)
+			if !ok {
 				return replaced
 			}
-			m.Cols[j] = spare[si]
-			si++
+			scr.moveCol(app, m, j, to)
 			replaced = true
 		}
 	}
@@ -543,9 +606,10 @@ func (h Hybrid) Map(ch *Chip, app *App, maxAttempts int, rng *rand.Rand) (*Mappi
 			return m.clone(), st
 		}
 	}
-	if st.Configs >= maxAttempts || !drawn {
+	if !drawn {
 		return nil, st
 	}
+	// The last blind session failed: repair from its diagnosis.
 	return Greedy{}.repair(ch, app, m, maxAttempts, rng, st, scr)
 }
 

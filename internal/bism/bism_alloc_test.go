@@ -10,34 +10,30 @@ package bism
 import (
 	"math/rand"
 	"testing"
-
-	"nanoxbar/internal/defect"
 )
 
-// TestGreedyRepairZeroAllocs is the acceptance assertion: a Greedy
-// repair attempt performs zero heap allocations. The chip is entirely
-// stuck open so every configuration fails and the full BIST→BISD→
-// replace/restart loop runs for the whole budget without the one
-// success-path mapping clone.
+// TestGreedyRepairZeroAllocs is the acceptance assertion: a repair
+// attempt performs zero heap allocations, for Greedy and for Hybrid
+// once it switches to repair, on chips whose masks span one and three
+// words. The chip is entirely stuck open so every configuration fails
+// and the full BIST→BISD→replace/restart loop runs for the whole budget
+// without the one success-path mapping clone.
 func TestGreedyRepairZeroAllocs(t *testing.T) {
-	n := 32
-	d := defect.NewMap(n, n)
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			d.Set(r, c, defect.StuckOpen)
-		}
-	}
-	ch := NewChip(d)
-	app := RandomApp(8, 8, 0.5, rand.New(rand.NewSource(1)))
-	rng := rand.New(rand.NewSource(2))
 	const attempts = 64
-	if mp, _ := (Greedy{}).Map(ch, app, attempts, rng); mp != nil {
-		t.Fatal("all-stuck-open chip cannot map")
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		Greedy{}.Map(ch, app, attempts, rng)
-	})
-	if allocs != 0 {
-		t.Fatalf("Greedy repair allocated %.1f times per %d-attempt Map, want 0", allocs, attempts)
+	for _, n := range []int{32, 130} {
+		ch := allStuckOpen(n)
+		app := RandomApp(8, 8, 0.5, rand.New(rand.NewSource(1)))
+		rng := rand.New(rand.NewSource(2))
+		for _, m := range []Mapper{Greedy{}, Hybrid{}} {
+			if mp, _ := m.Map(ch, app, attempts, rng); mp != nil {
+				t.Fatal("all-stuck-open chip cannot map")
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				m.Map(ch, app, attempts, rng)
+			})
+			if allocs != 0 {
+				t.Fatalf("%s on a %d-line chip allocated %.1f times per %d-attempt Map, want 0", m.Name(), n, allocs, attempts)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package bism
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -295,5 +296,172 @@ func TestMapperNames(t *testing.T) {
 	}
 	if (Hybrid{BlindBudget: 7}).Name() != "hybrid(7)" {
 		t.Fatal("hybrid name")
+	}
+}
+
+// allStuckOpen returns an n×n chip whose every crosspoint is stuck
+// open: every configuration that closes a switch fails.
+func allStuckOpen(n int) *Chip {
+	d := defect.NewMap(n, n)
+	for r := 0; r < n; r++ {
+		for c := 0; c < n; c++ {
+			d.Set(r, c, defect.StuckOpen)
+		}
+	}
+	return NewChip(d)
+}
+
+// TestOneBISTPerConfiguration checks every scheme runs exactly one BIST
+// session per configuration it programs — Hybrid included, which enters
+// repair at the diagnosis its last blind session left rather than
+// testing that configuration again.
+func TestOneBISTPerConfiguration(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	app := RandomApp(4, 4, 0.5, rng)
+	for _, m := range []Mapper{Blind{}, Greedy{}, Hybrid{}} {
+		_, st := m.Map(allStuckOpen(16), app, 10, rng)
+		if st.Success || st.Configs != 10 || st.BISTCalls != 10 {
+			t.Fatalf("%s on an all-stuck-open chip at 10 attempts: %+v, want 10 configurations and 10 BIST sessions", m.Name(), st)
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 6 + rng.Intn(40)
+		p := defect.Params{
+			PStuckOpen: rng.Float64() * 0.2, PStuckClosed: rng.Float64() * 0.05,
+			PRowBreak: rng.Float64() * 0.05, PColBreak: rng.Float64() * 0.05,
+			PRowBridge: rng.Float64() * 0.05, PColBridge: rng.Float64() * 0.05,
+		}
+		ch := NewChip(defect.Random(n, n, p, rng))
+		app := RandomApp(1+rng.Intn(n/2), 1+rng.Intn(n/2), 0.5, rng)
+		for _, m := range []Mapper{Blind{}, Greedy{}, Hybrid{}, Hybrid{BlindBudget: 1}} {
+			budget := 1 + rng.Intn(30)
+			_, st := m.Map(ch, app, budget, rng)
+			if st.BISTCalls != st.Configs || st.Configs > budget {
+				t.Fatalf("trial %d: %s at %d attempts: %+v", trial, m.Name(), budget, st)
+			}
+		}
+	}
+}
+
+// requireLiveMasks fails unless the scratch's live masks equal a
+// from-scratch rebuild for mapping m: the selected lines, and each
+// logical row's used crosspoints scattered into physical columns.
+func requireLiveMasks(t *testing.T, step string, app *App, m *Mapping, scr *scratch) {
+	t.Helper()
+	if scr.stale {
+		t.Fatalf("%s: masks marked stale", step)
+	}
+	w := scr.w
+	row, col, up := make([]uint64, w), make([]uint64, w), make([]uint64, app.R*w)
+	for i, pr := range m.Rows {
+		setBitOf(row, pr)
+		for j, pc := range m.Cols {
+			if app.Used[i][j] {
+				setBitOf(up[i*w:], pc)
+			}
+		}
+	}
+	for _, pc := range m.Cols {
+		setBitOf(col, pc)
+	}
+	for k := 0; k < w; k++ {
+		if scr.selRow[k] != row[k] || scr.selCol[k] != col[k] {
+			t.Fatalf("%s: selection word %d rows %#x cols %#x, rebuilt %#x %#x", step, k, scr.selRow[k], scr.selCol[k], row[k], col[k])
+		}
+	}
+	for k := range up {
+		if scr.usedPhys[k] != up[k] {
+			t.Fatalf("%s: logical row %d word %d used %#x, rebuilt %#x", step, k/w, k%w, scr.usedPhys[k], up[k])
+		}
+	}
+}
+
+// TestLiveMasksTrackMapping drives blind, greedy and hybrid sessions
+// step by step on random chips with every defect kind, at sizes whose
+// masks fill one word but for one line, or span one, two and three
+// words, and holds the live masks to a from-scratch rebuild: after
+// randomMapping they must be marked stale, after every BIST session and
+// every replaceBad they must describe the working mapping exactly.
+func TestLiveMasksTrackMapping(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	p := defect.Params{PStuckOpen: 0.06, PStuckClosed: 0.03, PRowBreak: 0.02, PColBreak: 0.02,
+		PRowBridge: 0.02, PColBridge: 0.02}
+	schemes := []struct {
+		name  string
+		blind int // configurations drawn at random before repairing
+	}{{"blind", 1 << 30}, {"greedy", 1}, {"hybrid", 4}}
+	moves := 0
+	for _, n := range []int{16, 63, 70, 130} {
+		for trial := 0; trial < 25; trial++ {
+			ch := NewChip(defect.Random(n, n, p, rng))
+			app := RandomApp(1+rng.Intn(n*3/4), 1+rng.Intn(n*3/4), 0.5, rng)
+			for _, sc := range schemes {
+				scr := getScratch(n, app.R)
+				m := scr.mapping(app)
+				for cfg := 0; cfg < 40; cfg++ {
+					step := fmt.Sprintf("n=%d trial %d %s configuration %d", n, trial, sc.name, cfg)
+					if cfg < sc.blind || !replaceBad(app, m, scr, rng) {
+						scr.randomMapping(n, app, rng, m)
+						if !scr.stale {
+							t.Fatalf("%s: randomMapping left the masks live", step)
+						}
+					} else {
+						requireLiveMasks(t, step+" after replaceBad", app, m, scr)
+						moves++
+					}
+					ok := ch.check(app, m, scr)
+					requireLiveMasks(t, step+" after check", app, m, scr)
+					if ok {
+						break
+					}
+				}
+				putScratch(scr)
+			}
+		}
+	}
+	if moves < 100 {
+		t.Fatalf("only %d repairs exercised", moves)
+	}
+}
+
+// TestReplaceBadUsesEverySpare checks the spare accounting when the
+// diagnosis names more lines than the chip has spares: on each axis the
+// first diagnosed lines take every spare, each exactly once, and the
+// rest stay put, with the live masks in step.
+func TestReplaceBadUsesEverySpare(t *testing.T) {
+	const n = 8
+	app := RandomApp(6, 6, 0.5, rand.New(rand.NewSource(3)))
+	rng := rand.New(rand.NewSource(4))
+	for _, rows := range []bool{true, false} {
+		d := defect.NewMap(n, n)
+		for p := 0; p < 3; p++ {
+			if rows {
+				d.SetRowBroken(p, true)
+			} else {
+				d.SetColBroken(p, true)
+			}
+		}
+		ch := NewChip(d)
+		for trial := 0; trial < 20; trial++ {
+			scr := getScratch(n, app.R)
+			m := scr.mapping(app)
+			for i := range m.Rows {
+				m.Rows[i], m.Cols[i] = i, i
+			}
+			if ch.check(app, m, scr) || !replaceBad(app, m, scr, rng) {
+				t.Fatal("lines on broken wires must fail and move")
+			}
+			lines := m.Cols
+			if rows {
+				lines = m.Rows
+			}
+			// Logical lines 0–2 sit on broken wires and 6, 7 are the
+			// only spares: 0 and 1 take them, 2 stays.
+			if lines[0]+lines[1] != 13 || lines[0] == lines[1] || lines[2] != 2 {
+				t.Fatalf("rows=%v: lines %v, want lines 0 and 1 on spares 6 and 7 and line 2 unmoved", rows, lines)
+			}
+			requireLiveMasks(t, fmt.Sprintf("rows=%v trial %d", rows, trial), app, m, scr)
+			putScratch(scr)
+		}
 	}
 }

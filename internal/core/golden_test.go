@@ -2,11 +2,15 @@ package core
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,7 +18,7 @@ import (
 	"nanoxbar/internal/truthtab"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the current synthesis")
+var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the current synthesis (refused unless synthVersion changed)")
 
 const goldenPath = "testdata/golden.txt"
 
@@ -77,38 +81,69 @@ func goldenRecord(t *testing.T, s benchfn.Spec) []string {
 	return lines
 }
 
+// goldenHeader heads the corpus; the test fails when it names a
+// different version than synthVersion.
+const goldenHeader = "synthVersion "
+
+// readGolden returns the corpus's header version and outcome lines.
+func readGolden() (int, []string, error) {
+	fh, err := os.Open(goldenPath)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer fh.Close()
+	var lines []string
+	sc := bufio.NewScanner(fh)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	if err := sc.Err(); err != nil {
+		return 0, nil, err
+	}
+	if len(lines) == 0 || !strings.HasPrefix(lines[0], goldenHeader) {
+		return 0, nil, fmt.Errorf("%s: first line must be %q followed by the version", goldenPath, goldenHeader)
+	}
+	v, err := strconv.Atoi(strings.TrimPrefix(lines[0], goldenHeader))
+	if err != nil {
+		return 0, nil, fmt.Errorf("%s: header: %v", goldenPath, err)
+	}
+	return v, lines[1:], nil
+}
+
 // TestGoldenImplementations pins every synthesized implementation —
 // method, dimensions, covers and lattice sites — on a fixed corpus.
 // Cache keys and on-disk snapshots carry Fingerprint(), whose version
-// must change whenever this file would; run with -update only for a
-// change that also bumps synthVersion.
+// must change whenever this file would: the corpus is headed by
+// synthVersion, and -update refuses to write changed lines under an
+// unchanged version.
 func TestGoldenImplementations(t *testing.T) {
 	var got []string
 	for _, s := range goldenInputs() {
 		got = append(got, goldenRecord(t, s)...)
 	}
+	version, want, err := readGolden()
 	if *update {
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			t.Fatal(err)
+		}
+		if err == nil && version == synthVersion && !slices.Equal(got, want) {
+			t.Fatalf("implementations changed under unchanged synthVersion %d: bump it before regenerating %s", synthVersion, goldenPath)
+		}
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		body := fmt.Sprintf("%s%d\n%s\n", goldenHeader, synthVersion, strings.Join(got, "\n"))
+		if err := os.WriteFile(goldenPath, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	fh, err := os.Open(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fh.Close()
-	var want []string
-	sc := bufio.NewScanner(fh)
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		want = append(want, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	if version != synthVersion {
+		t.Fatalf("%s is synthVersion %d, the code is %d: regenerate with -update", goldenPath, version, synthVersion)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("golden corpus has %d lines, synthesis produced %d", len(want), len(got))

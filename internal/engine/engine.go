@@ -796,6 +796,9 @@ type Stats struct {
 	// and the bit-parallel word-block percolations that replaced them.
 	Evaluation  lattice.Counters `json:"lattice_evaluation"`
 	Fingerprint string           `json:"fingerprint"`
+	// FaultVersion identifies the map and yield outcomes: the same
+	// seed gives the same dies under the same version.
+	FaultVersion int `json:"fault_version"`
 }
 
 // Stats returns the current counters.
@@ -834,5 +837,6 @@ func (e *Engine) Stats() Stats {
 		Maps:                e.byKind[2].Load(),
 		Yields:              e.byKind[3].Load(),
 		Fingerprint:         core.Fingerprint(),
+		FaultVersion:        yield.FaultVersion,
 	}
 }

@@ -52,6 +52,13 @@ import (
 	"nanoxbar/internal/xrand"
 )
 
+// FaultVersion identifies the fault path's outcomes. Bump it whenever
+// some die's success, Stats or mapping changes for its seed — a defect
+// draw, the candidate schedule, or a bism mapper's use of its stream.
+// testdata/golden.txt pins the outcomes under this version, and the
+// engine's /stats reports it.
+const FaultVersion = 2
+
 // Spec is one yield sweep: map Dies random ChipSize×ChipSize dies drawn
 // from Params, placing App through Scheme when the fast path demotes.
 type Spec struct {

@@ -255,3 +255,36 @@ func TestMapperPanicBecomesDieErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestOneBISTPerConfigurationOnLanes checks fast and demoted dies alike
+// report one BIST session per configuration, for every scheme: fast
+// dies per probed candidate, demoted dies through their mapper too.
+func TestOneBISTPerConfigurationOnLanes(t *testing.T) {
+	app := testApp(t)
+	for _, scheme := range []bism.Mapper{bism.Blind{}, bism.Greedy{}, bism.Hybrid{}} {
+		fast, demoted, repaired := 0, 0, 0
+		for _, density := range []float64{0.03, 0.15} {
+			spec := Spec{
+				App: app, Scheme: scheme, ChipSize: 24,
+				Params: defect.UniformCrosspoint(density),
+				Dies:   200, Seed: 4, MaxAttempts: 30, Parallel: 2,
+			}
+			for _, dr := range collect(t, LaneRunner{}, spec) {
+				if dr.Stats.BISTCalls != dr.Stats.Configs {
+					t.Fatalf("%s d=%v die %d (fast=%v): %+v", scheme.Name(), density, dr.Die, dr.Fast, dr.Stats)
+				}
+				if dr.Fast {
+					fast++
+				} else {
+					demoted++
+				}
+				if dr.Stats.BISDCalls > 0 {
+					repaired++
+				}
+			}
+		}
+		if fast == 0 || demoted == 0 || (repaired == 0) != (scheme == bism.Blind{}) {
+			t.Fatalf("%s: %d fast, %d demoted and %d repaired dies", scheme.Name(), fast, demoted, repaired)
+		}
+	}
+}
