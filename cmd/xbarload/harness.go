@@ -116,8 +116,6 @@ func (h *harness) startMember(i int, ln net.Listener) error {
 			Seed:        h.seed + int64(i+1)*0x9e3779b9,
 			DropRate:    0.02,
 			LatencyRate: 0.05,
-			LatencyMin:  time.Millisecond,
-			LatencyMax:  5 * time.Millisecond,
 		})
 		node, err := cluster.New(m.eng, cluster.Config{
 			NodeID:    id,
@@ -125,7 +123,6 @@ func (h *harness) startMember(i int, ln net.Listener) error {
 			Peers:     h.peers,
 			// Fast enough that a 5s CI soak sees alive→suspect→dead→alive.
 			ProbeInterval: 100 * time.Millisecond,
-			Seed:          h.seed + int64(i),
 			HTTPClient:    &http.Client{Transport: chaosT},
 		})
 		if err != nil {

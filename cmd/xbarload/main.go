@@ -175,8 +175,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 			DropRate:     0.03,
 			ErrorRate:    0.05,
 			LatencyRate:  0.05,
-			LatencyMin:   time.Millisecond,
-			LatencyMax:   5 * time.Millisecond,
 			TruncateRate: 0.02,
 		})
 		clOpts = append(clOpts,
@@ -184,7 +182,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 			// Six attempts outlast the longest 5xx burst (three
 			// responses) with room for an adjacent drop.
 			nbclient.WithResilience(nbclient.ResilienceConfig{
-				Seed:  *seed,
 				Retry: resilience.RetryPolicy{MaxAttempts: 6},
 			}))
 	}

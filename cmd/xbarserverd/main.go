@@ -44,7 +44,7 @@
 //
 // Usage:
 //
-//	xbarserverd [-addr :8080] [-workers N] [-cache 1024] [-cache-shards N]
+//	xbarserverd [-addr :8080] [-workers N] [-cache 1024]
 //	            [-cache-load path] [-cache-save path] [-cache-save-interval 5m]
 //	            [-log-level info] [-log-format text] [-pprof]
 //	            [-node-id a -advertise http://host:8080 -peers a=...,b=...,c=...]
@@ -116,7 +116,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
 	cacheSize := flag.Int("cache", 1024, "synthesis cache entries (total across shards)")
-	cacheShards := flag.Int("cache-shards", 0, "cache shard count (0 = 4×workers, power of two)")
 	cacheLoad := flag.String("cache-load", "", "seed the cache from this snapshot at boot")
 	cacheSave := flag.String("cache-save", "", "checkpoint the cache to this path on shutdown")
 	saveInterval := flag.Duration("cache-save-interval", 0, "also checkpoint every interval (0 = only on shutdown)")
@@ -134,10 +133,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	eng := engine.New(engine.Config{
-		Workers: *workers, CacheSize: *cacheSize, CacheShards: *cacheShards,
-		Logger: logger,
-	})
+	eng := engine.New(engine.Config{Workers: *workers, CacheSize: *cacheSize, Logger: logger})
 	defer eng.Close()
 
 	if *cacheLoad != "" {

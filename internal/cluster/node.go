@@ -83,8 +83,6 @@ type Config struct {
 	// Clock drives probes, suspicion timeouts, breakers, and retries
 	// (default the wall clock; tests inject resilience.Fake).
 	Clock resilience.Clock
-	// Seed feeds the retry jitter RNG.
-	Seed int64
 	// HTTPClient performs all node-to-node requests (default a fresh
 	// client on the default transport). The cluster soak injects a
 	// seeded resilience.ChaosTransport here to model partitions.
@@ -164,7 +162,7 @@ func New(eng *engine.Engine, cfg Config) (*Node, error) {
 		hc:            cfg.HTTPClient,
 		probeInterval: cfg.ProbeInterval,
 		peers:         make(map[string]*peerState),
-		retrier:       resilience.NewRetrier(fillRetry, cfg.Clock, cfg.Seed),
+		retrier:       resilience.NewRetrier(fillRetry, cfg.Clock),
 	}
 	fwd := *cfg.HTTPClient
 	fwd.Transport = markForwarded{id: cfg.NodeID, next: cfg.HTTPClient.Transport}
@@ -179,8 +177,8 @@ func New(eng *engine.Engine, cfg Config) (*Node, error) {
 		n.peers[id] = &peerState{
 			id:      id,
 			url:     url,
-			fill:    resilience.NewBreaker(resilience.BreakerConfig{}, cfg.Clock, nil),
-			forward: resilience.NewBreaker(resilience.BreakerConfig{}, cfg.Clock, nil),
+			fill:    resilience.NewBreaker(cfg.Clock),
+			forward: resilience.NewBreaker(cfg.Clock),
 			jobs:    client.New(url, client.WithHTTPClient(&fwd)),
 		}
 		n.det.add(id, url)

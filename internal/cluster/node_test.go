@@ -8,17 +8,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nanoxbar/internal/cluster"
 	"nanoxbar/internal/engine"
 	"nanoxbar/internal/httpapi"
+	"nanoxbar/internal/resilience"
 	"nanoxbar/pkg/nanoxbar"
+	"nanoxbar/pkg/nanoxbar/client"
 )
 
 // swapHandler lets the httptest server start (fixing its URL) before
@@ -160,13 +164,13 @@ func TestPeerFillHit(t *testing.T) {
 	nodes := startCluster(t, []string{"a", "b"}, nil)
 	req, _ := requestOwnedBy(t, nodes["a"].eng, []string{"a", "b"}, "b")
 
-	if res := nodes["b"].eng.Do(req); !res.Ok() {
+	if res := nodes["b"].eng.DoCtx(context.Background(), req); !res.Ok() {
 		t.Fatalf("warm b: %v", res.Error)
 	}
 	synthB := nodes["b"].eng.Stats().SynthCalls
 
-	if res := nodes["a"].eng.Do(req); !res.Ok() {
-		t.Fatalf("a.Do: %v", res.Error)
+	if res := nodes["a"].eng.DoCtx(context.Background(), req); !res.Ok() {
+		t.Fatalf("a.DoCtx: %v", res.Error)
 	}
 	st := nodes["a"].node.Status()
 	if st.PeerFillHits != 1 || st.PeerFillMisses != 0 {
@@ -180,7 +184,7 @@ func TestPeerFillHit(t *testing.T) {
 	}
 	// The filled entry is cached: a second local call is a plain hit,
 	// no second fill round-trip.
-	nodes["a"].eng.Do(req)
+	nodes["a"].eng.DoCtx(context.Background(), req)
 	if st := nodes["a"].node.Status(); st.PeerFillHits != 1 {
 		t.Fatalf("second call re-filled: hits = %d", st.PeerFillHits)
 	}
@@ -193,8 +197,8 @@ func TestPeerFillMiss(t *testing.T) {
 	nodes := startCluster(t, []string{"a", "b"}, nil)
 	req, _ := requestOwnedBy(t, nodes["a"].eng, []string{"a", "b"}, "b")
 
-	if res := nodes["a"].eng.Do(req); !res.Ok() {
-		t.Fatalf("a.Do: %v", res.Error)
+	if res := nodes["a"].eng.DoCtx(context.Background(), req); !res.Ok() {
+		t.Fatalf("a.DoCtx: %v", res.Error)
 	}
 	st := nodes["a"].node.Status()
 	if st.PeerFillMisses != 1 || st.PeerFillHits != 0 {
@@ -326,22 +330,55 @@ func TestForwardDomainErrorPassesThrough(t *testing.T) {
 	}
 }
 
-// TestForwardOverloadedOwnerFailsOver: an owner that sheds the
-// forwarded job with an overloaded error frame is a forward failure.
-// The ladder falls over to the replica, and the client never sees the
-// overload.
-func TestForwardOverloadedOwnerFailsOver(t *testing.T) {
+// TestForwardOverloadedOwnerEndsLadder: an owner that sheds the
+// forwarded job with an overloaded error frame has answered. The frame
+// reaches the client with the owner's retry hint, and neither the
+// replica nor the local node admits the request again.
+func TestForwardOverloadedOwnerEndsLadder(t *testing.T) {
 	var marker atomic.Value
 	stub := jobsStub(`{"type":"error","error":{"code":"overloaded","message":"engine: queue saturated","retry_after_ms":1000}}`, &marker)
 	members := []string{"a", "c", "z"}
 	nodes := startCluster(t, members, map[string]http.Handler{"z": stub})
 	req, _ := requestOwnedBy(t, nodes["a"].eng, members, "z")
 
-	if ev := postSynthesize(t, nodes["a"].srv.URL, req); ev.Result == nil || ev.Result.Synthesis == nil {
-		t.Fatalf("request behind an overloaded owner: %+v", ev)
+	cl := client.New(nodes["a"].srv.URL)
+	t.Cleanup(func() { cl.Close() })
+	_, err := cl.Synthesize(context.Background(), req.Function)
+	if !errors.Is(err, nanoxbar.ErrOverloaded) {
+		t.Fatalf("request behind an overloaded owner: %v, want ErrOverloaded", err)
+	}
+	if got := resilience.RetryAfter(err); got != time.Second {
+		t.Fatalf("retry hint = %v, want the owner's 1s", got)
 	}
 	if marker.Load() == nil {
 		t.Fatal("the overloaded owner never saw the forward")
+	}
+	st := nodes["a"].node.Status()
+	if st.Forwards != 1 || st.Failovers != 0 || st.LocalDegrades != 0 {
+		t.Fatalf("forwards/failovers/degrades = %d/%d/%d, want 1/0/0",
+			st.Forwards, st.Failovers, st.LocalDegrades)
+	}
+	if a, c := nodes["a"].eng.Stats().SynthCalls, nodes["c"].eng.Stats().SynthCalls; a != 0 || c != 0 {
+		t.Fatalf("synth calls a=%d c=%d, want none: the owner's shed is the answer", a, c)
+	}
+}
+
+// TestForwardUnavailableOwnerFailsOver: an owner that answers the
+// forwarded job with an unavailable error frame cannot serve it. The
+// ladder falls over to the replica, and the client never sees the
+// failure.
+func TestForwardUnavailableOwnerFailsOver(t *testing.T) {
+	var marker atomic.Value
+	stub := jobsStub(`{"type":"error","error":{"code":"unavailable","message":"engine: closed"}}`, &marker)
+	members := []string{"a", "c", "z"}
+	nodes := startCluster(t, members, map[string]http.Handler{"z": stub})
+	req, _ := requestOwnedBy(t, nodes["a"].eng, members, "z")
+
+	if ev := postSynthesize(t, nodes["a"].srv.URL, req); ev.Result == nil || ev.Result.Synthesis == nil {
+		t.Fatalf("request behind an unavailable owner: %+v", ev)
+	}
+	if marker.Load() == nil {
+		t.Fatal("the unavailable owner never saw the forward")
 	}
 	st := nodes["a"].node.Status()
 	if st.Forwards != 1 || st.Failovers != 1 || st.LocalDegrades != 0 {

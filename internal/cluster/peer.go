@@ -147,12 +147,14 @@ func (n *Node) RouteSynthesize(ctx context.Context, req engine.Request) (res eng
 }
 
 // forwardTo proxies req to one peer, guarded by its forward breaker.
-// A result or a typed *domain* failure (bad_spec, infeasible, canceled,
-// internal) is a successful forward — the owner gave the same answer
-// local serving would. Overload, unavailability, and transport errors
-// are forward failures: the ladder moves on, and local synthesis is
-// the backstop, so an overloaded owner never turns into a
-// client-visible overload here.
+// A result or a typed failure other than unavailable is a successful
+// forward. A domain failure (bad_spec, infeasible, canceled, internal)
+// is the answer local serving would give. An overloaded frame is the
+// owner shedding the request: it ends the ladder and reaches the client
+// with the owner's retry_after_ms, so one shed request is not admitted
+// again by the replica and then locally. Unavailability and transport
+// errors are forward failures: the ladder moves on, and local
+// synthesis is the backstop.
 func (n *Node) forwardTo(ctx context.Context, p *peerState, req engine.Request) (engine.Result, error) {
 	if err := p.forward.Allow(); err != nil {
 		return engine.Result{}, err
@@ -164,8 +166,10 @@ func (n *Node) forwardTo(ctx context.Context, p *peerState, req engine.Request) 
 
 // forwardOnce posts req to the peer's /v2/jobs as a one-request job and
 // reads the stream up to its done frame. The request's result or error
-// frame is the answer; a non-200 status, a transport failure, or a
-// stream that ends without that frame or without done is a failure.
+// frame is the answer, an overloaded frame with its retry hint
+// included; an unavailable frame, a non-200 status, a transport
+// failure, or a stream that ends without that frame or without done is
+// a failure.
 func (n *Node) forwardOnce(ctx context.Context, p *peerState, req engine.Request) (engine.Result, error) {
 	var res engine.Result
 	answered := false
@@ -187,7 +191,7 @@ func (n *Node) forwardOnce(ctx context.Context, p *peerState, req engine.Request
 		return engine.Result{}, fmt.Errorf("cluster: peer %s forward: %w", p.id, err)
 	case !answered:
 		return engine.Result{}, fmt.Errorf("cluster: peer %s forward: stream carried no result", p.id)
-	case errors.Is(rerr, apierr.ErrOverloaded), errors.Is(rerr, apierr.ErrUnavailable):
+	case errors.Is(rerr, apierr.ErrUnavailable):
 		return engine.Result{}, fmt.Errorf("cluster: peer %s forward: %w", p.id, rerr)
 	}
 	return res, nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 
 // occupyWorkers parks every pool worker on a blocking job, returning
 // the release function. The test can then fill and overflow the queue
-// deterministically.
+// deterministically with fillQueue.
 func occupyWorkers(t *testing.T, e *Engine) (release func()) {
 	t.Helper()
 	block := make(chan struct{})
@@ -33,14 +34,26 @@ func occupyWorkers(t *testing.T, e *Engine) (release func()) {
 	}
 }
 
+// fillQueue takes every queue slot with a no-op job: the queue holds
+// 4×Workers of them.
+func fillQueue(t *testing.T, e *Engine) {
+	t.Helper()
+	if got, want := e.pool.depth(), 4*e.workers; got != want {
+		t.Fatalf("queue depth %d, want 4×%d workers = %d", got, e.workers, want)
+	}
+	for i := 0; i < e.pool.depth(); i++ {
+		e.pool.jobs <- func() {}
+	}
+}
+
 func TestAdmissionShedsWhenQueueSaturated(t *testing.T) {
-	e := New(Config{Workers: 1, CacheSize: 8, QueueDepth: 1, MaxQueueWait: time.Millisecond})
+	e := New(Config{Workers: 1, CacheSize: 8, MaxQueueWait: time.Millisecond})
 	defer e.Close()
 	release := occupyWorkers(t, e)
 	defer release()
-	e.pool.jobs <- func() {} // fill the single queue slot
+	fillQueue(t, e) // the four slots of a one-worker engine
 
-	res := e.Do(Request{Kind: KindSynthesize, Function: FunctionSpec{TT: "2:0x6"}})
+	res := e.DoCtx(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{TT: "2:0x6"}})
 	if res.Ok() {
 		t.Fatal("saturated engine accepted the request")
 	}
@@ -56,7 +69,7 @@ func TestAdmissionShedsWhenQueueSaturated(t *testing.T) {
 
 	// Released workers drain the queue; the same request is admitted.
 	release()
-	if res := e.Do(Request{Kind: KindSynthesize, Function: FunctionSpec{TT: "2:0x6"}}); !res.Ok() {
+	if res := e.DoCtx(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{TT: "2:0x6"}}); !res.Ok() {
 		t.Fatalf("post-drain request failed: %s", res.Error)
 	}
 }
@@ -64,13 +77,14 @@ func TestAdmissionShedsWhenQueueSaturated(t *testing.T) {
 func TestAdmissionBlocksForeverWithoutBudget(t *testing.T) {
 	// MaxQueueWait 0 preserves the original blocking submission: a full
 	// queue delays, never sheds.
-	e := New(Config{Workers: 1, CacheSize: 8, QueueDepth: 1})
+	e := New(Config{Workers: 1, CacheSize: 8})
 	defer e.Close()
 	release := occupyWorkers(t, e)
-	e.pool.jobs <- func() {}
+	defer release() // a failing fillQueue must not leave Close waiting on the worker
+	fillQueue(t, e)
 	go func() { time.Sleep(10 * time.Millisecond); release() }()
 
-	res := e.Do(Request{Kind: KindSynthesize, Function: FunctionSpec{TT: "2:0x6"}})
+	res := e.DoCtx(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{TT: "2:0x6"}})
 	if !res.Ok() {
 		t.Fatalf("blocking submission failed: %s (code %s)", res.Error, res.Code)
 	}
@@ -85,7 +99,7 @@ func TestDegradationAfterQueueWait(t *testing.T) {
 	e := New(Config{Workers: 2, CacheSize: 8, DegradeAfter: time.Nanosecond})
 	defer e.Close()
 
-	res := e.Do(Request{Kind: KindSynthesize, Function: FunctionSpec{Name: "maj3"}})
+	res := e.DoCtx(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{Name: "maj3"}})
 	if !res.Ok() {
 		t.Fatalf("degraded request failed: %s", res.Error)
 	}
@@ -101,7 +115,7 @@ func TestDegradationAfterQueueWait(t *testing.T) {
 
 	// Pinned options opt out of degradation.
 	opts := core.DefaultOptions()
-	res = e.Do(Request{Kind: KindSynthesize, Function: FunctionSpec{Name: "maj3"}, Options: &opts})
+	res = e.DoCtx(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{Name: "maj3"}, Options: &opts})
 	if !res.Ok() || res.Degraded {
 		t.Fatalf("pinned-options request: ok=%v degraded=%v", res.Ok(), res.Degraded)
 	}
@@ -121,8 +135,8 @@ func TestDegradedMatchesExactFunction(t *testing.T) {
 	defer deg.Close()
 
 	for _, fn := range []string{"maj3", "xor4"} {
-		re := exact.Do(Request{Kind: KindSynthesize, Function: FunctionSpec{Name: fn}})
-		rd := deg.Do(Request{Kind: KindSynthesize, Function: FunctionSpec{Name: fn}})
+		re := exact.DoCtx(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{Name: fn}})
+		rd := deg.DoCtx(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{Name: fn}})
 		if !re.Ok() || !rd.Ok() {
 			t.Fatalf("%s: exact ok=%v degraded ok=%v", fn, re.Ok(), rd.Ok())
 		}

@@ -20,14 +20,14 @@ func TestYieldSweepBytesFlatInDies(t *testing.T) {
 	defer e.Close()
 	sweepBytes := func(chips int) uint64 {
 		req := Request{Kind: KindYield, Function: FunctionSpec{Name: "maj3"}, Density: 0.02, Chips: chips, ChipSize: 64, Seed: 42}
-		if r := e.Do(req); !r.Ok() { // warm the synthesis cache
+		if r := e.DoCtx(context.Background(), req); !r.Ok() { // warm the synthesis cache
 			t.Fatal(r.Error)
 		}
 		const runs = 4
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			if r := e.Do(req); !r.Ok() {
+			if r := e.DoCtx(context.Background(), req); !r.Ok() {
 				t.Fatal(r.Error)
 			}
 		}
@@ -44,7 +44,7 @@ func TestYieldSweepBytesFlatInDies(t *testing.T) {
 // TestSubmitAcceptAllocFree: the close guard keeps submitWait's
 // accepting path allocation-free.
 func TestSubmitAcceptAllocFree(t *testing.T) {
-	p := newPool(1, 64)
+	p := newPool(16) // 64 slots
 	defer p.close()
 	job := func() {}
 	allocs := testing.AllocsPerRun(100, func() {

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"nanoxbar/internal/cachestore"
 	"nanoxbar/internal/core"
 )
 
@@ -158,7 +159,7 @@ func (c *cache) insert(key string, imp *core.Implementation) bool {
 // snapshot appends the completed entries in eviction order (least
 // recently used first) to dst. In-flight computations are skipped: a
 // snapshot taken mid-synthesis persists only finished results.
-func (c *cache) snapshot(dst []SnapshotEntry) []SnapshotEntry {
+func (c *cache) snapshot(dst []cachestore.Entry) []cachestore.Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.order.Back(); el != nil; el = el.Prev() {
@@ -166,19 +167,12 @@ func (c *cache) snapshot(dst []SnapshotEntry) []SnapshotEntry {
 		select {
 		case <-node.fl.done:
 			if node.fl.err == nil && node.fl.imp != nil {
-				dst = append(dst, SnapshotEntry{Key: node.key, Imp: node.fl.imp})
+				dst = append(dst, cachestore.Entry{Key: node.key, Imp: node.fl.imp})
 			}
 		default: // still computing
 		}
 	}
 	return dst
-}
-
-// SnapshotEntry is one persisted cache slot: the canonical key and the
-// immutable implementation it maps to.
-type SnapshotEntry struct {
-	Key string
-	Imp *core.Implementation
 }
 
 // shardedCache stripes the synthesis cache across independent
@@ -247,8 +241,8 @@ func (s *shardedCache) peek(key string) (*core.Implementation, bool) {
 
 // snapshot collects the completed entries of every shard,
 // least-recently-used first within each shard.
-func (s *shardedCache) snapshot() []SnapshotEntry {
-	var dst []SnapshotEntry
+func (s *shardedCache) snapshot() []cachestore.Entry {
+	var dst []cachestore.Entry
 	for _, sh := range s.shards {
 		dst = sh.snapshot(dst)
 	}

@@ -179,5 +179,5 @@ func BenchmarkEngineCacheContention(b *testing.B) {
 		})
 	}
 	b.Run("single-lock", func(b *testing.B) { run(b, newCache(2*numKeys)) })
-	b.Run("sharded", func(b *testing.B) { run(b, newShardedCache(2*numKeys, defaultCacheShards(runtime.GOMAXPROCS(0)))) })
+	b.Run("sharded", func(b *testing.B) { run(b, newShardedCache(2*numKeys, cacheShards(runtime.GOMAXPROCS(0)))) })
 }

@@ -149,7 +149,7 @@ func TestEngineErrorTaxonomy(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res := e.Do(tc.req)
+			res := e.DoCtx(context.Background(), tc.req)
 			if res.Ok() {
 				t.Fatalf("request unexpectedly succeeded: %+v", res)
 			}

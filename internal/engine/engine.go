@@ -33,24 +33,19 @@ import (
 	"nanoxbar/internal/yield"
 )
 
-// Config sizes the engine.
+// Config sizes the engine. The job queue holds 4×Workers submissions
+// beyond the running ones, and the cache is striped over 4×Workers
+// shards (8 to 256, rounded up to a power of two).
 type Config struct {
 	// Workers is the size of the worker pool (default runtime.NumCPU()).
 	Workers int
 	// CacheSize bounds the synthesis LRU entry count (default 1024),
 	// summed across shards.
 	CacheSize int
-	// CacheShards is the number of independent cache shards (rounded up
-	// to a power of two). Default: the smallest power of two ≥ 4×Workers,
-	// capped at 256 — enough stripes that hit traffic rarely contends.
-	CacheShards int
 	// Logger receives per-request debug logs (kind, duration, outcome,
 	// request ID when the context carries one). Nil discards.
 	Logger *slog.Logger
 
-	// QueueDepth bounds the job queue (default 4×Workers). Submissions
-	// beyond Workers running + QueueDepth queued wait for space.
-	QueueDepth int
 	// MaxQueueWait is the admission-control budget: a submission that
 	// cannot get queue space within it is shed with an
 	// apierr.ErrOverloaded result instead of blocking. 0 preserves the
@@ -82,9 +77,22 @@ const (
 	maxMaxAttempts = 1_000_000
 )
 
+// Synthesis bounds. A synthesis runs detached from its request (a cache
+// flight is shared work), so neither a disconnect nor a deadline stops
+// it; these bound the work a request can ask for. The expression parser
+// and elaborator recurse once per operator, and a deep enough
+// expression overflows the stack, which no recover catches. Synthesis
+// cost grows steeply with the variable count: a random 16-variable
+// table spent 11.5 s in ISOP and asked for a 113 M-site dual grid, a
+// 12-variable one 47 ms and 0.5 M sites; 12 is qm's own cap.
+const (
+	maxExprBytes    = 16 << 10
+	maxFunctionVars = 12
+)
+
 // Engine executes Requests over a shared synthesis cache and a bounded
 // worker pool. It is safe for concurrent use; Close releases the
-// workers (no Submit/Do may follow Close).
+// workers, and a request submitted after it resolves unavailable.
 type Engine struct {
 	cache        *shardedCache
 	pool         *pool
@@ -172,15 +180,12 @@ func New(cfg Config) *Engine {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 1024
 	}
-	if cfg.CacheShards <= 0 {
-		cfg.CacheShards = defaultCacheShards(cfg.Workers)
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 	e := &Engine{
-		cache:        newShardedCache(cfg.CacheSize, cfg.CacheShards),
-		pool:         newPool(cfg.Workers, cfg.QueueDepth),
+		cache:        newShardedCache(cfg.CacheSize, cacheShards(cfg.Workers)),
+		pool:         newPool(cfg.Workers),
 		workers:      cfg.Workers,
 		maxQueueWait: cfg.MaxQueueWait,
 		degradeAfter: cfg.DegradeAfter,
@@ -197,11 +202,11 @@ func New(cfg Config) *Engine {
 // its own families on the same registry.
 func (e *Engine) Registry() *telemetry.Registry { return e.met.reg }
 
-// defaultCacheShards picks the shard count for a pool of `workers`
+// cacheShards picks the shard count for a pool of `workers`
 // goroutines: 4× oversubscription keeps the probability of two hot
 // lookups colliding on one shard's mutex low, capped so tiny caches are
 // not shredded into hundreds of near-empty LRUs.
-func defaultCacheShards(workers int) int {
+func cacheShards(workers int) int {
 	n := 4 * workers
 	if n < 8 {
 		n = 8
@@ -218,22 +223,13 @@ func defaultCacheShards(workers int) int {
 // does nothing.
 func (e *Engine) Close() { e.pool.close() }
 
-// Synthesize implements f on tech through the cache. The returned
-// Implementation is shared: callers must treat it as read-only. The
-// boolean reports a cache hit.
-//
-//xbarvet:ignore testonly: cachestore, bench/check and the root integration tests synthesize through the cache with it
-func (e *Engine) Synthesize(f truthtab.TT, tech core.Technology, opts core.Options) (*core.Implementation, bool, error) {
-	imp, _, hit, err := e.synthKeyed(context.Background(), f, tech, opts)
-	return imp, hit, err
-}
-
-// synthKeyed is Synthesize plus the cache key, which is a SHA-256 over
-// the full truth table — computed once here and reused by callers that
-// report it. The context is checked on entry; the synthesis itself runs
-// detached from it, because a cache flight is shared work — a canceled
-// leader must not poison the result for concurrent followers of the
-// same key.
+// synthKeyed implements f on tech through the cache, returning the
+// shared Implementation (read-only to callers), its cache key — a
+// SHA-256 over the full truth table, computed once here and reused by
+// callers that report it — and whether the cache hit. The context is
+// checked on entry; the synthesis itself runs detached from it, because
+// a cache flight is shared work — a canceled leader must not poison the
+// result for concurrent followers of the same key.
 func (e *Engine) synthKeyed(ctx context.Context, f truthtab.TT, tech core.Technology, opts core.Options) (*core.Implementation, string, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, "", false, apierr.Canceled(err)
@@ -267,13 +263,6 @@ func (e *Engine) synthKeyed(ctx context.Context, f truthtab.TT, tech core.Techno
 // DieFunc observes per-die outcomes of a yield sweep as dies complete
 // (completion order, not die order). Exactly one of mr/err is non-nil.
 type DieFunc func(die int, mr *MapResult, err error)
-
-// Do executes one request on the worker pool and waits for its result.
-//
-//xbarvet:ignore testonly: cluster, httpapi, resilience and client tests drive the engine with it
-func (e *Engine) Do(req Request) Result {
-	return e.DoCtx(context.Background(), req)
-}
 
 // DoCtx executes one request on the worker pool, honoring cancellation:
 // a context canceled before the request starts yields an
@@ -486,12 +475,42 @@ func (e *Engine) resolve(req Request, degraded bool) (truthtab.TT, core.Technolo
 	opts := core.DefaultOptions()
 	applied := false
 	if req.Options != nil {
+		if err := checkOptions(*req.Options); err != nil {
+			return truthtab.TT{}, 0, core.Options{}, false, err
+		}
 		opts = *req.Options
 	} else if degraded {
 		opts = degradedOptions()
 		applied = true
 	}
 	return f, tech, opts, applied, nil
+}
+
+// checkOptions bounds a request's pinned synthesis options. qm reads a
+// zero prime or covering limit as unlimited and a zero covering budget
+// as 2^40 work units, so an exact request must set each limit, no
+// looser than qm's defaults. Post-reduction re-verifies the lattice on
+// every deletion trial, so its area cap may not pass the default.
+func checkOptions(o core.Options) error {
+	if o.Synth.Exact {
+		def := qm.DefaultOptions()
+		for _, l := range []struct {
+			name   string
+			v, max int
+		}{
+			{"MaxPrimes", o.Synth.QM.MaxPrimes, def.MaxPrimes},
+			{"MaxCoverPrimes", o.Synth.QM.MaxCoverPrimes, def.MaxCoverPrimes},
+			{"MaxCoverWork", o.Synth.QM.MaxCoverWork, def.MaxCoverWork},
+		} {
+			if l.v < 1 || l.v > l.max {
+				return apierr.BadSpec("engine: exact synthesis needs options Synth.QM.%s in [1,%d], got %d", l.name, l.max, l.v)
+			}
+		}
+	}
+	if area, max := o.Synth.PostReduceMaxArea, latsynth.DefaultOptions().PostReduceLimit(); area > max {
+		return apierr.BadSpec("engine: options Synth.PostReduceMaxArea %d exceeds limit %d", area, max)
+	}
+	return nil
 }
 
 // synth runs one cached synthesis and summarizes it.

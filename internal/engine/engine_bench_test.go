@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -32,13 +33,13 @@ func BenchmarkSynthesizeCached(b *testing.B) {
 	defer e.Close()
 	spec := benchfn.NineSym()
 	opts := core.DefaultOptions()
-	if _, _, err := e.Synthesize(spec.F, core.FourTerminal, opts); err != nil {
+	if _, _, err := e.synthesize(spec.F, core.FourTerminal, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.Synthesize(spec.F, core.FourTerminal, opts); err != nil {
+		if _, _, err := e.synthesize(spec.F, core.FourTerminal, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +80,7 @@ func BenchmarkMapOnce(b *testing.B) {
 	e := New(Config{Workers: 1, CacheSize: 16})
 	defer e.Close()
 	spec := benchfn.Majority(3)
-	imp, _, err := e.Synthesize(spec.F, core.FourTerminal, core.DefaultOptions())
+	imp, _, err := e.synthesize(spec.F, core.FourTerminal, core.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -111,13 +112,13 @@ func BenchmarkYieldSweep(b *testing.B) {
 		ChipSize: 64,
 		Seed:     42,
 	}
-	if r := e.Do(req); !r.Ok() {
+	if r := e.DoCtx(context.Background(), req); !r.Ok() {
 		b.Fatal(r.Error)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r := e.Do(req); !r.Ok() {
+		if r := e.DoCtx(context.Background(), req); !r.Ok() {
 			b.Fatal(r.Error)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"nanoxbar/internal/bism"
 	"nanoxbar/internal/core"
 	"nanoxbar/internal/defect"
+	"nanoxbar/internal/truthtab"
 	"nanoxbar/internal/yield"
 )
 
@@ -22,6 +23,12 @@ func newTestEngine(t *testing.T) *Engine {
 	e := New(Config{Workers: 4, CacheSize: 64})
 	t.Cleanup(e.Close)
 	return e
+}
+
+// synthesize implements f on tech through the cache, reporting a hit.
+func (e *Engine) synthesize(f truthtab.TT, tech core.Technology, opts core.Options) (*core.Implementation, bool, error) {
+	imp, _, hit, err := e.synthKeyed(context.Background(), f, tech, opts)
+	return imp, hit, err
 }
 
 func TestSynthesizeMatchesUncached(t *testing.T) {
@@ -33,7 +40,7 @@ func TestSynthesizeMatchesUncached(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", spec.Name, tech, err)
 			}
-			got, hit, err := e.Synthesize(spec.F, tech, opts)
+			got, hit, err := e.synthesize(spec.F, tech, opts)
 			if err != nil || hit {
 				t.Fatalf("%s/%v first call: hit=%v err=%v", spec.Name, tech, hit, err)
 			}
@@ -44,7 +51,7 @@ func TestSynthesizeMatchesUncached(t *testing.T) {
 			if !got.Verify(spec.F) {
 				t.Fatalf("%s/%v: cached implementation does not compute the function", spec.Name, tech)
 			}
-			again, hit, err := e.Synthesize(spec.F, tech, opts)
+			again, hit, err := e.synthesize(spec.F, tech, opts)
 			if err != nil || !hit || again != got {
 				t.Fatalf("%s/%v second call: hit=%v same=%v err=%v", spec.Name, tech, hit, again == got, err)
 			}
@@ -77,7 +84,7 @@ func TestConcurrentCacheCorrectness(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % len(specs)
-				imp, _, err := e.Synthesize(specs[i].F, core.FourTerminal, opts)
+				imp, _, err := e.synthesize(specs[i].F, core.FourTerminal, opts)
 				if err != nil {
 					t.Errorf("synthesize %s: %v", specs[i].Name, err)
 					return
@@ -161,7 +168,7 @@ func TestMapAgainstSuppliedChip(t *testing.T) {
 	if back.String() != chip.String() {
 		t.Fatal("defect map wire round trip changed the map")
 	}
-	res := e.Do(Request{
+	res := e.DoCtx(context.Background(), Request{
 		Kind:     KindMap,
 		Function: FunctionSpec{Expr: "x1x2 + x1'x2'"},
 		Scheme:   "hybrid",
@@ -179,7 +186,7 @@ func TestMapAgainstSuppliedChip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		imp, _, err := e.Synthesize(f, core.FourTerminal, core.DefaultOptions())
+		imp, _, err := e.synthesize(f, core.FourTerminal, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +199,7 @@ func TestMapAgainstSuppliedChip(t *testing.T) {
 
 func TestCompareUsesSharedCache(t *testing.T) {
 	e := newTestEngine(t)
-	res := e.Do(Request{Kind: KindCompare, Function: FunctionSpec{Name: "maj3"}})
+	res := e.DoCtx(context.Background(), Request{Kind: KindCompare, Function: FunctionSpec{Name: "maj3"}})
 	if !res.Ok() || res.Compare == nil {
 		t.Fatalf("compare failed: %+v", res)
 	}
@@ -201,7 +208,7 @@ func TestCompareUsesSharedCache(t *testing.T) {
 	}
 	// A follow-up synthesize on each technology must hit.
 	for _, tech := range []string{"diode", "fet", "lattice"} {
-		r := e.Do(Request{Kind: KindSynthesize, Function: FunctionSpec{Name: "maj3"}, Tech: tech})
+		r := e.DoCtx(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{Name: "maj3"}, Tech: tech})
 		if !r.Ok() || !r.Synthesis.CacheHit {
 			t.Fatalf("synthesize after compare on %s: %+v", tech, r)
 		}
@@ -218,7 +225,7 @@ func TestYieldSweep(t *testing.T) {
 		ChipSize: 20,
 		Seed:     99,
 	}
-	res := e.Do(req)
+	res := e.DoCtx(context.Background(), req)
 	if !res.Ok() || res.Yield == nil {
 		t.Fatalf("yield failed: %+v", res)
 	}
@@ -236,7 +243,7 @@ func TestYieldSweep(t *testing.T) {
 		t.Fatalf("avg BIST calls %v, want > 0", y.AvgBIST)
 	}
 	// Determinism: same seed, same aggregate.
-	res2 := e.Do(req)
+	res2 := e.DoCtx(context.Background(), req)
 	if !reflect.DeepEqual(res, res2) {
 		t.Fatal("yield sweep not deterministic for fixed seed")
 	}
@@ -299,7 +306,7 @@ func TestYieldReportsLowestFailingDie(t *testing.T) {
 	if !reflect.DeepEqual(errDies, []int{7, 3}) {
 		t.Fatalf("observer saw die errors %v, want [7 3]", errDies)
 	}
-	if res := e.Do(req); !strings.Contains(res.Error, "die 3:") {
+	if res := e.DoCtx(context.Background(), req); !strings.Contains(res.Error, "die 3:") {
 		t.Fatalf("non-streaming result %+v, want an error naming die 3", res)
 	}
 }
@@ -320,7 +327,7 @@ func TestRequestValidation(t *testing.T) {
 		"huge chip size":  {Kind: KindMap, Function: FunctionSpec{Name: "maj3"}, ChipSize: 4_000_000_000},
 		"huge attempts":   {Kind: KindMap, Function: FunctionSpec{Name: "maj3"}, MaxAttempts: 2_000_000_000},
 	} {
-		if res := e.Do(req); res.Ok() {
+		if res := e.DoCtx(context.Background(), req); res.Ok() {
 			t.Errorf("%s: request unexpectedly succeeded", name)
 		}
 	}
@@ -380,7 +387,7 @@ func TestCloseRacesSubmitters(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 20; i++ {
-					r := e.Do(req)
+					r := e.DoCtx(context.Background(), req)
 					if !r.Ok() {
 						if !errors.Is(r.Err, apierr.ErrUnavailable) || r.Code != apierr.CodeUnavailable {
 							t.Errorf("round %d: a request racing Close failed with %q (code %q), want unavailable", round, r.Error, r.Code)
@@ -394,7 +401,7 @@ func TestCloseRacesSubmitters(t *testing.T) {
 		}
 		e.Close()
 		wg.Wait()
-		if r := e.Do(req); !errors.Is(r.Err, apierr.ErrUnavailable) {
+		if r := e.DoCtx(context.Background(), req); !errors.Is(r.Err, apierr.ErrUnavailable) {
 			t.Fatalf("round %d: Do after Close gave %q, want unavailable", round, r.Error)
 		}
 	}
@@ -425,13 +432,16 @@ func TestCloseTwice(t *testing.T) {
 // instead, so the rounds repeat.
 func TestCloseReleasesBlockedSubmitter(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		p := newPool(1, 1)
+		p := newPool(1)
 		started, release := make(chan struct{}), make(chan struct{})
-		for _, job := range []func(){func() { close(started); <-release }, func() {}} {
-			if err := p.submitWait(context.Background(), 0, job); err != nil {
+		if err := p.submitWait(context.Background(), 0, func() { close(started); <-release }); err != nil {
+			t.Fatal(err)
+		}
+		<-started // the worker holds the first job, the rest fill the queue
+		for i := 0; i < p.depth(); i++ {
+			if err := p.submitWait(context.Background(), 0, func() {}); err != nil {
 				t.Fatal(err)
 			}
-			<-started // the worker holds the first job, the second fills the queue
 		}
 		submitting, refused := make(chan struct{}), make(chan error)
 		go func() {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -94,7 +95,7 @@ func TestSnapshotStreamRoundTrip(t *testing.T) {
 	defer e2.Close()
 	// Pre-populate one key; the snapshot's copy of it must not count as
 	// loaded.
-	if res := e2.Do(reqs[0]); !res.Ok() {
+	if res := e2.DoCtx(context.Background(), reqs[0]); !res.Ok() {
 		t.Fatalf("pre-populate: %s", res.Error)
 	}
 	loaded, err := e2.ReadCacheSnapshot(bytes.NewReader(buf.Bytes()))

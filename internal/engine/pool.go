@@ -32,11 +32,11 @@ type pool struct {
 	senders sync.WaitGroup
 }
 
-func newPool(workers, depth int) *pool {
-	if depth <= 0 {
-		depth = 4 * workers
-	}
-	p := &pool{jobs: make(chan func(), depth), quit: make(chan struct{})}
+// newPool starts workers goroutines over a queue of 4×workers slots:
+// deep enough to absorb a burst while every worker is busy, shallow
+// enough that the admission budget sheds before the backlog grows.
+func newPool(workers int) *pool {
+	p := &pool{jobs: make(chan func(), 4*workers), quit: make(chan struct{})}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {

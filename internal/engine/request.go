@@ -5,6 +5,7 @@
 package engine
 
 import (
+	"strconv"
 	"strings"
 
 	"nanoxbar/internal/apierr"
@@ -43,7 +44,9 @@ type FunctionSpec struct {
 	TT   string `json:"tt,omitempty"`   // truth table literal, e.g. "3:0x96"
 }
 
-// Resolve elaborates the spec into a truth table.
+// Resolve elaborates the spec into a truth table. It rejects an
+// expression longer than 16 KiB and a function of more than 12
+// variables, each before the work it would cost.
 func (fs FunctionSpec) Resolve() (truthtab.TT, error) {
 	set := 0
 	for _, s := range []string{fs.Name, fs.Expr, fs.TT} {
@@ -62,18 +65,39 @@ func (fs FunctionSpec) Resolve() (truthtab.TT, error) {
 		}
 		return spec.F, nil
 	case fs.Expr != "":
-		f, _, err := bexpr.ParseTT(fs.Expr)
+		if len(fs.Expr) > maxExprBytes {
+			return truthtab.TT{}, apierr.BadSpec("engine: expression of %d bytes exceeds limit %d", len(fs.Expr), maxExprBytes)
+		}
+		e, err := bexpr.Parse(fs.Expr)
+		if err != nil {
+			return truthtab.TT{}, apierr.BadSpec("engine: %v", err)
+		}
+		n := e.MaxVar()
+		if n > maxFunctionVars {
+			return truthtab.TT{}, tooManyVars(n)
+		}
+		f, err := e.TT(n)
 		if err != nil {
 			return truthtab.TT{}, apierr.BadSpec("engine: %v", err)
 		}
 		return f, nil
 	default:
+		// The variable count leads the literal: check it before Parse
+		// allocates a table of 2^n bits.
+		prefix, _, _ := strings.Cut(fs.TT, ":")
+		if n, err := strconv.Atoi(prefix); err == nil && n > maxFunctionVars {
+			return truthtab.TT{}, tooManyVars(n)
+		}
 		f, err := truthtab.Parse(fs.TT)
 		if err != nil {
 			return truthtab.TT{}, apierr.BadSpec("engine: %v", err)
 		}
 		return f, nil
 	}
+}
+
+func tooManyVars(n int) error {
+	return apierr.BadSpec("engine: function of %d variables exceeds limit %d", n, maxFunctionVars)
 }
 
 // DefectMapSpec is the wire form of a defect.Map: crosspoints as one

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -180,8 +181,8 @@ func TestFaultCountersReported(t *testing.T) {
 // entries came from the snapshot.
 func TestHealthzAndStatsReportPersistence(t *testing.T) {
 	// Warm engine: synthesize, snapshot, reload into a fresh engine.
-	warm := engine.New(engine.Config{Workers: 2, CacheSize: 64, CacheShards: 8})
-	if res := warm.Do(engine.Request{Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"}}); !res.Ok() {
+	warm := engine.New(engine.Config{Workers: 2, CacheSize: 64}) // 4×2 = 8 shards
+	if res := warm.DoCtx(context.Background(), engine.Request{Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"}}); !res.Ok() {
 		t.Fatalf("warmup: %s", res.Error)
 	}
 	var snap bytes.Buffer
@@ -191,7 +192,7 @@ func TestHealthzAndStatsReportPersistence(t *testing.T) {
 		t.Fatalf("snapshot: n=%d err=%v", n, err)
 	}
 
-	eng := engine.New(engine.Config{Workers: 2, CacheSize: 64, CacheShards: 8})
+	eng := engine.New(engine.Config{Workers: 2, CacheSize: 64}) // 4×2 = 8 shards
 	t.Cleanup(eng.Close)
 	if loaded, err := eng.ReadCacheSnapshot(&snap); err != nil || loaded != 1 {
 		t.Fatalf("load: loaded=%d err=%v", loaded, err)

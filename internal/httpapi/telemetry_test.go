@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -309,7 +310,7 @@ func TestMetricsRoundTripThroughParser(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// A little traffic so histograms are non-empty.
-	if res := eng.Do(engine.Request{Kind: engine.KindYield, Function: engine.FunctionSpec{Name: "maj3"}, Chips: 2, Seed: 3, Density: 0.02}); !res.Ok() {
+	if res := eng.DoCtx(context.Background(), engine.Request{Kind: engine.KindYield, Function: engine.FunctionSpec{Name: "maj3"}, Chips: 2, Seed: 3, Density: 0.02}); !res.Ok() {
 		t.Fatalf("yield failed: %v", res.Error)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")

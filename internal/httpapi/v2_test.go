@@ -261,7 +261,7 @@ func TestV2OneResultOneWrite(t *testing.T) {
 	maj3 := engine.FunctionSpec{Name: "maj3"}
 	// Warm the cache in-process, so the synthesize below is a hit and
 	// no earlier HTTP exchange can leave a write behind.
-	if res := eng.Do(engine.Request{Kind: engine.KindSynthesize, Function: maj3}); !res.Ok() {
+	if res := eng.DoCtx(context.Background(), engine.Request{Kind: engine.KindSynthesize, Function: maj3}); !res.Ok() {
 		t.Fatalf("warm-up: %s", res.Error)
 	}
 	cases := []struct {

@@ -38,33 +38,13 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("BreakerState(%d)", int32(s))
 }
 
-// BreakerConfig tunes a Breaker. The zero value is usable: Normalize
-// fills in the defaults.
-type BreakerConfig struct {
-	// FailureThreshold is the run of consecutive failures that opens
-	// the circuit (default 5).
-	FailureThreshold int
-	// Cooldown is how long an open circuit rejects before letting a
-	// half-open probe through (default 1s).
-	Cooldown time.Duration
-	// SuccessesToClose is the run of consecutive probe successes that
-	// closes a half-open circuit (default 1).
-	SuccessesToClose int
-}
-
-// Normalize returns the config with defaults applied.
-func (c BreakerConfig) Normalize() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = time.Second
-	}
-	if c.SuccessesToClose <= 0 {
-		c.SuccessesToClose = 1
-	}
-	return c
-}
+// Every circuit opens after breakerFailures consecutive failures and
+// rejects for breakerCooldown before one half-open probe decides: the
+// probe's success closes it, its failure re-opens it.
+const (
+	breakerFailures = 5
+	breakerCooldown = time.Second
+)
 
 // BreakerStats counts a breaker's transitions and rejections, for
 // telemetry export.
@@ -83,19 +63,13 @@ type BreakerStats struct {
 // the open→half-open→closed walk is deterministic under test. Safe for
 // concurrent use.
 type Breaker struct {
-	cfg   BreakerConfig
 	clock Clock
-	// onTransition, when non-nil, observes every state change (called
-	// outside the lock would race re-entrant transitions; it is called
-	// under the lock and must not call back into the breaker).
-	onTransition func(from, to BreakerState)
 
-	mu        sync.Mutex
-	state     BreakerState
-	failures  int       // consecutive failures while closed
-	successes int       // consecutive probe successes while half-open
-	probing   bool      // the half-open probe slot is taken
-	openedAt  time.Time // when the circuit last opened
+	mu       sync.Mutex
+	state    BreakerState
+	failures int       // consecutive failures while closed
+	probing  bool      // the half-open probe slot is taken
+	openedAt time.Time // when the circuit last opened
 
 	opens      atomic.Uint64
 	halfOpens  atomic.Uint64
@@ -103,13 +77,12 @@ type Breaker struct {
 	rejections atomic.Uint64
 }
 
-// NewBreaker builds a closed breaker. A nil clock uses Wall;
-// onTransition may be nil.
-func NewBreaker(cfg BreakerConfig, clock Clock, onTransition func(from, to BreakerState)) *Breaker {
+// NewBreaker builds a closed breaker. A nil clock uses Wall.
+func NewBreaker(clock Clock) *Breaker {
 	if clock == nil {
 		clock = Wall()
 	}
-	return &Breaker{cfg: cfg.Normalize(), clock: clock, onTransition: onTransition}
+	return &Breaker{clock: clock}
 }
 
 // Stats snapshots the breaker's counters.
@@ -126,10 +99,9 @@ func (b *Breaker) Stats() BreakerStats {
 	}
 }
 
-// transition moves the state under the lock, notifying the observer.
+// transition moves the state under the lock.
 func (b *Breaker) transition(to BreakerState) {
-	from := b.state
-	if from == to {
+	if b.state == to {
 		return
 	}
 	b.state = to
@@ -139,13 +111,9 @@ func (b *Breaker) transition(to BreakerState) {
 		b.openedAt = b.clock.Now()
 	case BreakerHalfOpen:
 		b.halfOpens.Add(1)
-		b.successes = 0
 	case BreakerClosed:
 		b.closes.Add(1)
 		b.failures = 0
-	}
-	if b.onTransition != nil {
-		b.onTransition(from, to)
 	}
 }
 
@@ -160,7 +128,7 @@ func (b *Breaker) Allow() error {
 	case BreakerClosed:
 		return nil
 	case BreakerOpen:
-		if b.clock.Now().Sub(b.openedAt) < b.cfg.Cooldown {
+		if b.clock.Now().Sub(b.openedAt) < breakerCooldown {
 			b.rejections.Add(1)
 			return ErrBreakerOpen
 		}
@@ -178,9 +146,8 @@ func (b *Breaker) Allow() error {
 }
 
 // Report resolves an allowed request: ok=true counts toward closing,
-// ok=false toward opening. In half-open, the probe's failure re-opens
-// the circuit immediately; its success closes it after
-// SuccessesToClose consecutive good probes.
+// ok=false toward opening. In half-open, the probe's outcome decides
+// at once: failure re-opens the circuit, success closes it.
 func (b *Breaker) Report(ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -191,18 +158,15 @@ func (b *Breaker) Report(ok bool) {
 			return
 		}
 		b.failures++
-		if b.failures >= b.cfg.FailureThreshold {
+		if b.failures >= breakerFailures {
 			b.transition(BreakerOpen)
 		}
 	case BreakerHalfOpen:
 		b.probing = false
-		if !ok {
-			b.transition(BreakerOpen)
-			return
-		}
-		b.successes++
-		if b.successes >= b.cfg.SuccessesToClose {
+		if ok {
 			b.transition(BreakerClosed)
+		} else {
+			b.transition(BreakerOpen)
 		}
 	case BreakerOpen:
 		// A late report from a request allowed before the circuit

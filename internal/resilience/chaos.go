@@ -32,11 +32,9 @@ type ChaosConfig struct {
 	// synthesized 503 (or occasionally 500) without reaching the
 	// server.
 	ErrorRate float64
-	// LatencyRate is the probability of a latency spike: a sleep in
-	// [LatencyMin, LatencyMax] before forwarding.
+	// LatencyRate is the probability of a latency spike: a sleep of
+	// 1–5ms before forwarding.
 	LatencyRate float64
-	// LatencyMin/LatencyMax bound the spike (defaults 5ms/50ms).
-	LatencyMin, LatencyMax time.Duration
 	// TruncateRate is the probability of cutting the response body
 	// short: reads stop partway with io.ErrUnexpectedEOF, as if the
 	// connection died mid-stream (for NDJSON, a truncated frame).
@@ -46,16 +44,13 @@ type ChaosConfig struct {
 	Clock Clock
 }
 
-// normalize applies the latency defaults.
-func (c ChaosConfig) normalize() ChaosConfig {
-	if c.LatencyMin <= 0 {
-		c.LatencyMin = 5 * time.Millisecond
-	}
-	if c.LatencyMax < c.LatencyMin {
-		c.LatencyMax = c.LatencyMin * 10
-	}
-	return c
-}
+// A latency spike sleeps between these bounds: long enough to reorder
+// concurrent requests, short enough that a soak's clients keep their
+// deadlines.
+const (
+	chaosLatencyMin = time.Millisecond
+	chaosLatencyMax = 5 * time.Millisecond
+)
 
 // ChaosStats counts injected faults, for the soak report and telemetry
 // export.
@@ -96,7 +91,6 @@ func NewChaosTransport(next http.RoundTripper, cfg ChaosConfig) *ChaosTransport 
 	if next == nil {
 		next = http.DefaultTransport
 	}
-	cfg = cfg.normalize()
 	clock := cfg.Clock
 	if clock == nil {
 		clock = Wall()
@@ -135,8 +129,8 @@ func (t *ChaosTransport) plan() (drop bool, status int, latency time.Duration, t
 		drop = true
 	}
 	if t.cfg.LatencyRate > 0 && t.rng.Float64() < t.cfg.LatencyRate {
-		span := t.cfg.LatencyMax - t.cfg.LatencyMin
-		latency = t.cfg.LatencyMin + time.Duration(t.rng.Int63n(int64(span)+1))
+		span := chaosLatencyMax - chaosLatencyMin
+		latency = chaosLatencyMin + time.Duration(t.rng.Int63n(int64(span)+1))
 	}
 	truncFrac = -1
 	if t.cfg.TruncateRate > 0 && t.rng.Float64() < t.cfg.TruncateRate {

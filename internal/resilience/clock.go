@@ -10,8 +10,8 @@
 //
 //   - Clock: an injectable time source so retry/breaker behavior is
 //     deterministic under test (Fake advances manually).
-//   - RetryPolicy / Retrier: jittered exponential backoff with
-//     Retry-After hints and context-deadline awareness.
+//   - RetryPolicy / Retrier: exponential backoff with Retry-After
+//     hints and context-deadline awareness.
 //   - Breaker: a per-endpoint circuit breaker (closed → open →
 //     half-open with probing) that fails fast while a dependency is
 //     down instead of burning a timeout per call.

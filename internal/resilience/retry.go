@@ -3,14 +3,13 @@ package resilience
 import (
 	"context"
 	"errors"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// RetryPolicy shapes a jittered exponential backoff schedule. The zero
-// value is usable: Normalize fills in the defaults below.
+// RetryPolicy shapes an exponential backoff schedule: the delay doubles
+// after every retry, from BaseDelay up to MaxDelay. The zero value is
+// usable: Normalize fills in the defaults below.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries including the first
 	// (default 3; 1 disables retrying).
@@ -19,12 +18,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth (default 2s).
 	MaxDelay time.Duration
-	// Multiplier is the per-attempt growth factor (default 2).
-	Multiplier float64
-	// Jitter is the fraction of each delay that is randomized, in
-	// [0,1]: the sleep is delay*(1-Jitter) + rand*delay*Jitter, so 0 is
-	// fully deterministic and 1 is full-range jitter (default 0.5).
-	Jitter float64
 }
 
 // Normalize returns the policy with defaults applied.
@@ -37,12 +30,6 @@ func (p RetryPolicy) Normalize() RetryPolicy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 2 * time.Second
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter < 0 || p.Jitter > 1 {
-		p.Jitter = 0.5
 	}
 	return p
 }
@@ -101,15 +88,12 @@ type RetryStats struct {
 	Exhausted uint64
 }
 
-// Retrier runs operations under a RetryPolicy with seeded jitter and an
-// injectable clock, so a given (seed, failure pattern) always produces
-// the same backoff schedule. Safe for concurrent use.
+// Retrier runs operations under a RetryPolicy with an injectable clock,
+// so a given failure pattern always produces the same backoff schedule.
+// Safe for concurrent use.
 type Retrier struct {
 	policy RetryPolicy
 	clock  Clock
-
-	mu  sync.Mutex
-	rng *rand.Rand
 
 	attempts  atomic.Uint64
 	retries   atomic.Uint64
@@ -117,15 +101,11 @@ type Retrier struct {
 }
 
 // NewRetrier builds a retrier. A nil clock uses Wall.
-func NewRetrier(policy RetryPolicy, clock Clock, seed int64) *Retrier {
+func NewRetrier(policy RetryPolicy, clock Clock) *Retrier {
 	if clock == nil {
 		clock = Wall()
 	}
-	return &Retrier{
-		policy: policy.Normalize(),
-		clock:  clock,
-		rng:    rand.New(rand.NewSource(seed)),
-	}
+	return &Retrier{policy: policy.Normalize(), clock: clock}
 }
 
 // Stats snapshots the retrier's counters.
@@ -137,38 +117,31 @@ func (r *Retrier) Stats() RetryStats {
 	}
 }
 
-// delay computes the sleep before retry number n (1-based), folding in
-// jitter and any server hint carried by err.
+// delay computes the sleep before retry number n (1-based): BaseDelay
+// doubled n-1 times, capped at MaxDelay, or the server hint carried by
+// err when that is longer.
 func (r *Retrier) delay(n int, err error) time.Duration {
-	d := float64(r.policy.BaseDelay)
-	for i := 1; i < n; i++ {
-		d *= r.policy.Multiplier
-		if d >= float64(r.policy.MaxDelay) {
-			break
+	d, limit := r.policy.BaseDelay, r.policy.MaxDelay
+	for i := 1; i < n && d < limit; i++ {
+		if d > limit/2 {
+			d = limit // doubling would pass the cap (or overflow)
+		} else {
+			d *= 2
 		}
 	}
-	if d > float64(r.policy.MaxDelay) {
-		d = float64(r.policy.MaxDelay)
+	d = min(d, limit)
+	if hint := RetryAfter(err); hint > d {
+		d = hint
 	}
-	if j := r.policy.Jitter; j > 0 {
-		r.mu.Lock()
-		u := r.rng.Float64()
-		r.mu.Unlock()
-		d = d*(1-j) + u*d*j
-	}
-	out := time.Duration(d)
-	if hint := RetryAfter(err); hint > out {
-		out = hint
-	}
-	return out
+	return d
 }
 
 // Do runs op until it succeeds, returns an Abort-wrapped error, the
 // attempt budget is spent, or the context dies. Between attempts it
-// sleeps the jittered backoff (or the error's Retry-After hint if
-// longer) on the injected clock; a sleep that would outlive the
-// context's deadline is not started — Do returns the last error
-// immediately, since the caller could never observe a later success.
+// sleeps the backoff (or the error's Retry-After hint if longer) on the
+// injected clock; a sleep that would outlive the context's deadline is
+// not started — Do returns the last error immediately, since the caller
+// could never observe a later success.
 // op receives the 1-based attempt number.
 func (r *Retrier) Do(ctx context.Context, op func(ctx context.Context, attempt int) error) error {
 	var last error

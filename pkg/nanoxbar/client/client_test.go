@@ -28,7 +28,7 @@ import (
 // deterministic.
 func impls(t *testing.T) map[string]nanoxbar.API {
 	t.Helper()
-	local := nanoxbar.NewClient(nanoxbar.ClientConfig{Workers: 4, CacheSize: 64})
+	local := nanoxbar.NewClient(nanoxbar.ClientConfig{Workers: 4})
 	t.Cleanup(func() { local.Close() })
 
 	eng := engine.New(engine.Config{Workers: 4, CacheSize: 64})
@@ -274,7 +274,7 @@ func TestConformanceRequestID(t *testing.T) {
 		return slog.New(slog.NewJSONHandler(logged[name], &slog.HandlerOptions{Level: slog.LevelDebug}))
 	}
 
-	local := nanoxbar.NewClient(nanoxbar.ClientConfig{Workers: 4, CacheSize: 64, Logger: logger("inprocess")})
+	local := nanoxbar.NewClient(nanoxbar.ClientConfig{Workers: 4, Logger: logger("inprocess")})
 	t.Cleanup(func() { local.Close() })
 
 	eng := engine.New(engine.Config{Workers: 4, CacheSize: 64, Logger: logger("http")})

@@ -1,7 +1,7 @@
-// Client-side resilience: opt-in retries with jittered exponential
-// backoff and a per-endpoint circuit breaker. Off by default — the base
-// client fails fast exactly as before — and deterministic under test:
-// the clock and the jitter seed are both injectable.
+// Client-side resilience: opt-in retries with exponential backoff and a
+// per-endpoint circuit breaker. Off by default — the base client fails
+// fast exactly as before — and deterministic under test: the clock is
+// injectable.
 package client
 
 import (
@@ -18,19 +18,14 @@ import (
 
 // ResilienceConfig tunes WithResilience. The zero value gets the
 // resilience package defaults: 3 attempts, 50ms base backoff doubling
-// to 2s with half-range jitter, breaker opening after 5 consecutive
-// unavailable-class failures with a 1s cooldown.
+// to 2s. Every endpoint has a circuit breaker that opens after 5
+// consecutive unavailable-class failures (server unreachable, 503) and
+// probes again after a 1s cooldown; an overloaded server shedding load
+// is alive and does not trip it.
 type ResilienceConfig struct {
 	// Retry shapes the backoff schedule for retryable failures
 	// (overloaded and unavailable-class errors on idempotent calls).
 	Retry resilience.RetryPolicy
-	// Breaker tunes the per-endpoint circuit breaker. Only
-	// unavailable-class failures (server unreachable, 503) count toward
-	// opening it; an overloaded server shedding load is alive and does
-	// not trip the circuit.
-	Breaker resilience.BreakerConfig
-	// Seed drives the backoff jitter (deterministic schedules in tests).
-	Seed int64
 	// Clock substitutes the time source; nil uses the wall clock.
 	Clock resilience.Clock
 }
@@ -43,10 +38,9 @@ func WithResilience(cfg ResilienceConfig) Option {
 			clock = resilience.Wall()
 		}
 		c.res = &resilienceState{
-			clock:      clock,
-			retrier:    resilience.NewRetrier(cfg.Retry, clock, cfg.Seed),
-			breakerCfg: cfg.Breaker,
-			breakers:   make(map[string]*resilience.Breaker),
+			clock:    clock,
+			retrier:  resilience.NewRetrier(cfg.Retry, clock),
+			breakers: make(map[string]*resilience.Breaker),
 		}
 	}
 }
@@ -78,9 +72,8 @@ type resilienceState struct {
 	clock   resilience.Clock
 	retrier *resilience.Retrier
 
-	mu         sync.Mutex
-	breakerCfg resilience.BreakerConfig
-	breakers   map[string]*resilience.Breaker
+	mu       sync.Mutex
+	breakers map[string]*resilience.Breaker
 }
 
 // breaker returns the endpoint's circuit, creating it closed on first
@@ -90,7 +83,7 @@ func (rs *resilienceState) breaker(path string) *resilience.Breaker {
 	defer rs.mu.Unlock()
 	b := rs.breakers[path]
 	if b == nil {
-		b = resilience.NewBreaker(rs.breakerCfg, rs.clock, nil)
+		b = resilience.NewBreaker(rs.clock)
 		rs.breakers[path] = b
 	}
 	return b

@@ -39,7 +39,7 @@ func (f *flakyFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // resilientClient builds a real engine+server behind front and a client
-// with deterministic resilience (fake clock, zero jitter).
+// with deterministic resilience (fake clock).
 func resilientClient(t *testing.T, front *flakyFront, cfg client.ResilienceConfig) (*client.Client, *resilience.Fake) {
 	t.Helper()
 	eng := engine.New(engine.Config{Workers: 2, CacheSize: 16})
@@ -50,9 +50,6 @@ func resilientClient(t *testing.T, front *flakyFront, cfg client.ResilienceConfi
 	fc := resilience.NewFake(time.Unix(0, 0))
 	if cfg.Clock == nil {
 		cfg.Clock = fc
-	}
-	if cfg.Retry.Jitter == 0 {
-		cfg.Retry.Jitter = 0 // explicit: deterministic schedule
 	}
 	cl := client.New(ts.URL, client.WithResilience(cfg))
 	t.Cleanup(func() { cl.Close() })
@@ -91,9 +88,10 @@ func TestClientRetriesHonoringRetryAfter(t *testing.T) {
 
 func TestClientRetryExhaustion(t *testing.T) {
 	front := &flakyFront{failFor: 1 << 30} // never recovers
+	// Three failures stay below the breaker's five, so the circuit
+	// stays out of this test.
 	cl, _ := resilientClient(t, front, client.ResilienceConfig{
-		Retry:   resilience.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-		Breaker: resilience.BreakerConfig{FailureThreshold: 100}, // keep the breaker out of this test
+		Retry: resilience.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
 	})
 
 	_, err := cl.Synthesize(context.Background(), nanoxbar.TT("2:0x6"))
@@ -126,15 +124,14 @@ func TestClientDoesNotRetryBadRequests(t *testing.T) {
 }
 
 func TestClientBreakerOpensThenRecovers(t *testing.T) {
-	front := &flakyFront{failFor: 2}
+	front := &flakyFront{failFor: 5}
 	cl, fc := resilientClient(t, front, client.ResilienceConfig{
-		Retry:   resilience.RetryPolicy{MaxAttempts: 1}, // isolate the breaker
-		Breaker: resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Second},
+		Retry: resilience.RetryPolicy{MaxAttempts: 1}, // isolate the breaker
 	})
 	ctx := context.Background()
 
-	// Two unavailable failures open the circuit.
-	for i := 0; i < 2; i++ {
+	// Five consecutive unavailable failures open the circuit.
+	for i := 0; i < 5; i++ {
 		if _, err := cl.Synthesize(ctx, nanoxbar.TT("2:0x6")); !errors.Is(err, nanoxbar.ErrUnavailable) {
 			t.Fatalf("call %d: %v, want ErrUnavailable", i, err)
 		}
@@ -148,15 +145,19 @@ func TestClientBreakerOpensThenRecovers(t *testing.T) {
 		t.Fatalf("open circuit let a request through (%d → %d)", before, got)
 	}
 
-	// Cooldown elapses; the half-open probe hits the now-healthy server
-	// and closes the circuit.
-	fc.Advance(time.Second)
+	// Cooldown elapses (1s); the half-open probe hits the now-healthy
+	// server and closes the circuit.
+	fc.Advance(time.Second - time.Nanosecond)
+	if _, err := cl.Synthesize(ctx, nanoxbar.TT("2:0x6")); !errors.Is(err, nanoxbar.ErrUnavailable) {
+		t.Fatalf("call before the cooldown: %v", err)
+	}
+	fc.Advance(time.Nanosecond)
 	if _, err := cl.Synthesize(ctx, nanoxbar.TT("2:0x6")); err != nil {
 		t.Fatalf("probe after cooldown: %v", err)
 	}
 	st, _ := cl.ResilienceStats()
 	br := st.Breakers["/v2/jobs"]
-	if br.State != resilience.BreakerClosed || br.Opens != 1 || br.Closes != 1 || br.Rejections != 1 {
+	if br.State != resilience.BreakerClosed || br.Opens != 1 || br.Closes != 1 || br.Rejections != 2 {
 		t.Fatalf("breaker stats = %+v", br)
 	}
 	// Closed again: traffic flows normally.

@@ -18,12 +18,7 @@ import (
 func TestConformanceShedCarriesRetryAfter(t *testing.T) {
 	for name, s := range saturableImpls(t) {
 		t.Run(name, func(t *testing.T) {
-			stop1 := holdWorker(t, s.api)
-			defer stop1()
-			waitStats(t, "worker pickup", func() bool { return s.stats().Requests >= 1 })
-			stop2 := holdWorker(t, s.api)
-			defer stop2()
-			waitStats(t, "queue occupancy", func() bool { return s.stats().QueuedJobs == 1 })
+			stop := saturate(t, s)
 
 			_, err := s.api.Synthesize(context.Background(), nanoxbar.TT("2:0x6"))
 			if !errors.Is(err, nanoxbar.ErrOverloaded) {
@@ -36,11 +31,7 @@ func TestConformanceShedCarriesRetryAfter(t *testing.T) {
 				t.Fatalf("shed error carried no Retry-After hint: %v", err)
 			}
 
-			// Release the worker before the queued job: the queued
-			// sweep only observes its cancellation once a worker picks
-			// it up.
-			stop1()
-			stop2()
+			stop()
 		})
 	}
 }
@@ -57,12 +48,7 @@ func TestConformanceMidStreamShedFrame(t *testing.T) {
 		t.Fatal("http impl is not *client.Client")
 	}
 
-	stop1 := holdWorker(t, s.api)
-	defer stop1()
-	waitStats(t, "worker pickup", func() bool { return s.stats().Requests >= 1 })
-	stop2 := holdWorker(t, s.api)
-	defer stop2()
-	waitStats(t, "queue occupancy", func() bool { return s.stats().QueuedJobs == 1 })
+	stop := saturate(t, s)
 
 	var frames []nanoxbar.Event
 	err := cl.Jobs(context.Background(), nanoxbar.JobsRequest{
@@ -101,6 +87,5 @@ func TestConformanceMidStreamShedFrame(t *testing.T) {
 		t.Fatalf("reconstructed error lost the Retry-After hint: %v", rerr)
 	}
 
-	stop1()
-	stop2()
+	stop()
 }

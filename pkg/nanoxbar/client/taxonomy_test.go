@@ -24,25 +24,16 @@ type saturable struct {
 }
 
 // saturableImpls builds both implementations over a tiny engine: one
-// worker, one queue slot, and a short admission budget, so a held
+// worker, so four queue slots, and a short admission budget, so a held
 // worker plus a full queue sheds the next request.
 func saturableImpls(t *testing.T) map[string]saturable {
 	t.Helper()
-	adm := struct {
-		workers, depth int
-		wait           time.Duration
-	}{1, 1, 50 * time.Millisecond}
+	const wait = 50 * time.Millisecond
 
-	local := nanoxbar.NewClient(nanoxbar.ClientConfig{
-		Workers: adm.workers, CacheSize: 8,
-		QueueDepth: adm.depth, MaxQueueWait: adm.wait,
-	})
+	local := nanoxbar.NewClient(nanoxbar.ClientConfig{Workers: 1, MaxQueueWait: wait})
 	t.Cleanup(func() { local.Close() })
 
-	eng := engine.New(engine.Config{
-		Workers: adm.workers, CacheSize: 8,
-		QueueDepth: adm.depth, MaxQueueWait: adm.wait,
-	})
+	eng := engine.New(engine.Config{Workers: 1, CacheSize: 8, MaxQueueWait: wait})
 	t.Cleanup(eng.Close)
 	ts := httptest.NewServer(httpapi.New(eng))
 	t.Cleanup(ts.Close)
@@ -55,25 +46,40 @@ func saturableImpls(t *testing.T) map[string]saturable {
 	}
 }
 
-// holdWorker occupies a worker with a long cancellable yield sweep via
-// the public API and returns an idempotent stop function.
-func holdWorker(t *testing.T, api nanoxbar.API) (stop func()) {
+// saturate holds the one worker with a long cancellable yield sweep and
+// fills the four queue slots behind it with more, so the next request
+// outwaits the admission budget and is shed. stop cancels every sweep
+// at once and waits for them: a queued sweep ends only when a worker
+// picks it up and finds its context canceled, so canceling one at a
+// time would leave an uncanceled sweep running in front of it.
+func saturate(t *testing.T, s saturable) (stop func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _ = api.YieldSweep(ctx, nanoxbar.Func("maj5"),
-			nanoxbar.WithChips(100000), nanoxbar.WithChipSize(48),
-			nanoxbar.WithDensity(0.4), nanoxbar.WithSeed(1))
-	}()
+	var wg sync.WaitGroup
+	hold := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = s.api.YieldSweep(ctx, nanoxbar.Func("maj5"),
+				nanoxbar.WithChips(100000), nanoxbar.WithChipSize(48),
+				nanoxbar.WithDensity(0.4), nanoxbar.WithSeed(1))
+		}()
+	}
+	hold()
+	waitStats(t, "worker pickup", func() bool { return s.stats().Requests >= 1 })
+	for i := 0; i < 4; i++ {
+		hold()
+	}
+	waitStats(t, "queue occupancy", func() bool { return s.stats().QueuedJobs == 4 })
 	var once sync.Once
-	return func() {
+	stop = func() {
 		once.Do(func() {
 			cancel()
-			<-done
+			wg.Wait()
 		})
 	}
+	t.Cleanup(stop)
+	return stop
 }
 
 // waitStats polls cond until true or a 10s deadline.
@@ -94,12 +100,7 @@ func waitStats(t *testing.T, what string, cond func() bool) {
 func TestConformanceOverloadedTyped(t *testing.T) {
 	for name, s := range saturableImpls(t) {
 		t.Run(name, func(t *testing.T) {
-			stop1 := holdWorker(t, s.api)
-			defer stop1()
-			waitStats(t, "worker pickup", func() bool { return s.stats().Requests >= 1 })
-			stop2 := holdWorker(t, s.api)
-			defer stop2()
-			waitStats(t, "queue occupancy", func() bool { return s.stats().QueuedJobs == 1 })
+			stop := saturate(t, s)
 
 			_, err := s.api.Synthesize(context.Background(), nanoxbar.TT("2:0x6"))
 			if !errors.Is(err, nanoxbar.ErrOverloaded) {
@@ -114,8 +115,7 @@ func TestConformanceOverloadedTyped(t *testing.T) {
 
 			// Release the pool: the same request now succeeds, so the
 			// shed really was load, not a broken request.
-			stop1()
-			stop2()
+			stop()
 			waitStats(t, "pool drain", func() bool { return s.stats().QueuedJobs == 0 })
 			if _, err := s.api.Synthesize(context.Background(), nanoxbar.TT("2:0x6")); err != nil {
 				t.Fatalf("post-drain synthesize: %v", err)

@@ -58,19 +58,15 @@ type API interface {
 	Close() error
 }
 
-// ClientConfig sizes the in-process engine behind a Client.
+// ClientConfig sizes the in-process engine behind a Client. Its
+// synthesis cache holds 1024 entries and its job queue 4×Workers
+// submissions.
 type ClientConfig struct {
 	// Workers is the worker pool size (default: number of CPUs).
 	Workers int
-	// CacheSize bounds the synthesis LRU entry count (default 1024).
-	CacheSize int
-	// QueueDepth bounds the job queue (default 4× Workers). With
-	// MaxQueueWait set, submissions that cannot enqueue within the
-	// budget fail typed with ErrOverloaded instead of blocking.
-	QueueDepth int
 	// MaxQueueWait is the admission budget: how long a submission may
-	// wait for a queue slot before being shed. Zero blocks forever (the
-	// pre-admission-control behavior).
+	// wait for a queue slot before being shed with ErrOverloaded. Zero
+	// blocks forever (the pre-admission-control behavior).
 	MaxQueueWait time.Duration
 	// DegradeAfter switches requests that waited longer than this in
 	// the queue to the fast degraded synthesis path (correct but not
@@ -95,8 +91,6 @@ var _ API = (*Client)(nil)
 func NewClient(cfg ClientConfig) *Client {
 	return &Client{eng: engine.New(engine.Config{
 		Workers:      cfg.Workers,
-		CacheSize:    cfg.CacheSize,
-		QueueDepth:   cfg.QueueDepth,
 		MaxQueueWait: cfg.MaxQueueWait,
 		DegradeAfter: cfg.DegradeAfter,
 		Logger:       cfg.Logger,
