@@ -12,13 +12,11 @@
 // hot-path regressions — the CI perf-regression gate:
 //
 //	benchjson -compare BENCH_lattice.json -against bench_ci.json \
-//	          [-tolerance 0.25] [-allow 'regex over pkg.BenchmarkName'] \
-//	          [-only 'regex over pkg.BenchmarkName']
+//	          [-tolerance 0.25] [-only 'regex over pkg.BenchmarkName']
 //
-// A benchmark regresses when its ns/op exceeds baseline×(1+tolerance);
-// benchmarks matching -allow (noisy suites) are reported but never fail
-// the gate, and baseline benchmarks missing from the new report fail it
-// unless allow-listed. -only filters both reports to matching IDs
+// A benchmark regresses when its ns/op exceeds baseline×(1+tolerance),
+// and baseline benchmarks missing from the new report fail the gate
+// too. -only filters both reports to matching IDs
 // before the diff, scoping the gate to the blocks a job regenerates
 // (micro-benchmarks vs the xbarload Soak/* pseudo-benchmarks, which
 // share BENCH_lattice.json as their baseline). Exit status 1 on a
@@ -63,30 +61,21 @@ func main() {
 	compare := flag.String("compare", "", "baseline report path; switches to compare mode")
 	against := flag.String("against", "", "new report path to gate against the baseline (compare mode)")
 	tolerance := flag.Float64("tolerance", 0.25, "allowed ns/op growth fraction before a regression fails the gate")
-	allow := flag.String("allow", "", "regex over pkg.BenchmarkName; matches never fail the gate")
 	only := flag.String("only", "", "regex over pkg.BenchmarkName; both reports are filtered to matches before comparing (compare mode)")
 	flag.Parse()
 
 	if *compare != "" {
-		os.Exit(runCompare(os.Stdout, *compare, *against, *tolerance, *allow, *only))
+		os.Exit(runCompare(os.Stdout, *compare, *against, *tolerance, *only))
 	}
 	runEmit(*out, *benchRe, *benchtime, *pkgs)
 }
 
 // runCompare executes the perf-regression gate and returns the process
 // exit code.
-func runCompare(w *os.File, oldPath, newPath string, tolerance float64, allowPat, onlyPat string) int {
+func runCompare(w *os.File, oldPath, newPath string, tolerance float64, onlyPat string) int {
 	if newPath == "" {
 		fmt.Fprintln(os.Stderr, "benchjson: -compare requires -against new.json")
 		return 2
-	}
-	var allowRe *regexp.Regexp
-	if allowPat != "" {
-		var err error
-		if allowRe, err = regexp.Compile(allowPat); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: bad -allow regex:", err)
-			return 2
-		}
 	}
 	var onlyRe *regexp.Regexp
 	if onlyPat != "" {
@@ -109,7 +98,7 @@ func runCompare(w *os.File, oldPath, newPath string, tolerance float64, allowPat
 	// -only scopes the gate: the baseline may hold blocks this job does
 	// not regenerate (micro-benchmarks vs Soak/* pseudo-benchmarks), and
 	// an unscoped Compare would fail them as Missing.
-	cmp := benchreport.Compare(old.Filter(onlyRe), new.Filter(onlyRe), tolerance, allowRe)
+	cmp := benchreport.Compare(old.Filter(onlyRe), new.Filter(onlyRe), tolerance)
 	fmt.Fprintf(w, "benchjson: %s (baseline) vs %s\n%s", oldPath, newPath, cmp.Format())
 	if !cmp.OK() {
 		return 1

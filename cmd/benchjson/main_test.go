@@ -56,7 +56,7 @@ func TestEmitGolden(t *testing.T) {
 
 // capture runs runCompare with its output redirected to a temp file and
 // returns (exit code, printed text).
-func capture(t *testing.T, oldPath, newPath string, tol float64, allow string, only ...string) (int, string) {
+func capture(t *testing.T, oldPath, newPath string, tol float64, only ...string) (int, string) {
 	t.Helper()
 	f, err := os.CreateTemp(t.TempDir(), "out")
 	if err != nil {
@@ -66,7 +66,7 @@ func capture(t *testing.T, oldPath, newPath string, tol float64, allow string, o
 	if len(only) > 0 {
 		onlyPat = only[0]
 	}
-	code := runCompare(f, oldPath, newPath, tol, allow, onlyPat)
+	code := runCompare(f, oldPath, newPath, tol, onlyPat)
 	if _, err := f.Seek(0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func td(name string) string { return filepath.Join("testdata", name) }
 // deliberately slowed benchmark: the fixture's BenchmarkSynthesizeCached
 // is 6x the baseline.
 func TestCompareGateTripsOnRegression(t *testing.T) {
-	code, out := capture(t, td("baseline.json"), td("new_regressed.json"), 0.25, "")
+	code, out := capture(t, td("baseline.json"), td("new_regressed.json"), 0.25)
 	if code != 1 {
 		t.Fatalf("exit code %d, want 1\n%s", code, out)
 	}
@@ -98,7 +98,7 @@ func TestCompareGateTripsOnRegression(t *testing.T) {
 
 func TestCompareGatePassesWithinTolerance(t *testing.T) {
 	// new_ok drifts the HTTP round trip +22%, inside the 25% tolerance.
-	code, out := capture(t, td("baseline.json"), td("new_ok.json"), 0.25, "")
+	code, out := capture(t, td("baseline.json"), td("new_ok.json"), 0.25)
 	if code != 0 {
 		t.Fatalf("exit code %d, want 0\n%s", code, out)
 	}
@@ -106,18 +106,8 @@ func TestCompareGatePassesWithinTolerance(t *testing.T) {
 		t.Fatalf("gate output:\n%s", out)
 	}
 	// The same drift fails a tighter gate.
-	if code, _ := capture(t, td("baseline.json"), td("new_ok.json"), 0.10, ""); code != 1 {
+	if code, _ := capture(t, td("baseline.json"), td("new_ok.json"), 0.10); code != 1 {
 		t.Fatal("22% drift passed a 10% gate")
-	}
-}
-
-func TestCompareGateAllowList(t *testing.T) {
-	code, out := capture(t, td("baseline.json"), td("new_regressed.json"), 0.25, `engine\.BenchmarkSynthesizeCached`)
-	if code != 0 {
-		t.Fatalf("allow-listed regression still fails: exit %d\n%s", code, out)
-	}
-	if !strings.Contains(out, "allow-listed") {
-		t.Fatalf("allowed exceedance not reported:\n%s", out)
 	}
 }
 
@@ -130,21 +120,18 @@ func TestCompareGateMissingBenchmark(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, out := capture(t, td("baseline.json"), path, 0.25, "")
+	code, out := capture(t, td("baseline.json"), path, 0.25)
 	if code != 1 || !strings.Contains(out, "MISSING") {
 		t.Fatalf("missing benchmarks not failed: exit %d\n%s", code, out)
 	}
 }
 
 func TestCompareGateBadInputs(t *testing.T) {
-	if code, _ := capture(t, td("baseline.json"), "", 0.25, ""); code != 2 {
+	if code, _ := capture(t, td("baseline.json"), "", 0.25); code != 2 {
 		t.Fatal("missing -against not a usage error")
 	}
-	if code, _ := capture(t, td("baseline.json"), td("nope.json"), 0.25, ""); code != 2 {
+	if code, _ := capture(t, td("baseline.json"), td("nope.json"), 0.25); code != 2 {
 		t.Fatal("unreadable new report not a usage error")
-	}
-	if code, _ := capture(t, td("baseline.json"), td("new_ok.json"), 0.25, "["); code != 2 {
-		t.Fatal("bad allow regex not a usage error")
 	}
 }
 
@@ -163,17 +150,17 @@ func TestCompareGateOnlyScopes(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code, out := capture(t, td("baseline.json"), path, 0.25, ""); code != 1 {
+	if code, out := capture(t, td("baseline.json"), path, 0.25); code != 1 {
 		t.Fatalf("unscoped partial report passed: exit %d\n%s", code, out)
 	}
-	code, out := capture(t, td("baseline.json"), path, 0.25, "", `lattice\.BenchmarkEval8x8`)
+	code, out := capture(t, td("baseline.json"), path, 0.25, `lattice\.BenchmarkEval8x8`)
 	if code != 0 {
 		t.Fatalf("scoped gate failed: exit %d\n%s", code, out)
 	}
 	if !strings.Contains(out, "OK: 1 benchmarks compared") {
 		t.Fatalf("scoped gate output:\n%s", out)
 	}
-	if code, _ := capture(t, td("baseline.json"), path, 0.25, "", "["); code != 2 {
+	if code, _ := capture(t, td("baseline.json"), path, 0.25, "["); code != 2 {
 		t.Fatal("bad -only regex not a usage error")
 	}
 }

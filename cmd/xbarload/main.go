@@ -670,7 +670,6 @@ func (r *soakResult) report(duration time.Duration) benchreport.Report {
 			"hits":        float64(r.statsAfter.CacheHits - r.statsBefore.CacheHits),
 			"misses":      float64(r.statsAfter.CacheMisses - r.statsBefore.CacheMisses),
 			"entries":     float64(r.statsAfter.CacheEntries),
-			"shards":      float64(r.statsAfter.CacheShards),
 			"loaded":      float64(r.statsAfter.CacheLoaded),
 			"synth-calls": float64(r.statsAfter.SynthCalls - r.statsBefore.SynthCalls),
 		},

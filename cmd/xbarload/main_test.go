@@ -90,7 +90,7 @@ func fixedResult(t *testing.T) *soakResult {
 	res.dieLats = []time.Duration{5 * time.Microsecond, 2 * time.Microsecond, 3 * time.Microsecond, 4 * time.Microsecond}
 	res.dieAttempts, res.dieEvents = 12, 8
 	res.statsBefore = nanoxbar.Stats{CacheHits: 100, CacheMisses: 10, SynthCalls: 10}
-	res.statsAfter = nanoxbar.Stats{CacheHits: 490, CacheMisses: 20, CacheEntries: 20, CacheShards: 8, CacheLoaded: 4, SynthCalls: 21}
+	res.statsAfter = nanoxbar.Stats{CacheHits: 490, CacheMisses: 20, CacheEntries: 20, CacheLoaded: 4, SynthCalls: 21}
 	res.metricsBefore = parseScrape(t, scrapeBefore)
 	res.metricsAfter = parseScrape(t, scrapeAfter)
 	return res

@@ -1,6 +1,6 @@
 // Command xbarserverd serves the nanoxbar synthesis and per-chip
-// mapping pipeline over HTTP. Synthesis results are cached in a sharded
-// LRU shared across requests (one core.Synthesize per distinct function
+// mapping pipeline over HTTP. Synthesis results are cached in an LRU
+// shared across requests (one core.Synthesize per distinct function
 // × technology × options); per-chip mapping jobs fan out across a
 // bounded worker pool. The handler lives in internal/httpapi; this
 // command is flag parsing and lifecycle.
@@ -115,7 +115,7 @@ func buildLogger(level, format string) (*slog.Logger, error) {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
-	cacheSize := flag.Int("cache", 1024, "synthesis cache entries (total across shards)")
+	cacheSize := flag.Int("cache", 1024, "synthesis cache entries")
 	cacheLoad := flag.String("cache-load", "", "seed the cache from this snapshot at boot")
 	cacheSave := flag.String("cache-save", "", "checkpoint the cache to this path on shutdown")
 	saveInterval := flag.Duration("cache-save-interval", 0, "also checkpoint every interval (0 = only on shutdown)")
@@ -238,8 +238,8 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	st := eng.Stats()
-	fmt.Printf("xbarserverd listening on %s (workers=%d cache=%d shards=%d fingerprint=%q)\n",
-		*addr, st.Workers, *cacheSize, st.CacheShards, core.Fingerprint())
+	fmt.Printf("xbarserverd listening on %s (workers=%d cache=%d fingerprint=%q)\n",
+		*addr, st.Workers, *cacheSize, core.Fingerprint())
 
 	select {
 	case err := <-errc:

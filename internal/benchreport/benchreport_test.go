@@ -1,7 +1,6 @@
 package benchreport
 
 import (
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -59,7 +58,7 @@ func mkReport(ns map[string]float64) Report {
 func TestCompareDetectsRegression(t *testing.T) {
 	old := mkReport(map[string]float64{"BenchmarkA": 100, "BenchmarkB": 100, "BenchmarkC": 100})
 	new := mkReport(map[string]float64{"BenchmarkA": 120, "BenchmarkB": 200, "BenchmarkC": 80})
-	cmp := Compare(old, new, 0.25, nil)
+	cmp := Compare(old, new, 0.25)
 	if cmp.OK() {
 		t.Fatal("2x regression passed the gate")
 	}
@@ -81,7 +80,7 @@ func TestCompareDetectsRegression(t *testing.T) {
 func TestCompareWithinToleranceOK(t *testing.T) {
 	old := mkReport(map[string]float64{"BenchmarkA": 100})
 	new := mkReport(map[string]float64{"BenchmarkA": 124})
-	cmp := Compare(old, new, 0.25, nil)
+	cmp := Compare(old, new, 0.25)
 	if !cmp.OK() || len(cmp.Regressions) != 0 {
 		t.Fatalf("24%% drift failed a 25%% gate: %+v", cmp)
 	}
@@ -90,43 +89,22 @@ func TestCompareWithinToleranceOK(t *testing.T) {
 	}
 }
 
-func TestCompareAllowList(t *testing.T) {
-	old := mkReport(map[string]float64{"BenchmarkNoisy": 100, "BenchmarkHot": 100})
-	new := mkReport(map[string]float64{"BenchmarkNoisy": 500, "BenchmarkHot": 90})
-	allow := regexp.MustCompile(`Noisy`)
-	cmp := Compare(old, new, 0.25, allow)
-	if !cmp.OK() {
-		t.Fatalf("allow-listed regression failed the gate: %+v", cmp)
-	}
-	if len(cmp.Allowed) != 1 || cmp.Allowed[0].ID != "p.BenchmarkNoisy" {
-		t.Fatalf("allowed %+v", cmp.Allowed)
-	}
-	// The same run without the allow-list must fail.
-	if Compare(old, new, 0.25, nil).OK() {
-		t.Fatal("5x regression passed without allow-list")
-	}
-}
-
 func TestCompareMissingBenchmarkFails(t *testing.T) {
 	old := mkReport(map[string]float64{"BenchmarkA": 100, "BenchmarkGone": 100})
 	new := mkReport(map[string]float64{"BenchmarkA": 100})
-	cmp := Compare(old, new, 0.25, nil)
+	cmp := Compare(old, new, 0.25)
 	if cmp.OK() {
 		t.Fatal("missing benchmark passed the gate")
 	}
 	if len(cmp.Missing) != 1 || cmp.Missing[0] != "p.BenchmarkGone" {
 		t.Fatalf("missing %+v", cmp.Missing)
 	}
-	// Allow-listing the missing benchmark unblocks the gate.
-	if cmp := Compare(old, new, 0.25, regexp.MustCompile(`Gone`)); !cmp.OK() {
-		t.Fatalf("allow-listed missing benchmark still fails: %+v", cmp)
-	}
 }
 
 func TestCompareZeroBaselineIgnored(t *testing.T) {
 	old := mkReport(map[string]float64{"BenchmarkZero": 0})
 	new := mkReport(map[string]float64{"BenchmarkZero": 1000})
-	if cmp := Compare(old, new, 0.25, nil); !cmp.OK() {
+	if cmp := Compare(old, new, 0.25); !cmp.OK() {
 		t.Fatalf("zero baseline produced a regression: %+v", cmp)
 	}
 }

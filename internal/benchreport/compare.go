@@ -2,33 +2,27 @@ package benchreport
 
 import (
 	"fmt"
-	"regexp"
 	"sort"
 	"strings"
 )
 
 // Delta is one benchmark present in both reports.
 type Delta struct {
-	ID      string  `json:"id"`
-	OldNs   float64 `json:"old_ns_per_op"`
-	NewNs   float64 `json:"new_ns_per_op"`
-	Ratio   float64 `json:"ratio"` // new / old; > 1 is slower
-	Allowed bool    `json:"allowed,omitempty"`
+	ID    string  `json:"id"`
+	OldNs float64 `json:"old_ns_per_op"`
+	NewNs float64 `json:"new_ns_per_op"`
+	Ratio float64 `json:"ratio"` // new / old; > 1 is slower
 }
 
 // Comparison is the outcome of diffing a new report against a baseline.
 type Comparison struct {
 	Tolerance float64 `json:"tolerance"`
 	Compared  int     `json:"compared"`
-	// Regressions exceed the tolerance and are not allow-listed — each
-	// one fails the gate.
+	// Regressions exceed the tolerance — each one fails the gate.
 	Regressions []Delta `json:"regressions,omitempty"`
-	// Allowed exceed the tolerance but match the allow-list (noisy
-	// suites); reported, not failing.
-	Allowed []Delta `json:"allowed,omitempty"`
 	// Missing are baseline benchmarks absent from the new report — a
-	// deleted or renamed benchmark silently escapes the gate, so the
-	// gate fails on them too unless allow-listed.
+	// deleted or renamed benchmark would silently escape the gate, so
+	// the gate fails on them too.
 	Missing []string `json:"missing,omitempty"`
 }
 
@@ -36,22 +30,17 @@ type Comparison struct {
 func (c Comparison) OK() bool { return len(c.Regressions) == 0 && len(c.Missing) == 0 }
 
 // Compare diffs `new` against the `old` baseline on ns/op. A benchmark
-// regresses when new > old×(1+tolerance). allow (optional) is matched
-// against the benchmark ID (pkg.Name); matching benchmarks never fail
-// the gate, covering suites that are inherently noisy in CI.
-func Compare(old, new Report, tolerance float64, allow *regexp.Regexp) Comparison {
+// regresses when new > old×(1+tolerance).
+func Compare(old, new Report, tolerance float64) Comparison {
 	cmp := Comparison{Tolerance: tolerance}
 	newByID := make(map[string]Benchmark, len(new.Benchmarks))
 	for _, b := range new.Benchmarks {
 		newByID[b.ID()] = b
 	}
-	allowed := func(id string) bool { return allow != nil && allow.MatchString(id) }
 	for _, ob := range old.Benchmarks {
 		nb, ok := newByID[ob.ID()]
 		if !ok {
-			if !allowed(ob.ID()) {
-				cmp.Missing = append(cmp.Missing, ob.ID())
-			}
+			cmp.Missing = append(cmp.Missing, ob.ID())
 			continue
 		}
 		cmp.Compared++
@@ -60,22 +49,16 @@ func Compare(old, new Report, tolerance float64, allow *regexp.Regexp) Compariso
 		}
 		d := Delta{ID: ob.ID(), OldNs: ob.NsPerOp, NewNs: nb.NsPerOp, Ratio: nb.NsPerOp / ob.NsPerOp}
 		if d.Ratio > 1+tolerance {
-			if allowed(d.ID) {
-				d.Allowed = true
-				cmp.Allowed = append(cmp.Allowed, d)
-			} else {
-				cmp.Regressions = append(cmp.Regressions, d)
-			}
+			cmp.Regressions = append(cmp.Regressions, d)
 		}
 	}
 	sort.Slice(cmp.Regressions, func(i, j int) bool { return cmp.Regressions[i].Ratio > cmp.Regressions[j].Ratio })
-	sort.Slice(cmp.Allowed, func(i, j int) bool { return cmp.Allowed[i].Ratio > cmp.Allowed[j].Ratio })
 	sort.Strings(cmp.Missing)
 	return cmp
 }
 
 // Format renders the comparison for CI logs: worst offenders first,
-// then the allow-listed exceedances, then a one-line verdict.
+// then the missing benchmarks, then a one-line verdict.
 func (c Comparison) Format() string {
 	var sb strings.Builder
 	line := func(d Delta) {
@@ -93,17 +76,11 @@ func (c Comparison) Format() string {
 			fmt.Fprintf(&sb, "  %s\n", id)
 		}
 	}
-	if len(c.Allowed) > 0 {
-		sb.WriteString("allow-listed exceedances (not failing):\n")
-		for _, d := range c.Allowed {
-			line(d)
-		}
-	}
 	verdict := "OK"
 	if !c.OK() {
 		verdict = "FAIL"
 	}
-	fmt.Fprintf(&sb, "%s: %d benchmarks compared, %d regressions, %d missing, %d allow-listed (tolerance %.0f%%)\n",
-		verdict, c.Compared, len(c.Regressions), len(c.Missing), len(c.Allowed), c.Tolerance*100)
+	fmt.Fprintf(&sb, "%s: %d benchmarks compared, %d regressions, %d missing (tolerance %.0f%%)\n",
+		verdict, c.Compared, len(c.Regressions), len(c.Missing), c.Tolerance*100)
 	return sb.String()
 }

@@ -141,14 +141,13 @@ func encodeImp(im *core.Implementation) (wireImp, error) {
 }
 
 // decodeImp rebuilds an implementation, re-deriving the crossbar arrays
-// from the persisted covers (diode, FET) or lattice sites (4T).
+// from the persisted covers (diode, FET) or lattice sites (4T). The
+// entry's rows and cols must be the rebuilt array's: a snapshot crosses
+// a trust boundary, and a claimed shape is served as the entry's size.
 func decodeImp(w wireImp) (*core.Implementation, error) {
 	tech, err := core.ParseTechnology(w.Tech)
 	if err != nil {
 		return nil, fmt.Errorf("cachestore: %w", err)
-	}
-	if w.Rows < 0 || w.Cols < 0 {
-		return nil, fmt.Errorf("cachestore: negative shape %d×%d", w.Rows, w.Cols)
 	}
 	im := &core.Implementation{
 		Tech:      tech,
@@ -158,17 +157,22 @@ func decodeImp(w wireImp) (*core.Implementation, error) {
 		FCover:    decodeCover(w.FCover),
 		DualCover: decodeCover(w.DualCover),
 	}
+	var rows, cols int
 	switch tech {
 	case core.Diode:
 		im.DiodeA = xbar2t.NewDiodeArray(im.FCover)
+		rows, cols = im.DiodeA.Rows(), im.DiodeA.Cols()
 	case core.FET:
 		im.FETA = xbar2t.NewFETArray(im.FCover, im.DualCover)
+		s := xbar2t.FormulaSizes(im.FCover, im.DualCover)
+		rows, cols = s.FETRows, s.FETCols
 	case core.FourTerminal:
 		wl := w.Lattice
 		if wl == nil {
 			return nil, fmt.Errorf("cachestore: four-terminal entry without lattice")
 		}
-		if wl.R < 1 || wl.C < 1 || wl.R*wl.C != len(wl.Sites) {
+		// Divide rather than multiply: R·C wraps for large R and C.
+		if wl.R < 1 || wl.C < 1 || len(wl.Sites)%wl.C != 0 || len(wl.Sites)/wl.C != wl.R {
 			return nil, fmt.Errorf("cachestore: lattice shape %d×%d does not match %d sites", wl.R, wl.C, len(wl.Sites))
 		}
 		l := lattice.New(wl.R, wl.C)
@@ -182,6 +186,10 @@ func decodeImp(w wireImp) (*core.Implementation, error) {
 			l.Set(i/wl.C, i%wl.C, lattice.Site{Kind: lattice.SiteKind(s.Kind), Var: s.Var, Neg: s.Neg})
 		}
 		im.Lattice = l
+		rows, cols = wl.R, wl.C
+	}
+	if w.Rows != rows || w.Cols != cols {
+		return nil, fmt.Errorf("cachestore: entry claims shape %d×%d, its array is %d×%d", w.Rows, w.Cols, rows, cols)
 	}
 	return im, nil
 }

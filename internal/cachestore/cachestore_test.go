@@ -15,7 +15,7 @@ import (
 
 // synthAll synthesizes f on every technology and returns the entries a
 // cache holding them would snapshot.
-func synthAll(t *testing.T, f truthtab.TT) []Entry {
+func synthAll(t testing.TB, f truthtab.TT) []Entry {
 	t.Helper()
 	opts := core.DefaultOptions()
 	var entries []Entry
@@ -146,6 +146,37 @@ func TestTruncatedSnapshotRejected(t *testing.T) {
 	}
 }
 
+// ndjson encodes a header and entry lines as a snapshot's stream
+// before compression.
+func ndjson(t testing.TB, h header, entries ...wireEntry) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	if err := enc.Encode(h); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// gzipped compresses b as Write does.
+func gzipped(b []byte) []byte {
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write(b)
+	zw.Close()
+	return buf.Bytes()
+}
+
+// oneEntry is a snapshot stream of a single entry under key "k".
+func oneEntry(t testing.TB, imp wireImp) []byte {
+	return ndjson(t, header{Magic: Magic, Version: Version, Entries: 1}, wireEntry{Key: "k", Imp: imp})
+}
+
 func TestCorruptEntriesRejected(t *testing.T) {
 	cases := []struct {
 		name string
@@ -160,19 +191,39 @@ func TestCorruptEntriesRejected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			zw := gzip.NewWriter(&buf)
-			enc := json.NewEncoder(zw)
-			if err := enc.Encode(header{Magic: Magic, Version: Version, Entries: 1}); err != nil {
-				t.Fatal(err)
-			}
-			if err := enc.Encode(wireEntry{Key: "k", Imp: tc.imp}); err != nil {
-				t.Fatal(err)
-			}
-			zw.Close()
-			_, _, err := Read(bytes.NewReader(buf.Bytes()), "")
+			_, _, err := Read(bytes.NewReader(gzipped(oneEntry(t, tc.imp))), "")
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// hostileShapes are entries whose claimed shape is not their array's.
+// Each would be served with the claimed shape and area; the first
+// Implementation.App() on the overflowing lattice asks for a 2^64-cell
+// matrix.
+var hostileShapes = []struct {
+	name string
+	imp  wireImp
+	want string
+}{
+	{"lattice shape overflows", wireImp{Tech: "lattice", Rows: 1 << 32, Cols: 1 << 32,
+		Lattice: &wireLattice{R: 1 << 32, C: 1 << 32, Sites: []wireSite{}}}, "does not match"},
+	{"diode claims 1000000x7 over 1x5", wireImp{Tech: "diode", Rows: 1_000_000, Cols: 7,
+		FCover: []wireCube{{Pos: 0b0011, Neg: 0b1100}}}, "claims shape"},
+	{"lattice claims 1x1 over 2x2", wireImp{Tech: "lattice", Rows: 1, Cols: 1,
+		Lattice: &wireLattice{R: 2, C: 2, Sites: make([]wireSite, 4)}}, "claims shape"},
+}
+
+// TestHostileShapesRejected: Read refuses every hostile shape. It never
+// calls App on what it decodes.
+func TestHostileShapesRejected(t *testing.T) {
+	for _, tc := range hostileShapes {
+		t.Run(tc.name, func(t *testing.T) {
+			_, entries, err := Read(bytes.NewReader(gzipped(oneEntry(t, tc.imp))), "")
+			if err == nil || !strings.Contains(err.Error(), tc.want) || entries != nil {
+				t.Fatalf("Read = %d entries, err %v; want no entries and an error naming %q", len(entries), err, tc.want)
 			}
 		})
 	}

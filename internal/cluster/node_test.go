@@ -165,12 +165,12 @@ func TestPeerFillHit(t *testing.T) {
 	req, _ := requestOwnedBy(t, nodes["a"].eng, []string{"a", "b"}, "b")
 
 	if res := nodes["b"].eng.DoCtx(context.Background(), req); !res.Ok() {
-		t.Fatalf("warm b: %v", res.Error)
+		t.Fatalf("warm b: %v", res.Err)
 	}
 	synthB := nodes["b"].eng.Stats().SynthCalls
 
 	if res := nodes["a"].eng.DoCtx(context.Background(), req); !res.Ok() {
-		t.Fatalf("a.DoCtx: %v", res.Error)
+		t.Fatalf("a.DoCtx: %v", res.Err)
 	}
 	st := nodes["a"].node.Status()
 	if st.PeerFillHits != 1 || st.PeerFillMisses != 0 {
@@ -198,7 +198,7 @@ func TestPeerFillMiss(t *testing.T) {
 	req, _ := requestOwnedBy(t, nodes["a"].eng, []string{"a", "b"}, "b")
 
 	if res := nodes["a"].eng.DoCtx(context.Background(), req); !res.Ok() {
-		t.Fatalf("a.DoCtx: %v", res.Error)
+		t.Fatalf("a.DoCtx: %v", res.Err)
 	}
 	st := nodes["a"].node.Status()
 	if st.PeerFillMisses != 1 || st.PeerFillHits != 0 {
@@ -461,7 +461,7 @@ func TestWarmStartFromPeer(t *testing.T) {
 	}
 	for i, res := range nodes["a"].eng.SubmitBatch(reqs) {
 		if !res.Ok() {
-			t.Fatalf("warm a req %d: %v", i, res.Error)
+			t.Fatalf("warm a req %d: %v", i, res.Err)
 		}
 	}
 	wantEntries := nodes["a"].eng.Stats().CacheEntries
@@ -479,7 +479,7 @@ func TestWarmStartFromPeer(t *testing.T) {
 
 	for i, res := range nodes["b"].eng.SubmitBatch(reqs) {
 		if !res.Ok() {
-			t.Fatalf("replay req %d on b: %v", i, res.Error)
+			t.Fatalf("replay req %d on b: %v", i, res.Err)
 		}
 	}
 	st := nodes["b"].eng.Stats()

@@ -181,12 +181,12 @@ func (n *Node) forwardOnce(ctx context.Context, p *peerState, req engine.Request
 			}
 		case nanoxbar.EventError:
 			if ferr := ev.Error.Err(); ferr != nil {
-				res = engine.Result{Kind: req.Kind, Error: ferr.Error(), Code: apierr.CodeOf(ferr), Err: ferr}
+				res = engine.Result{Kind: req.Kind, Err: ferr}
 				answered = true
 			}
 		}
 	})
-	switch rerr := res.TypedErr(); {
+	switch rerr := res.Err; {
 	case err != nil:
 		return engine.Result{}, fmt.Errorf("cluster: peer %s forward: %w", p.id, err)
 	case !answered:

@@ -27,9 +27,7 @@ type Ring struct {
 	members []string // distinct ids, sorted
 }
 
-// fnv1a is FNV-1a over the whole string. The cache shards hash the
-// same way (cache.go shardFor); reusing the function keeps the two
-// placement layers consistent and dependency-free.
+// fnv1a is FNV-1a over the whole string, dependency-free.
 func fnv1a(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037

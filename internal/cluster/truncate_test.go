@@ -29,7 +29,7 @@ func warmSnapshot(t *testing.T) (int, []byte) {
 	}
 	for i, res := range eng.SubmitBatch(reqs) {
 		if !res.Ok() {
-			t.Fatalf("warm req %d: %v", i, res.Error)
+			t.Fatalf("warm req %d: %v", i, res.Err)
 		}
 	}
 	var buf bytes.Buffer

@@ -10,39 +10,39 @@ import (
 	"nanoxbar/internal/core"
 )
 
-// occupyWorkers parks every pool worker on a blocking job, returning
-// the release function. The test can then fill and overflow the queue
-// deterministically with fillQueue.
+// occupyWorkers takes every run slot, as if Workers requests were
+// running, and returns the function that frees them. The test can then
+// fill and overflow the queue deterministically with fillQueue.
 func occupyWorkers(t *testing.T, e *Engine) (release func()) {
 	t.Helper()
-	block := make(chan struct{})
 	for i := 0; i < e.workers; i++ {
-		started := make(chan struct{})
-		e.pool.jobs <- func() { close(started); <-block }
-		select {
-		case <-started:
-		case <-time.After(5 * time.Second):
-			t.Fatal("worker never picked up the blocking job")
-		}
+		e.pool.run <- struct{}{}
 	}
 	var released bool
 	return func() {
 		if !released {
 			released = true
-			close(block)
+			for i := 0; i < e.workers; i++ {
+				<-e.pool.run
+			}
 		}
 	}
 }
 
-// fillQueue takes every queue slot with a no-op job: the queue holds
-// 4×Workers of them.
-func fillQueue(t *testing.T, e *Engine) {
+// fillQueue takes every queue slot, as if 4×Workers admitted requests
+// waited for a run slot, and returns the function that frees them.
+func fillQueue(t *testing.T, e *Engine) (drain func()) {
 	t.Helper()
 	if got, want := e.pool.depth(), 4*e.workers; got != want {
 		t.Fatalf("queue depth %d, want 4×%d workers = %d", got, e.workers, want)
 	}
 	for i := 0; i < e.pool.depth(); i++ {
-		e.pool.jobs <- func() {}
+		e.pool.queue <- struct{}{}
+	}
+	return func() {
+		for i := 0; i < e.pool.depth(); i++ {
+			<-e.pool.queue
+		}
 	}
 }
 
@@ -51,7 +51,7 @@ func TestAdmissionShedsWhenQueueSaturated(t *testing.T) {
 	defer e.Close()
 	release := occupyWorkers(t, e)
 	defer release()
-	fillQueue(t, e) // the four slots of a one-worker engine
+	drain := fillQueue(t, e) // the four slots of a one-worker engine
 
 	res := e.DoCtx(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{TT: "2:0x6"}})
 	if res.Ok() {
@@ -60,17 +60,19 @@ func TestAdmissionShedsWhenQueueSaturated(t *testing.T) {
 	if !errors.Is(res.TypedErr(), apierr.ErrOverloaded) {
 		t.Fatalf("TypedErr = %v, want ErrOverloaded", res.TypedErr())
 	}
-	if res.Code != apierr.CodeOverloaded {
-		t.Fatalf("Code = %q, want %q", res.Code, apierr.CodeOverloaded)
+	if apierr.CodeOf(res.Err) != apierr.CodeOverloaded {
+		t.Fatalf("Code = %q, want %q", apierr.CodeOf(res.Err), apierr.CodeOverloaded)
 	}
 	if st := e.Stats(); st.Shed != 1 || st.Failures != 1 {
 		t.Fatalf("stats: shed=%d failures=%d, want 1/1", st.Shed, st.Failures)
 	}
 
-	// Released workers drain the queue; the same request is admitted.
+	// With the queue drained and the worker free, the same request is
+	// admitted.
+	drain()
 	release()
 	if res := e.DoCtx(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{TT: "2:0x6"}}); !res.Ok() {
-		t.Fatalf("post-drain request failed: %s", res.Error)
+		t.Fatalf("post-drain request failed: %v", res.Err)
 	}
 }
 
@@ -81,12 +83,12 @@ func TestAdmissionBlocksForeverWithoutBudget(t *testing.T) {
 	defer e.Close()
 	release := occupyWorkers(t, e)
 	defer release() // a failing fillQueue must not leave Close waiting on the worker
-	fillQueue(t, e)
-	go func() { time.Sleep(10 * time.Millisecond); release() }()
+	drain := fillQueue(t, e)
+	go func() { time.Sleep(10 * time.Millisecond); drain(); release() }()
 
 	res := e.DoCtx(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{TT: "2:0x6"}})
 	if !res.Ok() {
-		t.Fatalf("blocking submission failed: %s (code %s)", res.Error, res.Code)
+		t.Fatalf("blocking submission failed: %v (code %v)", res.Err, apierr.CodeOf(res.Err))
 	}
 	if st := e.Stats(); st.Shed != 0 {
 		t.Fatalf("shed = %d, want 0", st.Shed)
@@ -101,7 +103,7 @@ func TestDegradationAfterQueueWait(t *testing.T) {
 
 	res := e.DoCtx(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{Name: "maj3"}})
 	if !res.Ok() {
-		t.Fatalf("degraded request failed: %s", res.Error)
+		t.Fatalf("degraded request failed: %v", res.Err)
 	}
 	if !res.Degraded {
 		t.Fatal("result not marked degraded")

@@ -21,14 +21,14 @@ func TestYieldSweepBytesFlatInDies(t *testing.T) {
 	sweepBytes := func(chips int) uint64 {
 		req := Request{Kind: KindYield, Function: FunctionSpec{Name: "maj3"}, Density: 0.02, Chips: chips, ChipSize: 64, Seed: 42}
 		if r := e.DoCtx(context.Background(), req); !r.Ok() { // warm the synthesis cache
-			t.Fatal(r.Error)
+			t.Fatal(r.Err)
 		}
 		const runs = 4
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
 			if r := e.DoCtx(context.Background(), req); !r.Ok() {
-				t.Fatal(r.Error)
+				t.Fatal(r.Err)
 			}
 		}
 		runtime.ReadMemStats(&after)
@@ -41,16 +41,20 @@ func TestYieldSweepBytesFlatInDies(t *testing.T) {
 	}
 }
 
-// TestSubmitAcceptAllocFree: the close guard keeps submitWait's
-// accepting path allocation-free.
+// TestSubmitAcceptAllocFree: an admitted request takes and gives back
+// its queue and run slots without allocating, close guard included.
 func TestSubmitAcceptAllocFree(t *testing.T) {
-	p := newPool(16) // 64 slots
+	p := newPool(16) // 64 queue slots
 	defer p.close()
-	job := func() {}
+	ctx := context.Background()
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := p.submitWait(context.Background(), 0, job); err != nil {
+		if err := p.admit(ctx, 0); err != nil {
 			t.Fatal(err)
 		}
+		if err := p.start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		p.finish()
 	})
 	if allocs != 0 {
 		t.Fatalf("an accepted submission allocates %.1f times, want 0", allocs)

@@ -57,8 +57,8 @@ func TestRequestBoundsReject(t *testing.T) {
 				t.Fatalf("KeyFor = %v, want bad_spec naming %q", err, tc.want)
 			}
 			res := e.DoCtx(context.Background(), tc.req)
-			if res.Code != apierr.CodeBadSpec || !strings.Contains(res.Error, tc.want) {
-				t.Fatalf("DoCtx = %q %q, want bad_spec naming %q", res.Code, res.Error, tc.want)
+			if apierr.CodeOf(res.Err) != apierr.CodeBadSpec || !strings.Contains(res.Err.Error(), tc.want) {
+				t.Fatalf("DoCtx = %q %v, want bad_spec naming %q", apierr.CodeOf(res.Err), res.Err, tc.want)
 			}
 		})
 	}
@@ -101,7 +101,7 @@ func TestRequestBoundsAdmit(t *testing.T) {
 				return
 			}
 			if res := e.DoCtx(context.Background(), tc.req); !res.Ok() {
-				t.Fatalf("DoCtx = %s %s", res.Code, res.Error)
+				t.Fatalf("DoCtx = %v %v", apierr.CodeOf(res.Err), res.Err)
 			}
 		})
 	}

@@ -22,10 +22,8 @@ type flight struct {
 // deduplication: concurrent misses for one key run the compute function
 // exactly once, and followers block on the leader's flight instead of
 // recomputing. Eviction only removes completed entries, oldest first.
-//
-// One cache guards its map with a single mutex, so it is also the
-// contention unit: the engine stripes keys across many of them via
-// shardedCache rather than growing one lock's critical section.
+// One mutex guards the map, the order and the counters: a hit holds it
+// for a map lookup and a list move.
 type cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -130,11 +128,17 @@ func (c *cache) evictLocked() {
 	}
 }
 
-// counters returns a consistent snapshot of the cache statistics.
-func (c *cache) counters() (hits, misses, evictions uint64, entries int) {
+// cacheStats is a consistent snapshot of the cache counters: loads
+// counts entries seeded from a snapshot, entries the live slots.
+type cacheStats struct {
+	hits, misses, evictions, loads uint64
+	entries                        int
+}
+
+func (c *cache) stats() cacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, c.order.Len()
+	return cacheStats{c.hits, c.misses, c.evictions, c.loads, c.order.Len()}
 }
 
 // insert seeds a completed entry, used when warming the cache from a
@@ -156,12 +160,13 @@ func (c *cache) insert(key string, imp *core.Implementation) bool {
 	return true
 }
 
-// snapshot appends the completed entries in eviction order (least
-// recently used first) to dst. In-flight computations are skipped: a
-// snapshot taken mid-synthesis persists only finished results.
-func (c *cache) snapshot(dst []cachestore.Entry) []cachestore.Entry {
+// snapshot returns the completed entries in eviction order (least
+// recently used first). In-flight computations are skipped: a snapshot
+// taken mid-synthesis persists only finished results.
+func (c *cache) snapshot() []cachestore.Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var dst []cachestore.Entry
 	for el := c.order.Back(); el != nil; el = el.Prev() {
 		node := el.Value.(*cacheNode)
 		select {
@@ -173,125 +178,4 @@ func (c *cache) snapshot(dst []cachestore.Entry) []cachestore.Entry {
 		}
 	}
 	return dst
-}
-
-// shardedCache stripes the synthesis cache across independent
-// single-lock shards so cache-hit traffic scales with GOMAXPROCS
-// instead of serializing on one mutex. Keys are assigned to shards by
-// FNV-1a hash; each shard keeps its own LRU order and singleflight
-// slots, and the aggregate statistics are the sum over shards.
-type shardedCache struct {
-	shards []*cache
-	mask   uint64
-}
-
-// newShardedCache builds a cache of roughly `capacity` total entries
-// striped over `shards` shards (rounded up to a power of two).
-func newShardedCache(capacity, shards int) *shardedCache {
-	if shards < 1 {
-		shards = 1
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	if capacity < 1 {
-		capacity = 1
-	}
-	per := (capacity + n - 1) / n
-	s := &shardedCache{shards: make([]*cache, n), mask: uint64(n - 1)}
-	for i := range s.shards {
-		s.shards[i] = newCache(per)
-	}
-	return s
-}
-
-// shardFor hashes the key onto its shard with FNV-1a over at most the
-// first 16 bytes. Keys are sha-256 hex strings, so a 16-char prefix is
-// already uniformly distributed; bounding the hash keeps the shard pick
-// a few nanoseconds instead of scaling with key length.
-func (s *shardedCache) shardFor(key string) *cache {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	n := len(key)
-	if n > 16 {
-		n = 16
-	}
-	h := uint64(offset64)
-	for i := 0; i < n; i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return s.shards[h&s.mask]
-}
-
-func (s *shardedCache) getOrCompute(key string, fn func() (*core.Implementation, error)) (*core.Implementation, error, bool) {
-	return s.shardFor(key).getOrCompute(key, fn)
-}
-
-func (s *shardedCache) insert(key string, imp *core.Implementation) bool {
-	return s.shardFor(key).insert(key, imp)
-}
-
-func (s *shardedCache) peek(key string) (*core.Implementation, bool) {
-	return s.shardFor(key).peek(key)
-}
-
-// snapshot collects the completed entries of every shard,
-// least-recently-used first within each shard.
-func (s *shardedCache) snapshot() []cachestore.Entry {
-	var dst []cachestore.Entry
-	for _, sh := range s.shards {
-		dst = sh.snapshot(dst)
-	}
-	return dst
-}
-
-// counters sums the per-shard statistics, locking one shard at a time.
-// The totals are approximate under concurrent traffic (shard 0's count
-// is read before shard N's moves), which is fine for observability —
-// holding every shard lock at once would turn each /healthz or /stats
-// poll into exactly the global serialization point sharding removed.
-func (s *shardedCache) counters() (hits, misses, evictions, loads uint64, entries int) {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		hits += sh.hits
-		misses += sh.misses
-		evictions += sh.evictions
-		loads += sh.loads
-		entries += sh.order.Len()
-		sh.mu.Unlock()
-	}
-	return hits, misses, evictions, loads, entries
-}
-
-// cacheShardStats is one shard's statistics snapshot, consumed by the
-// metrics registry's per-shard families.
-type cacheShardStats struct {
-	hits, misses, evictions, loads uint64
-	entries                        int
-}
-
-// perShard snapshots every shard's statistics, locking one shard at a
-// time (the same consistency tradeoff as counters).
-func (s *shardedCache) perShard() []cacheShardStats {
-	out := make([]cacheShardStats, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		out[i] = cacheShardStats{sh.hits, sh.misses, sh.evictions, sh.loads, sh.order.Len()}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// capacity is the summed shard capacity (≥ the requested total due to
-// per-shard rounding).
-func (s *shardedCache) capacity() int {
-	total := 0
-	for _, sh := range s.shards {
-		total += sh.capacity
-	}
-	return total
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nanoxbar/internal/apierr"
 )
@@ -38,8 +39,8 @@ func TestSubmitStreamCanceledUpfront(t *testing.T) {
 		if !errors.Is(r.Err, apierr.ErrCanceled) {
 			t.Fatalf("result %d error %v, want ErrCanceled", i, r.Err)
 		}
-		if r.Code != apierr.CodeCanceled {
-			t.Fatalf("result %d code %q, want %q", i, r.Code, apierr.CodeCanceled)
+		if apierr.CodeOf(r.Err) != apierr.CodeCanceled {
+			t.Fatalf("result %d code %q, want %q", i, apierr.CodeOf(r.Err), apierr.CodeCanceled)
 		}
 	}
 	// No synthesis ran.
@@ -90,6 +91,61 @@ func TestSubmitStreamMidBatchCancellation(t *testing.T) {
 	}
 	if ok == 0 {
 		t.Fatal("expected at least the first request to complete")
+	}
+}
+
+// TestQueuedRequestCanceledAtOnce: a request whose context dies while
+// it waits for a run slot resolves canceled at once, not when the
+// requests ahead of it finish; the same holds for every request of a
+// batch, and none resolves after SubmitStream returns.
+func TestQueuedRequestCanceledAtOnce(t *testing.T) {
+	e := New(Config{Workers: 1, CacheSize: 8})
+	defer e.Close()
+	release := occupyWorkers(t, e)
+	defer release()
+	req := Request{Kind: KindSynthesize, Function: FunctionSpec{TT: "2:0x6"}}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	got := make(chan Result, 1)
+	go func() { got <- e.DoCtx(ctx, req) }()
+	select {
+	case res := <-got:
+		if !errors.Is(res.Err, apierr.ErrCanceled) {
+			t.Fatalf("queued request canceled with %v, want ErrCanceled", res.Err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a request canceled in the queue was still blocked 1 s later, its worker held")
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	var resolved atomic.Int32
+	returned := make(chan struct{})
+	go func() {
+		e.SubmitStream(ctx, []Request{req, req, req}, func(_ int, r Result) {
+			if !errors.Is(r.Err, apierr.ErrCanceled) {
+				t.Errorf("queued batch request canceled with %v, want ErrCanceled", r.Err)
+			}
+			resolved.Add(1)
+		}, nil)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(time.Second):
+		t.Fatal("a batch canceled in the queue was still blocked 1 s later, its worker held")
+	}
+	if n := resolved.Load(); n != 3 {
+		t.Fatalf("%d of 3 batch requests resolved when SubmitStream returned, want 3", n)
+	}
+	release()
+	e.Close()
+	if n := resolved.Load(); n != 3 {
+		t.Fatalf("%d batch results after Close, want the 3 SubmitStream returned with", n)
+	}
+	if st := e.Stats(); st.SynthCalls != 0 || st.Failures != 4 {
+		t.Fatalf("synth_calls=%d failures=%d, want 0/4", st.SynthCalls, st.Failures)
 	}
 }
 
@@ -156,14 +212,13 @@ func TestEngineErrorTaxonomy(t *testing.T) {
 			if !errors.Is(res.Err, tc.sentinel) {
 				t.Fatalf("error %v (%T), want sentinel %v", res.Err, res.Err, tc.sentinel)
 			}
-			if res.Code != tc.code {
-				t.Fatalf("code %q, want %q", res.Code, tc.code)
+			if apierr.CodeOf(res.Err) != tc.code {
+				t.Fatalf("code %q, want %q", apierr.CodeOf(res.Err), tc.code)
 			}
-			// TypedErr must reconstruct the sentinel from the wire
-			// fields alone, as a remote client would.
-			wire := Result{Kind: res.Kind, Error: res.Error, Code: res.Code}
-			if !errors.Is(wire.TypedErr(), tc.sentinel) {
-				t.Fatalf("wire round-trip lost sentinel: %v", wire.TypedErr())
+			// The wire code and message alone must rebuild the
+			// sentinel, as a remote client does.
+			if wire := apierr.FromCode(apierr.CodeOf(res.Err), res.Err.Error()); !errors.Is(wire, tc.sentinel) {
+				t.Fatalf("wire round-trip lost sentinel: %v", wire)
 			}
 			var ae *apierr.Error
 			if !errors.As(res.Err, &ae) {

@@ -34,13 +34,11 @@ import (
 )
 
 // Config sizes the engine. The job queue holds 4×Workers submissions
-// beyond the running ones, and the cache is striped over 4×Workers
-// shards (8 to 256, rounded up to a power of two).
+// beyond the running ones.
 type Config struct {
 	// Workers is the size of the worker pool (default runtime.NumCPU()).
 	Workers int
-	// CacheSize bounds the synthesis LRU entry count (default 1024),
-	// summed across shards.
+	// CacheSize is the synthesis LRU's entry count (default 1024).
 	CacheSize int
 	// Logger receives per-request debug logs (kind, duration, outcome,
 	// request ID when the context carries one). Nil discards.
@@ -53,7 +51,7 @@ type Config struct {
 	MaxQueueWait time.Duration
 	// DegradeAfter is the degradation threshold: a request that sat in
 	// the queue longer than this, and that did not pin explicit Options,
-	// runs with the fast degraded synthesis options (greedy SOP, no
+	// runs with the fast degraded synthesis options (ISOP covers, no
 	// exact search, no post-reduction) instead of the defaults, trading
 	// area optimality for latency under load. 0 disables degradation.
 	DegradeAfter time.Duration
@@ -91,10 +89,11 @@ const (
 )
 
 // Engine executes Requests over a shared synthesis cache and a bounded
-// worker pool. It is safe for concurrent use; Close releases the
-// workers, and a request submitted after it resolves unavailable.
+// worker pool. It is safe for concurrent use; Close waits out the
+// admitted requests, and a request submitted after it resolves
+// unavailable.
 type Engine struct {
-	cache        *shardedCache
+	cache        *cache
 	pool         *pool
 	workers      int
 	maxQueueWait time.Duration
@@ -184,7 +183,7 @@ func New(cfg Config) *Engine {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 	e := &Engine{
-		cache:        newShardedCache(cfg.CacheSize, cacheShards(cfg.Workers)),
+		cache:        newCache(cfg.CacheSize),
 		pool:         newPool(cfg.Workers),
 		workers:      cfg.Workers,
 		maxQueueWait: cfg.MaxQueueWait,
@@ -202,25 +201,10 @@ func New(cfg Config) *Engine {
 // its own families on the same registry.
 func (e *Engine) Registry() *telemetry.Registry { return e.met.reg }
 
-// cacheShards picks the shard count for a pool of `workers`
-// goroutines: 4× oversubscription keeps the probability of two hot
-// lookups colliding on one shard's mutex low, capped so tiny caches are
-// not shredded into hundreds of near-empty LRUs.
-func cacheShards(workers int) int {
-	n := 4 * workers
-	if n < 8 {
-		n = 8
-	}
-	if n > 256 {
-		n = 256
-	}
-	return n
-}
-
-// Close stops the worker pool after draining queued jobs. It is safe
-// against concurrent callers: a request submitted after Close begins
-// resolves with an apierr.ErrUnavailable result, and a second Close
-// does nothing.
+// Close stops admitting requests and waits for the admitted ones to
+// finish, queued ones included. It is safe against concurrent callers:
+// a request submitted after Close begins resolves with an
+// apierr.ErrUnavailable result, and a second Close does nothing.
 func (e *Engine) Close() { e.pool.close() }
 
 // synthKeyed implements f on tech through the cache, returning the
@@ -301,47 +285,71 @@ func (e *Engine) SubmitBatch(reqs []Request) []Result {
 // submission order, which is what lets the HTTP layer flush finished
 // results while slower ones still run. onDie (optional) additionally
 // observes every die of yield requests as (request index, die index).
-// Both callbacks may be invoked concurrently from pool workers; callers
-// synchronize shared state. SubmitStream returns when every request has
-// been resolved (run, shed with an apierr.ErrOverloaded result when the
+// Both callbacks may be invoked concurrently; callers synchronize
+// shared state. SubmitStream returns when every request has been
+// resolved (run, shed with an apierr.ErrOverloaded result when the
 // queue stayed saturated past MaxQueueWait, refused with an
 // apierr.ErrUnavailable result once Close has begun, or reported
-// canceled).
+// canceled — at once when the context dies while the request waits
+// for a run slot), and never calls done after it returns.
 func (e *Engine) SubmitStream(ctx context.Context, reqs []Request, done func(int, Result), onDie func(req, die int, mr *MapResult, err error)) {
+	// Up to Workers goroutines, the caller among them, serve the
+	// requests in order. A goroutine serves many requests, so its stack
+	// grows once per batch, and a single request starts none.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(len(reqs))
-	for i := range reqs {
-		i := i
-		enqueued := time.Now()
-		job := func() {
+	for range min(len(reqs), e.workers) - 1 {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			wait := time.Since(enqueued)
-			e.met.queueWait.Observe(wait)
-			// Degrade rather than queue-collapse: a request that already
-			// burned its wait budget in the queue gets the cheap
-			// synthesis path (unless it pinned explicit Options).
-			degraded := e.degradeAfter > 0 && wait > e.degradeAfter && reqs[i].Options == nil
-			var df DieFunc
-			if onDie != nil {
-				df = func(die int, mr *MapResult, err error) { onDie(i, die, mr, err) }
-			}
-			done(i, e.run(ctx, reqs[i], df, degraded))
-		}
-		if err := e.pool.submitWait(ctx, e.maxQueueWait, job); err != nil {
-			// Never reached a worker: resolve the job here, typed by
-			// why admission failed.
-			wg.Done()
-			switch err {
-			case errQueueFull:
-				done(i, e.overloadedResult(reqs[i].Kind))
-			case errClosed:
-				done(i, e.unavailableResult(reqs[i].Kind))
-			default:
-				done(i, e.canceledResult(reqs[i].Kind, err))
-			}
-		}
+			e.serveNext(ctx, reqs, &next, done, onDie)
+		}()
 	}
+	e.serveNext(ctx, reqs, &next, done, onDie)
 	wg.Wait()
+}
+
+// serveNext serves the batch's next request until none is left.
+func (e *Engine) serveNext(ctx context.Context, reqs []Request, next *atomic.Int64, done func(int, Result), onDie func(req, die int, mr *MapResult, err error)) {
+	for i := int(next.Add(1)) - 1; i < len(reqs); i = int(next.Add(1)) - 1 {
+		e.serve(ctx, i, reqs[i], done, onDie)
+	}
+}
+
+// serve admits request i, runs it once it gets a run slot, and hands
+// its result to done before giving the slot up. A request whose
+// context dies while it waits for the slot resolves canceled at once.
+func (e *Engine) serve(ctx context.Context, i int, req Request, done func(int, Result), onDie func(req, die int, mr *MapResult, err error)) {
+	enqueued := time.Now()
+	if err := e.pool.admit(ctx, e.maxQueueWait); err != nil {
+		// Never admitted: resolve the request here, typed by why
+		// admission failed.
+		switch err {
+		case errQueueFull:
+			done(i, e.overloadedResult(req.Kind))
+		case errClosed:
+			done(i, e.unavailableResult(req.Kind))
+		default:
+			done(i, e.canceledResult(req.Kind, err))
+		}
+		return
+	}
+	if err := e.pool.start(ctx); err != nil {
+		done(i, e.canceledResult(req.Kind, err))
+		return
+	}
+	defer e.pool.finish()
+	wait := time.Since(enqueued)
+	e.met.queueWait.Observe(wait)
+	// Degrade rather than queue-collapse: a request that already burned
+	// its wait budget in the queue gets the cheap synthesis path
+	// (unless it pinned explicit Options).
+	degraded := e.degradeAfter > 0 && wait > e.degradeAfter && req.Options == nil
+	var df DieFunc
+	if onDie != nil {
+		df = func(die int, mr *MapResult, err error) { onDie(i, die, mr, err) }
+	}
+	done(i, e.run(ctx, req, df, degraded))
 }
 
 // canceledResult accounts a request that was refused due to
@@ -410,13 +418,13 @@ func (e *Engine) logRequest(ctx context.Context, kind Kind, d time.Duration, res
 		attrs = append(attrs, slog.String("request_id", id))
 	}
 	if !res.Ok() {
-		attrs = append(attrs, slog.String("code", res.Code), slog.String("error", res.Error))
+		attrs = append(attrs, slog.String("code", apierr.CodeOf(res.Err)), slog.String("error", res.Err.Error()))
 	}
 	e.logger.LogAttrs(ctx, slog.LevelDebug, "engine: request done", attrs...)
 }
 
 // dispatch routes by kind, converting panics into error results so one
-// bad request cannot take down a pool worker (and with it the daemon).
+// bad request cannot take down the daemon.
 // degraded substitutes the fast synthesis options for requests that did
 // not pin their own.
 func (e *Engine) dispatch(ctx context.Context, req Request, onDie DieFunc, degraded bool) (res Result) {
@@ -447,11 +455,12 @@ func (e *Engine) dispatch(ctx context.Context, req Request, onDie DieFunc, degra
 	return res
 }
 
-// degradedOptions is the overload fast path: greedy SOP cell assignment
-// with no exact search, no post-reduction, and no alternative
-// p-circuit/dual-reduce probing — the cheapest correct flow the
-// synthesizer offers. The options differ from the defaults, so degraded
-// results live under their own cache key and never shadow exact ones.
+// degradedOptions is the overload fast path: heuristic ISOP covers
+// instead of exact QM ones, most-frequent cell assignment, and no
+// post-reduction, P-circuit or D-reduce search — the cheapest correct
+// flow the synthesizer offers. The options differ from the defaults,
+// so degraded results live under their own cache key and never shadow
+// exact ones.
 func degradedOptions() core.Options {
 	return core.Options{
 		Synth: latsynth.Options{Exact: false, QM: qm.DefaultOptions(), Cells: latsynth.MostFrequent},
@@ -772,7 +781,6 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 // the daemon's /stats endpoint.
 type Stats struct {
 	Workers        int    `json:"workers"`
-	CacheShards    int    `json:"cache_shards"`
 	CacheCapacity  int    `json:"cache_capacity"`
 	CacheEntries   int    `json:"cache_entries"`
 	CacheHits      uint64 `json:"cache_hits"`
@@ -822,7 +830,7 @@ type Stats struct {
 
 // Stats returns the current counters.
 func (e *Engine) Stats() Stats {
-	hits, misses, evictions, loads, entries := e.cache.counters()
+	cs := e.cache.stats()
 	dies, attempts := e.diesMapped.Load(), e.mapAttempts.Load()
 	mean := 0.0
 	if dies > 0 {
@@ -837,13 +845,12 @@ func (e *Engine) Stats() Stats {
 		DiesDemotedScalar:   e.diesDemoted.Load(),
 		Evaluation:          lattice.CounterSnapshot(),
 		Workers:             e.workers,
-		CacheShards:         len(e.cache.shards),
-		CacheCapacity:       e.cache.capacity(),
-		CacheEntries:        entries,
-		CacheHits:           hits,
-		CacheMisses:         misses,
-		CacheEvictions:      evictions,
-		CacheLoaded:         loads,
+		CacheCapacity:       e.cache.capacity,
+		CacheEntries:        cs.entries,
+		CacheHits:           cs.hits,
+		CacheMisses:         cs.misses,
+		CacheEvictions:      cs.evictions,
+		CacheLoaded:         cs.loads,
 		SynthCalls:          e.synthCalls.Load(),
 		Requests:            e.requests.Load(),
 		Failures:            e.failures.Load(),

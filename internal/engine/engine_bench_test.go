@@ -67,7 +67,7 @@ func BenchmarkMapBatchPooled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, r := range e.SubmitBatch(perChipBatch(64)) {
 			if !r.Ok() {
-				b.Fatal(r.Error)
+				b.Fatal(r.Err)
 			}
 		}
 	}
@@ -113,13 +113,13 @@ func BenchmarkYieldSweep(b *testing.B) {
 		Seed:     42,
 	}
 	if r := e.DoCtx(context.Background(), req); !r.Ok() {
-		b.Fatal(r.Error)
+		b.Fatal(r.Err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if r := e.DoCtx(context.Background(), req); !r.Ok() {
-			b.Fatal(r.Error)
+			b.Fatal(r.Err)
 		}
 	}
 }

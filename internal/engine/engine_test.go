@@ -140,7 +140,7 @@ func TestBatchSingleMissDeterministic(t *testing.T) {
 	}
 	for i, r := range res1 {
 		if !r.Ok() {
-			t.Fatalf("request %d failed: %s", i, r.Error)
+			t.Fatalf("request %d failed: %v", i, r.Err)
 		}
 		if r.Map == nil {
 			t.Fatalf("request %d has no map result", i)
@@ -300,13 +300,13 @@ func TestYieldReportsLowestFailingDie(t *testing.T) {
 			errDies = append(errDies, die)
 		}
 	})
-	if res.Ok() || !strings.Contains(res.Error, "die 3:") || !errors.Is(res.Err, apierr.ErrInternal) {
+	if res.Ok() || !strings.Contains(res.Err.Error(), "die 3:") || !errors.Is(res.Err, apierr.ErrInternal) {
 		t.Fatalf("result %+v, want an internal error naming die 3", res)
 	}
 	if !reflect.DeepEqual(errDies, []int{7, 3}) {
 		t.Fatalf("observer saw die errors %v, want [7 3]", errDies)
 	}
-	if res := e.DoCtx(context.Background(), req); !strings.Contains(res.Error, "die 3:") {
+	if res := e.DoCtx(context.Background(), req); res.Ok() || !strings.Contains(res.Err.Error(), "die 3:") {
 		t.Fatalf("non-streaming result %+v, want an error naming die 3", res)
 	}
 }
@@ -389,8 +389,8 @@ func TestCloseRacesSubmitters(t *testing.T) {
 				for i := 0; i < 20; i++ {
 					r := e.DoCtx(context.Background(), req)
 					if !r.Ok() {
-						if !errors.Is(r.Err, apierr.ErrUnavailable) || r.Code != apierr.CodeUnavailable {
-							t.Errorf("round %d: a request racing Close failed with %q (code %q), want unavailable", round, r.Error, r.Code)
+						if !errors.Is(r.Err, apierr.ErrUnavailable) || apierr.CodeOf(r.Err) != apierr.CodeUnavailable {
+							t.Errorf("round %d: a request racing Close failed with %v (code %q), want unavailable", round, r.Err, apierr.CodeOf(r.Err))
 						}
 						mu.Lock()
 						refused++
@@ -402,7 +402,7 @@ func TestCloseRacesSubmitters(t *testing.T) {
 		e.Close()
 		wg.Wait()
 		if r := e.DoCtx(context.Background(), req); !errors.Is(r.Err, apierr.ErrUnavailable) {
-			t.Fatalf("round %d: Do after Close gave %q, want unavailable", round, r.Error)
+			t.Fatalf("round %d: Do after Close gave %v, want unavailable", round, r.Err)
 		}
 	}
 	if refused == 0 {
@@ -427,26 +427,22 @@ func TestCloseTwice(t *testing.T) {
 
 // TestCloseReleasesBlockedSubmitter: a submitter waiting on a full
 // queue is refused when Close begins, not left holding Close until a
-// worker frees a slot. The submitter usually blocks before Close
-// starts; when Close wins the race the closed check refuses it
-// instead, so the rounds repeat.
+// run slot frees, while Close waits out the requests already admitted.
+// The submitter usually blocks before Close starts; when Close wins the
+// race the closed check refuses it instead, so the rounds repeat.
 func TestCloseReleasesBlockedSubmitter(t *testing.T) {
+	ctx := context.Background()
 	for round := 0; round < 20; round++ {
 		p := newPool(1)
-		started, release := make(chan struct{}), make(chan struct{})
-		if err := p.submitWait(context.Background(), 0, func() { close(started); <-release }); err != nil {
-			t.Fatal(err)
-		}
-		<-started // the worker holds the first job, the rest fill the queue
 		for i := 0; i < p.depth(); i++ {
-			if err := p.submitWait(context.Background(), 0, func() {}); err != nil {
+			if err := p.admit(ctx, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 		submitting, refused := make(chan struct{}), make(chan error)
 		go func() {
 			close(submitting)
-			refused <- p.submitWait(context.Background(), 0, func() {})
+			refused <- p.admit(ctx, 0)
 		}()
 		<-submitting
 		closed := make(chan struct{})
@@ -454,7 +450,17 @@ func TestCloseReleasesBlockedSubmitter(t *testing.T) {
 		if err := <-refused; err != errClosed {
 			t.Fatalf("round %d: a submitter blocked on a full queue got %v when Close began, want errClosed", round, err)
 		}
-		close(release)
+		select {
+		case <-closed:
+			t.Fatalf("round %d: Close returned before the admitted requests ran", round)
+		default:
+		}
+		for i := 0; i < p.depth(); i++ {
+			if err := p.start(ctx); err != nil {
+				t.Fatal(err)
+			}
+			p.finish()
+		}
 		<-closed
 	}
 }

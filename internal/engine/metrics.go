@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strconv"
 	"time"
 
 	"nanoxbar/internal/lattice"
@@ -54,7 +53,7 @@ const (
 
 // engineMetrics holds the engine's telemetry handles. The histograms
 // are observed on the hot path (lock-free, allocation-free); everything
-// read from existing atomics or shard counters registers as a
+// read from existing atomics or cache counters registers as a
 // scrape-time closure so the counters are not maintained twice.
 type engineMetrics struct {
 	reg *telemetry.Registry
@@ -89,7 +88,7 @@ func kindIndex(k Kind) int {
 
 // newEngineMetrics builds the engine's registry: request and stage
 // histograms (observed by the engine), counters mirrored from the
-// engine's atomics, per-shard cache families walked at scrape time, the
+// engine's atomics, cache families read at scrape time, the
 // process-wide lattice evaluation counters, and the Go runtime set.
 func newEngineMetrics(e *Engine) *engineMetrics {
 	reg := telemetry.NewRegistry()
@@ -98,7 +97,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	for i, k := range []Kind{KindSynthesize, KindCompare, KindMap, KindYield} {
 		kind := string(k)
 		m.reqDur[i] = reg.Histogram(metricRequestDuration,
-			"End-to-end request latency by kind, from worker pickup to result.",
+			"End-to-end request latency by kind, from run slot to result.",
 			"kind", kind)
 		idx := i
 		reg.CounterFunc(metricRequestsTotal, "Requests executed by kind.",
@@ -134,26 +133,14 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	reg.GaugeFunc(metricWorkers, "Worker pool size.",
 		func() float64 { return float64(e.workers) })
 
-	// Per-shard cache families. Each family snapshots the shards at
-	// scrape time (one mutex hop per shard), so the hot-path cache code
-	// keeps its existing plain counters.
-	cacheFamily := func(name, help, typ string, v func(cacheShardStats) float64) {
-		reg.Collect(name, help, typ, func(emit func(string, float64)) {
-			for i, st := range e.cache.perShard() {
-				emit(telemetry.Label("shard", strconv.Itoa(i)), v(st))
-			}
-		})
-	}
-	cacheFamily(metricCacheHits, "Cache hits by shard.", "counter",
-		func(st cacheShardStats) float64 { return float64(st.hits) })
-	cacheFamily(metricCacheMisses, "Cache misses by shard.", "counter",
-		func(st cacheShardStats) float64 { return float64(st.misses) })
-	cacheFamily(metricCacheEvictions, "Cache evictions by shard.", "counter",
-		func(st cacheShardStats) float64 { return float64(st.evictions) })
-	cacheFamily(metricCacheLoaded, "Cache entries seeded from a snapshot, by shard.", "counter",
-		func(st cacheShardStats) float64 { return float64(st.loads) })
-	cacheFamily(metricCacheEntries, "Live cache entries by shard.", "gauge",
-		func(st cacheShardStats) float64 { return float64(st.entries) })
+	// Cache families: each reads the cache's counters under its mutex
+	// at scrape time, so the hot-path cache code keeps plain counters.
+	counter(metricCacheHits, "Cache hits.", func() uint64 { return e.cache.stats().hits })
+	counter(metricCacheMisses, "Cache misses.", func() uint64 { return e.cache.stats().misses })
+	counter(metricCacheEvictions, "Cache evictions.", func() uint64 { return e.cache.stats().evictions })
+	counter(metricCacheLoaded, "Cache entries seeded from a snapshot.", func() uint64 { return e.cache.stats().loads })
+	reg.GaugeFunc(metricCacheEntries, "Live cache entries.",
+		func() float64 { return float64(e.cache.stats().entries) })
 
 	// Process-wide lattice evaluation counters — the synthesis hot
 	// path's work units, already tracked by internal/lattice.

@@ -36,7 +36,7 @@ func TestWarmRestartServesFromSnapshot(t *testing.T) {
 	e1 := New(Config{Workers: 4, CacheSize: 64})
 	for i, res := range e1.SubmitBatch(reqs) {
 		if !res.Ok() {
-			t.Fatalf("warmup request %d failed: %s", i, res.Error)
+			t.Fatalf("warmup request %d failed: %v", i, res.Err)
 		}
 	}
 	n, err := e1.SaveCacheSnapshot(path)
@@ -63,7 +63,7 @@ func TestWarmRestartServesFromSnapshot(t *testing.T) {
 
 	for i, res := range e2.SubmitBatch(reqs) {
 		if !res.Ok() {
-			t.Fatalf("replayed request %d failed: %s", i, res.Error)
+			t.Fatalf("replayed request %d failed: %v", i, res.Err)
 		}
 		if !res.Synthesis.CacheHit {
 			t.Fatalf("replayed request %d was not a cache hit", i)
@@ -96,7 +96,7 @@ func TestSnapshotStreamRoundTrip(t *testing.T) {
 	// Pre-populate one key; the snapshot's copy of it must not count as
 	// loaded.
 	if res := e2.DoCtx(context.Background(), reqs[0]); !res.Ok() {
-		t.Fatalf("pre-populate: %s", res.Error)
+		t.Fatalf("pre-populate: %v", res.Err)
 	}
 	loaded, err := e2.ReadCacheSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -143,7 +143,7 @@ func TestColdStartAfterTruncatedSnapshot(t *testing.T) {
 	}
 	for i, res := range e2.SubmitBatch(reqs) {
 		if !res.Ok() {
-			t.Fatalf("cold request %d failed: %s", i, res.Error)
+			t.Fatalf("cold request %d failed: %v", i, res.Err)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Request and Result are the typed units of work the engine executes.
 // They are plain data with JSON tags, so the same structs travel
-// in-process (SubmitBatch), over HTTP (cmd/xbarserverd), and in batch
-// files without translation layers.
+// in-process (SubmitBatch) and over HTTP (cmd/xbarserverd) without
+// translation layers.
 package engine
 
 import (
@@ -234,12 +234,9 @@ type YieldResult struct {
 
 // Result is the outcome of one Request. Exactly one payload field is
 // set on success; on failure Err carries the typed error (classified
-// per internal/apierr, compare with errors.Is), while Error and Code
-// are its wire projections for JSON transport.
+// per internal/apierr, compare with errors.Is).
 type Result struct {
 	Kind      Kind             `json:"kind"`
-	Error     string           `json:"error,omitempty"`
-	Code      string           `json:"code,omitempty"` // apierr wire code, set iff Error is
 	Synthesis *SynthesisResult `json:"synthesis,omitempty"`
 	Compare   *CompareResult   `json:"compare,omitempty"`
 	Map       *MapResult       `json:"map,omitempty"`
@@ -251,37 +248,23 @@ type Result struct {
 	// pinned explicit Options.
 	Degraded bool `json:"degraded,omitempty"`
 
-	// Err is the typed failure for in-process callers. It does not
-	// travel over the wire; remote callers reconstruct it from Code via
-	// apierr.FromCode.
+	// Err is the typed failure. It does not travel in a result frame:
+	// over HTTP a failure is an error frame carrying its wire code,
+	// from which remote callers rebuild it via apierr.FromCode.
 	Err error `json:"-"`
 }
 
 // Ok reports whether the request succeeded.
-func (r Result) Ok() bool { return r.Err == nil && r.Error == "" }
+func (r Result) Ok() bool { return r.Err == nil }
 
-// TypedErr returns the typed failure of the result, reconstructing it
-// from the wire code when the result crossed a process boundary (where
-// Err does not survive JSON). Nil for successful results.
-func (r Result) TypedErr() error {
-	if r.Err != nil {
-		return r.Err
-	}
-	if r.Error == "" {
-		return nil
-	}
-	code := r.Code
-	if code == "" {
-		code = apierr.CodeInternal
-	}
-	return apierr.FromCode(code, r.Error)
-}
+// TypedErr returns the typed failure of the result, Err; nil for
+// successful results.
+func (r Result) TypedErr() error { return r.Err }
 
 // errResult wraps an error into a Result, classifying it into the
 // apierr taxonomy.
 func errResult(kind Kind, err error) Result {
-	err = apierr.Classify(err)
-	return Result{Kind: kind, Error: err.Error(), Code: apierr.CodeOf(err), Err: err}
+	return Result{Kind: kind, Err: apierr.Classify(err)}
 }
 
 // parseScheme resolves the wire scheme name.

@@ -149,7 +149,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 // operator (or orchestrator probe) to tell a warm restart from a cold
 // one without pulling the full /stats counter dump.
 type healthCache struct {
-	Shards             int    `json:"shards"`
 	Entries            int    `json:"entries"`
 	LoadedFromSnapshot uint64 `json:"loaded_from_snapshot"`
 }
@@ -190,7 +189,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Build:         buildInfo(),
 		Cache: healthCache{
-			Shards:             st.CacheShards,
 			Entries:            st.CacheEntries,
 			LoadedFromSnapshot: st.CacheLoaded,
 		},

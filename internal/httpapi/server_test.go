@@ -53,7 +53,7 @@ func submit(t *testing.T, url string, req engine.Request) engine.Result {
 		case nanoxbar.EventResult:
 			return *ev.Result
 		case nanoxbar.EventError:
-			return engine.Result{Kind: req.Kind, Error: ev.Error.Message, Code: ev.Error.Code}
+			return engine.Result{Kind: req.Kind, Err: ev.Error.Err()}
 		}
 	}
 	t.Fatalf("stream carried no result: %+v", evs)
@@ -95,9 +95,6 @@ func TestHealthz(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Status != "ok" {
 		t.Fatalf("healthz body %+v (err %v)", body, err)
 	}
-	if body.Cache.Shards < 1 {
-		t.Fatalf("healthz cache.shards = %d, want >= 1", body.Cache.Shards)
-	}
 	if body.Cache.Entries != 0 || body.Cache.LoadedFromSnapshot != 0 {
 		t.Fatalf("cold server reports cache %+v, want empty", body.Cache)
 	}
@@ -116,7 +113,7 @@ func TestFaultCountersReported(t *testing.T) {
 		Density:  0.02,
 		Seed:     1,
 	}); !res.Ok() {
-		t.Fatalf("map: %s", res.Error)
+		t.Fatalf("map: %v", res.Err)
 	}
 	const chips = 7
 	if res := submit(t, ts.URL, engine.Request{
@@ -126,7 +123,7 @@ func TestFaultCountersReported(t *testing.T) {
 		Chips:    chips,
 		Seed:     2,
 	}); !res.Ok() {
-		t.Fatalf("yield: %s", res.Error)
+		t.Fatalf("yield: %v", res.Err)
 	}
 
 	hr, err := http.Get(ts.URL + "/healthz")
@@ -177,13 +174,13 @@ func TestFaultCountersReported(t *testing.T) {
 
 // TestHealthzAndStatsReportPersistence covers the warm-restart
 // observability: after seeding the engine from a snapshot, /healthz and
-// /stats must both report the shard count, entry count, and how many
-// entries came from the snapshot.
+// /stats must both report the entry count and how many entries came
+// from the snapshot.
 func TestHealthzAndStatsReportPersistence(t *testing.T) {
 	// Warm engine: synthesize, snapshot, reload into a fresh engine.
-	warm := engine.New(engine.Config{Workers: 2, CacheSize: 64}) // 4×2 = 8 shards
+	warm := engine.New(engine.Config{Workers: 2, CacheSize: 64})
 	if res := warm.DoCtx(context.Background(), engine.Request{Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"}}); !res.Ok() {
-		t.Fatalf("warmup: %s", res.Error)
+		t.Fatalf("warmup: %v", res.Err)
 	}
 	var snap bytes.Buffer
 	n, err := warm.WriteCacheSnapshot(&snap)
@@ -192,7 +189,7 @@ func TestHealthzAndStatsReportPersistence(t *testing.T) {
 		t.Fatalf("snapshot: n=%d err=%v", n, err)
 	}
 
-	eng := engine.New(engine.Config{Workers: 2, CacheSize: 64}) // 4×2 = 8 shards
+	eng := engine.New(engine.Config{Workers: 2, CacheSize: 64})
 	t.Cleanup(eng.Close)
 	if loaded, err := eng.ReadCacheSnapshot(&snap); err != nil || loaded != 1 {
 		t.Fatalf("load: loaded=%d err=%v", loaded, err)
@@ -210,7 +207,7 @@ func TestHealthzAndStatsReportPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := healthCache{Shards: 8, Entries: 1, LoadedFromSnapshot: 1}
+	want := healthCache{Entries: 1, LoadedFromSnapshot: 1}
 	if health.Cache != want {
 		t.Fatalf("healthz cache %+v, want %+v", health.Cache, want)
 	}
@@ -225,8 +222,8 @@ func TestHealthzAndStatsReportPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CacheShards != 8 || st.CacheEntries != 1 || st.CacheLoaded != 1 {
-		t.Fatalf("stats shards=%d entries=%d loaded=%d, want 8/1/1", st.CacheShards, st.CacheEntries, st.CacheLoaded)
+	if st.CacheEntries != 1 || st.CacheLoaded != 1 {
+		t.Fatalf("stats entries=%d loaded=%d, want 1/1", st.CacheEntries, st.CacheLoaded)
 	}
 	// The loaded entry must serve as a hit, with no synthesis run.
 	res := submit(t, ts.URL, engine.Request{
@@ -277,7 +274,7 @@ func TestMapEndpointValidation(t *testing.T) {
 	res = submit(t, ts.URL, engine.Request{
 		Function: engine.FunctionSpec{Name: "no-such-benchmark"},
 	})
-	if res.Code != apierr.CodeBadSpec || res.Error == "" {
+	if apierr.CodeOf(res.Err) != apierr.CodeBadSpec || res.Err == nil {
 		t.Fatalf("unknown benchmark: %+v, want a bad_spec error frame", res)
 	}
 }

@@ -31,14 +31,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		if res := submit(t, ts.URL, engine.Request{
 			Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"},
 		}); !res.Ok() {
-			t.Fatalf("synthesize: %s", res.Error)
+			t.Fatalf("synthesize: %v", res.Err)
 		}
 	}
 	if res := submit(t, ts.URL, engine.Request{
 		Kind: engine.KindMap, Function: engine.FunctionSpec{Name: "maj3"},
 		Seed: 7, Density: 0.03,
 	}); !res.Ok() {
-		t.Fatalf("map: %s", res.Error)
+		t.Fatalf("map: %v", res.Err)
 	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")
@@ -311,7 +311,7 @@ func TestMetricsRoundTripThroughParser(t *testing.T) {
 
 	// A little traffic so histograms are non-empty.
 	if res := eng.DoCtx(context.Background(), engine.Request{Kind: engine.KindYield, Function: engine.FunctionSpec{Name: "maj3"}, Chips: 2, Seed: 3, Density: 0.02}); !res.Ok() {
-		t.Fatalf("yield failed: %v", res.Error)
+		t.Fatalf("yield failed: %v", res.Err)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

@@ -262,7 +262,7 @@ func TestV2OneResultOneWrite(t *testing.T) {
 	// Warm the cache in-process, so the synthesize below is a hit and
 	// no earlier HTTP exchange can leave a write behind.
 	if res := eng.DoCtx(context.Background(), engine.Request{Kind: engine.KindSynthesize, Function: maj3}); !res.Ok() {
-		t.Fatalf("warm-up: %s", res.Error)
+		t.Fatalf("warm-up: %v", res.Err)
 	}
 	cases := []struct {
 		name string

@@ -138,10 +138,12 @@ func (c *Client) withResilience(ctx context.Context, path string, op func(ctx co
 
 // setDeadlineHeader forwards the context's remaining budget as
 // X-Deadline-Ms so the server can shed or degrade work the client will
-// not wait for anyway.
+// not wait for anyway. The budget rounds up, so the server's deadline
+// never falls before the client's: a request the server cancels in its
+// queue is one the client has already given up on.
 func setDeadlineHeader(req *http.Request) {
 	if d, ok := req.Context().Deadline(); ok {
-		ms := time.Until(d).Milliseconds()
+		ms := (time.Until(d) + time.Millisecond - 1).Milliseconds()
 		if ms < 1 {
 			ms = 1
 		}

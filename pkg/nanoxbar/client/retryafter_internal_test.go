@@ -1,7 +1,9 @@
 package client
 
 import (
+	"context"
 	"net/http"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -38,5 +40,26 @@ func TestRetryAfterHintForms(t *testing.T) {
 				t.Fatalf("retryAfterHint(%q) = %v, want %v", tc.value, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestDeadlineHeaderNeverShortensBudget: the forwarded X-Deadline-Ms
+// budget reaches at least to the client's own deadline, so the server
+// never cancels a request the client still waits for.
+func TestDeadlineHeaderNeverShortensBudget(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond+900*time.Microsecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://example.invalid/v2/jobs", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setDeadlineHeader(req)
+	ms, err := strconv.ParseInt(req.Header.Get("X-Deadline-Ms"), 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := ctx.Deadline()
+	if left := time.Until(d); time.Duration(ms)*time.Millisecond < left {
+		t.Fatalf("X-Deadline-Ms %d ends before the client's deadline, %v away", ms, left)
 	}
 }

@@ -32,8 +32,8 @@ var (
 	ErrInternal = apierr.ErrInternal
 )
 
-// Wire codes, one per sentinel, as they appear in v2 HTTP error bodies
-// and in Result.Code.
+// Wire codes, one per sentinel, as they appear in v2 HTTP error frames
+// and error bodies.
 const (
 	CodeBadSpec     = apierr.CodeBadSpec
 	CodeInfeasible  = apierr.CodeInfeasible

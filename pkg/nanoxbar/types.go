@@ -5,9 +5,9 @@ import (
 )
 
 // The request/result vocabulary of the serving API. These are aliases
-// of the engine's wire types: the same structs travel in-process, over
-// the HTTP API, and in batch files, so local and remote callers are
-// bit-for-bit interchangeable.
+// of the engine's wire types: the same structs travel in-process and
+// over the HTTP API, so local and remote callers are bit-for-bit
+// interchangeable.
 type (
 	// Kind selects the scenario a Request runs ("synthesize",
 	// "compare", "map", "yield").
