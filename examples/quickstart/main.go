@@ -27,17 +27,23 @@ func main() {
 	fmt.Printf("  FET array:     %d×%d  (paper: 4×4)\n", cmp.FET.Rows, cmp.FET.Cols)
 	fmt.Printf("  4T lattice:    %d×%d  (paper: 2×2)\n\n", cmp.Lattice.Rows, cmp.Lattice.Cols)
 
-	// The client returns sizes; for the lattice grid itself, use the
-	// direct synthesis surface.
+	// The client returns sizes; the direct synthesis surface returns
+	// the arrays themselves, each checked against f.
 	f, _, err := nanoxbar.ParseExpr("x1x2 + x1'x2'")
 	if err != nil {
 		log.Fatal(err)
 	}
-	li, err := nanoxbar.Synthesize(ctx, f, nanoxbar.FourTerminal, nanoxbar.DefaultOptions())
-	if err != nil {
-		log.Fatal(err)
+	var li *nanoxbar.Implementation
+	for _, tech := range []nanoxbar.Technology{nanoxbar.Diode, nanoxbar.FET, nanoxbar.FourTerminal} {
+		if li, err = nanoxbar.Synthesize(ctx, f, tech, nanoxbar.DefaultOptions()); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  %-10s %d×%d, computes f: %v\n", tech, li.Rows, li.Cols, li.Verify(f))
 	}
-	fmt.Println(li.Lattice)
+	fmt.Print(li.Lattice)
+	// Read left to right, a four-terminal lattice computes the dual of
+	// its top-to-bottom function: the property the dual method builds on.
+	fmt.Printf("left to right it computes f's dual: %v\n\n", li.Lattice.DualFunction(2).Equal(f.Dual()))
 
 	// --- the Fig. 4 lattice ---
 	fig4, _, err := nanoxbar.ParseExpr("x1x2x3 + x1x2x5x6 + x2x3x4x5 + x4x5x6")

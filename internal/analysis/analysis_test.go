@@ -120,7 +120,8 @@ func TestTestOnlyFixtures(t *testing.T) {
 		t.Errorf("got %d reasonless-ignore diagnostics, want 1", reasonless)
 	}
 	res.Diagnostics = kept
-	checkWants(t, res, fixtureDir("testonly", "internal/lib"), fixtureDir("testonly", "cmd/tool"), fixtureDir("testonly", "pkg/nanoxbar"))
+	checkWants(t, res, fixtureDir("testonly", "internal/lib"), fixtureDir("testonly", "cmd/tool"),
+		fixtureDir("testonly", "examples/demo"), fixtureDir("testonly", "pkg/nanoxbar"))
 	if res.Suppressed != 1 {
 		t.Errorf("Suppressed = %d, want 1 (the reasoned ignore over Seam)", res.Suppressed)
 	}

@@ -37,11 +37,15 @@ func (p Point) String() string { return fmt.Sprintf("(%d)", p.X) }
 // Scale is called only by tests.
 func (p Point) Scale(k int) Point { return Point{X: p.X * k} } // want "exported method Point.Scale"
 
-// Shape is aliased by pkg/nanoxbar, so its methods are SDK surface.
+// Shape is aliased by pkg/nanoxbar; an alias does not make its methods
+// called.
 type Shape struct{}
 
 // Area has no caller in the module.
-func (Shape) Area() int { return 0 }
+func (Shape) Area() int { return 0 } // want "exported method Shape.Area"
+
+// Perimeter is called from examples/demo through the SDK alias.
+func (Shape) Perimeter() int { return 0 }
 
 type wrapped struct{ err error }
 

@@ -20,24 +20,23 @@ type testOnlyDecl struct {
 
 // newTestOnly keeps production code to what production calls: it
 // reports every exported function, type, variable, constant or method
-// declared under the module's internal/ tree that no non-test file
-// references. The loader never parses _test.go files, so every use it
-// records is a production use; bench/ and the commands load with the
-// module and count as callers. A declaration's references to itself
-// (recursion, a type naming itself, a method's receiver) do not count.
-// Two kinds of method are never findings: methods of types that
-// pkg/nanoxbar aliases, which are SDK surface whether or not the module
-// calls them, and methods that satisfy an interface, which are called
-// through it (fmt.Stringer, error, http.Handler, ...). Deliberate test
-// seams that Go gives no test-file home — code another package's tests
-// call — carry a reasoned //xbarvet:ignore.
+// declared under the module's internal/ and pkg/ trees that no non-test
+// file references. The loader never parses _test.go files, so every use
+// it records is a production use; bench/, examples/ and the commands
+// load with the module and count as callers, so the SDK is what they
+// call. A declaration's references to itself (recursion, a type naming
+// itself, a method's receiver) do not count. Methods that satisfy an
+// interface are never findings: they are called through it
+// (fmt.Stringer, error, http.Handler, ...). Deliberate test seams that
+// Go gives no test-file home — code another package's tests call —
+// carry a reasoned //xbarvet:ignore.
 //
 // The verdict needs every caller, so a load smaller than the whole
 // module reports nothing.
 func newTestOnly() *Analyzer {
 	a := &Analyzer{
 		Name: "testonly",
-		Doc:  "every exported internal/ declaration is referenced by a non-test file",
+		Doc:  "every exported internal/ and pkg/ declaration is referenced by a non-test file",
 	}
 	var pkgs []*Package
 	a.Run = func(pass *Pass) { pkgs = append(pkgs, pass.Pkg) }
@@ -48,7 +47,7 @@ func newTestOnly() *Analyzer {
 		decls := make(map[types.Object]testOnlyDecl)
 		receivers := make(map[*ast.Ident]bool)
 		for _, pkg := range pkgs {
-			if !hasPathPrefix(pkg.Path, l.Module+"/internal") {
+			if !hasPathPrefix(pkg.Path, l.Module+"/internal") && !hasPathPrefix(pkg.Path, l.Module+"/pkg") {
 				continue
 			}
 			for _, f := range pkg.Files {
@@ -68,16 +67,12 @@ func newTestOnly() *Analyzer {
 				used[obj] = true
 			}
 		}
-		sdkTypes := aliasedTypes(pkgs, l.Module+"/pkg/nanoxbar")
 		var ifaces map[string][]*types.Interface
 		for obj, d := range decls {
 			if used[obj] {
 				continue
 			}
 			if d.recv != nil {
-				if sdkTypes[d.recv] {
-					continue
-				}
 				if ifaces == nil {
 					ifaces = interfacesByMethod(pkgs)
 				}
@@ -178,28 +173,6 @@ func receiverIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// aliasedTypes collects the named types the package at sdkPath exports
-// under a type alias.
-func aliasedTypes(pkgs []*Package, sdkPath string) map[*types.TypeName]bool {
-	out := make(map[*types.TypeName]bool)
-	for _, pkg := range pkgs {
-		if pkg.Path != sdkPath || pkg.Types == nil {
-			continue
-		}
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || !tn.IsAlias() {
-				continue
-			}
-			if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
-				out[named.Origin().Obj()] = true
-			}
-		}
-	}
-	return out
 }
 
 // errorsProtocol is the set of unnamed interfaces package errors

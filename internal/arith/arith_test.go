@@ -216,11 +216,11 @@ func TestSSMStepAndReset(t *testing.T) {
 	m.Step(1)
 	m.Step(0)
 	out := m.Step(1)
-	if !out || m.State() != 3 {
-		t.Fatalf("after 101: state %d out %v", m.State(), out)
+	if !out || m.state != 3 {
+		t.Fatalf("after 101: state %d out %v", m.state, out)
 	}
 	m.Reset()
-	if m.State() != 0 || m.Output() {
+	if m.state != 0 || m.Output() {
 		t.Fatal("reset failed")
 	}
 }

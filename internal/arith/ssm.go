@@ -118,9 +118,6 @@ func flexibleCover(on, dc truthtab.TT, opts latsynth.Options) truthtab.TT {
 // Reset returns the machine to state 0.
 func (m *SSM) Reset() { m.state = 0 }
 
-// State returns the current state.
-func (m *SSM) State() int { return m.state }
-
 // Output returns the Moore output of the current state, evaluated on
 // the output lattice.
 func (m *SSM) Output() bool {

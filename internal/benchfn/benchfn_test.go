@@ -33,7 +33,7 @@ func TestMajority(t *testing.T) {
 	if !m.F.Bit(0b11100) || m.F.Bit(0b00011) {
 		t.Fatal("maj5 wrong")
 	}
-	if !m.F.IsSelfDual() {
+	if !m.F.Dual().Equal(m.F) {
 		t.Fatal("majority must be self-dual")
 	}
 }

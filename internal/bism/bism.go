@@ -64,13 +64,25 @@ func NewApp(used [][]bool) *App {
 			panic("bism: ragged application matrix")
 		}
 	}
-	a.usedIdx = make([][]int32, a.R)
-	for i, row := range used {
-		for j, u := range row {
+	// Count first, so every row's list is a slice of one array.
+	total := 0
+	for _, row := range used {
+		for _, u := range row {
 			if u {
-				a.usedIdx[i] = append(a.usedIdx[i], int32(j))
+				total++
 			}
 		}
+	}
+	idx := make([]int32, 0, total)
+	a.usedIdx = make([][]int32, a.R)
+	for i, row := range used {
+		start := len(idx)
+		for j, u := range row {
+			if u {
+				idx = append(idx, int32(j))
+			}
+		}
+		a.usedIdx[i] = idx[start:len(idx):len(idx)]
 	}
 	return a
 }
@@ -129,22 +141,8 @@ func NewChip(m *defect.Map) *Chip {
 	}
 }
 
-// Resource identifies a physical line reported defective by BISD.
-type Resource struct {
-	IsRow bool
-	Index int // physical line index
-}
-
-func (r Resource) String() string {
-	if r.IsRow {
-		return fmt.Sprintf("row%d", r.Index)
-	}
-	return fmt.Sprintf("col%d", r.Index)
-}
-
 // BadSet is a BISD diagnosis: bitsets over the physical rows and
-// columns involved in violations. It is reused across test sessions —
-// the allocation-free replacement for the map[Resource]bool diagnosis.
+// columns involved in violations. It is reused across test sessions.
 type BadSet struct {
 	rows, cols []uint64
 }
@@ -167,23 +165,6 @@ func (b *BadSet) Row(r int) bool { return b.rows[r>>6]>>uint(r&63)&1 == 1 }
 
 // Col reports whether physical column c is diagnosed bad.
 func (b *BadSet) Col(c int) bool { return b.cols[c>>6]>>uint(c&63)&1 == 1 }
-
-// Resources expands the diagnosis into a Resource list (debug and test
-// convenience; allocates).
-func (b *BadSet) Resources() []Resource {
-	var res []Resource
-	for i := range b.rows {
-		for w := b.rows[i]; w != 0; w &= w - 1 {
-			res = append(res, Resource{true, i<<6 + bits.TrailingZeros64(w)})
-		}
-	}
-	for i := range b.cols {
-		for w := b.cols[i]; w != 0; w &= w - 1 {
-			res = append(res, Resource{false, i<<6 + bits.TrailingZeros64(w)})
-		}
-	}
-	return res
-}
 
 // scratch is the pooled per-session working set of the mappers: the
 // current mapping, selection and diagnosis bitsets, the application
@@ -393,18 +374,6 @@ func (ch *Chip) check(app *App, m *Mapping, scr *scratch) bool {
 		bad = true
 	}
 	return !bad
-}
-
-// Check runs one BIST+BISD session against the mapping and returns the
-// diagnosis as a Resource list — the debug/test convenience over the
-// internal allocation-free session.
-func (ch *Chip) Check(app *App, m *Mapping) (ok bool, bad []Resource) {
-	scr := getScratch(ch.N, app.R)
-	defer putScratch(scr)
-	if ch.check(app, m, scr) {
-		return true, nil
-	}
-	return false, scr.bad.Resources()
 }
 
 // Stats accounts the self-mapping effort, the cost measures compared in

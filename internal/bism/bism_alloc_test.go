@@ -37,3 +37,24 @@ func TestGreedyRepairZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestNewAppAllocsFlatInRows: NewApp sizes its per-row column lists
+// with a counting pass and cuts them from one array, so building an
+// application allocates as often for 64 rows as for 4.
+func TestNewAppAllocsFlatInRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	allocs := make(map[int]float64)
+	for _, r := range []int{4, 64} {
+		used := make([][]bool, r)
+		for i := range used {
+			used[i] = make([]bool, 16)
+			for j := range used[i] {
+				used[i][j] = j == i%16 || rng.Intn(2) == 0 // every row uses a column
+			}
+		}
+		allocs[r] = testing.AllocsPerRun(20, func() { NewApp(used) })
+	}
+	if allocs[4] != allocs[64] {
+		t.Fatalf("NewApp allocated %.0f times for 4 rows and %.0f for 64, want the same", allocs[4], allocs[64])
+	}
+}

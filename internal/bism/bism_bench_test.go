@@ -39,22 +39,6 @@ func BenchmarkCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckScalar is the retained per-crosspoint reference session.
-func BenchmarkCheckScalar(b *testing.B) {
-	ch, app := benchChip(b)
-	rng := rand.New(rand.NewSource(2))
-	scr := getScratch(ch.N, app.R)
-	m := scr.mapping(app)
-	scr.randomMapping(ch.N, app, rng, m)
-	mc := m.clone()
-	putScratch(scr)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ch.checkScalar(app, mc)
-	}
-}
-
 // BenchmarkGreedyMap runs whole greedy self-mapping sessions.
 func BenchmarkGreedyMap(b *testing.B) {
 	ch, app := benchChip(b)

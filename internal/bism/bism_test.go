@@ -93,7 +93,7 @@ func TestStuckClosedBlocksUnusedCrosspoint(t *testing.T) {
 	ch := NewChip(d)
 	app := NewApp([][]bool{{true, false}, {false, true}})
 	// Identity mapping hits the stuck-closed cell.
-	ok, bad := ch.Check(app, &Mapping{Rows: []int{0, 1}, Cols: []int{0, 1}})
+	ok, bad := diagnose(ch, app, &Mapping{Rows: []int{0, 1}, Cols: []int{0, 1}})
 	if ok {
 		t.Fatal("stuck-closed on an unused crosspoint must fail BIST")
 	}
@@ -102,7 +102,7 @@ func TestStuckClosedBlocksUnusedCrosspoint(t *testing.T) {
 	}
 	// Swapped rows: logical (0,·) on physical row 1; physical (0,1)
 	// now sits at logical (1,1) which IS used → stuck-closed harmless.
-	ok, _ = ch.Check(app, &Mapping{Rows: []int{1, 0}, Cols: []int{0, 1}})
+	ok, _ = diagnose(ch, app, &Mapping{Rows: []int{1, 0}, Cols: []int{0, 1}})
 	if !ok {
 		t.Fatal("swap should tolerate the stuck-closed crosspoint")
 	}
@@ -114,12 +114,12 @@ func TestBridgesBlockAdjacency(t *testing.T) {
 	ch := NewChip(d)
 	app := NewApp([][]bool{{true, true}, {true, true}})
 	// Mapping using both bridged rows fails.
-	ok, _ := ch.Check(app, &Mapping{Rows: []int{1, 2}, Cols: []int{0, 1}})
+	ok, _ := diagnose(ch, app, &Mapping{Rows: []int{1, 2}, Cols: []int{0, 1}})
 	if ok {
 		t.Fatal("bridged selected rows must fail")
 	}
 	// Skipping row 2 is fine.
-	ok, _ = ch.Check(app, &Mapping{Rows: []int{1, 3}, Cols: []int{0, 1}})
+	ok, _ = diagnose(ch, app, &Mapping{Rows: []int{1, 3}, Cols: []int{0, 1}})
 	if !ok {
 		t.Fatal("non-adjacent selection must pass")
 	}
@@ -157,7 +157,7 @@ func TestCheckMatchesScalarReference(t *testing.T) {
 		}
 		gotBad := map[Resource]bool{}
 		if !gotOK {
-			for _, r := range scr.bad.Resources() {
+			for _, r := range resources(&scr.bad) {
 				gotBad[r] = true
 			}
 		}

@@ -23,7 +23,10 @@ func blockMapping(app *App, rowOff, colOff int) *Mapping {
 // TestCheckLanesMatchesScalarCheck pins the lane-word BIST session
 // against the retained scalar check, lane by lane, across chip sizes
 // that cross the 64-line word boundary of the scalar wire bitsets and
-// across candidate offsets including the chip edges.
+// across candidate offsets including the chip edges. Each lane draws
+// from a source of its own, so defect.RandomInto on the same seed
+// rebuilds it as a scalar map (DrawLane and RandomInto consume a source
+// identically, defect's TestDrawLaneMatchesRandomInto).
 func TestCheckLanesMatchesScalarCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	params := []defect.Params{
@@ -38,20 +41,22 @@ func TestCheckLanesMatchesScalarCheck(t *testing.T) {
 			app := RandomApp(3, 5, 0.5, rng)
 			lp := defect.NewLanePlanes(n, n)
 			lp.Reset()
-			for lane := 0; lane < 64; lane++ {
-				lp.DrawLane(lane, p, rng)
+			scalars := make([]*defect.Map, 64)
+			for lane := range scalars {
+				seed := rng.Int63()
+				lp.DrawLane(lane, p, rand.New(rand.NewSource(seed)))
+				scalars[lane] = defect.NewMap(n, n)
+				defect.RandomInto(scalars[lane], p, rand.New(rand.NewSource(seed)))
 			}
 			offsets := [][2]int{{0, 0}, {1, 2}, {n - app.R, n - app.C}}
 			if n > 64 {
 				// Straddle the scalar bitsets' word boundary.
 				offsets = append(offsets, [2]int{62, 61})
 			}
-			scalar := defect.NewMap(n, n)
 			for _, off := range offsets {
 				failed := CheckLanes(app, lp, off[0], off[1], ^uint64(0))
 				m := blockMapping(app, off[0], off[1])
-				for lane := 0; lane < 64; lane++ {
-					lp.ExtractLane(scalar, lane)
+				for lane, scalar := range scalars {
 					want := !Validate(NewChip(scalar), app, m)
 					got := failed>>uint(lane)&1 == 1
 					if got != want {

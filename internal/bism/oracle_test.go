@@ -1,6 +1,8 @@
 package bism
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -9,7 +11,7 @@ import (
 
 // checkScalar is the per-crosspoint reference implementation of the
 // BIST/BISD session. The property tests pin the mask-based check
-// against it, and BenchmarkCheckScalar times it.
+// against it.
 func (ch *Chip) checkScalar(app *App, m *Mapping) (ok bool, bad map[Resource]bool) {
 	bad = make(map[Resource]bool)
 	d := ch.defects
@@ -236,4 +238,44 @@ func TestSchemesBoundedByOracle(t *testing.T) {
 		}
 		t.Logf("d=%v: feasible %d/%d, greedy %d, hybrid %d, blind %d", density, feasible, dies, wins["greedy"], wins["hybrid(4)"], wins["blind"])
 	}
+}
+
+// diagnose runs one mask-based BIST+BISD session against the mapping
+// and returns the diagnosis as a Resource list.
+func diagnose(ch *Chip, app *App, m *Mapping) (ok bool, bad []Resource) {
+	scr := getScratch(ch.N, app.R)
+	defer putScratch(scr)
+	if ch.check(app, m, scr) {
+		return true, nil
+	}
+	return false, resources(&scr.bad)
+}
+
+// Resource identifies a physical line reported defective by BISD.
+type Resource struct {
+	IsRow bool
+	Index int // physical line index
+}
+
+func (r Resource) String() string {
+	if r.IsRow {
+		return fmt.Sprintf("row%d", r.Index)
+	}
+	return fmt.Sprintf("col%d", r.Index)
+}
+
+// resources expands a diagnosis into a Resource list.
+func resources(b *BadSet) []Resource {
+	var res []Resource
+	for i := range b.rows {
+		for w := b.rows[i]; w != 0; w &= w - 1 {
+			res = append(res, Resource{true, i<<6 + bits.TrailingZeros64(w)})
+		}
+	}
+	for i := range b.cols {
+		for w := b.cols[i]; w != 0; w &= w - 1 {
+			res = append(res, Resource{false, i<<6 + bits.TrailingZeros64(w)})
+		}
+	}
+	return res
 }

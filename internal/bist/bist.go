@@ -436,20 +436,6 @@ func synKey(syn []bool) string {
 	return string(b)
 }
 
-// Diagnose returns every fault in the universe whose syndrome matches.
-// With the DiagnosisSuite the result is a single fault (or a set of
-// physically equivalent ones).
-func (s *Suite) Diagnose(syn []bool) []Fault {
-	key := synKey(syn)
-	var out []Fault
-	for _, f := range Universe(s.R, s.C) {
-		if synKey(s.Syndrome(f)) == key {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // SyndromeTable maps syndrome keys to the faults producing them; used to
 // audit diagnosability (ambiguity groups).
 func (s *Suite) SyndromeTable() map[string][]Fault {

@@ -167,8 +167,9 @@ func TestDiagnoseRoundTrip(t *testing.T) {
 		{SAOpen, 2, 3}, {SAClosed, 0, 4}, {RowBreak, 1, 0},
 		{ColBreak, 0, 2}, {RowBridge, 2, 0}, {ColBridge, 0, 1},
 	}
+	table := s.SyndromeTable()
 	for _, f := range cases {
-		got := s.Diagnose(s.Syndrome(f))
+		got := table[synKey(s.Syndrome(f))]
 		found := false
 		for _, g := range got {
 			if g == f {

@@ -459,7 +459,7 @@ func TestWarmStartFromPeer(t *testing.T) {
 		reqs[i] = engine.Request{Kind: engine.KindSynthesize,
 			Function: engine.FunctionSpec{TT: fmt.Sprintf("3:0x%02x", i+1)}}
 	}
-	for i, res := range nodes["a"].eng.SubmitBatch(reqs) {
+	for i, res := range submitBatch(nodes["a"].eng, reqs) {
 		if !res.Ok() {
 			t.Fatalf("warm a req %d: %v", i, res.Err)
 		}
@@ -477,7 +477,7 @@ func TestWarmStartFromPeer(t *testing.T) {
 		t.Fatalf("WarmStart = %d entries from %q, want %d from a", n, from, wantEntries)
 	}
 
-	for i, res := range nodes["b"].eng.SubmitBatch(reqs) {
+	for i, res := range submitBatch(nodes["b"].eng, reqs) {
 		if !res.Ok() {
 			t.Fatalf("replay req %d on b: %v", i, res.Err)
 		}

@@ -16,6 +16,14 @@ import (
 	"nanoxbar/internal/engine"
 )
 
+// submitBatch runs the requests on eng and returns their results in
+// submission order.
+func submitBatch(eng *engine.Engine, reqs []engine.Request) []engine.Result {
+	results := make([]engine.Result, len(reqs))
+	eng.SubmitStream(context.Background(), reqs, func(i int, r engine.Result) { results[i] = r }, nil)
+	return results
+}
+
 // warmSnapshot builds an engine with a handful of synthesized entries
 // and returns its serialized cache snapshot.
 func warmSnapshot(t *testing.T) (int, []byte) {
@@ -27,7 +35,7 @@ func warmSnapshot(t *testing.T) (int, []byte) {
 		reqs = append(reqs, engine.Request{Kind: engine.KindSynthesize,
 			Function: engine.FunctionSpec{TT: fmt.Sprintf("3:0x%02x", i)}})
 	}
-	for i, res := range eng.SubmitBatch(reqs) {
+	for i, res := range submitBatch(eng, reqs) {
 		if !res.Ok() {
 			t.Fatalf("warm req %d: %v", i, res.Err)
 		}

@@ -209,7 +209,7 @@ func TestCacheKeyStability(t *testing.T) {
 	g := benchfn.Parity(3).F
 	opts := DefaultOptions()
 	k1 := CacheKey(f, FourTerminal, opts)
-	k2 := CacheKey(f.Clone(), FourTerminal, opts)
+	k2 := CacheKey(benchfn.Majority(3).F, FourTerminal, opts)
 	if k1 != k2 {
 		t.Fatal("identical inputs produced different cache keys")
 	}

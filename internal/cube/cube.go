@@ -109,16 +109,6 @@ func (l Lit) String() string {
 	return fmt.Sprintf("x%d", l.Var+1)
 }
 
-// ToTT expands the cube to an n-variable truth table; literals of
-// variables ≥ n are ignored.
-func (c Cube) ToTT(n int) truthtab.TT {
-	t := truthtab.New(n)
-	if !c.IsContradiction() {
-		t.OrProduct(c.Pos, c.Neg)
-	}
-	return t
-}
-
 // String renders the cube in paper notation, e.g. "x1x2'" ("1" for the
 // universe, "0" for a contradiction).
 func (c Cube) String() string {
@@ -138,16 +128,6 @@ func (c Cube) String() string {
 // Cover is a sum of products.
 type Cover []Cube
 
-// Eval reports the cover's value at assignment a.
-func (cv Cover) Eval(a uint64) bool {
-	for _, c := range cv {
-		if c.Eval(a) {
-			return true
-		}
-	}
-	return false
-}
-
 // ToTT expands the cover to an n-variable truth table, filling one
 // table product by product.
 func (cv Cover) ToTT(n int) truthtab.TT {
@@ -162,15 +142,6 @@ func (cv Cover) ToTT(n int) truthtab.TT {
 
 // NumProducts returns the number of cubes (SOP products).
 func (cv Cover) NumProducts() int { return len(cv) }
-
-// TotalLiterals returns the summed literal count across all cubes.
-func (cv Cover) TotalLiterals() int {
-	n := 0
-	for _, c := range cv {
-		n += c.NumLiterals()
-	}
-	return n
-}
 
 // DistinctLiterals returns the number of distinct literals appearing in
 // the cover, counting x_v and x_v' separately. This is the "number of
@@ -191,19 +162,6 @@ func (cv Cover) LiteralMasks() (pos, neg uint64) {
 		neg |= c.Neg
 	}
 	return pos, neg
-}
-
-// Support returns the variables used by the cover, ascending.
-func (cv Cover) Support() []int {
-	pos, neg := cv.LiteralMasks()
-	m := pos | neg
-	var s []int
-	for v := 0; v < 64; v++ {
-		if m>>uint(v)&1 == 1 {
-			s = append(s, v)
-		}
-	}
-	return s
 }
 
 // Clone returns an independent copy of the cover.
@@ -262,19 +220,4 @@ func (cv Cover) String() string {
 		parts[i] = c.String()
 	}
 	return strings.Join(parts, " + ")
-}
-
-// IsImplicant reports whether cube c implies the function f (every
-// minterm of c is in f's on-set).
-//
-//xbarvet:ignore testonly: isop and qm tests check their covers with it
-func IsImplicant(c Cube, f truthtab.TT) bool {
-	return c.ToTT(f.NumVars()).Implies(f)
-}
-
-// IsCoverOf reports whether the cover equals f exactly.
-//
-//xbarvet:ignore testonly: isop and qm tests check their covers with it
-func IsCoverOf(cv Cover, f truthtab.TT) bool {
-	return cv.ToTT(f.NumVars()).Equal(f)
 }

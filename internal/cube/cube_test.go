@@ -61,7 +61,7 @@ func TestContainment(t *testing.T) {
 		if c.IsContradiction() || d.IsContradiction() {
 			continue
 		}
-		want := d.ToTT(n).Implies(c.ToTT(n))
+		want := Cover{d}.ToTT(n).Implies(Cover{c}.ToTT(n))
 		if c.Contains(d) != want {
 			t.Fatalf("Contains(%v,%v) = %v want %v", c, d, c.Contains(d), want)
 		}
@@ -97,9 +97,9 @@ func TestIntersect(t *testing.T) {
 		n := 4
 		x, y := randCube(n, rng), randCube(n, rng)
 		z, ok := x.Intersect(y)
-		want := x.ToTT(n).And(y.ToTT(n))
+		want := Cover{x}.ToTT(n).And(Cover{y}.ToTT(n))
 		if ok {
-			if !z.ToTT(n).Equal(want) {
+			if !(Cover{z}).ToTT(n).Equal(want) {
 				t.Fatal("intersection truth table mismatch")
 			}
 		} else if !want.IsZero() {
@@ -127,8 +127,8 @@ func TestCoverEvalAndTT(t *testing.T) {
 	if !tt.Equal(want) {
 		t.Fatalf("tt = %v", tt)
 	}
-	if cv.NumProducts() != 2 || cv.TotalLiterals() != 4 || cv.DistinctLiterals() != 4 {
-		t.Fatalf("counts: p=%d tl=%d dl=%d", cv.NumProducts(), cv.TotalLiterals(), cv.DistinctLiterals())
+	if cv.NumProducts() != 2 || cv.DistinctLiterals() != 4 {
+		t.Fatalf("counts: p=%d dl=%d", cv.NumProducts(), cv.DistinctLiterals())
 	}
 }
 
@@ -181,7 +181,7 @@ func TestToTTMatchesLiteralProducts(t *testing.T) {
 		}
 		want := truthtab.Zero(n)
 		for _, c := range cv {
-			if got, w := c.ToTT(n), literalProductTT(c, n); !got.Equal(w) {
+			if got, w := (Cover{c}).ToTT(n), literalProductTT(c, n); !got.Equal(w) {
 				t.Fatalf("n=%d cube %+v: ToTT %v, literal products %v", n, c, got, w)
 			}
 			want = want.Or(literalProductTT(c, n))
@@ -249,11 +249,11 @@ func TestFromTTMintermsRoundTrip(t *testing.T) {
 			}
 		}
 		cv := FromTTMinterms(f)
-		if !IsCoverOf(cv, f) {
+		if !cv.ToTT(f.NumVars()).Equal(f) {
 			t.Fatal("minterm cover mismatch")
 		}
 		for _, c := range cv {
-			if !IsImplicant(c, f) {
+			if !(Cover{c}).ToTT(f.NumVars()).Implies(f) {
 				t.Fatal("minterm cube not an implicant")
 			}
 		}
@@ -363,14 +363,6 @@ func TestPLAErrors(t *testing.T) {
 		if _, err := ParsePLA(s); err == nil {
 			t.Fatalf("ParsePLA(%q) should fail", s)
 		}
-	}
-}
-
-func TestSupport(t *testing.T) {
-	cv, _, _ := ParseSOP("x1x5' + x3")
-	sup := cv.Support()
-	if len(sup) != 3 || sup[0] != 0 || sup[1] != 2 || sup[2] != 4 {
-		t.Fatalf("support = %v", sup)
 	}
 }
 

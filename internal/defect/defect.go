@@ -180,9 +180,6 @@ func (m *Map) SetColBridge(c int, v bool) {
 	setBit(m.colBridge, c, v)
 }
 
-// WordsPerRow returns the word stride of the crosspoint planes.
-func (m *Map) WordsPerRow() int { return m.w }
-
 // OpenRow returns the stuck-open plane words of row r (bit c set iff
 // crosspoint (r,c) is stuck open). The slice aliases the map: callers
 // must treat it as read-only.
@@ -205,12 +202,6 @@ func (m *Map) RowBridgeWords() []uint64 { return m.rowBridge }
 // ColBridgeWords returns the column-bridge bitset. Read-only.
 func (m *Map) ColBridgeWords() []uint64 { return m.colBridge }
 
-// CrosspointHealthy reports whether the crosspoint and both of its wires
-// are usable (no stuck fault, neither line broken).
-func (m *Map) CrosspointHealthy(r, c int) bool {
-	return m.At(r, c) == None && !m.RowBroken(r) && !m.ColBroken(c)
-}
-
 // CountCrosspointDefects returns the number of defective crosspoints.
 func (m *Map) CountCrosspointDefects() int {
 	n := 0
@@ -221,32 +212,6 @@ func (m *Map) CountCrosspointDefects() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// AnyDefect reports whether the map contains any defect at all. With
-// word planes this is a scan for the first nonzero word, exiting
-// immediately instead of counting every defect.
-func (m *Map) AnyDefect() bool {
-	for _, plane := range [6][]uint64{m.open, m.clsd, m.rowBroken, m.colBroken, m.rowBridge, m.colBridge} {
-		for _, w := range plane {
-			if w != 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Clone returns an independent copy.
-func (m *Map) Clone() *Map {
-	c := NewMap(m.R, m.C)
-	copy(c.open, m.open)
-	copy(c.clsd, m.clsd)
-	copy(c.rowBroken, m.rowBroken)
-	copy(c.colBroken, m.colBroken)
-	copy(c.rowBridge, m.rowBridge)
-	copy(c.colBridge, m.colBridge)
-	return c
 }
 
 // String renders the crosspoint map ('.', 'o' stuck-open, 'c' stuck-

@@ -6,8 +6,7 @@ import (
 )
 
 // BenchmarkDefectRandom is the CI-gated defect-map generation number:
-// sparse geometric-gap sampling at a realistic 1% density. Compare
-// BenchmarkDefectRandomScalar for the retained per-crosspoint reference.
+// sparse geometric-gap sampling at a realistic 1% density.
 func BenchmarkDefectRandom(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewMap(64, 64)
@@ -15,15 +14,6 @@ func BenchmarkDefectRandom(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		RandomInto(m, p, rng)
-	}
-}
-
-func BenchmarkDefectRandomScalar(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	p := UniformCrosspoint(0.01)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		RandomScalar(64, 64, p, rng)
 	}
 }
 
@@ -48,16 +38,5 @@ func BenchmarkDefectRandomClustered(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		RandomInto(m, p, rng)
-	}
-}
-
-func BenchmarkAnyDefect(b *testing.B) {
-	m := NewMap(64, 64)
-	m.Set(63, 63, StuckOpen) // worst case: single defect at the end
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if !m.AnyDefect() {
-			b.Fatal("defect lost")
-		}
 	}
 }

@@ -7,14 +7,33 @@ import (
 	"testing"
 )
 
+// anyDefect reports whether m holds any defect: a set word in any
+// plane.
+func anyDefect(m *Map) bool {
+	for _, plane := range [6][]uint64{m.open, m.clsd, m.rowBroken, m.colBroken, m.rowBridge, m.colBridge} {
+		for _, w := range plane {
+			if w != 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// healthy reports whether crosspoint (r, c) and both of its wires are
+// usable: no stuck fault, neither line broken.
+func healthy(m *Map, r, c int) bool {
+	return m.At(r, c) == None && !m.RowBroken(r) && !m.ColBroken(c)
+}
+
 func TestNewMapClean(t *testing.T) {
 	m := NewMap(4, 5)
-	if m.AnyDefect() || m.CountCrosspointDefects() != 0 {
+	if anyDefect(m) || m.CountCrosspointDefects() != 0 {
 		t.Fatal("fresh map must be clean")
 	}
 	for r := 0; r < 4; r++ {
 		for c := 0; c < 5; c++ {
-			if !m.CrosspointHealthy(r, c) {
+			if !healthy(m, r, c) {
 				t.Fatal("fresh crosspoint unhealthy")
 			}
 		}
@@ -24,10 +43,10 @@ func TestNewMapClean(t *testing.T) {
 func TestSetAndHealth(t *testing.T) {
 	m := NewMap(3, 3)
 	m.Set(1, 2, StuckOpen)
-	if m.At(1, 2) != StuckOpen || m.CrosspointHealthy(1, 2) {
+	if m.At(1, 2) != StuckOpen || healthy(m, 1, 2) {
 		t.Fatal("stuck-open not recorded")
 	}
-	if !m.AnyDefect() || m.CountCrosspointDefects() != 1 {
+	if !anyDefect(m) || m.CountCrosspointDefects() != 1 {
 		t.Fatal("counts wrong")
 	}
 	m.Set(1, 2, StuckClosed)
@@ -35,15 +54,15 @@ func TestSetAndHealth(t *testing.T) {
 		t.Fatal("overwrite must replace, not accumulate")
 	}
 	m.Set(1, 2, None)
-	if m.At(1, 2) != None || m.AnyDefect() {
+	if m.At(1, 2) != None || anyDefect(m) {
 		t.Fatal("clearing a crosspoint must clean the map")
 	}
 	m2 := NewMap(3, 3)
 	m2.SetRowBroken(0, true)
-	if m2.CrosspointHealthy(0, 1) || !m2.AnyDefect() {
+	if healthy(m2, 0, 1) || !anyDefect(m2) {
 		t.Fatal("broken row must poison its crosspoints")
 	}
-	if m2.CrosspointHealthy(1, 1) == false {
+	if healthy(m2, 1, 1) == false {
 		t.Fatal("other rows unaffected")
 	}
 }
@@ -109,8 +128,8 @@ func TestBitsetMatchesShadowModel(t *testing.T) {
 				t.Fatalf("trial %d: At(%d,%d)=%v want %v", trial, i/C, i%C, got, k)
 			}
 			wantHealthy := k == None && !shadow.rowBrk[i/C] && !shadow.colBrk[i%C]
-			if m.CrosspointHealthy(i/C, i%C) != wantHealthy {
-				t.Fatalf("trial %d: CrosspointHealthy(%d,%d) diverged", trial, i/C, i%C)
+			if healthy(m, i/C, i%C) != wantHealthy {
+				t.Fatalf("trial %d: healthy(%d,%d) diverged", trial, i/C, i%C)
 			}
 		}
 		for r := 0; r < R; r++ {
@@ -134,8 +153,8 @@ func TestBitsetMatchesShadowModel(t *testing.T) {
 		if m.CountCrosspointDefects() != count {
 			t.Fatalf("trial %d: count %d want %d", trial, m.CountCrosspointDefects(), count)
 		}
-		if m.AnyDefect() != any {
-			t.Fatalf("trial %d: AnyDefect %v want %v", trial, m.AnyDefect(), any)
+		if anyDefect(m) != any {
+			t.Fatalf("trial %d: AnyDefect %v want %v", trial, anyDefect(m), any)
 		}
 	}
 }
@@ -156,8 +175,8 @@ func TestPlaneWordInvariants(t *testing.T) {
 		}
 		for r := 0; r < 3; r++ {
 			for _, plane := range [][]uint64{m.OpenRow(r), m.ClosedRow(r)} {
-				if len(plane) != m.WordsPerRow() {
-					t.Fatalf("c=%d: row plane has %d words, want %d", c, len(plane), m.WordsPerRow())
+				if len(plane) != m.w {
+					t.Fatalf("c=%d: row plane has %d words, want %d", c, len(plane), m.w)
 				}
 				if last := plane[len(plane)-1]; last&^validLast != 0 {
 					t.Fatalf("c=%d: bits beyond C set in last word: %#x", c, last)
@@ -333,7 +352,7 @@ func TestVisitBernoulliExtremes(t *testing.T) {
 func TestRandomZeroDensityClean(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := Random(16, 16, Params{}, rng)
-	if m.AnyDefect() {
+	if anyDefect(m) {
 		t.Fatal("zero-probability map must be clean")
 	}
 }
@@ -354,11 +373,11 @@ func TestRandomIntoReusesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := NewMap(16, 16)
 	RandomInto(m, UniformCrosspoint(0.5), rng)
-	if !m.AnyDefect() {
+	if !anyDefect(m) {
 		t.Fatal("dense draw produced no defects")
 	}
 	RandomInto(m, Params{}, rng)
-	if m.AnyDefect() {
+	if anyDefect(m) {
 		t.Fatal("RandomInto must reset previous defects")
 	}
 	// A fixed seed gives the same map whether drawn fresh or into scratch.
@@ -401,16 +420,6 @@ func TestLineDefects(t *testing.T) {
 		if !m.ColBridge(c) {
 			t.Fatal("col bridge probability 1 must bridge all columns")
 		}
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	m := NewMap(2, 2)
-	c := m.Clone()
-	c.Set(0, 0, StuckClosed)
-	c.SetRowBroken(1, true)
-	if m.At(0, 0) != None || m.RowBroken(1) {
-		t.Fatal("clone aliases original")
 	}
 }
 

@@ -189,41 +189,6 @@ func (lp *LanePlanes) RowBridgeWords() []uint64 { return lp.rowBridge }
 // ColBridgeWords returns the column-bridge plane. Read-only.
 func (lp *LanePlanes) ColBridgeWords() []uint64 { return lp.colBridge }
 
-// ExtractLane copies die `lane` out of the group into dst (same shape),
-// overwriting it — the test-side bridge between the lane and scalar
-// representations.
-//
-//xbarvet:ignore testonly: bism tests bridge lanes to maps with it, and the fault path is to hand demoted dies over through it
-func (lp *LanePlanes) ExtractLane(dst *Map, lane int) {
-	if dst.R != lp.R || dst.C != lp.C {
-		panic(fmt.Sprintf("defect: extract %d×%d lane into %d×%d map", lp.R, lp.C, dst.R, dst.C))
-	}
-	bit := laneBit(lane)
-	dst.Reset()
-	for r := 0; r < lp.R; r++ {
-		for c := 0; c < lp.C; c++ {
-			switch i := r*lp.C + c; {
-			case lp.open[i]&bit != 0:
-				dst.Set(r, c, StuckOpen)
-			case lp.clsd[i]&bit != 0:
-				dst.Set(r, c, StuckClosed)
-			}
-		}
-	}
-	for r := 0; r < lp.R; r++ {
-		dst.SetRowBroken(r, lp.rowBroken[r]&bit != 0)
-	}
-	for c := 0; c < lp.C; c++ {
-		dst.SetColBroken(c, lp.colBroken[c]&bit != 0)
-	}
-	for r := 0; r+1 < lp.R; r++ {
-		dst.SetRowBridge(r, lp.rowBridge[r]&bit != 0)
-	}
-	for c := 0; c+1 < lp.C; c++ {
-		dst.SetColBridge(c, lp.colBridge[c]&bit != 0)
-	}
-}
-
 func maxI(a, b int) int {
 	if a > b {
 		return a

@@ -1,6 +1,7 @@
 package defect
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -56,7 +57,7 @@ func TestDrawLaneMatchesRandomInto(t *testing.T) {
 				refRng := rand.New(refSrc)
 				RandomInto(want, p, refRng)
 
-				lp.ExtractLane(got, lane)
+				extractLane(lp, got, lane)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s %dx%d lane %d: lane draw differs from RandomInto\nlane:\n%s\nscalar:\n%s",
 						name, r, c, lane, got, want)
@@ -106,7 +107,7 @@ func TestExtendLaneMatchesDrawLane(t *testing.T) {
 			full := NewLanePlanes(r, c)
 			full.DrawLane(lane, p, fullRng)
 			want := NewMap(r, c)
-			full.ExtractLane(want, lane)
+			extractLane(full, want, lane)
 
 			// As in the yield runner, the lane's source state is saved
 			// after each call and restored before the next, and the
@@ -128,7 +129,7 @@ func TestExtendLaneMatchesDrawLane(t *testing.T) {
 				*src = saved
 				lp.ExtendLane(lane, &cur, p, rng, through)
 				saved = *src
-				lp.ExtractLane(got, lane)
+				extractLane(lp, got, lane)
 				for ri := 0; ri < through; ri++ {
 					for ci := 0; ci < c; ci++ {
 						if got.At(ri, ci) != want.At(ri, ci) {
@@ -143,7 +144,7 @@ func TestExtendLaneMatchesDrawLane(t *testing.T) {
 				}
 			}
 			lp.ExtendLane(lane, &cur, p, rng, r) // idempotent once final
-			lp.ExtractLane(got, lane)
+			extractLane(lp, got, lane)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s %dx%d lane %d: extended lane differs from DrawLane\ngot:\n%s\nwant:\n%s", name, r, c, lane, got, want)
 			}
@@ -173,7 +174,7 @@ func TestDrawLaneLanesIndependent(t *testing.T) {
 	for lane := 0; lane < 64; lane++ {
 		src.Seed(int64(lane) * 77)
 		RandomInto(want, p, rng)
-		lp.ExtractLane(got, lane)
+		extractLane(lp, got, lane)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("lane %d polluted by sibling draws", lane)
 		}
@@ -188,8 +189,8 @@ func TestLanePlanesReset(t *testing.T) {
 	lp.Reset()
 	m := NewMap(8, 8)
 	for lane := 0; lane < 64; lane++ {
-		lp.ExtractLane(m, lane)
-		if m.AnyDefect() {
+		extractLane(lp, m, lane)
+		if anyDefect(m) {
 			t.Fatalf("lane %d dirty after Reset", lane)
 		}
 	}
@@ -210,5 +211,38 @@ func BenchmarkDrawLaneGroup64(b *testing.B) {
 			src.Seed(int64(i*64 + lane))
 			lp.DrawLane(lane, p, rng)
 		}
+	}
+}
+
+// extractLane copies die lane out of the group into dst (same shape),
+// overwriting it: the bridge from the lane representation to the
+// scalar one.
+func extractLane(lp *LanePlanes, dst *Map, lane int) {
+	if dst.R != lp.R || dst.C != lp.C {
+		panic(fmt.Sprintf("defect: extract %d×%d lane into %d×%d map", lp.R, lp.C, dst.R, dst.C))
+	}
+	bit := laneBit(lane)
+	dst.Reset()
+	for r := 0; r < lp.R; r++ {
+		for c := 0; c < lp.C; c++ {
+			switch i := r*lp.C + c; {
+			case lp.open[i]&bit != 0:
+				dst.Set(r, c, StuckOpen)
+			case lp.clsd[i]&bit != 0:
+				dst.Set(r, c, StuckClosed)
+			}
+		}
+	}
+	for r := 0; r < lp.R; r++ {
+		dst.SetRowBroken(r, lp.rowBroken[r]&bit != 0)
+	}
+	for c := 0; c < lp.C; c++ {
+		dst.SetColBroken(c, lp.colBroken[c]&bit != 0)
+	}
+	for r := 0; r+1 < lp.R; r++ {
+		dst.SetRowBridge(r, lp.rowBridge[r]&bit != 0)
+	}
+	for c := 0; c+1 < lp.C; c++ {
+		dst.SetColBridge(c, lp.colBridge[c]&bit != 0)
 	}
 }

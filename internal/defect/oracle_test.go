@@ -4,8 +4,7 @@ import "math/rand"
 
 // RandomScalar is the scalar reference generator: one uniform draw per
 // crosspoint and per wire. The property tests pin RandomInto's
-// distributions against it, and BenchmarkDefectRandomScalar reports the
-// sparse sampler's speedup over it.
+// distributions against it.
 func RandomScalar(r, c int, p Params, rng *rand.Rand) *Map {
 	m := NewMap(r, c)
 	boost := func(ri, ci int) float64 { return 1 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"nanoxbar/internal/bexpr"
+	"nanoxbar/internal/gf2"
 	"nanoxbar/internal/latsynth"
 	"nanoxbar/internal/truthtab"
 )
@@ -176,6 +177,23 @@ func TestSynthesizeDReducibleFamily(t *testing.T) {
 	}
 }
 
+// inAffine reports whether x lies in a.Point ⊕ span(a.Basis), by
+// walking the space's 2^dim points.
+func inAffine(a *gf2.Affine, x uint64) bool {
+	for sub := uint64(0); sub < 1<<len(a.Basis); sub++ {
+		p := a.Point
+		for i, b := range a.Basis {
+			if sub>>uint(i)&1 == 1 {
+				p ^= b
+			}
+		}
+		if p == x {
+			return true
+		}
+	}
+	return false
+}
+
 func TestRandomDReducibleOnSetInSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 40; i++ {
@@ -186,7 +204,7 @@ func TestRandomDReducibleOnSetInSpace(t *testing.T) {
 		}
 		f, aff := RandomDReducible(n, codim, 0.7, rng)
 		f.ForEachMinterm(func(a uint64) {
-			if !aff.Contains(a) {
+			if !inAffine(aff, a) {
 				t.Fatalf("on-set point %b outside generator space", a)
 			}
 		})

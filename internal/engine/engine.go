@@ -269,17 +269,6 @@ func (e *Engine) DoStream(ctx context.Context, req Request, onDie DieFunc) Resul
 	return res
 }
 
-// SubmitBatch fans the requests out across the worker pool and returns
-// their results in submission order. It blocks until every request has
-// completed; it is safe to call from many goroutines at once.
-//
-//xbarvet:ignore testonly: the documented in-process batch API, kept by decision
-func (e *Engine) SubmitBatch(reqs []Request) []Result {
-	results := make([]Result, len(reqs))
-	e.SubmitStream(context.Background(), reqs, func(i int, r Result) { results[i] = r }, nil)
-	return results
-}
-
 // SubmitStream fans the requests out across the worker pool, invoking
 // done(i, result) as each request completes — in completion order, not
 // submission order, which is what lets the HTTP layer flush finished

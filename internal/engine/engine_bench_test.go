@@ -65,7 +65,7 @@ func BenchmarkMapBatchPooled(b *testing.B) {
 	defer e.Close()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for _, r := range e.SubmitBatch(perChipBatch(64)) {
+		for _, r := range e.submitBatch(perChipBatch(64)) {
 			if !r.Ok() {
 				b.Fatal(r.Err)
 			}

@@ -25,6 +25,14 @@ func newTestEngine(t *testing.T) *Engine {
 	return e
 }
 
+// submitBatch runs the requests through SubmitStream and returns their
+// results in submission order.
+func (e *Engine) submitBatch(reqs []Request) []Result {
+	results := make([]Result, len(reqs))
+	e.SubmitStream(context.Background(), reqs, func(i int, r Result) { results[i] = r }, nil)
+	return results
+}
+
 // synthesize implements f on tech through the cache, reporting a hit.
 func (e *Engine) synthesize(f truthtab.TT, tech core.Technology, opts core.Options) (*core.Implementation, bool, error) {
 	imp, _, hit, err := e.synthKeyed(context.Background(), f, tech, opts)
@@ -130,7 +138,7 @@ func TestBatchSingleMissDeterministic(t *testing.T) {
 	}
 
 	e1 := newTestEngine(t)
-	res1 := e1.SubmitBatch(makeBatch())
+	res1 := e1.submitBatch(makeBatch())
 	st := e1.Stats()
 	if st.SynthCalls != 1 {
 		t.Fatalf("batch of %d same-function requests ran %d syntheses, want 1", n, st.SynthCalls)
@@ -148,7 +156,7 @@ func TestBatchSingleMissDeterministic(t *testing.T) {
 	}
 
 	e2 := newTestEngine(t)
-	res2 := e2.SubmitBatch(makeBatch())
+	res2 := e2.submitBatch(makeBatch())
 	if !reflect.DeepEqual(res1, res2) {
 		t.Fatal("fixed seeds gave different results across engines")
 	}
@@ -352,7 +360,7 @@ func TestConcurrentBatches(t *testing.T) {
 				{Kind: KindCompare, Function: FunctionSpec{Name: "xor4"}},
 				{Kind: KindMap, Function: FunctionSpec{Name: "maj3"}, Density: 0.02, Seed: int64(b)},
 			}
-			res := e.SubmitBatch(reqs)
+			res := e.submitBatch(reqs)
 			if len(res) != 3 {
 				t.Errorf("batch %d: %d results", b, len(res))
 				return

@@ -24,31 +24,29 @@ const (
 // family — the metricnames analyzer (cmd/xbarvet) enforces the
 // nanoxbar_ snake_case shape and repo-wide uniqueness at these consts.
 const (
-	metricRequestDuration      = "nanoxbar_request_duration_seconds"
-	metricRequestsTotal        = "nanoxbar_requests_total"
-	metricStageDuration        = "nanoxbar_stage_duration_seconds"
-	metricRequestsInflight     = "nanoxbar_requests_inflight"
-	metricRequestFailures      = "nanoxbar_request_failures_total"
-	metricEngineShed           = "nanoxbar_engine_shed_total"
-	metricEngineDegraded       = "nanoxbar_engine_degraded_total"
-	metricEngineQueueDepth     = "nanoxbar_engine_queue_depth"
-	metricEngineQueuedJobs     = "nanoxbar_engine_queued_jobs"
-	metricSynthCalls           = "nanoxbar_synth_calls_total"
-	metricDiesMapped           = "nanoxbar_dies_mapped_total"
-	metricDefectMapsGenerated  = "nanoxbar_defect_maps_generated_total"
-	metricMapAttempts          = "nanoxbar_map_attempts_total"
-	metricDiesCheckedFast      = "nanoxbar_dies_checked_fast_total"
-	metricDiesDemotedScalar    = "nanoxbar_dies_demoted_scalar_total"
-	metricWorkers              = "nanoxbar_workers"
-	metricCacheHits            = "nanoxbar_cache_hits_total"
-	metricCacheMisses          = "nanoxbar_cache_misses_total"
-	metricCacheEvictions       = "nanoxbar_cache_evictions_total"
-	metricCacheLoaded          = "nanoxbar_cache_loaded_total"
-	metricCacheEntries         = "nanoxbar_cache_entries"
-	metricLatticeScalarEvals   = "nanoxbar_lattice_scalar_evals_total"
-	metricLatticeFastFunctions = "nanoxbar_lattice_fast_functions_total"
-	metricLatticeFastImpl      = "nanoxbar_lattice_fast_implements_total"
-	metricLatticeWordBlocks    = "nanoxbar_lattice_word_blocks_total"
+	metricRequestDuration     = "nanoxbar_request_duration_seconds"
+	metricRequestsTotal       = "nanoxbar_requests_total"
+	metricStageDuration       = "nanoxbar_stage_duration_seconds"
+	metricRequestsInflight    = "nanoxbar_requests_inflight"
+	metricRequestFailures     = "nanoxbar_request_failures_total"
+	metricEngineShed          = "nanoxbar_engine_shed_total"
+	metricEngineDegraded      = "nanoxbar_engine_degraded_total"
+	metricEngineQueueDepth    = "nanoxbar_engine_queue_depth"
+	metricEngineQueuedJobs    = "nanoxbar_engine_queued_jobs"
+	metricSynthCalls          = "nanoxbar_synth_calls_total"
+	metricDiesMapped          = "nanoxbar_dies_mapped_total"
+	metricDefectMapsGenerated = "nanoxbar_defect_maps_generated_total"
+	metricMapAttempts         = "nanoxbar_map_attempts_total"
+	metricDiesCheckedFast     = "nanoxbar_dies_checked_fast_total"
+	metricDiesDemotedScalar   = "nanoxbar_dies_demoted_scalar_total"
+	metricWorkers             = "nanoxbar_workers"
+	metricCacheHits           = "nanoxbar_cache_hits_total"
+	metricCacheMisses         = "nanoxbar_cache_misses_total"
+	metricCacheEvictions      = "nanoxbar_cache_evictions_total"
+	metricCacheLoaded         = "nanoxbar_cache_loaded_total"
+	metricCacheEntries        = "nanoxbar_cache_entries"
+	metricLatticeFastImpl     = "nanoxbar_lattice_fast_implements_total"
+	metricLatticeWordBlocks   = "nanoxbar_lattice_word_blocks_total"
 )
 
 // engineMetrics holds the engine's telemetry handles. The histograms
@@ -144,12 +142,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 
 	// Process-wide lattice evaluation counters — the synthesis hot
 	// path's work units, already tracked by internal/lattice.
-	reg.CounterFunc(metricLatticeScalarEvals,
-		"Assignments walked by scalar lattice evaluation.",
-		func() float64 { return float64(lattice.CounterSnapshot().ScalarEvals) })
-	reg.CounterFunc(metricLatticeFastFunctions,
-		"Bit-parallel function expansions.",
-		func() float64 { return float64(lattice.CounterSnapshot().FastFunctions) })
 	reg.CounterFunc(metricLatticeFastImpl,
 		"Bit-parallel Implements/feasibility checks.",
 		func() float64 { return float64(lattice.CounterSnapshot().FastImplements) })

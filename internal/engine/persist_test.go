@@ -34,7 +34,7 @@ func TestWarmRestartServesFromSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.snap")
 
 	e1 := New(Config{Workers: 4, CacheSize: 64})
-	for i, res := range e1.SubmitBatch(reqs) {
+	for i, res := range e1.submitBatch(reqs) {
 		if !res.Ok() {
 			t.Fatalf("warmup request %d failed: %v", i, res.Err)
 		}
@@ -61,7 +61,7 @@ func TestWarmRestartServesFromSnapshot(t *testing.T) {
 		t.Fatalf("stats after load: loaded=%d entries=%d, want %d/%d", st.CacheLoaded, st.CacheEntries, n, n)
 	}
 
-	for i, res := range e2.SubmitBatch(reqs) {
+	for i, res := range e2.submitBatch(reqs) {
 		if !res.Ok() {
 			t.Fatalf("replayed request %d failed: %v", i, res.Err)
 		}
@@ -83,7 +83,7 @@ func TestWarmRestartServesFromSnapshot(t *testing.T) {
 func TestSnapshotStreamRoundTrip(t *testing.T) {
 	e1 := New(Config{Workers: 2, CacheSize: 64})
 	reqs := warmupBatch()
-	e1.SubmitBatch(reqs)
+	e1.submitBatch(reqs)
 	var buf bytes.Buffer
 	n, err := e1.WriteCacheSnapshot(&buf)
 	e1.Close()
@@ -120,7 +120,7 @@ func TestColdStartAfterTruncatedSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.snap")
 
 	e1 := New(Config{Workers: 4, CacheSize: 64})
-	e1.SubmitBatch(reqs)
+	e1.submitBatch(reqs)
 	if _, err := e1.SaveCacheSnapshot(path); err != nil {
 		t.Fatalf("save: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestColdStartAfterTruncatedSnapshot(t *testing.T) {
 	if st := e2.Stats(); st.CacheLoaded != 0 || st.CacheEntries != 0 {
 		t.Fatalf("torn snapshot leaked entries: loaded=%d entries=%d", st.CacheLoaded, st.CacheEntries)
 	}
-	for i, res := range e2.SubmitBatch(reqs) {
+	for i, res := range e2.submitBatch(reqs) {
 		if !res.Ok() {
 			t.Fatalf("cold request %d failed: %v", i, res.Err)
 		}

@@ -1,6 +1,6 @@
 // Request and Result are the typed units of work the engine executes.
 // They are plain data with JSON tags, so the same structs travel
-// in-process (SubmitBatch) and over HTTP (cmd/xbarserverd) without
+// in-process (SubmitStream) and over HTTP (cmd/xbarserverd) without
 // translation layers.
 package engine
 

@@ -111,22 +111,6 @@ func (m *Matrix) NullSpace() []uint64 {
 	return basis
 }
 
-// SpanContains reports whether v lies in the row span of the matrix.
-func (m *Matrix) SpanContains(v uint64) bool {
-	c := m.Clone()
-	c.RREF()
-	for _, row := range c.Rows {
-		if row == 0 {
-			continue
-		}
-		low := uint(bits.TrailingZeros64(row))
-		if v>>low&1 == 1 {
-			v ^= row
-		}
-	}
-	return v&mask(m.Cols) == 0
-}
-
 // Affine is an affine subspace p0 ⊕ span(Basis) of GF(2)^n.
 type Affine struct {
 	N     int
@@ -136,14 +120,6 @@ type Affine struct {
 
 // Dim returns the dimension of the affine space.
 func (a *Affine) Dim() int { return len(a.Basis) }
-
-// Contains reports whether x lies in the affine space.
-//
-//xbarvet:ignore testonly: dreduce tests check affine constraints with it
-func (a *Affine) Contains(x uint64) bool {
-	m := NewMatrix(a.N, a.Basis...)
-	return m.SpanContains((x ^ a.Point) & mask(a.N))
-}
 
 // AffineHull returns the smallest affine subspace of GF(2)^n containing
 // all points. It panics if points is empty (the empty set has no hull).

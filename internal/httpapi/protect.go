@@ -60,9 +60,11 @@ func (s *Server) protect(h http.HandlerFunc) http.HandlerFunc {
 		}
 		if ms := r.Header.Get(deadlineHeader); ms != "" {
 			if n, err := strconv.ParseInt(ms, 10, 64); err == nil && n > 0 {
-				d := time.Duration(n) * time.Millisecond
-				if d > maxDeadline {
-					d = maxDeadline
+				// Compare before converting: n·1ms overflows a Duration
+				// from n ≈ 9.2e12 on.
+				d := maxDeadline
+				if n < int64(maxDeadline/time.Millisecond) {
+					d = time.Duration(n) * time.Millisecond
 				}
 				ctx, cancel := context.WithTimeout(r.Context(), d)
 				defer cancel()

@@ -104,6 +104,37 @@ func TestDeadlineHeaderBoundsRequest(t *testing.T) {
 	}
 }
 
+// TestDeadlineHeaderSaturates: a budget too long for a Duration caps
+// at maxDeadline instead of wrapping. 9223372036855 ms wraps to a
+// negative budget and 18446744073710 ms to 448 µs; either would cancel
+// a sweep that takes milliseconds.
+func TestDeadlineHeaderSaturates(t *testing.T) {
+	ts, _ := protectedServer(t)
+	body := `{"requests":[{"kind":"yield","function":{"name":"maj5"},"chips":400,"density":0.05,"seed":3}]}`
+	for _, ms := range []string{"9223372036854", "9223372036855", "18446744073710", "9223372036854775807"} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/jobs", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(deadlineHeader, ms)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		first, _, _ := bytes.Cut(raw, []byte("\n"))
+		var ev nanoxbar.Event
+		if err := json.Unmarshal(first, &ev); err != nil {
+			t.Fatalf("%s ms: bad stream %s: %v", ms, raw, err)
+		}
+		if ev.Type != nanoxbar.EventResult {
+			t.Fatalf("X-Deadline-Ms %s answered %q, want a result (stream %s)", ms, ev.Type, raw)
+		}
+	}
+}
+
 func TestPanicRecoveryReturns500WithRequestID(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 1, CacheSize: 8})
 	t.Cleanup(eng.Close)

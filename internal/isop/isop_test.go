@@ -45,7 +45,7 @@ func TestExactCoverProperty(t *testing.T) {
 		n := 1 + rng.Intn(8)
 		f := randTT(n, rng)
 		c := OfTT(f)
-		if !cube.IsCoverOf(c, f) {
+		if !c.ToTT(f.NumVars()).Equal(f) {
 			t.Fatalf("ISOP cover != f for n=%d f=%v cover=%v", n, f, c)
 		}
 	}
@@ -62,7 +62,7 @@ func TestIrredundancy(t *testing.T) {
 			reduced := make(cube.Cover, 0, len(c)-1)
 			reduced = append(reduced, c[:k]...)
 			reduced = append(reduced, c[k+1:]...)
-			if cube.IsCoverOf(reduced, f) {
+			if reduced.ToTT(f.NumVars()).Equal(f) {
 				t.Fatalf("cube %v redundant in cover %v of %v", c[k], c, f)
 			}
 		}
@@ -75,7 +75,7 @@ func TestAllCubesAreImplicants(t *testing.T) {
 		n := 1 + rng.Intn(7)
 		f := randTT(n, rng)
 		for _, cb := range OfTT(f) {
-			if !cube.IsImplicant(cb, f) {
+			if !(cube.Cover{cb}).ToTT(f.NumVars()).Implies(f) {
 				t.Fatalf("cube %v not implicant of %v", cb, f)
 			}
 		}
@@ -185,7 +185,7 @@ func TestLargerN(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	f := truthtab.FromFunc(12, func(a uint64) bool { return rng.Intn(4) == 0 })
 	c := OfTT(f)
-	if !cube.IsCoverOf(c, f) {
+	if !c.ToTT(f.NumVars()).Equal(f) {
 		t.Fatal("n=12 ISOP cover mismatch")
 	}
 }

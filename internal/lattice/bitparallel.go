@@ -13,14 +13,14 @@
 //	reach[site] |= OR(reach[neighbors]) & on[site]
 //
 // iterated to fixpoint, so one pass evaluates 64 assignments at once.
-// One scanline kernel serves both readings. A pass visits the rows in
-// order, alternately downward and upward; each row gathers from the
-// rows beside it (diagonals too in the 8-connected dual reading), then
-// closes itself left→right and right→left. A row that gains nothing
-// from outside, or whose neighbours have not changed since its last
-// scan, is skipped. A pass with no gain certifies the least fixpoint,
-// and the reached set only grows, which gives Implements an early exit
-// the moment the function overshoots its target on any word.
+// A scanline kernel reads the lattice top to bottom. A pass visits the
+// rows in order, alternately downward and upward; each row gathers from
+// the rows beside it, then closes itself left→right and right→left. A
+// row that gains nothing from outside, or whose neighbours have not
+// changed since its last scan, is skipped. A pass with no gain
+// certifies the least fixpoint, and the reached set only grows, which
+// gives Implements an early exit the moment the function overshoots
+// its target on any word.
 // PostReduce's deletion trials run through the same kernel in place:
 // LoadDeletions computes a lattice's on-masks once per word block, and
 // ImplementsWithoutRow/Col copy each trial's masks around the deleted
@@ -74,24 +74,9 @@ func onMask(s Site, wi int, vm uint64) uint64 {
 	return (p ^ neg) & vm
 }
 
-// dualOnMask is onMask for the dual (left-to-right, 8-connected)
-// reading: bit a is ¬s.On(¬a). For a literal that coincides with
-// s.On(a); constants swap roles.
-func dualOnMask(s Site, wi int, vm uint64) uint64 {
-	switch s.Kind {
-	case Const0:
-		return vm
-	case Const1:
-		return 0
-	}
-	return onMask(s, wi, vm)
-}
-
 // Evaluation counters, exported through CounterSnapshot for the serving
 // daemon's /stats endpoint.
 var (
-	ctrScalarEvals    atomic.Uint64
-	ctrFastFunctions  atomic.Uint64
 	ctrFastImplements atomic.Uint64
 	ctrWordBlocks     atomic.Uint64
 )
@@ -99,8 +84,6 @@ var (
 // Counters is a point-in-time snapshot of the process-wide lattice
 // evaluation counters.
 type Counters struct {
-	ScalarEvals    uint64 `json:"scalar_evals"`     // assignments walked by scalar expansions
-	FastFunctions  uint64 `json:"fast_functions"`   // bit-parallel function expansions
 	FastImplements uint64 `json:"fast_implements"`  // bit-parallel Implements/feasibility checks
 	WordBlocks     uint64 `json:"fast_word_blocks"` // 64-assignment word blocks percolated
 }
@@ -108,8 +91,6 @@ type Counters struct {
 // CounterSnapshot returns the current evaluation counters.
 func CounterSnapshot() Counters {
 	return Counters{
-		ScalarEvals:    ctrScalarEvals.Load(),
-		FastFunctions:  ctrFastFunctions.Load(),
 		FastImplements: ctrFastImplements.Load(),
 		WordBlocks:     ctrWordBlocks.Load(),
 	}
@@ -119,12 +100,11 @@ func CounterSnapshot() Counters {
 // scratch. The zero value is ready to use; scratch grows to the largest
 // lattice seen and is reused across calls.
 // An Evaluator is not safe for concurrent use — give each goroutine its
-// own, or use the pooled Lattice.FunctionFast/ImplementsFast wrappers.
+// own, or use the pooled Lattice.ImplementsFast wrapper.
 type Evaluator struct {
 	onw   []uint64 // per-site on-masks of the current word block
 	reach []uint64 // per-site reached-from-source masks
 	stale []bool   // per row: a neighbour row changed since its last scan
-	fn    []uint64 // FunctionWords result buffer
 
 	// On-masks of the lattice loaded for deletion trials, word block
 	// wi at del[wi·S:(wi+1)·S] for its S = delR·delC sites.
@@ -146,34 +126,27 @@ func (e *Evaluator) grow(sites int) {
 // buildOnWord fills e.onw for word block wi. Sites at index ≥ filled
 // (a partial fill during the optimal search) get fillMask instead of
 // their own mask; full evaluations pass filled = len(sites).
-func (e *Evaluator) buildOnWord(l *Lattice, wi int, vm uint64, dual bool, filled int, fillMask uint64) {
+func (e *Evaluator) buildOnWord(l *Lattice, wi int, vm uint64, filled int, fillMask uint64) {
 	onw := e.onw[:len(l.sites)]
 	for i, s := range l.sites {
 		if i >= filled {
 			onw[i] = fillMask
 			continue
 		}
-		if dual {
-			onw[i] = dualOnMask(s, wi, vm)
-		} else {
-			onw[i] = onMask(s, wi, vm)
-		}
+		onw[i] = onMask(s, wi, vm)
 	}
 }
 
 // percolate runs the scanline kernel over e.onw: it percolates one
 // word block to fixpoint and returns the sink mask, bit a set iff a
 // source-to-sink path of conducting sites exists under assignment
-// (wi<<6 | a). Normal mode percolates top row → bottom row over
-// 4-connected sites; dual mode left column → right column over
-// 8-connected sites. When bounded, it stops with ok=false after the
-// first pass whose sink mask leaves limit (reach only grows, so any
-// excess is permanent).
+// (wi<<6 | a), top row → bottom row over 4-connected sites. When
+// bounded, it stops with ok=false after the first pass whose sink mask
+// leaves limit (reach only grows, so any excess is permanent).
 //
 // Passes alternate down and up the rows. Each visited row first gathers
-// what its conducting sites receive from the rows above and below (and,
-// in dual mode, diagonally, plus the left plate into column 0; the top
-// plate feeds row 0 in normal mode), then closes the row left→right and
+// what its conducting sites receive from the rows above and below (the
+// top plate feeds row 0), then closes the row left→right and
 // right→left, so a pass follows a path through any number of
 // horizontal runs and vertical steps in its own direction. A row whose
 // sites gain nothing from outside the row is left as it is: its reach
@@ -182,20 +155,14 @@ func (e *Evaluator) buildOnWord(l *Lattice, wi int, vm uint64, dual bool, filled
 // row gains certifies the least fixpoint, so the pass count tracks the
 // number of vertical direction reversals in the longest percolation
 // path.
-func (e *Evaluator) percolate(R, C int, dual, bounded bool, limit uint64) (sink uint64, ok bool) {
+func (e *Evaluator) percolate(R, C int, bounded bool, limit uint64) (sink uint64, ok bool) {
 	sites := R * C
 	onw, reach := e.onw[:sites], e.reach[:sites]
 	clear(reach)
 	sinkOr := func() uint64 {
 		var s uint64
-		if dual {
-			for i := C - 1; i < sites; i += C {
-				s |= reach[i]
-			}
-		} else {
-			for i := sites - C; i < sites; i++ {
-				s |= reach[i]
-			}
+		for i := sites - C; i < sites; i++ {
+			s |= reach[i]
 		}
 		return s
 	}
@@ -218,16 +185,14 @@ func (e *Evaluator) percolate(R, C int, dual, bounded bool, limit uint64) (sink 
 			// offers it nothing new; the top plate reads as the row's
 			// own on-masks.
 			on, row := onw[r*C:(r+1)*C], reach[r*C:(r+1)*C]
-			above, below := row, row
+			above, below := on, row
 			if r > 0 {
 				above = reach[(r-1)*C : r*C]
-			} else if !dual {
-				above = on
 			}
 			if r < R-1 {
 				below = reach[(r+1)*C : (r+2)*C]
 			}
-			if scanRow(on, row, above, below, dual) {
+			if scanRow(on, row, above, below) {
 				changed = true
 				if r > 0 {
 					stale[r-1] = true
@@ -249,10 +214,9 @@ func (e *Evaluator) percolate(R, C int, dual, bounded bool, limit uint64) (sink 
 }
 
 // scanRow gathers into row what its conducting sites receive from the
-// rows above and below — in dual mode also diagonally, and from the
-// left plate into column 0 — and when any site gained, closes the row
+// rows above and below, and when any site gained, closes the row
 // left→right, then right→left. It reports whether any site gained.
-func scanRow(on, row, above, below []uint64, dual bool) bool {
+func scanRow(on, row, above, below []uint64) bool {
 	C := len(on)
 	row, above, below = row[:C], above[:C], below[:C]
 	var gained uint64
@@ -260,21 +224,6 @@ func scanRow(on, row, above, below []uint64, dual bool) bool {
 		g := (above[c] | below[c]) & o &^ row[c]
 		row[c] |= g
 		gained |= g
-	}
-	if dual {
-		g := on[0] &^ row[0]
-		row[0] |= g
-		gained |= g
-		for c := 1; c < C; c++ {
-			g := (above[c-1] | below[c-1]) & on[c] &^ row[c]
-			row[c] |= g
-			gained |= g
-		}
-		for c := 0; c < C-1; c++ {
-			g := (above[c+1] | below[c+1]) & on[c] &^ row[c]
-			row[c] |= g
-			gained |= g
-		}
 	}
 	if gained == 0 {
 		return false
@@ -292,50 +241,6 @@ func scanRow(on, row, above, below []uint64, dual bool) bool {
 	return true
 }
 
-// functionWords expands the (dual=false: top-to-bottom, dual=true:
-// left-to-right) function over n variables into e.fn and returns it.
-// The slice is the evaluator's internal buffer, valid until the next
-// call on e.
-func (e *Evaluator) functionWords(l *Lattice, n int, dual bool) []uint64 {
-	ctrFastFunctions.Add(1)
-	e.grow(len(l.sites))
-	W, vm := numWords(n), validMask(n)
-	if len(e.fn) < W {
-		e.fn = make([]uint64, W)
-	}
-	fn := e.fn[:W]
-	for wi := 0; wi < W; wi++ {
-		e.buildOnWord(l, wi, vm, dual, len(l.sites), 0)
-		fn[wi], _ = e.percolate(l.R, l.C, dual, false, 0)
-	}
-	// One batched counter update per expansion, not per word block:
-	// these are process-wide atomics, and per-block increments would
-	// bounce their cache line across the engine's worker pool.
-	ctrWordBlocks.Add(uint64(W))
-	return fn
-}
-
-// FunctionWords computes the top-to-bottom function of l over n
-// variables in the truthtab Words layout. The returned slice aliases
-// the evaluator's scratch: valid until the next call on e.
-//
-//xbarvet:ignore testonly: the gated BenchmarkEvaluatorWords6Var times it
-func (e *Evaluator) FunctionWords(l *Lattice, n int) []uint64 {
-	return e.functionWords(l, n, false)
-}
-
-// Function is the bit-parallel equivalent of Lattice.Function.
-func (e *Evaluator) Function(l *Lattice, n int) truthtab.TT {
-	t, _ := truthtab.FromWords(n, e.functionWords(l, n, false))
-	return t
-}
-
-// DualFunction is the bit-parallel equivalent of Lattice.DualFunction.
-func (e *Evaluator) DualFunction(l *Lattice, n int) truthtab.TT {
-	t, _ := truthtab.FromWords(n, e.functionWords(l, n, true))
-	return t
-}
-
 // Implements reports whether l computes f top-to-bottom. It proceeds
 // word block by word block and exits on the first mismatching word —
 // inside a block as soon as the reached set overshoots f (reach only
@@ -344,7 +249,7 @@ func (e *Evaluator) DualFunction(l *Lattice, n int) truthtab.TT {
 func (e *Evaluator) Implements(l *Lattice, f truthtab.TT) bool {
 	e.grow(len(l.sites))
 	vm := validMask(f.NumVars())
-	return e.implements(l.R, l.C, f, func(wi int) { e.buildOnWord(l, wi, vm, false, len(l.sites), 0) })
+	return e.implements(l.R, l.C, f, func(wi int) { e.buildOnWord(l, wi, vm, len(l.sites), 0) })
 }
 
 // implements checks, word block by word block, that the R×C on-masks
@@ -355,7 +260,7 @@ func (e *Evaluator) implements(R, C int, f truthtab.TT, fill func(wi int)) bool 
 	for wi := 0; wi < W; wi++ {
 		fill(wi)
 		fw := f.Word(wi)
-		if sink, ok := e.percolate(R, C, false, true, fw); !ok || sink != fw {
+		if sink, ok := e.percolate(R, C, true, fw); !ok || sink != fw {
 			ctrWordBlocks.Add(uint64(wi + 1))
 			return false
 		}
@@ -450,17 +355,17 @@ func (e *Evaluator) FeasiblePartial(l *Lattice, filled int, f truthtab.TT) bool 
 	for wi := 0; wi < W; wi++ {
 		fw := f.Word(wi)
 		if fw != 0 {
-			e.buildOnWord(l, wi, vm, false, filled, vm)
-			opt, _ := e.percolate(l.R, l.C, false, false, 0)
+			e.buildOnWord(l, wi, vm, filled, vm)
+			opt, _ := e.percolate(l.R, l.C, false, 0)
 			blocks++
 			if fw&^opt != 0 {
 				return false
 			}
 		}
 		if fw != vm {
-			e.buildOnWord(l, wi, vm, false, filled, 0)
+			e.buildOnWord(l, wi, vm, filled, 0)
 			blocks++
-			if sink, ok := e.percolate(l.R, l.C, false, true, fw); !ok || sink&^fw != 0 {
+			if sink, ok := e.percolate(l.R, l.C, true, fw); !ok || sink&^fw != 0 {
 				return false
 			}
 		}
@@ -482,7 +387,7 @@ func (e *Evaluator) PercolateMasks(R, C int, on []uint64) uint64 {
 	}
 	e.grow(len(on))
 	copy(e.onw[:len(on)], on)
-	sink, _ := e.percolate(R, C, false, false, 0)
+	sink, _ := e.percolate(R, C, false, 0)
 	ctrWordBlocks.Add(1)
 	return sink
 }
@@ -491,31 +396,13 @@ func (e *Evaluator) PercolateMasks(R, C int, on []uint64) uint64 {
 // cannot hold an Evaluator still skip per-call scratch allocation.
 var evalPool = sync.Pool{New: func() any { return NewEvaluator() }}
 
-// GetEvaluator takes an evaluator from the pool behind the *Fast
-// wrappers, for a caller that runs a series of evaluations; hand it back
+// GetEvaluator takes an evaluator from the pool behind ImplementsFast,
+// for a caller that runs a series of evaluations; hand it back
 // with PutEvaluator.
 func GetEvaluator() *Evaluator { return evalPool.Get().(*Evaluator) }
 
 // PutEvaluator returns an evaluator taken with GetEvaluator.
 func PutEvaluator(e *Evaluator) { evalPool.Put(e) }
-
-// FunctionFast is Function via a pooled bit-parallel evaluator:
-// identical result, one frontier percolation per 64 assignments instead
-// of one BFS per assignment.
-func (l *Lattice) FunctionFast(n int) truthtab.TT {
-	e := evalPool.Get().(*Evaluator)
-	t := e.Function(l, n)
-	evalPool.Put(e)
-	return t
-}
-
-// DualFunctionFast is DualFunction via a pooled bit-parallel evaluator.
-func (l *Lattice) DualFunctionFast(n int) truthtab.TT {
-	e := evalPool.Get().(*Evaluator)
-	t := e.DualFunction(l, n)
-	evalPool.Put(e)
-	return t
-}
 
 // ImplementsFast is Implements via a pooled bit-parallel evaluator,
 // with early exit on the first mismatching word.

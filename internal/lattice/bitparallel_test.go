@@ -27,11 +27,31 @@ func randomLattice(rng *rand.Rand, r, c, n int) *Lattice {
 	return l
 }
 
+// expand is the bit-parallel expansion of l's function over n
+// variables, one kernel percolation per word block: the kernel side of
+// the agreement tests below.
+func expand(e *Evaluator, l *Lattice, n int) truthtab.TT {
+	e.grow(len(l.sites))
+	vm := validMask(n)
+	w := make([]uint64, numWords(n))
+	for wi := range w {
+		e.buildOnWord(l, wi, vm, len(l.sites), 0)
+		w[wi], _ = e.percolate(l.R, l.C, false, 0)
+	}
+	t := truthtab.New(n)
+	for a := uint64(0); a < t.Size(); a++ {
+		if w[a>>6]>>(a&63)&1 == 1 {
+			t.SetBit(a, true)
+		}
+	}
+	return t
+}
+
 // TestBitParallelAgreesWithScalar is the core property test: on
-// randomized lattices the bit-parallel Function/DualFunction/Implements
-// must agree with the reference per-assignment BFS, across
-// word-boundary variable counts (n = 6 is one exact word, n = 7..8
-// multi-word, n < 6 a partial word).
+// randomized lattices the bit-parallel expansion and Implements must
+// agree with the reference per-assignment BFS, across word-boundary
+// variable counts (n = 6 is one exact word, n = 7..8 multi-word, n < 6
+// a partial word).
 func TestBitParallelAgreesWithScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ev := NewEvaluator() // deliberately shared across sizes: scratch must reset
@@ -39,27 +59,16 @@ func TestBitParallelAgreesWithScalar(t *testing.T) {
 		n := 1 + rng.Intn(8)
 		l := randomLattice(rng, 1+rng.Intn(5), 1+rng.Intn(5), n)
 		want := l.Function(n)
-		wantD := l.DualFunction(n)
 
-		if got := l.FunctionFast(n); !got.Equal(want) {
-			t.Fatalf("trial %d: FunctionFast = %v, want %v for\n%v", trial, got, want, l)
-		}
-		if got := ev.Function(l, n); !got.Equal(want) {
-			t.Fatalf("trial %d: Evaluator.Function = %v, want %v for\n%v", trial, got, want, l)
-		}
-		if got := l.DualFunctionFast(n); !got.Equal(wantD) {
-			t.Fatalf("trial %d: DualFunctionFast = %v, want %v for\n%v", trial, got, wantD, l)
-		}
-		if got := ev.DualFunction(l, n); !got.Equal(wantD) {
-			t.Fatalf("trial %d: Evaluator.DualFunction = %v, want %v for\n%v", trial, got, wantD, l)
+		if got := expand(ev, l, n); !got.Equal(want) {
+			t.Fatalf("trial %d: bit-parallel function = %v, want %v for\n%v", trial, got, want, l)
 		}
 		if !l.ImplementsFast(want) || !ev.Implements(l, want) {
 			t.Fatalf("trial %d: ImplementsFast rejects the lattice's own function\n%v", trial, l)
 		}
 		// Perturbing any one minterm must be detected.
-		flip := want.Clone()
 		a := rng.Uint64() & (want.Size() - 1)
-		flip.SetBit(a, !flip.Bit(a))
+		flip := want.Xor(truthtab.FromMinterms(n, []uint64{a}))
 		if l.ImplementsFast(flip) || ev.Implements(l, flip) {
 			t.Fatalf("trial %d: ImplementsFast accepts a perturbed function", trial)
 		}
@@ -69,26 +78,22 @@ func TestBitParallelAgreesWithScalar(t *testing.T) {
 // TestBitParallelFixtures pins the fast path to the repository's seed
 // fixtures.
 func TestBitParallelFixtures(t *testing.T) {
+	ev := NewEvaluator()
 	l := fig4()
 	want := fig4Function(t)
 	if !l.ImplementsFast(want) {
-		t.Fatalf("Fig.4 lattice: ImplementsFast = false; FunctionFast = %v, want %v", l.FunctionFast(6), want)
-	}
-	if !l.DualFunctionFast(6).Equal(want.Dual()) {
-		t.Fatal("Fig.4 lattice: DualFunctionFast differs from the dual of its function")
+		t.Fatalf("Fig.4 lattice: ImplementsFast = false; bit-parallel function = %v, want %v", expand(ev, l, 6), want)
 	}
 
-	one := Constant(true)
-	if !one.FunctionFast(1).IsOne() || !one.DualFunctionFast(1).IsZero() {
+	if !expand(ev, Constant(true), 1).IsOne() || !Constant(true).ImplementsFast(truthtab.One(1)) {
 		t.Fatal("constant-1 lattice fast evaluation")
 	}
-	zero := Constant(false)
-	if !zero.FunctionFast(1).IsZero() || !zero.DualFunctionFast(1).IsOne() {
+	if !expand(ev, Constant(false), 1).IsZero() || !Constant(false).ImplementsFast(truthtab.Zero(1)) {
 		t.Fatal("constant-0 lattice fast evaluation")
 	}
 	x := New(1, 1)
 	x.Set(0, 0, Lit(0, false))
-	if !x.FunctionFast(1).Equal(truthtab.Var(1, 0)) || !x.DualFunctionFast(1).Equal(truthtab.Var(1, 0)) {
+	if !expand(ev, x, 1).Equal(truthtab.Var(1, 0)) || !x.ImplementsFast(truthtab.Var(1, 0)) {
 		t.Fatal("single-literal lattice fast evaluation")
 	}
 }
@@ -98,16 +103,17 @@ func TestBitParallelFixtures(t *testing.T) {
 // already establish.
 func TestBitParallelComposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	ev := NewEvaluator()
 	const n = 5
 	for trial := 0; trial < 50; trial++ {
 		a := randomLattice(rng, 1+rng.Intn(3), 1+rng.Intn(3), n)
 		b := randomLattice(rng, 1+rng.Intn(3), 1+rng.Intn(3), n)
-		or, and := Or(a, b), And(a, b)
-		if !or.FunctionFast(n).Equal(a.FunctionFast(n).Or(b.FunctionFast(n))) {
-			t.Fatalf("trial %d: Or composition under FunctionFast", trial)
+		fa, fb := expand(ev, a, n), expand(ev, b, n)
+		if !expand(ev, Or(a, b), n).Equal(fa.Or(fb)) {
+			t.Fatalf("trial %d: Or composition under the bit-parallel kernel", trial)
 		}
-		if !and.FunctionFast(n).Equal(a.FunctionFast(n).And(b.FunctionFast(n))) {
-			t.Fatalf("trial %d: And composition under FunctionFast", trial)
+		if !expand(ev, And(a, b), n).Equal(fa.And(fb)) {
+			t.Fatalf("trial %d: And composition under the bit-parallel kernel", trial)
 		}
 	}
 }
@@ -137,7 +143,7 @@ func TestFeasiblePartial(t *testing.T) {
 	}
 }
 
-// TestEvaluatorConcurrentPools exercises the pooled wrappers from many
+// TestEvaluatorConcurrentPools exercises the pooled wrapper from many
 // goroutines so the race detector can see any scratch sharing.
 func TestEvaluatorConcurrentPools(t *testing.T) {
 	l := fig4()
@@ -150,8 +156,8 @@ func TestEvaluatorConcurrentPools(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 50; i++ {
 				rl := randomLattice(rng, 1+rng.Intn(4), 1+rng.Intn(4), 4)
-				if !rl.FunctionFast(4).Equal(rl.Function(4)) {
-					t.Error("concurrent FunctionFast mismatch")
+				if !rl.ImplementsFast(rl.Function(4)) {
+					t.Error("concurrent ImplementsFast rejects a lattice's own function")
 					return
 				}
 				if !l.ImplementsFast(want) {
@@ -167,24 +173,18 @@ func TestEvaluatorConcurrentPools(t *testing.T) {
 // TestCounterSnapshot checks the evaluation counters move.
 func TestCounterSnapshot(t *testing.T) {
 	before := CounterSnapshot()
-	l := fig4()
-	l.FunctionFast(6)
-	l.ImplementsFast(fig4Function(t))
-	l.Function(6)
+	fig4().ImplementsFast(fig4Function(t))
 	after := CounterSnapshot()
-	if after.FastFunctions <= before.FastFunctions ||
-		after.FastImplements <= before.FastImplements ||
-		after.ScalarEvals <= before.ScalarEvals ||
+	if after.FastImplements <= before.FastImplements ||
 		after.WordBlocks <= before.WordBlocks {
 		t.Fatalf("counters did not advance: before %+v after %+v", before, after)
 	}
 }
 
 // TestPercolateAgreesWithScalar pins the scanline kernel to the scalar
-// single-assignment search (Lattice.Eval/EvalDual over constant sites
-// spelling one bit of the grid), bit by bit, on random on-mask grids of
-// 1–12 rows and columns in both readings. Unbounded, the sink masks are
-// equal. Bounded, the verdicts callers draw are equal — Implements'
+// single-assignment search (Lattice.Eval over constant sites spelling
+// one bit of the grid), bit by bit, on random on-mask grids of 1–12
+// rows and columns. Unbounded, the sink masks are equal. Bounded, the verdicts callers draw are equal — Implements'
 // (sink == limit) and FeasiblePartial's (sink ⊆ limit) — and a stop
 // before the fixpoint happens only on a real overshoot.
 func TestPercolateAgreesWithScalar(t *testing.T) {
@@ -192,7 +192,6 @@ func TestPercolateAgreesWithScalar(t *testing.T) {
 	ev := NewEvaluator()
 	for trial := 0; trial < 600; trial++ {
 		R, C := 1+rng.Intn(12), 1+rng.Intn(12)
-		dual := trial%2 == 1
 		density := 0.3 + 0.6*rng.Float64()
 		on := make([]uint64, R*C)
 		for i := range on {
@@ -206,28 +205,26 @@ func TestPercolateAgreesWithScalar(t *testing.T) {
 		var want uint64
 		for b := 0; b < 64; b++ {
 			for i, o := range on {
-				// EvalDual reads a site as conducting when it is off
-				// under the complemented assignment: Const0 there.
 				kind := Const0
-				if o>>b&1 == 1 != dual {
+				if o>>b&1 == 1 {
 					kind = Const1
 				}
 				grid.Set(i/C, i%C, Site{Kind: kind})
 			}
-			if !dual && grid.Eval(0) || dual && grid.EvalDual(0) {
+			if grid.Eval(0) {
 				want |= 1 << b
 			}
 		}
 		ev.grow(R * C)
 		copy(ev.onw, on)
-		if got, ok := ev.percolate(R, C, dual, false, 0); !ok || got != want {
-			t.Fatalf("trial %d (%d×%d dual=%v): sink %#x ok=%v, scalar %#x", trial, R, C, dual, got, ok, want)
+		if got, ok := ev.percolate(R, C, false, 0); !ok || got != want {
+			t.Fatalf("trial %d (%d×%d): sink %#x ok=%v, scalar %#x", trial, R, C, got, ok, want)
 		}
 		for _, limit := range []uint64{want, want &^ (1 << rng.Intn(64)), want | 1<<rng.Intn(64), rng.Uint64()} {
 			copy(ev.onw, on)
-			got, ok := ev.percolate(R, C, dual, true, limit)
+			got, ok := ev.percolate(R, C, true, limit)
 			if ok && got != want || !ok && want&^limit == 0 {
-				t.Fatalf("trial %d (%d×%d dual=%v, limit %#x): sink %#x ok=%v, scalar %#x", trial, R, C, dual, limit, got, ok, want)
+				t.Fatalf("trial %d (%d×%d, limit %#x): sink %#x ok=%v, scalar %#x", trial, R, C, limit, got, ok, want)
 			}
 			if (ok && got == limit) != (want == limit) || (ok && got&^limit == 0) != (want&^limit == 0) {
 				t.Fatalf("trial %d: bounded verdicts differ from the scalar ones", trial)

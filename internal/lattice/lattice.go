@@ -224,8 +224,6 @@ func (l *Lattice) Function(n int) truthtab.TT {
 			t.SetBit(a, true)
 		}
 	}
-	// One batched counter update per expansion (see functionWords).
-	ctrScalarEvals.Add(t.Size())
 	return t
 }
 
@@ -237,7 +235,6 @@ func (l *Lattice) DualFunction(n int) truthtab.TT {
 			t.SetBit(a, true)
 		}
 	}
-	ctrScalarEvals.Add(t.Size())
 	return t
 }
 

@@ -24,14 +24,6 @@ func BenchmarkEval8x8(b *testing.B) {
 	}
 }
 
-func BenchmarkEvalDual8x8(b *testing.B) {
-	l := benchLattice(8, 8, 6, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l.EvalDual(uint64(i) & 63)
-	}
-}
-
 func BenchmarkFunction6Var(b *testing.B) {
 	l := benchLattice(6, 6, 6, 3)
 	for i := 0; i < b.N; i++ {
@@ -39,40 +31,12 @@ func BenchmarkFunction6Var(b *testing.B) {
 	}
 }
 
-// BenchmarkFunctionFast6Var is the bit-parallel counterpart of
-// BenchmarkFunction6Var: one 64-wide frontier percolation instead of 64
-// BFS passes.
-func BenchmarkFunctionFast6Var(b *testing.B) {
-	l := benchLattice(6, 6, 6, 3)
-	for i := 0; i < b.N; i++ {
-		l.FunctionFast(6)
-	}
-}
-
-// BenchmarkEvaluatorWords6Var is the steady-state evaluator loop —
-// result words land in reused scratch, so this must run at 0 allocs/op.
-func BenchmarkEvaluatorWords6Var(b *testing.B) {
-	l := benchLattice(6, 6, 6, 3)
-	ev := NewEvaluator()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ev.FunctionWords(l, 6)
-	}
-}
-
-// BenchmarkFunction8Var / BenchmarkFunctionFast8Var measure a
-// multi-word (2^8 assignments = 4 words) expansion.
+// BenchmarkFunction8Var measures a multi-word (2^8 assignments = 4
+// words) expansion.
 func BenchmarkFunction8Var(b *testing.B) {
 	l := benchLattice(8, 8, 8, 6)
 	for i := 0; i < b.N; i++ {
 		l.Function(8)
-	}
-}
-
-func BenchmarkFunctionFast8Var(b *testing.B) {
-	l := benchLattice(8, 8, 8, 6)
-	for i := 0; i < b.N; i++ {
-		l.FunctionFast(8)
 	}
 }
 
@@ -94,13 +58,6 @@ func BenchmarkImplementsFast6Var(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ev.Implements(l, f)
-	}
-}
-
-func BenchmarkDualFunctionFast6Var(b *testing.B) {
-	l := benchLattice(6, 6, 6, 2)
-	for i := 0; i < b.N; i++ {
-		l.DualFunctionFast(6)
 	}
 }
 

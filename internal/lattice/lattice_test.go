@@ -234,7 +234,7 @@ func TestFromCube(t *testing.T) {
 	if l.R != 3 || l.C != 1 {
 		t.Fatalf("shape %d×%d", l.R, l.C)
 	}
-	if !l.Implements(c.ToTT(3)) {
+	if !l.Implements((cube.Cover{c}).ToTT(3)) {
 		t.Fatal("FromCube function wrong")
 	}
 	u := FromCube(cube.Universe)

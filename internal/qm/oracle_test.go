@@ -552,7 +552,7 @@ func FuzzMinimize(f *testing.F) {
 		if !on.AndNot(tt).IsZero() || !tt.AndNot(on.Or(dc)).IsZero() {
 			t.Fatalf("cover %v of on %v dc %v leaves on or leaves on ∪ dc", got, on, dc)
 		}
-		if len(got) != len(want) || got.TotalLiterals() != want.TotalLiterals() || !slices.Equal(got, want) {
+		if len(got) != len(want) || literals(got) != literals(want) || !slices.Equal(got, want) {
 			t.Fatalf("cover %v, oracle %v", got, want)
 		}
 	})

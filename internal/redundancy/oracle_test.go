@@ -9,7 +9,7 @@ import (
 
 // ErrorRatesScalar is the scalar reference for ErrorRates: one graph
 // walk per trial and per redundant copy. The property tests pin the
-// bit-parallel path against it, and BenchmarkErrorRatesScalar times it.
+// bit-parallel path against it.
 func ErrorRatesScalar(l *lattice.Lattice, nVars int, nmr int, p float64, trials int, rng *rand.Rand) (bare, protected float64) {
 	m := NewNMR(l, nmr)
 	bareErr, protErr := 0, 0

@@ -32,17 +32,6 @@ func BenchmarkErrorRates(b *testing.B) {
 	}
 }
 
-// BenchmarkErrorRatesScalar is the retained one-trial-per-walk
-// reference.
-func BenchmarkErrorRatesScalar(b *testing.B) {
-	l := benchLattice(b)
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ErrorRatesScalar(l, 3, 3, 0.01, 4096, rng)
-	}
-}
-
 func BenchmarkTransientEval64(b *testing.B) {
 	l := benchLattice(b)
 	rng := rand.New(rand.NewSource(2))

@@ -13,9 +13,7 @@
 package truthtab
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -169,27 +167,6 @@ func FromFunc(n int, eval func(a uint64) bool) TT {
 	return t
 }
 
-// FromWords builds an n-variable table from a 64-bit word vector in the
-// Words layout (assignment a is bit a&63 of word a>>6). Missing words
-// are zero-filled, excess words must be zero, and unused high bits of
-// the last word are masked off, so any prefix of a valid Words slice is
-// accepted.
-func FromWords(n int, w []uint64) (TT, error) {
-	checkN(n)
-	t := New(n)
-	if len(w) > len(t.w) {
-		for _, x := range w[len(t.w):] {
-			if x != 0 {
-				return TT{}, fmt.Errorf("truthtab: %d words overflow %d variables", len(w), n)
-			}
-		}
-		w = w[:len(t.w)]
-	}
-	copy(t.w, w)
-	t.w[len(t.w)-1] &= mask(n)
-	return t, nil
-}
-
 // NumVars returns the number of variables n.
 func (t TT) NumVars() int { return t.n }
 
@@ -201,9 +178,6 @@ func (t TT) Bit(a uint64) bool {
 	return t.w[a>>6]>>(a&63)&1 == 1
 }
 
-// Eval is an alias of Bit kept for readability at call sites.
-func (t TT) Eval(a uint64) bool { return t.Bit(a) }
-
 // SetBit sets f(a) to v in place.
 func (t *TT) SetBit(a uint64, v bool) {
 	if a >= t.Size() {
@@ -214,13 +188,6 @@ func (t *TT) SetBit(a uint64, v bool) {
 	} else {
 		t.w[a>>6] &^= 1 << (a & 63)
 	}
-}
-
-// Clone returns an independent copy.
-func (t TT) Clone() TT {
-	c := TT{n: t.n, w: make([]uint64, len(t.w))}
-	copy(c.w, t.w)
-	return c
 }
 
 func (t TT) checkSame(u TT) {
@@ -374,9 +341,6 @@ func (t TT) Cofactor(v int, val bool) TT {
 	return r
 }
 
-// Restrict is an alias for Cofactor: f|x_v=val.
-func (t TT) Restrict(v int, val bool) TT { return t.Cofactor(v, val) }
-
 // DependsOn reports whether f actually depends on variable v.
 func (t TT) DependsOn(v int) bool {
 	return !t.Cofactor(v, false).Equal(t.Cofactor(v, true))
@@ -405,9 +369,6 @@ func (t TT) Dual() TT {
 	return r
 }
 
-// IsSelfDual reports whether f equals its dual.
-func (t TT) IsSelfDual() bool { return t.Equal(t.Dual()) }
-
 // Minterms returns the on-set minterm indices, ascending.
 func (t TT) Minterms() []uint64 {
 	ms := make([]uint64, 0, t.CountOnes())
@@ -424,76 +385,6 @@ func (t TT) ForEachMinterm(fn func(a uint64)) {
 			w &^= 1 << b
 		}
 	}
-}
-
-// Permute returns g with g(y) = f(x) where y assigns to variable perm[v]
-// the value x assigns to variable v. perm must be a permutation of [0,n).
-func (t TT) Permute(perm []int) TT {
-	if len(perm) != t.n {
-		panic("truthtab: permutation length mismatch")
-	}
-	seen := make([]bool, t.n)
-	for _, p := range perm {
-		if p < 0 || p >= t.n || seen[p] {
-			panic("truthtab: invalid permutation")
-		}
-		seen[p] = true
-	}
-	r := New(t.n)
-	t.ForEachMinterm(func(a uint64) {
-		var b uint64
-		for v := 0; v < t.n; v++ {
-			if a>>uint(v)&1 == 1 {
-				b |= 1 << uint(perm[v])
-			}
-		}
-		r.SetBit(b, true)
-	})
-	return r
-}
-
-// Extend returns the same function expressed over m >= n variables (the
-// added variables are don't-cares the function ignores).
-func (t TT) Extend(m int) TT {
-	if m < t.n {
-		panic("truthtab: Extend to fewer variables")
-	}
-	checkN(m)
-	if m == t.n {
-		return t.Clone()
-	}
-	r := New(m)
-	size := uint64(1) << m
-	msk := t.Size() - 1
-	for a := uint64(0); a < size; a++ {
-		if t.Bit(a & msk) {
-			r.SetBit(a, true)
-		}
-	}
-	return r
-}
-
-// CompactSupport re-expresses f over only its support variables. It
-// returns the compacted table and vars, the original index of each new
-// variable (new variable i was original vars[i]).
-func (t TT) CompactSupport() (TT, []int) {
-	sup := t.Support()
-	k := len(sup)
-	r := New(k)
-	// For every assignment of the support vars, evaluate f with
-	// non-support vars at 0.
-	for a := uint64(0); a < uint64(1)<<k; a++ {
-		var full uint64
-		for i, v := range sup {
-			if a>>uint(i)&1 == 1 {
-				full |= 1 << uint(v)
-			}
-		}
-		if t.Bit(full) {
-			r.SetBit(a, true)
-		}
-	}
-	return r, sup
 }
 
 // NumWords returns the length of the Words vector: ceil(2^n / 64),
@@ -513,22 +404,6 @@ func (t TT) Words() []uint64 {
 	w := make([]uint64, len(t.w))
 	copy(w, t.w)
 	return w
-}
-
-// Hash64 returns a 64-bit FNV-1a hash of the function (variable count
-// and table bits). It is deterministic across processes and suitable
-// for sharding or as a fast pre-filter; exact-match callers must still
-// compare with Equal.
-func (t TT) Hash64() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(t.n))
-	h.Write(buf[:])
-	for _, w := range t.w {
-		binary.LittleEndian.PutUint64(buf[:], w)
-		h.Write(buf[:])
-	}
-	return h.Sum64()
 }
 
 // Parse decodes the String representation "n:0xHEX" back into a table.

@@ -152,7 +152,7 @@ func TestDualKnown(t *testing.T) {
 		c := a&1 + a>>1&1 + a>>2&1
 		return c >= 2
 	})
-	if !maj.IsSelfDual() {
+	if !maj.Dual().Equal(maj) {
 		t.Fatal("maj3 not self-dual")
 	}
 	// XOR of 2 vars: dual(x⊕y) = XNOR? dual(f)(x) = !f(!x); f=x⊕y at
@@ -178,68 +178,12 @@ func TestDualDeMorganProperty(t *testing.T) {
 	}
 }
 
-func TestSupportAndCompact(t *testing.T) {
+func TestSupport(t *testing.T) {
 	// f = x0 ⊕ x2 over 4 vars: support {0,2}.
 	f := Var(4, 0).Xor(Var(4, 2))
 	sup := f.Support()
 	if len(sup) != 2 || sup[0] != 0 || sup[1] != 2 {
 		t.Fatalf("support = %v", sup)
-	}
-	c, vars := f.CompactSupport()
-	if c.NumVars() != 2 || len(vars) != 2 {
-		t.Fatalf("compact = %d vars", c.NumVars())
-	}
-	want := Var(2, 0).Xor(Var(2, 1))
-	if !c.Equal(want) {
-		t.Fatalf("compacted function wrong: %v", c)
-	}
-}
-
-func TestExtendPreservesFunction(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	f := randTT(3, rng)
-	g := f.Extend(6)
-	if g.NumVars() != 6 {
-		t.Fatal("extend var count")
-	}
-	for a := uint64(0); a < g.Size(); a++ {
-		if g.Bit(a) != f.Bit(a&7) {
-			t.Fatalf("extend wrong at %d", a)
-		}
-	}
-	for v := 3; v < 6; v++ {
-		if g.DependsOn(v) {
-			t.Fatalf("extended function depends on x%d", v)
-		}
-	}
-}
-
-func TestPermute(t *testing.T) {
-	// Swap variables 0 and 1 of f = x0·¬x1.
-	f := Var(2, 0).And(Var(2, 1).Not())
-	g := f.Permute([]int{1, 0})
-	want := Var(2, 1).And(Var(2, 0).Not())
-	if !g.Equal(want) {
-		t.Fatal("permute swap wrong")
-	}
-	// Identity permutation.
-	rng := rand.New(rand.NewSource(8))
-	h := randTT(5, rng)
-	if !h.Permute([]int{0, 1, 2, 3, 4}).Equal(h) {
-		t.Fatal("identity permute changed function")
-	}
-}
-
-func TestPermuteComposition(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	f := randTT(4, rng)
-	p := []int{2, 0, 3, 1}
-	inv := make([]int, 4)
-	for i, v := range p {
-		inv[v] = i
-	}
-	if !f.Permute(p).Permute(inv).Equal(f) {
-		t.Fatal("permute inverse failed")
 	}
 }
 
@@ -325,8 +269,6 @@ func TestPanics(t *testing.T) {
 	mustPanic("New(25)", func() { New(25) })
 	mustPanic("Var out of range", func() { Var(3, 3) })
 	mustPanic("mixed sizes", func() { New(2).And(New(3)) })
-	mustPanic("bad permutation", func() { New(2).Permute([]int{0, 0}) })
-	mustPanic("extend shrink", func() { New(3).Extend(2) })
 }
 
 func TestParseRoundTrip(t *testing.T) {
@@ -374,59 +316,15 @@ func TestWordsCanonical(t *testing.T) {
 	if f.Words()[0] == w[0] {
 		t.Fatal("Words returned the backing slice, not a copy")
 	}
-}
-
-func TestHash64(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	seen := make(map[uint64]TT)
-	for n := 1; n <= 8; n++ {
-		for trial := 0; trial < 50; trial++ {
-			f := randTT(n, rng)
-			h := f.Hash64()
-			if h != f.Clone().Hash64() {
-				t.Fatal("Hash64 not deterministic")
-			}
-			if prev, ok := seen[h]; ok && !prev.Equal(f) {
-				// Collisions are legal but wildly unlikely in 400 draws.
-				t.Logf("hash collision between %v and %v", prev, f)
-			}
-			seen[h] = f
-		}
-	}
-	if Zero(3).Hash64() == Zero(4).Hash64() {
-		t.Fatal("variable count not hashed")
-	}
-}
-
-func TestFromWordsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
 	for n := 0; n <= 8; n++ {
-		for trial := 0; trial < 20; trial++ {
-			f := randTT(n, rng)
-			g, err := FromWords(n, f.Words())
-			if err != nil || !g.Equal(f) {
-				t.Fatalf("n=%d: FromWords(Words()) = %v (err %v), want %v", n, g, err, f)
-			}
-			if f.NumWords() != len(f.Words()) {
-				t.Fatalf("n=%d: NumWords %d != len(Words) %d", n, f.NumWords(), len(f.Words()))
-			}
-			for i := 0; i < f.NumWords(); i++ {
-				if f.Word(i) != f.Words()[i] {
-					t.Fatalf("n=%d: Word(%d) mismatch", n, i)
-				}
+		g := randTT(n, rng)
+		if g.NumWords() != len(g.Words()) {
+			t.Fatalf("n=%d: NumWords %d != len(Words) %d", n, g.NumWords(), len(g.Words()))
+		}
+		for i := 0; i < g.NumWords(); i++ {
+			if g.Word(i) != g.Words()[i] {
+				t.Fatalf("n=%d: Word(%d) mismatch", n, i)
 			}
 		}
-	}
-	// Unused high bits of a short table are masked off.
-	g, err := FromWords(2, []uint64{^uint64(0)})
-	if err != nil || !g.IsOne() || g.Words()[0] != 0xf {
-		t.Fatalf("masking: %v (err %v)", g, err)
-	}
-	// A truncated word vector zero-fills; excess nonzero words reject.
-	if g, err = FromWords(7, []uint64{5}); err != nil || g.Word(0) != 5 || g.Word(1) != 0 {
-		t.Fatalf("zero-fill: %v (err %v)", g, err)
-	}
-	if _, err = FromWords(2, []uint64{1, 1}); err == nil {
-		t.Fatal("overflowing words accepted")
 	}
 }

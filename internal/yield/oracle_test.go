@@ -16,7 +16,7 @@ import (
 // same seeds, same candidate schedule, same demotion — with every die
 // drawn whole into one scalar defect map and every check a scalar
 // bism.Validate. The property suite holds LaneRunner bit-for-bit to
-// this, and BenchmarkYieldScalar64 times it.
+// this.
 type ScalarRunner struct{}
 
 // Name implements Runner.

@@ -47,25 +47,3 @@ func BenchmarkYieldLane64(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkYieldScalar64 is the retained reference path on the same
-// workload — the before side of the lane speedup.
-func BenchmarkYieldScalar64(b *testing.B) {
-	spec := benchSpec(b)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ok := 0
-		if err := (ScalarRunner{}).Run(ctx, spec, func(dr DieResult) {
-			if dr.Stats.Success {
-				ok++
-			}
-		}); err != nil {
-			b.Fatal(err)
-		}
-		if ok == 0 {
-			b.Fatal("no die mapped")
-		}
-	}
-}

@@ -13,8 +13,6 @@ import (
 type (
 	// Network is a feed-forward network of four-terminal lattices.
 	Network = arith.Network
-	// Signal indexes a network input or node output.
-	Signal = arith.Signal
 	// MooreSpec specifies a synchronous Moore machine.
 	MooreSpec = arith.MooreSpec
 	// SSM is a synthesized synchronous state machine whose next-state
@@ -51,9 +49,6 @@ type (
 
 // BenchSuite returns the paper's benchmark suite.
 func BenchSuite() []BenchSpec { return benchfn.Suite() }
-
-// BenchByName resolves a suite name ("maj5", "parity4", ...).
-func BenchByName(name string) (BenchSpec, bool) { return benchfn.ByName(name) }
 
 // Majority is the n-input majority benchmark.
 func Majority(n int) BenchSpec { return benchfn.Majority(n) }

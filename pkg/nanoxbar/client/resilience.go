@@ -7,6 +7,7 @@ package client
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -156,12 +157,18 @@ func setDeadlineHeader(req *http.Request) {
 // HTTP-date ("Fri, 08 Aug 2026 01:02:03 GMT" — also the obsolete
 // RFC 850 and asctime forms, via http.ParseTime). now anchors the date
 // form; a date at or before now, like a non-positive delta, yields no
-// hint. The hint feeds the retrier's hint-as-floor logic: it can only
-// lengthen a backoff sleep, never shorten one.
+// hint, and a delta too long for a Duration yields the longest one. The
+// hint feeds the retrier's hint-as-floor logic: it can only lengthen a
+// backoff sleep, never shorten one.
 func retryAfterHint(value string, now time.Time) time.Duration {
-	if n, err := strconv.Atoi(value); err == nil {
-		if n <= 0 {
+	// ParseInt saturates an out-of-range delta at MaxInt64 (or MinInt64)
+	// and says so with ErrRange.
+	if n, err := strconv.ParseInt(value, 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
+		switch {
+		case n <= 0:
 			return 0
+		case n > int64(math.MaxInt64/time.Second):
+			return math.MaxInt64
 		}
 		return time.Duration(n) * time.Second
 	}

@@ -70,11 +70,6 @@ type (
 	App = bism.App
 	// Chip wraps a defect map for mapping queries.
 	Chip = bism.Chip
-	// Mapping assigns logical rows/columns to physical ones.
-	Mapping = bism.Mapping
-	// MapperStats counts the configurations and BIST/BISD invocations
-	// a mapping attempt consumed.
-	MapperStats = bism.Stats
 	// MapReport is the outcome of MapWithRecovery.
 	MapReport = core.MapReport
 )

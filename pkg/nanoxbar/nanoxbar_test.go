@@ -2,8 +2,11 @@ package nanoxbar_test
 
 import (
 	"context"
+	"math"
 	"testing"
+	"time"
 
+	"nanoxbar/internal/resilience"
 	"nanoxbar/pkg/nanoxbar"
 )
 
@@ -67,5 +70,23 @@ func TestDirectSynthesisSurface(t *testing.T) {
 	one, _, _ := nanoxbar.ParseExpr("x1")
 	if !hand.Implements(one) {
 		t.Fatal("1×1 x1 lattice must implement x1")
+	}
+}
+
+// TestWireErrorRetryAfterSaturates: a retry_after_ms too long for a
+// Duration gives the longest hint instead of wrapping (9223372036855
+// ms wraps to a negative Duration, which carries no hint at all).
+func TestWireErrorRetryAfterSaturates(t *testing.T) {
+	for ms, want := range map[int64]time.Duration{
+		1500:           1500 * time.Millisecond,
+		9223372036854:  9223372036854 * time.Millisecond,
+		9223372036855:  math.MaxInt64,
+		18446744073710: math.MaxInt64,
+		math.MaxInt64:  math.MaxInt64,
+	} {
+		we := nanoxbar.WireError{Code: nanoxbar.CodeOverloaded, Message: "shed", RetryAfterMs: ms}
+		if got := resilience.RetryAfter(we.Err()); got != want {
+			t.Errorf("retry_after_ms %d: hint %v, want %v", ms, got, want)
+		}
 	}
 }

@@ -30,13 +30,6 @@ func WithTech(tech string) Option {
 	return func(cc *callConfig) { cc.req.Tech = tech }
 }
 
-// WithOptions overrides the synthesis pipeline options. The options
-// are part of the cache key, so distinct options never share cached
-// results.
-func WithOptions(o Options) Option {
-	return func(cc *callConfig) { cc.req.Options = &o }
-}
-
 // WithScheme selects the self-mapping scheme for Map/YieldSweep:
 // "blind", "greedy" (default), or "hybrid".
 func WithScheme(scheme string) Option {

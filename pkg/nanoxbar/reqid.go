@@ -23,8 +23,3 @@ func ContextWithRequestID(ctx context.Context, id string) context.Context {
 func RequestIDFromContext(ctx context.Context) string {
 	return telemetry.RequestID(ctx)
 }
-
-// NewRequestID mints a 16-hex-character random request ID.
-func NewRequestID() string {
-	return telemetry.NewRequestID()
-}

@@ -23,8 +23,6 @@ type (
 	// TruthTable is a complete single-output Boolean function of up to
 	// 24 variables.
 	TruthTable = truthtab.TT
-	// Cover is a sum-of-products cube cover.
-	Cover = cube.Cover
 	// PLA is a parsed espresso-format PLA file.
 	PLA = cube.PLA
 )
@@ -32,9 +30,6 @@ type (
 // ParseExpr parses a Boolean expression ("x1x2 + x3'") into a truth
 // table, also reporting the variable count.
 func ParseExpr(expr string) (TruthTable, int, error) { return bexpr.ParseTT(expr) }
-
-// ParseTT parses a truth-table literal ("3:0x96").
-func ParseTT(s string) (TruthTable, error) { return truthtab.Parse(s) }
 
 // ParsePLA parses an espresso-format PLA file.
 func ParsePLA(text string) (*PLA, error) { return cube.ParsePLA(text) }

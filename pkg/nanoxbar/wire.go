@@ -1,6 +1,7 @@
 package nanoxbar
 
 import (
+	"math"
 	"time"
 
 	"nanoxbar/internal/apierr"
@@ -87,7 +88,11 @@ func (e *WireError) Err() error {
 	}
 	err := apierr.FromCode(e.Code, e.Message)
 	if e.RetryAfterMs > 0 {
-		err = resilience.WithRetryAfter(err, time.Duration(e.RetryAfterMs)*time.Millisecond)
+		d := time.Duration(math.MaxInt64) // a hint too long for a Duration saturates
+		if e.RetryAfterMs <= int64(math.MaxInt64/time.Millisecond) {
+			d = time.Duration(e.RetryAfterMs) * time.Millisecond
+		}
+		err = resilience.WithRetryAfter(err, d)
 	}
 	return err
 }
