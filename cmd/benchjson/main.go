@@ -11,16 +11,11 @@
 // Compare: diff a fresh report against a committed baseline and fail on
 // hot-path regressions — the CI perf-regression gate:
 //
-//	benchjson -compare BENCH_lattice.json -against bench_ci.json \
-//	          [-tolerance 0.25] [-only 'regex over pkg.BenchmarkName']
+//	benchjson -compare BENCH_lattice.json -against bench_ci.json [-tolerance 0.25]
 //
 // A benchmark regresses when its ns/op exceeds baseline×(1+tolerance),
 // and baseline benchmarks missing from the new report fail the gate
-// too. -only filters both reports to matching IDs
-// before the diff, scoping the gate to the blocks a job regenerates
-// (micro-benchmarks vs the xbarload Soak/* pseudo-benchmarks, which
-// share BENCH_lattice.json as their baseline). Exit status 1 on a
-// failed gate.
+// too. Exit status 1 on a failed gate.
 //
 // CI emits with -benchtime 20ms (steady-state but fast; single-
 // iteration -benchtime 1x timings are warmup-dominated and useless for
@@ -34,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"regexp"
 	"runtime"
 	"strings"
 	"time"
@@ -61,29 +55,20 @@ func main() {
 	compare := flag.String("compare", "", "baseline report path; switches to compare mode")
 	against := flag.String("against", "", "new report path to gate against the baseline (compare mode)")
 	tolerance := flag.Float64("tolerance", 0.25, "allowed ns/op growth fraction before a regression fails the gate")
-	only := flag.String("only", "", "regex over pkg.BenchmarkName; both reports are filtered to matches before comparing (compare mode)")
 	flag.Parse()
 
 	if *compare != "" {
-		os.Exit(runCompare(os.Stdout, *compare, *against, *tolerance, *only))
+		os.Exit(runCompare(os.Stdout, *compare, *against, *tolerance))
 	}
 	runEmit(*out, *benchRe, *benchtime, *pkgs)
 }
 
 // runCompare executes the perf-regression gate and returns the process
 // exit code.
-func runCompare(w *os.File, oldPath, newPath string, tolerance float64, onlyPat string) int {
+func runCompare(w *os.File, oldPath, newPath string, tolerance float64) int {
 	if newPath == "" {
 		fmt.Fprintln(os.Stderr, "benchjson: -compare requires -against new.json")
 		return 2
-	}
-	var onlyRe *regexp.Regexp
-	if onlyPat != "" {
-		var err error
-		if onlyRe, err = regexp.Compile(onlyPat); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: bad -only regex:", err)
-			return 2
-		}
 	}
 	old, err := benchreport.Load(oldPath)
 	if err != nil {
@@ -95,10 +80,7 @@ func runCompare(w *os.File, oldPath, newPath string, tolerance float64, onlyPat 
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		return 2
 	}
-	// -only scopes the gate: the baseline may hold blocks this job does
-	// not regenerate (micro-benchmarks vs Soak/* pseudo-benchmarks), and
-	// an unscoped Compare would fail them as Missing.
-	cmp := benchreport.Compare(old.Filter(onlyRe), new.Filter(onlyRe), tolerance)
+	cmp := benchreport.Compare(old, new, tolerance)
 	fmt.Fprintf(w, "benchjson: %s (baseline) vs %s\n%s", oldPath, newPath, cmp.Format())
 	if !cmp.OK() {
 		return 1

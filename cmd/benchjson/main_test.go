@@ -56,17 +56,13 @@ func TestEmitGolden(t *testing.T) {
 
 // capture runs runCompare with its output redirected to a temp file and
 // returns (exit code, printed text).
-func capture(t *testing.T, oldPath, newPath string, tol float64, only ...string) (int, string) {
+func capture(t *testing.T, oldPath, newPath string, tol float64) (int, string) {
 	t.Helper()
 	f, err := os.CreateTemp(t.TempDir(), "out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	onlyPat := ""
-	if len(only) > 0 {
-		onlyPat = only[0]
-	}
-	code := runCompare(f, oldPath, newPath, tol, onlyPat)
+	code := runCompare(f, oldPath, newPath, tol)
 	if _, err := f.Seek(0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -132,35 +128,5 @@ func TestCompareGateBadInputs(t *testing.T) {
 	}
 	if code, _ := capture(t, td("baseline.json"), td("nope.json"), 0.25); code != 2 {
 		t.Fatal("unreadable new report not a usage error")
-	}
-}
-
-// TestCompareGateOnlyScopes: -only filters BOTH reports before the
-// diff, so baseline blocks outside the scope are neither compared nor
-// failed as missing — the mechanism that lets micro-bench and soak
-// gates share one baseline file.
-func TestCompareGateOnlyScopes(t *testing.T) {
-	// A new report carrying just one of the baseline's three
-	// benchmarks: unscoped it fails on the two missing ones, scoped to
-	// that benchmark it passes.
-	var rep benchreport.Report
-	rep.Benchmarks = []benchreport.Benchmark{{Pkg: "nanoxbar/internal/lattice", Name: "BenchmarkEval8x8", Iterations: 1, NsPerOp: 2100}}
-	raw, _ := json.Marshal(rep)
-	path := filepath.Join(t.TempDir(), "partial.json")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code, out := capture(t, td("baseline.json"), path, 0.25); code != 1 {
-		t.Fatalf("unscoped partial report passed: exit %d\n%s", code, out)
-	}
-	code, out := capture(t, td("baseline.json"), path, 0.25, `lattice\.BenchmarkEval8x8`)
-	if code != 0 {
-		t.Fatalf("scoped gate failed: exit %d\n%s", code, out)
-	}
-	if !strings.Contains(out, "OK: 1 benchmarks compared") {
-		t.Fatalf("scoped gate output:\n%s", out)
-	}
-	if code, _ := capture(t, td("baseline.json"), path, 0.25, "["); code != 2 {
-		t.Fatal("bad -only regex not a usage error")
 	}
 }

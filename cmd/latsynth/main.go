@@ -79,7 +79,7 @@ func main() {
 
 	fmt.Printf("method: %s\nsize:   %d×%d (area %d)\n", label, l.R, l.C, l.Area())
 	fmt.Print(l)
-	if !l.Implements(f) {
+	if !l.ImplementsFast(f) {
 		fmt.Fprintln(os.Stderr, "latsynth: INTERNAL ERROR: lattice does not implement f")
 		os.Exit(1)
 	}

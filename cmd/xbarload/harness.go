@@ -6,11 +6,6 @@
 // model partitions, and a schedule kills node n1 abruptly in the middle
 // of a streaming yield sweep, then restarts it on the same port under
 // load and warm-starts its cache from a peer snapshot.
-//
-// Routing and fill counters summed across the live nodes are emitted as
-// the Soak/cluster pseudo-benchmark (NsPerOp = p50 across all scenario
-// latencies) with a Soak/cluster/p99 companion so benchjson -compare
-// gates both quantiles.
 
 package main
 
@@ -25,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"nanoxbar/internal/benchreport"
 	"nanoxbar/internal/cluster"
 	"nanoxbar/internal/engine"
 	"nanoxbar/internal/httpapi"
@@ -298,54 +292,6 @@ func (h *harness) statusSum() cluster.Status {
 		sum.LocalDegrades += st.LocalDegrades
 	}
 	return sum
-}
-
-// benchmarks shapes the cluster soak as two pseudo-benchmarks:
-// Soak/cluster (NsPerOp = p50 across every scenario latency, plus the
-// routing/fill/chaos counters) and Soak/cluster/p99 (NsPerOp = p99) so
-// the CI gate compares both quantiles as first-class ns/op values.
-func (h *harness) benchmarks(res *soakResult) []benchreport.Benchmark {
-	res.mu.Lock()
-	var all []time.Duration
-	for _, lats := range res.latencies {
-		all = append(all, lats...)
-	}
-	res.mu.Unlock()
-	s := summarize(all)
-
-	st := h.statusSum()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return []benchreport.Benchmark{
-		{
-			Pkg:        pkg,
-			Name:       "Soak/cluster",
-			Iterations: int64(s.n),
-			NsPerOp:    s.p50,
-			Metrics: map[string]float64{
-				"nodes":            float64(h.n),
-				"ops":              float64(s.n),
-				"p50-ns":           s.p50,
-				"p99-ns":           s.p99,
-				"forwards":         float64(st.Forwards),
-				"failovers":        float64(st.Failovers),
-				"peer-fill-hits":   float64(st.PeerFillHits),
-				"peer-fill-misses": float64(st.PeerFillMisses),
-				"local-degrades":   float64(st.LocalDegrades),
-				"kills":            float64(h.kills),
-				"restarts":         float64(h.restarts),
-				"kill-typed":       float64(h.killTyped),
-				"warm-entries":     float64(h.warmEntries),
-			},
-		},
-		{
-			Pkg:        pkg,
-			Name:       "Soak/cluster/p99",
-			Iterations: int64(s.n),
-			NsPerOp:    s.p99,
-			Metrics:    map[string]float64{"p99-ns": s.p99},
-		},
-	}
 }
 
 // printChronology reports the kill/restart schedule and the routing

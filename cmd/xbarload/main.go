@@ -1,55 +1,52 @@
-// Command xbarload is the load-generation and soak driver for the
-// nanoxbar serving stack. It replays a fixed scenario mix — cached
-// synthesis lookups, per-chip mapping, streaming yield sweeps, and
-// mid-stream cancellations — through the public HTTP client
-// (pkg/nanoxbar/client) against either a running xbarserverd or
-// in-process servers it starts itself, with function popularity drawn
-// from a zipf distribution so the cache sees a realistic hot set.
-//
-// It emits latency percentiles per scenario, the per-die stream latency
-// and mapping attempts of yield sweeps (the Soak/die pseudo-benchmark)
-// and the server's cache hit-rate delta as a JSON report in the
-// internal/benchreport schema, so the same tooling that reads
-// BENCH_lattice.json (cmd/benchjson -compare) reads soak results. The
-// server's GET /metrics endpoint is scraped before and after the soak;
-// the bucket deltas yield server-side per-kind and per-stage latency
-// quantiles (the Soak/server pseudo-benchmark), measured without client
-// and network overhead.
+// Command xbarload is the pass/fail soak of the nanoxbar serving
+// stack. It replays a fixed scenario mix — cached synthesis lookups,
+// per-chip mapping, streaming yield sweeps, and mid-stream
+// cancellations — through the public HTTP client (pkg/nanoxbar/client)
+// against either a running xbarserverd or in-process servers it starts
+// itself, with function popularity drawn from a zipf distribution so
+// the cache sees a realistic hot set. It times nothing: the serving
+// path is measured by bench/'s serve-hot and serve-churn workloads.
 //
 // Usage:
 //
 //	xbarload [-addr http://host:8080] [-duration 30s] [-concurrency 8]
-//	         [-seed 1] [-chaos | -cluster N] [-out -]
+//	         [-seed 1] [-chaos | -cluster N]
 //
 // With no -addr it boots a private in-process server on a loopback
 // port, which is what the CI soak smoke uses:
 //
-//	go run -race ./cmd/xbarload -duration 5s -seed 1 -out soak.json
+//	go run -race ./cmd/xbarload -duration 5s -seed 1
+//
+// A run ends with one stderr line: ops, failed ops, typed failures,
+// cancel-scenario ops and the server's cache hit rate over the soak.
 //
 // -chaos sends the client through a transport that injects seeded
 // faults (dropped connections, 5xx bursts, latency spikes, truncated
 // NDJSON frames) and turns on client retries and a circuit breaker.
 // Failures that surface typed — overloaded, unavailable, canceled, or a
-// chaos-synthesized 500 — are expected and counted (the Soak/chaos
-// pseudo-benchmark).
+// chaos-synthesized 500 — are expected and counted. One more stderr
+// line reports the injected faults and the client's retry and breaker
+// counters.
 //
 // -cluster N (N >= 2) boots N in-process cluster nodes instead of one
 // and soaks them through node n0, while the harness kills node n1
 // abruptly in the middle of a streaming yield sweep, then restarts it
 // on the same port under load and warm-starts its cache from a peer
 // snapshot. Inter-node traffic runs through a seeded chaos transport to
-// model partitions, so typed failures are expected here too. Routing
-// counters and latency quantiles are emitted as the Soak/cluster and
-// Soak/cluster/p99 pseudo-benchmarks:
+// model partitions, so typed failures are expected here too. The
+// kill/restart chronology and the routing counters go to stderr:
 //
-//	go run -race ./cmd/xbarload -cluster 3 -duration 5s -seed 1 -out soak_cluster.json
+//	go run -race ./cmd/xbarload -cluster 3 -duration 5s -seed 1
 //
-// Every mode exits 1 when an op fails unexpectedly, when a watched
-// server — every live in-process node, or the -addr server — reports a
-// recovered panic on /metrics or cannot be read there, and under
-// -cluster when the kill-victim stream fails untyped or the restart
-// fails. Cancellations xbarload itself issues and unsuccessful but
-// valid mapping outcomes are results, not failures. Usage errors exit 2.
+// Every mode exits 1 when an op fails unexpectedly — a yield sweep that
+// succeeds without streaming each of its dies exactly once counts as
+// one — and when a watched server (every live in-process node, or the
+// -addr server) reports a recovered panic on /metrics or cannot be read
+// there. It exits 1 under -chaos when the transport injected no fault,
+// and under -cluster when the kill-victim stream fails untyped or the
+// restart fails. Cancellations xbarload itself issues and unsuccessful
+// but valid mapping outcomes are results, not failures. Usage errors
+// exit 2.
 package main
 
 import (
@@ -63,32 +60,25 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
-	"nanoxbar/internal/benchreport"
 	"nanoxbar/internal/resilience"
 	"nanoxbar/internal/telemetry"
 	"nanoxbar/pkg/nanoxbar"
 	nbclient "nanoxbar/pkg/nanoxbar/client"
 )
 
-// pkg is the Pkg of every report block.
-const pkg = "nanoxbar/cmd/xbarload"
-
-// scenario names, in report order.
+// scenario names.
 const (
 	scSynthesize = "synthesize"
 	scMap        = "map"
 	scYield      = "yield"
 	scCancel     = "cancel" // yield sweep canceled mid-stream
 )
-
-var scenarioOrder = []string{scSynthesize, scMap, scYield, scCancel}
 
 // deck is the scenario mix synthesize=3, map=5, yield=1, cancel=1,
 // expanded so that a uniform draw picks each scenario by its weight.
@@ -111,7 +101,7 @@ func main() {
 }
 
 // run parses args, boots the in-process servers when there is no
-// -addr, soaks, writes the report and returns the exit status.
+// -addr, soaks, reports on stderr and returns the exit status.
 func run(ctx context.Context, args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xbarload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -119,7 +109,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	duration := fs.Duration("duration", 30*time.Second, "soak duration")
 	concurrency := fs.Int("concurrency", 8, "concurrent client streams")
 	seed := fs.Int64("seed", 1, "root seed for scenario and function draws")
-	out := fs.String("out", "-", "report path (- for stdout)")
 	chaos := fs.Bool("chaos", false, "inject seeded transport faults and assert every failure is typed")
 	nodes := fs.Int("cluster", 0, "boot an N-node in-process cluster (N >= 2) with kill/restart chaos; incompatible with -addr and -chaos")
 	if err := fs.Parse(args); err != nil {
@@ -214,22 +203,13 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		return 1
 	}
 
-	rep := res.report(*duration)
-	if *chaos {
-		rep.Benchmarks = append(rep.Benchmarks, chaosBenchmark(chaosT, cl, res))
-	}
-	if *nodes > 0 {
-		rep.Benchmarks = append(rep.Benchmarks, h.benchmarks(res)...)
-	}
-	if rep.Notes["metrics_scrape"] != "" {
-		fmt.Fprintln(stderr, "xbarload: warning: /metrics scrape skipped; report carries notes.metrics_scrape and no server-side quantiles")
-	}
-	if err := benchreport.WriteFile(*out, rep); err != nil {
-		fmt.Fprintln(stderr, "xbarload:", err)
-		return 1
-	}
 	fmt.Fprintf(stderr, "xbarload: %d ops (%d failed, %d typed-chaos, %d cancel-scenario), cache hit rate %.3f\n",
-		res.totalOps(), res.failures(), res.typedTotal(), len(res.latencies[scCancel]), res.hitRate())
+		res.totalOps(), res.failures(), res.typedTotal(), res.ops[scCancel], res.hitRate())
+	if chaosT != nil {
+		cs := chaosT.Stats()
+		res.chaos = &cs
+		printChaos(stderr, cs, cl)
+	}
 	if *nodes > 0 {
 		h.printChronology(stderr)
 	}
@@ -244,12 +224,17 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 
 // verdict decides the exit status of every mode: 1 when an op failed
 // unexpectedly; when a watched server's recovered-panic counter is
-// non-zero or unreadable, since a zero-panic claim without the evidence
-// would be vacuous; or when a cluster's kill-victim stream failed
-// untyped or its restart failed. watch maps a label to the base URL of
-// every server the run watches; h is nil against an -addr server.
+// non-zero or unreadable, or a -chaos transport injected no fault,
+// since a claim without the evidence would be vacuous; or when a
+// cluster's kill-victim stream failed untyped or its restart failed.
+// watch maps a label to the base URL of every server the run watches;
+// h is nil against an -addr server.
 func verdict(ctx context.Context, stderr io.Writer, res *soakResult, watch map[string]string, h *harness) int {
 	failed := res.failures() > 0
+	if cs := res.chaos; cs != nil && cs.Drops+cs.Errors5xx+cs.Latencies+cs.Truncations == 0 {
+		fmt.Fprintf(stderr, "xbarload: chaos: no fault injected over %d requests\n", cs.Requests)
+		failed = true
+	}
 	if h != nil {
 		h.mu.Lock()
 		for _, e := range h.killErrs {
@@ -296,30 +281,18 @@ func expectedChaosFailure(err error) bool {
 	return errors.Is(err, nanoxbar.ErrInternal) && strings.Contains(err.Error(), "chaos: injected")
 }
 
-// chaosBenchmark shapes the chaos soak's fault and resilience counters
-// as a pseudo-benchmark so soak reports diff cleanly across runs.
-func chaosBenchmark(ct *resilience.ChaosTransport, cl *nbclient.Client, res *soakResult) benchreport.Benchmark {
-	cs := ct.Stats()
-	m := map[string]float64{
-		"requests":       float64(cs.Requests),
-		"drops":          float64(cs.Drops),
-		"errors-5xx":     float64(cs.Errors5xx),
-		"latency-spikes": float64(cs.Latencies),
-		"truncations":    float64(cs.Truncations),
-		"typed-failures": float64(res.typedTotal()),
+// printChaos reports on one line the faults the -chaos transport
+// injected and the client's retry and breaker counters.
+func printChaos(w io.Writer, cs resilience.ChaosStats, cl *nbclient.Client) {
+	st, _ := cl.ResilienceStats()
+	var opens, rejections uint64
+	for _, b := range st.Breakers {
+		opens += b.Opens
+		rejections += b.Rejections
 	}
-	if st, ok := cl.ResilienceStats(); ok {
-		m["retries"] = float64(st.Retry.Retries)
-		m["retry-exhausted"] = float64(st.Retry.Exhausted)
-		var opens, rejections uint64
-		for _, b := range st.Breakers {
-			opens += b.Opens
-			rejections += b.Rejections
-		}
-		m["breaker-opens"] = float64(opens)
-		m["breaker-rejections"] = float64(rejections)
-	}
-	return benchreport.Benchmark{Pkg: pkg, Name: "Soak/chaos", Iterations: 1, Metrics: m}
+	fmt.Fprintf(w, "xbarload: chaos: %d requests: %d drops, %d 5xx, %d latency spikes, %d truncations; %d retries (%d exhausted), breaker %d opens / %d rejections\n",
+		cs.Requests, cs.Drops, cs.Errors5xx, cs.Latencies, cs.Truncations,
+		st.Retry.Retries, st.Retry.Exhausted, opens, rejections)
 }
 
 // functionPool builds the popularity-ranked function set: a core of
@@ -352,55 +325,38 @@ type soakConfig struct {
 	stderr        io.Writer
 }
 
-// soakResult aggregates per-scenario latencies and outcome counters.
+// soakResult counts ops and outcomes per scenario.
 type soakResult struct {
-	mu        sync.Mutex
-	latencies map[string][]time.Duration // one entry per completed op
-	failed    map[string]int             // unexpected errors per scenario
-	typed     int                        // tolerated typed failures
-
-	// Per-die observations from completed yield sweeps: the client-side
-	// inter-arrival latency of streamed die events (gaps between
-	// consecutive events; one fewer than dies per sweep) and the
-	// self-mapping attempts each die reported.
-	dieLats     []time.Duration
-	dieAttempts int64
-	dieEvents   int64
+	mu     sync.Mutex
+	ops    map[string]int // completed ops per scenario
+	failed map[string]int // unexpected errors per scenario
+	typed  int            // tolerated typed failures
 
 	statsBefore, statsAfter nanoxbar.Stats
 
-	// Scrapes of the server's /metrics endpoint bracketing the soak;
-	// nil when the endpoint is unavailable (older server). The report
-	// derives server-side latency quantiles from their bucket deltas.
-	metricsBefore, metricsAfter *telemetry.Exposition
+	// chaos is the -chaos transport's count of requests and injected
+	// faults after the soak; nil in the other modes.
+	chaos *resilience.ChaosStats
 }
 
 func newSoakResult() *soakResult {
-	return &soakResult{latencies: make(map[string][]time.Duration), failed: make(map[string]int)}
+	return &soakResult{ops: make(map[string]int), failed: make(map[string]int)}
 }
 
 // observe records one finished op and reports whether it failed: an
 // error fails it unless tolerateTyped holds and the error is an
 // expected chaos casualty.
-func (r *soakResult) observe(scenario string, d time.Duration, err error, tolerateTyped bool) bool {
+func (r *soakResult) observe(scenario string, err error, tolerateTyped bool) bool {
 	typed := err != nil && tolerateTyped && expectedChaosFailure(err)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.latencies[scenario] = append(r.latencies[scenario], d)
+	r.ops[scenario]++
 	if typed {
 		r.typed++
 	} else if err != nil {
 		r.failed[scenario]++
 	}
 	return err != nil && !typed
-}
-
-func (r *soakResult) recordDies(lats []time.Duration, attempts, dies int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dieLats = append(r.dieLats, lats...)
-	r.dieAttempts += attempts
-	r.dieEvents += dies
 }
 
 func (r *soakResult) typedTotal() int {
@@ -411,8 +367,8 @@ func (r *soakResult) typedTotal() int {
 
 func (r *soakResult) totalOps() int {
 	n := 0
-	for _, lats := range r.latencies {
-		n += len(lats)
+	for _, c := range r.ops {
+		n += c
 	}
 	return n
 }
@@ -438,16 +394,15 @@ func (r *soakResult) hitRate() float64 {
 // soak runs the workload until the duration elapses or ctx is canceled.
 func soak(ctx context.Context, cl *nbclient.Client, cfg soakConfig) (*soakResult, error) {
 	res := newSoakResult()
-	// The Stats calls bracketing the soak measure it and bypass the chaos
-	// transport, as the /metrics scrapes do: an injected 500 is not
-	// retried, and it would fail the run untyped.
+	// The Stats calls bracketing the soak measure its cache hit rate and
+	// bypass the chaos transport, as the verdict's /metrics scrape does:
+	// an injected 500 is not retried, and it would fail the run untyped.
 	ctl := nbclient.New(cfg.base)
 	defer ctl.Close()
 	var err error
 	if res.statsBefore, err = ctl.Stats(ctx); err != nil {
 		return nil, fmt.Errorf("server not reachable: %w", err)
 	}
-	res.metricsBefore = scrapeMetrics(ctx, cfg.stderr, cfg.base)
 	pool := functionPool(rand.New(rand.NewSource(cfg.seed)))
 
 	deadline, cancel := context.WithTimeout(ctx, cfg.duration)
@@ -463,14 +418,12 @@ func soak(ctx context.Context, cl *nbclient.Client, cfg soakConfig) (*soakResult
 			for op := 0; deadline.Err() == nil; op++ {
 				f := pool[zipf.Uint64()]
 				scenario := deck[rng.Intn(len(deck))]
-				start := time.Now()
-				opErr := runOp(deadline, cl, scenario, f, rng.Int63(), res)
-				elapsed := time.Since(start)
+				opErr := runOp(deadline, cl, scenario, f, rng.Int63())
 				if deadline.Err() != nil && errors.Is(opErr, nanoxbar.ErrCanceled) {
-					// The soak window closed mid-call; not a data point.
+					// The soak window closed mid-call; not an outcome.
 					return
 				}
-				if res.observe(scenario, elapsed, opErr, cfg.tolerateTyped) {
+				if res.observe(scenario, opErr, cfg.tolerateTyped) {
 					fmt.Fprintf(cfg.stderr, "xbarload: worker %d op %d (%s): %v\n", w, op, scenario, opErr)
 				}
 			}
@@ -484,13 +437,12 @@ func soak(ctx context.Context, cl *nbclient.Client, cfg soakConfig) (*soakResult
 	if res.statsAfter, err = ctl.Stats(statsCtx); err != nil {
 		return nil, fmt.Errorf("closing stats: %w", err)
 	}
-	res.metricsAfter = scrapeMetrics(statsCtx, cfg.stderr, cfg.base)
 	return res, nil
 }
 
 // scrapeMetrics fetches and parses the server's /metrics exposition.
-// Any failure (endpoint missing on an older server, parse error) is
-// reported on stderr and returns nil.
+// Any failure (endpoint missing, parse error) is reported on stderr and
+// returns nil.
 func scrapeMetrics(ctx context.Context, stderr io.Writer, base string) *telemetry.Exposition {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
 	if err != nil {
@@ -503,7 +455,7 @@ func scrapeMetrics(ctx context.Context, stderr io.Writer, base string) *telemetr
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		fmt.Fprintf(stderr, "xbarload: metrics scrape: status %d (server-side quantiles omitted)\n", resp.StatusCode)
+		fmt.Fprintf(stderr, "xbarload: metrics scrape: status %d\n", resp.StatusCode)
 		return nil
 	}
 	exp, err := telemetry.ParseExposition(resp.Body)
@@ -514,10 +466,9 @@ func scrapeMetrics(ctx context.Context, stderr io.Writer, base string) *telemetr
 	return exp
 }
 
-// runOp executes one scenario call, reporting per-die observations of
-// yield sweeps into res. The returned error is nil for expected
-// outcomes, including the cancel scenario's own cancellation.
-func runOp(ctx context.Context, cl *nbclient.Client, scenario string, f nanoxbar.FunctionSpec, seed int64, res *soakResult) error {
+// runOp executes one scenario call. The returned error is nil for
+// expected outcomes, including the cancel scenario's own cancellation.
+func runOp(ctx context.Context, cl *nbclient.Client, scenario string, f nanoxbar.FunctionSpec, seed int64) error {
 	switch scenario {
 	case scSynthesize:
 		_, err := cl.Synthesize(ctx, f)
@@ -530,31 +481,18 @@ func runOp(ctx context.Context, cl *nbclient.Client, scenario string, f nanoxbar
 			nanoxbar.WithMaxAttempts(maxAttempts))
 		return err
 	case scYield:
-		// Dies stream in completion order; the gap between consecutive
-		// die events is the per-die map latency as the client observes
-		// it. The first event is excluded — its gap would measure
-		// request setup and any synthesis-cache miss, not a die.
-		var last time.Time
-		lats := make([]time.Duration, 0, chips)
-		var attempts, dies int64
+		// Dies stream in completion order. The client retries a sweep
+		// only before its first event, so a successful sweep has
+		// streamed each die exactly once.
+		var dies dieTally
 		_, err := cl.YieldSweep(ctx, f,
 			nanoxbar.WithSeed(seed),
 			nanoxbar.WithDensity(density),
 			nanoxbar.WithChips(chips),
 			nanoxbar.WithMaxAttempts(maxAttempts),
-			nanoxbar.OnDie(func(d nanoxbar.Die) {
-				now := time.Now()
-				if !last.IsZero() {
-					lats = append(lats, now.Sub(last))
-				}
-				last = now
-				dies++
-				if d.Map != nil {
-					attempts += int64(d.Map.Configs)
-				}
-			}))
+			nanoxbar.OnDie(func(d nanoxbar.Die) { dies.add(d.Index) }))
 		if err == nil {
-			res.recordDies(lats, attempts, dies)
+			err = dies.check()
 		}
 		return err
 	case scCancel:
@@ -581,137 +519,25 @@ func runOp(ctx context.Context, cl *nbclient.Client, scenario string, f nanoxbar
 	return fmt.Errorf("unknown scenario %q", scenario)
 }
 
-// latencySummary digests a latency sample for a report block; the
-// times are in nanoseconds and zero for an empty sample.
-type latencySummary struct {
-	n                        int
-	mean, p50, p90, p99, max float64
+// dieTally counts the die events of one yield sweep by index.
+type dieTally struct {
+	events int
+	seen   uint64 // bit i set: die i streamed
 }
 
-// summarize sorts lats in place and digests it. The p-th percentile is
-// the sorted element at index ⌊p·(n−1)⌋.
-func summarize(lats []time.Duration) latencySummary {
-	s := latencySummary{n: len(lats)}
-	if s.n == 0 {
-		return s
+func (t *dieTally) add(i int) {
+	t.events++
+	if i >= 0 && i < chips {
+		t.seen |= 1 << i
 	}
-	slices.Sort(lats)
-	var sum time.Duration
-	for _, d := range lats {
-		sum += d
-	}
-	at := func(p float64) float64 { return float64(lats[int(p*float64(s.n-1))].Nanoseconds()) }
-	s.mean = float64(sum.Nanoseconds()) / float64(s.n)
-	s.p50, s.p90, s.p99, s.max = at(0.50), at(0.90), at(0.99), at(1)
-	return s
 }
 
-// report shapes the soak outcome as a benchreport document: one
-// benchmark per scenario (mean ns/op, percentile metrics), the per-die
-// stream latency, the server-side quantiles, and a pseudo-benchmark
-// carrying the cache hit-rate delta.
-func (r *soakResult) report(duration time.Duration) benchreport.Report {
-	rep := benchreport.Report{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		Benchtime:   duration.String(),
+// check fails a sweep that did not stream exactly chips die events
+// with distinct indices in [0, chips). The error is untyped, so every
+// mode fails the op.
+func (t dieTally) check() error {
+	if t.events != chips || t.seen != 1<<chips-1 {
+		return fmt.Errorf("yield sweep succeeded after %d die events (index set %#x), want each of dies 0..%d once", t.events, t.seen, chips-1)
 	}
-	for _, sc := range scenarioOrder {
-		s := summarize(r.latencies[sc])
-		if s.n == 0 {
-			continue
-		}
-		rep.Benchmarks = append(rep.Benchmarks, benchreport.Benchmark{
-			Pkg:        pkg,
-			Name:       "Soak/" + sc,
-			Iterations: int64(s.n),
-			NsPerOp:    s.mean,
-			Metrics: map[string]float64{
-				"p50-ns":  s.p50,
-				"p90-ns":  s.p90,
-				"p99-ns":  s.p99,
-				"max-ns":  s.max,
-				"errors":  float64(r.failed[sc]),
-				"ops/sec": float64(s.n) / duration.Seconds(),
-			},
-		})
-	}
-	if s := summarize(r.dieLats); s.n > 0 {
-		rep.Benchmarks = append(rep.Benchmarks, benchreport.Benchmark{
-			Pkg:        pkg,
-			Name:       "Soak/die",
-			Iterations: int64(s.n),
-			NsPerOp:    s.mean,
-			Metrics: map[string]float64{
-				"p50-ns":           s.p50,
-				"p99-ns":           s.p99,
-				"attempts-per-die": float64(r.dieAttempts) / float64(r.dieEvents),
-				"dies":             float64(r.dieEvents),
-				"dies/sec":         float64(r.dieEvents) / duration.Seconds(),
-			},
-		})
-	}
-	if r.metricsBefore == nil || r.metricsAfter == nil {
-		// The missing Soak/server block must read as "no data", not
-		// "zero delta" — downstream tooling keys on this note.
-		rep.Notes = map[string]string{"metrics_scrape": "skipped"}
-	}
-	if sm := r.serverMetrics(); len(sm) > 0 {
-		rep.Benchmarks = append(rep.Benchmarks, benchreport.Benchmark{Pkg: pkg, Name: "Soak/server", Iterations: 1, Metrics: sm})
-	}
-	rep.Benchmarks = append(rep.Benchmarks, benchreport.Benchmark{
-		Pkg:        pkg,
-		Name:       "Soak/cache",
-		Iterations: 1,
-		Metrics: map[string]float64{
-			"hit-rate":    r.hitRate(),
-			"hits":        float64(r.statsAfter.CacheHits - r.statsBefore.CacheHits),
-			"misses":      float64(r.statsAfter.CacheMisses - r.statsBefore.CacheMisses),
-			"entries":     float64(r.statsAfter.CacheEntries),
-			"loaded":      float64(r.statsAfter.CacheLoaded),
-			"synth-calls": float64(r.statsAfter.SynthCalls - r.statsBefore.SynthCalls),
-		},
-	})
-	return rep
-}
-
-// serverMetrics derives server-side latency quantiles from the
-// /metrics scrapes bracketing the soak: per-kind request duration and
-// pipeline stage histograms, subtracted bucket-wise so only the soak's
-// own observations contribute. Empty when scraping was unavailable.
-func (r *soakResult) serverMetrics() map[string]float64 {
-	if r.metricsBefore == nil || r.metricsAfter == nil {
-		return nil
-	}
-	m := make(map[string]float64)
-	delta := func(name string, labels map[string]string) *telemetry.HistogramSnapshot {
-		after, ok := r.metricsAfter.Histogram(name, labels)
-		if !ok {
-			return nil
-		}
-		before, _ := r.metricsBefore.Histogram(name, labels)
-		d, ok := after.Sub(before)
-		if !ok || d.Count == 0 {
-			return nil
-		}
-		return d
-	}
-	quantiles := func(prefix string, d *telemetry.HistogramSnapshot) {
-		m[prefix+"-p50-ns"] = d.Quantile(0.50) * 1e9
-		m[prefix+"-p99-ns"] = d.Quantile(0.99) * 1e9
-		m[prefix+"-count"] = float64(d.Count)
-	}
-	for _, kind := range []string{"synthesize", "map", "yield"} {
-		if d := delta("nanoxbar_request_duration_seconds", map[string]string{"kind": kind}); d != nil {
-			quantiles(kind, d)
-		}
-	}
-	for _, stage := range []string{"queue_wait", "cache_lookup", "die_map"} {
-		if d := delta("nanoxbar_stage_duration_seconds", map[string]string{"stage": stage}); d != nil {
-			quantiles(strings.ReplaceAll(stage, "_", "-"), d)
-		}
-	}
-	return m
+	return nil
 }

@@ -9,8 +9,7 @@
 // HTTP twin in pkg/nanoxbar/client; the implementation lives under
 // internal/ (see DESIGN.md for the module inventory and the
 // pkg → engine → internal layering). cmd/ hosts the command-line tools
-// and the serving daemon, examples/ the runnable walkthroughs (built
-// on pkg/nanoxbar only), and bench_test.go in this directory
-// regenerates every experiment of the paper's evaluation
-// (EXPERIMENTS.md).
+// and the serving daemon (cmd/repro prints every experiment of the
+// paper's evaluation, EXPERIMENTS.md), and examples/ the runnable
+// walkthroughs (built on pkg/nanoxbar only).
 package nanoxbar

@@ -15,29 +15,21 @@ var benchName = regexp.MustCompile(`Benchmark[A-Z][A-Za-z0-9_]*`)
 // benchDecl matches a benchmark declaration line in a _test.go file.
 var benchDecl = regexp.MustCompile(`(?m)^func (Benchmark[A-Z][A-Za-z0-9_]*)\s*\(`)
 
-// soakName matches xbarload Soak pseudo-benchmark identifiers —
-// Soak/cluster, Soak/cluster/p99 — in workflow gate regexes and in the
-// cmd/xbarload sources that emit them.
-var soakName = regexp.MustCompile(`Soak/[A-Za-z0-9_/-]+`)
-
 // newLaneGate verifies the CI perf gates stay anchored to real code:
-// every benchmark named in a .github/workflows file — gate regexes,
-// allow-lists, and the comments explaining them — must exist as a
-// declared benchmark somewhere in the module, and every Soak/* block a
-// workflow gates on must be one cmd/xbarload actually emits. A rename
-// that forgets the workflow would otherwise leave the bench-smoke or
-// cluster-soak gate matching nothing and pass forever; this is the
-// regression the lane64 yield gate is specifically exposed to, hence
-// the name.
+// every benchmark named in a .github/workflows file — bench regexes and
+// the comments explaining them — must exist as a declared benchmark
+// somewhere in the module. A rename that forgets the workflow would
+// otherwise leave the bench-smoke step matching nothing and pass
+// forever; this is the regression the lane64 yield gate is specifically
+// exposed to, hence the name.
 func newLaneGate() *Analyzer {
 	a := &Analyzer{
 		Name: "lanegate",
-		Doc:  "every benchmark or Soak block named in a CI workflow file is declared in the module",
+		Doc:  "every benchmark named in a CI workflow file is declared in the module",
 	}
 	a.Run = func(*Pass) {}
 	a.Finish = func(l *Loader, report func(Diagnostic)) {
 		declared := declaredBenchmarks(l.Root)
-		soaks := declaredSoaks(l.Root)
 		dir := filepath.Join(l.Root, ".github", "workflows")
 		entries, err := os.ReadDir(dir)
 		if err != nil {
@@ -67,52 +59,10 @@ func newLaneGate() *Analyzer {
 						Message:  "workflow names benchmark " + bench + " but no _test.go file declares it",
 					})
 				}
-				for _, loc := range soakName.FindAllStringIndex(line, -1) {
-					soak := line[loc[0]:loc[1]]
-					if soaks[soak] {
-						continue
-					}
-					report(Diagnostic{
-						Analyzer: a.Name,
-						File:     path,
-						Line:     li + 1,
-						Col:      loc[0] + 1,
-						Message:  "workflow names soak block " + soak + " but cmd/xbarload never emits it",
-					})
-				}
 			}
 		}
 	}
 	return a
-}
-
-// declaredSoaks collects every Soak/* identifier appearing in the
-// non-test cmd/xbarload sources — the literals naming the
-// pseudo-benchmarks the soak report emits. Test files are skipped: a
-// test that names a block does not make the program emit it. The
-// composed "Soak/"+scenario names never appear in workflows (gates
-// scope by prefix regex), so a literal scan is the whole contract.
-func declaredSoaks(root string) map[string]bool {
-	decls := map[string]bool{}
-	dir := filepath.Join(root, "cmd", "xbarload")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return decls
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			continue
-		}
-		for _, m := range soakName.FindAllString(string(data), -1) {
-			decls[m] = true
-		}
-	}
-	return decls
 }
 
 // declaredBenchmarks collects every `func BenchmarkXxx(` declared in

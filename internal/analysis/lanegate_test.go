@@ -77,49 +77,6 @@ func TestLaneGateIgnoresProseAndHiddenDirs(t *testing.T) {
 	}
 }
 
-func TestLaneGateFlagsUnknownSoakBlocks(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		".github/workflows/ci.yml": strings.Join([]string{
-			"run: benchjson -compare base.json -against soak.json -only 'Soak/cluster'",
-			"run: benchjson -compare base.json -against soak.json -only 'Soak/ghost'",
-		}, "\n"),
-		"cmd/xbarload/cluster.go": "package main\n\nconst a = \"Soak/cluster\"\nconst b = \"Soak/cluster/p99\"\n",
-	})
-	got := runLaneGate(root)
-	if len(got) != 1 || !strings.Contains(got[0].Message, "Soak/ghost") {
-		t.Fatalf("got %v, want exactly one Soak/ghost finding", got)
-	}
-	if got[0].Line != 2 {
-		t.Fatalf("diagnostic line %d, want 2", got[0].Line)
-	}
-}
-
-// TestLaneGateSoakSubBlockDeclared: a gate naming the deeper
-// Soak/cluster/p99 block resolves against the same literal scan.
-func TestLaneGateSoakSubBlockDeclared(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		".github/workflows/ci.yml": "# gates Soak/cluster/p99 too\n",
-		"cmd/xbarload/cluster.go":  "package main\n\nconst b = \"Soak/cluster/p99\"\n",
-	})
-	if got := runLaneGate(root); len(got) != 0 {
-		t.Fatalf("declared soak sub-block reported %v", got)
-	}
-}
-
-// TestLaneGateSoakOnlyInTestFile: a block named only by a test file is
-// not one the program emits, so a gate on it is flagged.
-func TestLaneGateSoakOnlyInTestFile(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		".github/workflows/ci.yml":     "run: benchjson -compare base.json -against soak.json -only 'Soak/cluster'\n",
-		"cmd/xbarload/harness.go":      "package main\n\nconst a = \"Soak/renamed\"\n",
-		"cmd/xbarload/harness_test.go": "package main\n\nconst want = \"Soak/cluster\"\n",
-	})
-	got := runLaneGate(root)
-	if len(got) != 1 || !strings.Contains(got[0].Message, "Soak/cluster") {
-		t.Fatalf("got %v, want exactly one Soak/cluster finding", got)
-	}
-}
-
 func TestLaneGateNoWorkflowsIsClean(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"a_test.go": "package m\n\nfunc BenchmarkA(b *testing.B) {}\n",

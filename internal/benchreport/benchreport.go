@@ -1,16 +1,13 @@
 // Package benchreport defines the machine-readable benchmark report the
 // repository tracks in-tree (BENCH_lattice.json), the parser that builds
 // it from `go test -bench` output, and the comparison logic behind the
-// CI perf-regression gate. cmd/benchjson emits and compares reports;
-// cmd/xbarload emits its soak latencies in the same shape so one set of
-// tooling reads both.
+// CI perf-regression gate. cmd/benchjson emits and compares reports.
 package benchreport
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"regexp"
 	"strconv"
 	"strings"
 )
@@ -40,31 +37,10 @@ type Report struct {
 	CPU         string      `json:"cpu,omitempty"`
 	Benchtime   string      `json:"benchtime"`
 	Benchmarks  []Benchmark `json:"benchmarks"`
-	// Notes carries emitter caveats that change how the report should
-	// be read — e.g. xbarload sets {"metrics_scrape": "skipped"} when
-	// the server's /metrics endpoint could not be scraped, so a missing
-	// Soak/server block reads as "no data", not "zero delta".
+	// Notes carries caveats on how to read rows, keyed by benchmark ID:
+	// the committed baseline says which rows were re-recorded on which
+	// machine.
 	Notes map[string]string `json:"notes,omitempty"`
-}
-
-// Filter returns a copy of the report keeping only benchmarks whose ID
-// (pkg.Name) matches only. A nil pattern keeps everything. Compare
-// gates use it to scope a baseline to the blocks a given CI job
-// actually regenerates — the bench-smoke gate must not fail Soak/*
-// blocks as Missing, and the soak gates must not re-judge micro-bench
-// blocks.
-func (r Report) Filter(only *regexp.Regexp) Report {
-	if only == nil {
-		return r
-	}
-	out := r
-	out.Benchmarks = nil
-	for _, b := range r.Benchmarks {
-		if only.MatchString(b.ID()) {
-			out.Benchmarks = append(out.Benchmarks, b)
-		}
-	}
-	return out
 }
 
 // Load reads a report file.
@@ -81,8 +57,7 @@ func Load(path string) (Report, error) {
 }
 
 // WriteFile renders the report as indented JSON to path, or to stdout
-// when path is "-". Shared by every report-emitting command so the
-// on-disk encoding cannot drift between them.
+// when path is "-".
 func WriteFile(path string, rep Report) error {
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

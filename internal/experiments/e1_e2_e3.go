@@ -93,7 +93,6 @@ func E2FourTerminalComparison() *Report {
 			"lattice_wins":    float64(wins),
 			"total":           float64(total),
 			"mean_diode_area": gm(logDiode),
-			"mean_fet_area":   gm(logFET),
 			"mean_lat_area":   gm(logLat),
 		},
 	}
@@ -112,7 +111,7 @@ func E3Fig4() *Report {
 	}
 	lines := []string{"hand lattice (Fig. 4):"}
 	lines = append(lines, hand.String())
-	ok := hand.Implements(spec.F)
+	ok := hand.ImplementsFast(spec.F)
 	lines = append(lines, fmt.Sprintf("hand lattice implements caption SOP: %v", ok))
 	paths, err := hand.Paths(100000)
 	if err == nil {

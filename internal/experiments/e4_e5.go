@@ -63,7 +63,6 @@ func E4PCircuit() *Report {
 			"improved_exact": float64(improved["exact"]),
 			"tried_exact":    float64(tried["exact"]),
 			"improved_isop":  float64(improved["isop"]),
-			"tried_isop":     float64(tried["isop"]),
 		},
 	}
 }

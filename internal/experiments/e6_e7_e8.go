@@ -37,7 +37,6 @@ func E6BIST() *Report {
 		})
 		if r == 16 && c == 16 {
 			metrics["coverage_16"] = float64(covered) / float64(total)
-			metrics["diag_configs_16"] = float64(diag.NumConfigs())
 		}
 	}
 	lines := table("array\tfaults\tdetected\tdet-cfgs\tdet-vecs\tdiag-cfgs\tlog-bound\tsame-resource-groups", rows)

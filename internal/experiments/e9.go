@@ -76,7 +76,6 @@ func E9ArithSSM() *Report {
 	}
 	lines = append(lines, fmt.Sprintf("SSM '101 detector': %d states, %d next-state lattices, logic area %d, 200-step equivalence: %v",
 		spec.NumStates, len(m.NextBits), m.TotalArea(), match))
-	metrics["ssm_area"] = float64(m.TotalArea())
 	metrics["ssm_equiv"] = b2f(match)
 	return &Report{ID: "E9", Title: "arithmetic elements and SSM (Section V)", Lines: lines, Metrics: metrics}
 }

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the DATE'17
 // paper's evaluation (see DESIGN.md §4 for the experiment index). Each
-// experiment returns a formatted report and structured results; the
-// cmd/repro binary prints the reports that EXPERIMENTS.md records, and
-// the top-level benchmarks re-run them under `go test -bench`.
+// experiment returns a formatted report and the key numbers its tests
+// check; the cmd/repro binary prints the reports that EXPERIMENTS.md
+// records.
 package experiments
 
 import (
@@ -17,7 +17,7 @@ type Report struct {
 	ID      string
 	Title   string
 	Lines   []string           // preformatted table rows
-	Metrics map[string]float64 // key numbers for benchmarks/EXPERIMENTS.md
+	Metrics map[string]float64 // key numbers the package's tests check
 }
 
 // WriteTo renders the report.

@@ -10,12 +10,13 @@ import (
 	"strings"
 )
 
-// A minimal Prometheus text-exposition parser. Two consumers: the
-// httpapi round-trip test (asserting /metrics output is well-formed)
-// and cmd/xbarload (scraping the server before and after a soak to
-// embed metric deltas in its report). It parses the subset WriteText
-// emits — HELP/TYPE comments and `name{labels} value` samples — which
-// is also the subset any conforming exposition uses.
+// A minimal Prometheus text-exposition parser. Its consumers:
+// cmd/xbarload, whose verdict reads each watched server's recovered-
+// panic counter; bench/'s serving workloads, which difference histogram
+// scrapes around a run; and tests that assert /metrics output is
+// well-formed. It parses the subset WriteText emits — HELP/TYPE
+// comments and `name{labels} value` samples — which is also the subset
+// any conforming exposition uses.
 
 // Sample is one parsed exposition line.
 type Sample struct {
@@ -311,40 +312,4 @@ func (h *HistogramSnapshot) Sub(earlier *HistogramSnapshot) (*HistogramSnapshot,
 		d.Cum[i] = h.Cum[i] - earlier.Cum[i]
 	}
 	return d, true
-}
-
-// Quantile estimates the q-th quantile (0..1) by linear interpolation
-// within the containing bucket, the same estimate Prometheus's
-// histogram_quantile computes. Returns 0 for an empty histogram; a
-// quantile landing in the overflow bucket returns the largest finite
-// bound (a lower bound on the true value).
-func (h *HistogramSnapshot) Quantile(q float64) float64 {
-	total := h.Inf
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var prevCum uint64
-	prevBound := 0.0
-	for i, cum := range h.Cum {
-		if float64(cum) >= rank {
-			inBucket := cum - prevCum
-			if inBucket == 0 {
-				return h.Bounds[i]
-			}
-			frac := (rank - float64(prevCum)) / float64(inBucket)
-			return prevBound + frac*(h.Bounds[i]-prevBound)
-		}
-		prevCum, prevBound = cum, h.Bounds[i]
-	}
-	if len(h.Bounds) > 0 {
-		return h.Bounds[len(h.Bounds)-1]
-	}
-	return 0
 }

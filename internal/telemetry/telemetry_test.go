@@ -194,37 +194,6 @@ func TestHistogramObserveAllocationFree(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("test_q_seconds", "x")
-	// 1000 observations uniform over (0, 100µs].
-	for i := 1; i <= 1000; i++ {
-		h.Observe(time.Duration(i*100) * time.Nanosecond)
-	}
-	var b strings.Builder
-	if err := reg.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	exp, err := ParseExposition(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs, _ := exp.Histogram("test_q_seconds", nil)
-	// With log2 buckets the interpolation error is bounded by a factor
-	// of 2; assert the quantiles land within their true bucket.
-	p50 := hs.Quantile(0.5)
-	if p50 < 25e-6 || p50 > 100e-6 {
-		t.Fatalf("p50 = %v, want ~50µs within one bucket", p50)
-	}
-	p99 := hs.Quantile(0.99)
-	if p99 < 50e-6 || p99 > 200e-6 {
-		t.Fatalf("p99 = %v, want ~99µs within one bucket", p99)
-	}
-	if q := (&HistogramSnapshot{}).Quantile(0.5); q != 0 {
-		t.Fatalf("empty histogram quantile = %v, want 0", q)
-	}
-}
-
 func TestHistogramSnapshotSub(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("test_delta_seconds", "x")

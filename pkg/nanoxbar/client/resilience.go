@@ -47,7 +47,7 @@ func WithResilience(cfg ResilienceConfig) Option {
 }
 
 // ResilienceStats snapshots the client's retry and breaker counters —
-// the numbers the soak driver bridges into /metrics.
+// the numbers `xbarload -chaos` prints after its soak.
 type ResilienceStats struct {
 	Retry    resilience.RetryStats
 	Breakers map[string]resilience.BreakerStats // by endpoint path
