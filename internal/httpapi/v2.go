@@ -1,8 +1,8 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -37,25 +37,28 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	}})
 }
 
-// eventStream serializes NDJSON events onto one response. A frame sent
-// with flush set is pushed to the client at once, so results are
-// observed as they complete; an unflushed frame waits in the response
-// buffer for the next flush or the handler's return. Every frame is
-// stamped with the stream's request ID, so a single frame fished out
-// of a log pipeline still names the request it belongs to.
+// eventStream serializes NDJSON events onto one response, each frame
+// encoded by appendEvent into the stream's one buffer and written with
+// one Write. A frame sent with flush set is pushed to the client at
+// once, so results are observed as they complete; an unflushed frame
+// waits in the response buffer for the next flush or the handler's
+// return. Every frame is stamped with the stream's request ID, so a
+// single frame fished out of a log pipeline still names the request it
+// belongs to.
 type eventStream struct {
 	mu    sync.Mutex
-	enc   *json.Encoder
+	w     io.Writer
+	buf   []byte
 	fl    http.Flusher
 	reqID string
-	err   bool // a write failed (client gone); drop further events
+	err   bool // an encode or write failed; drop further events
 }
 
 func newEventStream(w http.ResponseWriter, reqID string) *eventStream {
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
 	fl, _ := w.(http.Flusher)
-	return &eventStream{enc: enc, fl: fl, reqID: reqID}
+	// 512 bytes hold any frame but a long mapping or message, so a
+	// stream's buffer rarely grows past its first allocation.
+	return &eventStream{w: w, buf: make([]byte, 0, 512), fl: fl, reqID: reqID}
 }
 
 func (es *eventStream) send(ev nanoxbar.Event, flush bool) {
@@ -65,7 +68,13 @@ func (es *eventStream) send(ev nanoxbar.Event, flush bool) {
 	if es.err {
 		return
 	}
-	if err := es.enc.Encode(ev); err != nil {
+	frame, err := appendEvent(es.buf[:0], &ev)
+	es.buf = frame
+	if err != nil {
+		es.err = true
+		return
+	}
+	if _, err := es.w.Write(frame); err != nil {
 		es.err = true
 		return
 	}

@@ -242,6 +242,7 @@ func (c *Client) jobsOnce(ctx context.Context, payload []byte, handle func(nanox
 		return c.decodeErrorBody(resp)
 	}
 
+	var dec eventDecoder
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(nil, maxEventBytes)
 	for sc.Scan() {
@@ -249,8 +250,8 @@ func (c *Client) jobsOnce(ctx context.Context, payload []byte, handle func(nanox
 		if len(line) == 0 {
 			continue
 		}
-		var ev nanoxbar.Event
-		if err := json.Unmarshal(line, &ev); err != nil {
+		ev, err := dec.decodeEvent(line)
+		if err != nil {
 			// A canceled read surfaces as a truncated final line —
 			// the scanner hands back the partial data at stream end.
 			// Any other partial line means the connection died
