@@ -26,7 +26,9 @@
 // Failures that surface typed — overloaded, unavailable, canceled, or a
 // chaos-synthesized 500 — are expected and counted. One more stderr
 // line reports the injected faults and the client's retry and breaker
-// counters.
+// counters. The 5xx bursts are 1–3 responses long, below the breaker's
+// five consecutive failures, so that line normally reads 0 opens; the
+// client's TestClientBreakerOpensUnderChaos opens the breaker.
 //
 // -cluster N (N >= 2) boots N in-process cluster nodes instead of one
 // and soaks them through node n0, while the harness kills node n1
@@ -285,14 +287,9 @@ func expectedChaosFailure(err error) bool {
 // injected and the client's retry and breaker counters.
 func printChaos(w io.Writer, cs resilience.ChaosStats, cl *nbclient.Client) {
 	st, _ := cl.ResilienceStats()
-	var opens, rejections uint64
-	for _, b := range st.Breakers {
-		opens += b.Opens
-		rejections += b.Rejections
-	}
 	fmt.Fprintf(w, "xbarload: chaos: %d requests: %d drops, %d 5xx, %d latency spikes, %d truncations; %d retries (%d exhausted), breaker %d opens / %d rejections\n",
 		cs.Requests, cs.Drops, cs.Errors5xx, cs.Latencies, cs.Truncations,
-		st.Retry.Retries, st.Retry.Exhausted, opens, rejections)
+		st.Retry.Retries, st.Retry.Exhausted, st.Breaker.Opens, st.Breaker.Rejections)
 }
 
 // functionPool builds the popularity-ranked function set: a core of
@@ -332,7 +329,8 @@ type soakResult struct {
 	failed map[string]int // unexpected errors per scenario
 	typed  int            // tolerated typed failures
 
-	statsBefore, statsAfter nanoxbar.Stats
+	// before and after are the server's /metrics around the soak.
+	before, after *telemetry.Exposition
 
 	// chaos is the -chaos transport's count of requests and injected
 	// faults after the soak; nil in the other modes.
@@ -383,25 +381,26 @@ func (r *soakResult) failures() int {
 
 // hitRate is the server's cache hit rate over the soak.
 func (r *soakResult) hitRate() float64 {
-	dh := r.statsAfter.CacheHits - r.statsBefore.CacheHits
-	dm := r.statsAfter.CacheMisses - r.statsBefore.CacheMisses
+	delta := func(name string) float64 {
+		a, _ := r.after.Value(name, nil)
+		b, _ := r.before.Value(name, nil)
+		return a - b
+	}
+	dh, dm := delta("nanoxbar_cache_hits_total"), delta("nanoxbar_cache_misses_total")
 	if dh+dm == 0 {
 		return 0
 	}
-	return float64(dh) / float64(dh+dm)
+	return dh / (dh + dm)
 }
 
 // soak runs the workload until the duration elapses or ctx is canceled.
 func soak(ctx context.Context, cl *nbclient.Client, cfg soakConfig) (*soakResult, error) {
 	res := newSoakResult()
-	// The Stats calls bracketing the soak measure its cache hit rate and
-	// bypass the chaos transport, as the verdict's /metrics scrape does:
-	// an injected 500 is not retried, and it would fail the run untyped.
-	ctl := nbclient.New(cfg.base)
-	defer ctl.Close()
-	var err error
-	if res.statsBefore, err = ctl.Stats(ctx); err != nil {
-		return nil, fmt.Errorf("server not reachable: %w", err)
+	// The scrapes bracketing the soak measure its cache hit rate and
+	// bypass the chaos transport, as the verdict's does: an injected 500
+	// is not retried, and it would fail the run untyped.
+	if res.before = scrapeMetrics(ctx, cfg.stderr, cfg.base); res.before == nil {
+		return nil, errors.New("server not reachable: no /metrics")
 	}
 	pool := functionPool(rand.New(rand.NewSource(cfg.seed)))
 
@@ -431,11 +430,11 @@ func soak(ctx context.Context, cl *nbclient.Client, cfg soakConfig) (*soakResult
 	}
 	wg.Wait()
 
-	// The soak context is spent; read closing stats on a fresh one.
-	statsCtx, cancelStats := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancelStats()
-	if res.statsAfter, err = ctl.Stats(statsCtx); err != nil {
-		return nil, fmt.Errorf("closing stats: %w", err)
+	// The soak context is spent; scrape on a fresh one.
+	sctx, cancelScrape := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancelScrape()
+	if res.after = scrapeMetrics(sctx, cfg.stderr, cfg.base); res.after == nil {
+		return nil, errors.New("closing /metrics scrape failed")
 	}
 	return res, nil
 }

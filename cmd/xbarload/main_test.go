@@ -162,10 +162,11 @@ func TestRunSoaks(t *testing.T) {
 		name  string
 		args  []string
 		lines []string // stderr text beyond the summary line
+		hits  bool     // the summary's cache hit rate, read from /metrics, is positive
 	}{
-		{"plain", []string{"-duration", "500ms"}, nil},
-		{"chaos", []string{"-chaos", "-duration", "500ms"}, []string{"xbarload: chaos: "}},
-		{"cluster", []string{"-cluster", "2", "-duration", "2s"}, []string{"xbarload: cluster: 1 kill(s) 1 restart(s)"}},
+		{"plain", []string{"-duration", "500ms"}, nil, true},
+		{"chaos", []string{"-chaos", "-duration", "500ms"}, []string{"xbarload: chaos: "}, false},
+		{"cluster", []string{"-cluster", "2", "-duration", "2s"}, []string{"xbarload: cluster: 1 kill(s) 1 restart(s)"}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,6 +180,9 @@ func TestRunSoaks(t *testing.T) {
 				if !strings.Contains(out, want) {
 					t.Fatalf("stderr lacks %q:\n%s", want, out)
 				}
+			}
+			if _, rate, ok := strings.Cut(out, "cache hit rate "); tc.hits && (!ok || strings.HasPrefix(rate, "0.000")) {
+				t.Fatalf("no positive cache hit rate in:\n%s", out)
 			}
 		})
 	}

@@ -16,10 +16,10 @@
 //
 //	POST /v2/jobs        any request kinds — NDJSON stream in
 //	                     completion order; structured errors
-//	GET  /healthz        liveness probe + uptime/build + cache summary
-//	GET  /stats          engine counters (cache hits/misses, workers, ...)
-//	GET  /metrics        Prometheus text exposition (latency histograms,
-//	                     cache/fault counters, Go runtime stats)
+//	GET  /healthz        liveness probe + uptime/build (+ cluster view)
+//	GET  /metrics        Prometheus text exposition: every counter
+//	                     (cache, fault path, cluster), latency
+//	                     histograms, Go runtime stats
 //
 // SIGINT and SIGTERM both shut down gracefully: the server stops
 // admitting work (503 + Retry-After on the work routes; health and

@@ -144,7 +144,7 @@ func TestDetectorMarkLeft(t *testing.T) {
 }
 
 // TestDetectorCountsAndMembers covers the aggregate views the metrics
-// and /stats surfaces read.
+// and /healthz surfaces read.
 func TestDetectorCountsAndMembers(t *testing.T) {
 	clock := resilience.NewFake(time.Unix(0, 0))
 	d := newDetector(clock, 3*time.Second, 6*time.Second, nil)

@@ -350,8 +350,8 @@ func (n *Node) PeerFill(ctx context.Context, key string) *core.Implementation {
 	return nil
 }
 
-// Status is the cluster block surfaced in /healthz, /stats, and the
-// xbarload cluster report.
+// Status is the /healthz cluster block: the member view peers
+// heartbeat on, plus the routing counters that /metrics also serves.
 type Status struct {
 	NodeID         string         `json:"node_id"`
 	Advertise      string         `json:"advertise,omitempty"`

@@ -766,8 +766,9 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 	return Result{Kind: req.Kind, Yield: yr, Degraded: deg}
 }
 
-// Stats is a point-in-time snapshot of the engine counters, shaped for
-// the daemon's /stats endpoint.
+// Stats is a point-in-time snapshot of the engine counters, read in
+// process (the SDK's Client.Stats, bench/). The daemon serves the same
+// counters as /metrics series.
 type Stats struct {
 	Workers        int    `json:"workers"`
 	CacheCapacity  int    `json:"cache_capacity"`

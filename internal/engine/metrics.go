@@ -45,6 +45,7 @@ const (
 	metricCacheEvictions      = "nanoxbar_cache_evictions_total"
 	metricCacheLoaded         = "nanoxbar_cache_loaded_total"
 	metricCacheEntries        = "nanoxbar_cache_entries"
+	metricCacheCapacity       = "nanoxbar_cache_capacity"
 	metricLatticeFastImpl     = "nanoxbar_lattice_fast_implements_total"
 	metricLatticeWordBlocks   = "nanoxbar_lattice_word_blocks_total"
 )
@@ -139,6 +140,8 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	counter(metricCacheLoaded, "Cache entries seeded from a snapshot.", func() uint64 { return e.cache.stats().loads })
 	reg.GaugeFunc(metricCacheEntries, "Live cache entries.",
 		func() float64 { return float64(e.cache.stats().entries) })
+	reg.GaugeFunc(metricCacheCapacity, "Cache size in entries.",
+		func() float64 { return float64(e.cache.capacity) })
 
 	// Process-wide lattice evaluation counters — the synthesis hot
 	// path's work units, already tracked by internal/lattice.

@@ -11,9 +11,9 @@ import (
 // node-to-node peer routes (cache fill and snapshot shipping) behind
 // the same instrument/protect middleware as the public work routes,
 // enables ownership-based forwarding of synthesis requests, and adds
-// the cluster block to /healthz and /stats. The /healthz block doubles
-// as the heartbeat payload peers probe — its leaving flag is how a
-// draining node de-registers from sibling rings.
+// the cluster block to /healthz. That block doubles as the heartbeat
+// payload peers probe — its leaving flag is how a draining node
+// de-registers from sibling rings.
 func WithCluster(n *cluster.Node) Option {
 	return func(s *Server) {
 		if n == nil {

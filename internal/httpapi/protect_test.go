@@ -58,7 +58,7 @@ func TestDrainRejectsWorkKeepsOps(t *testing.T) {
 	}
 	errorBody(t, body, apierr.CodeUnavailable)
 
-	for _, path := range []string{"/healthz", "/stats", "/metrics"} {
+	for _, path := range []string{"/healthz", "/metrics"} {
 		r, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s while draining: %v", path, err)

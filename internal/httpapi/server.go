@@ -48,7 +48,7 @@ type Server struct {
 	drainRejects atomic.Uint64
 
 	// cluster, when joined via WithCluster, adds peer routes,
-	// ownership-based forwarding, and the cluster health/stats blocks.
+	// ownership-based forwarding, and the /healthz cluster block.
 	cluster *cluster.Node
 }
 
@@ -76,7 +76,6 @@ func New(eng *engine.Engine, opts ...Option) *Server {
 	}
 	handleWork("/v2/jobs", s.handleJobs)
 	handle("/healthz", requireGET(s.handleHealthz))
-	handle("/stats", requireGET(s.handleStats))
 	handle("/metrics", requireGET(s.handleMetrics))
 	s.registerServerMetrics()
 	for _, opt := range opts {
@@ -145,28 +144,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return false
 }
 
-// healthCache is the cache summary embedded in /healthz: enough for an
-// operator (or orchestrator probe) to tell a warm restart from a cold
-// one without pulling the full /stats counter dump.
-type healthCache struct {
-	Entries            int    `json:"entries"`
-	LoadedFromSnapshot uint64 `json:"loaded_from_snapshot"`
-}
-
-// healthFault summarizes the fault-tolerance path: how many dies the
-// self-mapper has placed, how many defect maps were drawn, and the mean
-// self-mapping attempts per die — the number that moves first when a
-// density or chip-size change makes repair expensive.
-type healthFault struct {
-	DiesMapped          uint64  `json:"dies_mapped"`
-	DefectMapsGenerated uint64  `json:"defect_maps_generated"`
-	MeanMapAttempts     float64 `json:"mean_map_attempts"`
-	// Lane-path split of yield-sweep dies: resolved by the word-parallel
-	// candidate schedule vs demoted to the scalar mapper.
-	DiesCheckedFast   uint64 `json:"dies_checked_fast"`
-	DiesDemotedScalar uint64 `json:"dies_demoted_scalar"`
-}
-
+// healthResponse is the /healthz body, the probe: it identifies the
+// process and, in cluster mode, carries the member view. Counters are
+// served only by /metrics.
 type healthResponse struct {
 	Status string `json:"status"`
 	// UptimeSeconds and Build identify the process: an orchestrator
@@ -174,8 +154,6 @@ type healthResponse struct {
 	// health check alone.
 	UptimeSeconds float64      `json:"uptime_seconds"`
 	Build         buildDetails `json:"build"`
-	Cache         healthCache  `json:"cache"`
-	Fault         healthFault  `json:"fault"`
 	// Cluster is present when the node serves in cluster mode. It is
 	// also the heartbeat payload: peers probe /healthz and read the
 	// membership view and the leaving flag from here.
@@ -183,42 +161,14 @@ type healthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st := s.eng.Stats()
 	resp := healthResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Build:         buildInfo(),
-		Cache: healthCache{
-			Entries:            st.CacheEntries,
-			LoadedFromSnapshot: st.CacheLoaded,
-		},
-		Fault: healthFault{
-			DiesMapped:          st.DiesMapped,
-			DefectMapsGenerated: st.DefectMapsGenerated,
-			MeanMapAttempts:     st.MeanMapAttempts,
-			DiesCheckedFast:     st.DiesCheckedFast,
-			DiesDemotedScalar:   st.DiesDemotedScalar,
-		},
 	}
 	if s.cluster != nil {
 		cs := s.cluster.Status()
 		resp.Cluster = &cs
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// clusterStats is /stats in cluster mode: the engine counters plus the
-// node's ring/membership/forwarding block.
-type clusterStats struct {
-	engine.Stats
-	Cluster cluster.Status `json:"cluster"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.eng.Stats()
-	if s.cluster == nil {
-		writeJSON(w, http.StatusOK, st)
-		return
-	}
-	writeJSON(w, http.StatusOK, clusterStats{Stats: st, Cluster: s.cluster.Status()})
 }

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"nanoxbar/internal/apierr"
 	"nanoxbar/internal/engine"
+	"nanoxbar/internal/telemetry"
 	"nanoxbar/pkg/nanoxbar"
 )
 
@@ -81,6 +84,34 @@ func byIndex(t *testing.T, evs []nanoxbar.Event, n int) []nanoxbar.Event {
 	return out
 }
 
+// scrape parses the server's /metrics exposition.
+func scrape(t *testing.T, url string) *telemetry.Exposition {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	exp, err := telemetry.ParseExposition(resp.Body)
+	if err != nil {
+		t.Fatalf("/metrics: %v", err)
+	}
+	return exp
+}
+
+// metric reads the unlabeled series name, failing the test when it is
+// missing.
+func metric(t *testing.T, exp *telemetry.Exposition, name string) float64 {
+	t.Helper()
+	v, ok := exp.Value(name, nil)
+	if !ok {
+		t.Fatalf("/metrics has no %s series", name)
+	}
+	return v
+}
+
+// TestHealthz: the probe holds the status, uptime and build identity
+// only, and a cold server's counters read zero on /metrics.
 func TestHealthz(t *testing.T) {
 	ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -91,20 +122,26 @@ func TestHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
-	var body healthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Status != "ok" {
-		t.Fatalf("healthz body %+v (err %v)", body, err)
+	var body map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || string(body["status"]) != `"ok"` {
+		t.Fatalf("healthz body %s (err %v)", body, err)
 	}
-	if body.Cache.Entries != 0 || body.Cache.LoadedFromSnapshot != 0 {
-		t.Fatalf("cold server reports cache %+v, want empty", body.Cache)
+	if keys := slices.Sorted(maps.Keys(body)); !slices.Equal(keys, []string{"build", "status", "uptime_seconds"}) {
+		t.Fatalf("healthz keys %v, want build, status and uptime_seconds", keys)
 	}
-	if body.Fault.DiesMapped != 0 || body.Fault.DefectMapsGenerated != 0 || body.Fault.MeanMapAttempts != 0 {
-		t.Fatalf("cold server reports fault work %+v, want zeros", body.Fault)
+	exp := scrape(t, ts.URL)
+	for _, name := range []string{
+		"nanoxbar_cache_entries", "nanoxbar_cache_loaded_total",
+		"nanoxbar_dies_mapped_total", "nanoxbar_defect_maps_generated_total", "nanoxbar_map_attempts_total",
+	} {
+		if v := metric(t, exp, name); v != 0 {
+			t.Errorf("cold server reports %s %v, want 0", name, v)
+		}
 	}
 }
 
 // TestFaultCountersReported drives map and yield requests and checks
-// the fault-path counters surface consistently on /healthz and /stats.
+// the fault-path counters on /metrics.
 func TestFaultCountersReported(t *testing.T) {
 	ts := newTestServer(t)
 	if res := submit(t, ts.URL, engine.Request{
@@ -126,57 +163,31 @@ func TestFaultCountersReported(t *testing.T) {
 		t.Fatalf("yield: %v", res.Err)
 	}
 
-	hr, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	exp := scrape(t, ts.URL)
+	dies := metric(t, exp, "nanoxbar_dies_mapped_total")
+	if dies != 1+chips {
+		t.Fatalf("dies_mapped = %v, want %d", dies, 1+chips)
 	}
-	defer hr.Body.Close()
-	var health healthResponse
-	if err := json.NewDecoder(hr.Body).Decode(&health); err != nil {
-		t.Fatal(err)
+	if v := metric(t, exp, "nanoxbar_defect_maps_generated_total"); v != 1+chips {
+		t.Fatalf("defect_maps_generated = %v, want %d", v, 1+chips)
 	}
-	if want := uint64(1 + chips); health.Fault.DiesMapped != want {
-		t.Fatalf("healthz dies_mapped = %d, want %d", health.Fault.DiesMapped, want)
-	}
-	if health.Fault.DefectMapsGenerated != uint64(1+chips) {
-		t.Fatalf("healthz defect_maps_generated = %d, want %d", health.Fault.DefectMapsGenerated, 1+chips)
-	}
-	if health.Fault.MeanMapAttempts < 1 {
-		t.Fatalf("healthz mean_map_attempts = %v, want >= 1", health.Fault.MeanMapAttempts)
+	// At least one self-mapping attempt per die: a mean of 1 or more.
+	if v := metric(t, exp, "nanoxbar_map_attempts_total"); v < dies {
+		t.Fatalf("map_attempts %v below dies_mapped %v", v, dies)
 	}
 	// Every yield die resolved either on the fast candidate schedule or
 	// by scalar demotion; the KindMap die counts in neither bucket.
-	if health.Fault.DiesCheckedFast+health.Fault.DiesDemotedScalar != chips {
-		t.Fatalf("healthz dies_checked_fast %d + dies_demoted_scalar %d, want sum %d",
-			health.Fault.DiesCheckedFast, health.Fault.DiesDemotedScalar, chips)
-	}
-
-	sr, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sr.Body.Close()
-	var stats engine.Stats
-	if err := json.NewDecoder(sr.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.DiesMapped != health.Fault.DiesMapped ||
-		stats.DefectMapsGenerated != health.Fault.DefectMapsGenerated ||
-		stats.MeanMapAttempts != health.Fault.MeanMapAttempts ||
-		stats.DiesCheckedFast != health.Fault.DiesCheckedFast ||
-		stats.DiesDemotedScalar != health.Fault.DiesDemotedScalar {
-		t.Fatalf("stats fault counters %+v disagree with healthz %+v", stats, health.Fault)
-	}
-	if stats.MapAttempts < stats.DiesMapped {
-		t.Fatalf("map_attempts_total %d below dies_mapped %d", stats.MapAttempts, stats.DiesMapped)
+	fast, demoted := metric(t, exp, "nanoxbar_dies_checked_fast_total"), metric(t, exp, "nanoxbar_dies_demoted_scalar_total")
+	if fast+demoted != chips {
+		t.Fatalf("dies_checked_fast %v + dies_demoted_scalar %v, want sum %d", fast, demoted, chips)
 	}
 }
 
-// TestHealthzAndStatsReportPersistence covers the warm-restart
-// observability: after seeding the engine from a snapshot, /healthz and
-// /stats must both report the entry count and how many entries came
-// from the snapshot.
-func TestHealthzAndStatsReportPersistence(t *testing.T) {
+// TestMetricsReportPersistence covers the warm-restart observability:
+// after seeding the engine from a snapshot, /metrics reports the entry
+// count and how many entries came from the snapshot, and the loaded
+// entry serves without a synthesis.
+func TestMetricsReportPersistence(t *testing.T) {
 	// Warm engine: synthesize, snapshot, reload into a fresh engine.
 	warm := engine.New(engine.Config{Workers: 2, CacheSize: 64})
 	if res := warm.DoCtx(context.Background(), engine.Request{Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "maj3"}}); !res.Ok() {
@@ -197,33 +208,9 @@ func TestHealthzAndStatsReportPersistence(t *testing.T) {
 	ts := httptest.NewServer(New(eng))
 	t.Cleanup(ts.Close)
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health healthResponse
-	err = json.NewDecoder(resp.Body).Decode(&health)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := healthCache{Entries: 1, LoadedFromSnapshot: 1}
-	if health.Cache != want {
-		t.Fatalf("healthz cache %+v, want %+v", health.Cache, want)
-	}
-
-	resp, err = http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st engine.Stats
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CacheEntries != 1 || st.CacheLoaded != 1 {
-		t.Fatalf("stats entries=%d loaded=%d, want 1/1", st.CacheEntries, st.CacheLoaded)
+	exp := scrape(t, ts.URL)
+	if entries, loaded := metric(t, exp, "nanoxbar_cache_entries"), metric(t, exp, "nanoxbar_cache_loaded_total"); entries != 1 || loaded != 1 {
+		t.Fatalf("cache entries=%v loaded=%v, want 1/1", entries, loaded)
 	}
 	// The loaded entry must serve as a hit, with no synthesis run.
 	res := submit(t, ts.URL, engine.Request{
@@ -232,6 +219,9 @@ func TestHealthzAndStatsReportPersistence(t *testing.T) {
 	})
 	if res.Synthesis == nil || !res.Synthesis.CacheHit {
 		t.Fatalf("warm-loaded function was not a cache hit: %+v", res)
+	}
+	if v := metric(t, scrape(t, ts.URL), "nanoxbar_synth_calls_total"); v != 0 {
+		t.Fatalf("synth_calls = %v after serving the loaded entry, want 0", v)
 	}
 }
 
@@ -304,21 +294,15 @@ func TestBatchHundredChipsOneMiss(t *testing.T) {
 		}
 	}
 
-	// /stats must report exactly one synthesis and 99 cache hits.
-	sr, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	// /metrics must report exactly one synthesis and 99 cache hits.
+	exp := scrape(t, ts.URL)
+	synth, miss, hit := metric(t, exp, "nanoxbar_synth_calls_total"),
+		metric(t, exp, "nanoxbar_cache_misses_total"), metric(t, exp, "nanoxbar_cache_hits_total")
+	if synth != 1 || miss != 1 || hit != 99 {
+		t.Fatalf("synth=%v miss=%v hit=%v, want 1/1/99", synth, miss, hit)
 	}
-	defer sr.Body.Close()
-	var st engine.Stats
-	if err := json.NewDecoder(sr.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.SynthCalls != 1 || st.CacheMisses != 1 || st.CacheHits != 99 {
-		t.Fatalf("stats synth=%d miss=%d hit=%d, want 1/1/99", st.SynthCalls, st.CacheMisses, st.CacheHits)
-	}
-	if st.Fingerprint == "" {
-		t.Fatal("stats missing implementation fingerprint")
+	if buildLabels(t, exp)["fingerprint"] == "" {
+		t.Fatal("build info missing implementation fingerprint")
 	}
 
 	// Determinism: a fresh server given the same batch returns the
@@ -336,7 +320,8 @@ func TestBatchHundredChipsOneMiss(t *testing.T) {
 }
 
 // TestPprofOptIn checks /debug/pprof/ is mounted only behind the
-// -pprof flag, and that /stats carries the lattice evaluation counters.
+// -pprof flag, and that /metrics carries the lattice evaluation
+// counters.
 func TestPprofOptIn(t *testing.T) {
 	ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/debug/pprof/")
@@ -362,32 +347,19 @@ func TestPprofOptIn(t *testing.T) {
 	}
 
 	// A lattice synthesis must move the process-wide evaluation
-	// counters surfaced in /stats. The counters are cumulative across
+	// counters surfaced in /metrics. The counters are cumulative across
 	// the whole test binary, so assert on the delta around this
 	// request, not on being nonzero.
-	getStats := func() engine.Stats {
-		t.Helper()
-		sr, err := http.Get(tsp.URL + "/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sr.Body.Close()
-		var st engine.Stats
-		if err := json.NewDecoder(sr.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	before := getStats()
+	before := scrape(t, tsp.URL)
 	submit(t, tsp.URL, engine.Request{
 		Kind:     engine.KindSynthesize,
 		Function: engine.FunctionSpec{Expr: "x1x2 + x2x3 + x1x3"},
 	})
-	after := getStats()
-	if after.Evaluation.FastImplements <= before.Evaluation.FastImplements ||
-		after.Evaluation.WordBlocks <= before.Evaluation.WordBlocks {
-		t.Fatalf("stats evaluation counters did not advance: before %+v after %+v",
-			before.Evaluation, after.Evaluation)
+	after := scrape(t, tsp.URL)
+	for _, name := range []string{"nanoxbar_lattice_fast_implements_total", "nanoxbar_lattice_word_blocks_total"} {
+		if v0, v1 := metric(t, before, name), metric(t, after, name); v1 <= v0 {
+			t.Fatalf("%s did not advance: before %v after %v", name, v0, v1)
+		}
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 	"time"
 
 	"nanoxbar/internal/apierr"
+	"nanoxbar/internal/core"
 	"nanoxbar/internal/telemetry"
+	"nanoxbar/internal/yield"
 )
 
 // Metric family names registered by the HTTP layer. Named constants so
@@ -144,17 +146,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildDetails is the build identity reported by /healthz and the
-// nanoxbar_build_info metric.
+// nanoxbar_build_info metric. Fingerprint names the synthesis
+// implementation and FaultVersion the map and yield outcomes.
 type buildDetails struct {
-	Version   string `json:"version,omitempty"`
-	GoVersion string `json:"go_version"`
-	Revision  string `json:"revision,omitempty"`
+	Version      string `json:"version,omitempty"`
+	GoVersion    string `json:"go_version"`
+	Revision     string `json:"revision,omitempty"`
+	Fingerprint  string `json:"fingerprint"`
+	FaultVersion int    `json:"fault_version"`
 }
 
 // buildInfo reads the module version, VCS revision, and Go version from
 // the binary once.
 var buildInfo = sync.OnceValue(func() buildDetails {
-	b := buildDetails{GoVersion: runtime.Version()}
+	b := buildDetails{
+		GoVersion:    runtime.Version(),
+		Fingerprint:  core.Fingerprint(),
+		FaultVersion: yield.FaultVersion,
+	}
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
 		return b
@@ -194,5 +203,6 @@ func (s *Server) registerServerMetrics() {
 	bi := buildInfo()
 	s.reg.GaugeFunc(metricBuildInfo, "Build identity; value is always 1.",
 		func() float64 { return 1 },
-		"version", bi.Version, "go_version", bi.GoVersion, "revision", bi.Revision)
+		"version", bi.Version, "go_version", bi.GoVersion, "revision", bi.Revision,
+		"fingerprint", bi.Fingerprint, "fault_version", strconv.Itoa(bi.FaultVersion))
 }

@@ -8,13 +8,18 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"nanoxbar/internal/apierr"
+	"nanoxbar/internal/core"
 	"nanoxbar/internal/engine"
+	"nanoxbar/internal/lattice"
 	"nanoxbar/internal/telemetry"
+	"nanoxbar/internal/yield"
 	"nanoxbar/pkg/nanoxbar"
 )
 
@@ -127,11 +132,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestReadOnlyEndpointsRejectNonGET: /healthz, /stats, and /metrics
-// answer non-GET methods with a structured 405.
+// TestReadOnlyEndpointsRejectNonGET: /healthz and /metrics answer
+// non-GET methods with a structured 405.
 func TestReadOnlyEndpointsRejectNonGET(t *testing.T) {
 	ts := newTestServer(t)
-	for _, path := range []string{"/healthz", "/stats", "/metrics"} {
+	for _, path := range []string{"/healthz", "/metrics"} {
 		for _, method := range []string{http.MethodPost, http.MethodPut, http.MethodDelete} {
 			req, err := http.NewRequest(method, ts.URL+path, strings.NewReader("{}"))
 			if err != nil {
@@ -171,6 +176,180 @@ func TestHealthzUptimeAndBuild(t *testing.T) {
 	}
 	if body.Build.GoVersion == "" {
 		t.Fatalf("build info missing go_version: %+v", body.Build)
+	}
+	if body.Build.Fingerprint != core.Fingerprint() || body.Build.FaultVersion != yield.FaultVersion {
+		t.Fatalf("build info %+v, want fingerprint %q and fault_version %d",
+			body.Build, core.Fingerprint(), yield.FaultVersion)
+	}
+}
+
+// buildLabels returns the labels of the nanoxbar_build_info series.
+func buildLabels(t *testing.T, exp *telemetry.Exposition) map[string]string {
+	t.Helper()
+	for _, s := range exp.Samples {
+		if s.Name == "nanoxbar_build_info" {
+			return s.Labels
+		}
+	}
+	t.Fatal("no nanoxbar_build_info series")
+	return nil
+}
+
+// TestMetricsCarryEngineStats: /metrics is the one wire surface of the
+// engine's counters. After a synthesize miss and hit, a compare, a map,
+// a streamed yield, a shed and a snapshot load, every engine.Stats
+// field but Requests reads the same on /metrics, and GET /stats is
+// gone.
+func TestMetricsCarryEngineStats(t *testing.T) {
+	ctx := context.Background()
+	maj3 := engine.FunctionSpec{Name: "maj3"}
+	warm := engine.New(engine.Config{Workers: 1, CacheSize: 8})
+	if res := warm.DoCtx(ctx, engine.Request{Kind: engine.KindSynthesize, Function: engine.FunctionSpec{Name: "xor4"}}); !res.Ok() {
+		t.Fatalf("warmup: %v", res.Err)
+	}
+	var snap bytes.Buffer
+	_, err := warm.WriteCacheSnapshot(&snap)
+	warm.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Two entries, so the compare's three technologies evict.
+	eng := engine.New(engine.Config{Workers: 1, CacheSize: 2, MaxQueueWait: 20 * time.Millisecond})
+	t.Cleanup(eng.Close)
+	if n, err := eng.ReadCacheSnapshot(&snap); err != nil || n != 1 {
+		t.Fatalf("load: %d entries, err %v", n, err)
+	}
+	ts := httptest.NewServer(New(eng))
+	t.Cleanup(ts.Close)
+
+	for _, req := range []engine.Request{
+		{Kind: engine.KindSynthesize, Function: maj3},
+		{Kind: engine.KindSynthesize, Function: maj3},
+		{Kind: engine.KindCompare, Function: maj3},
+		{Kind: engine.KindMap, Function: maj3, Density: 0.05, Seed: 1},
+	} {
+		if res := submit(t, ts.URL, req); !res.Ok() {
+			t.Fatalf("%s: %v", req.Kind, res.Err)
+		}
+	}
+	const chips = 5
+	_, evs := readEvents(t, ts.URL, nanoxbar.JobsRequest{StreamDies: true, Requests: []engine.Request{
+		{Kind: engine.KindYield, Function: maj3, Density: 0.05, Chips: chips, Seed: 2},
+	}})
+	if dies := len(evs) - 2; dies != chips || evs[chips].Type != nanoxbar.EventResult {
+		t.Fatalf("streamed yield: %d frames, want %d dies, a result and done", len(evs), chips)
+	}
+
+	// One sweep holds the run slot and four more fill the queue, so the
+	// next request outwaits MaxQueueWait and is shed. The holders run
+	// in process, so once they return the engine is idle.
+	hold, cancel := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	sweep := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng.DoCtx(hold, engine.Request{Kind: engine.KindYield, Function: engine.FunctionSpec{Name: "maj5"},
+				Chips: 100000, ChipSize: 48, Density: 0.4, Seed: 1})
+		}()
+	}
+	started := eng.Stats().Requests
+	sweep()
+	waitFor(t, "the run slot", func() bool { return eng.Stats().Requests > started })
+	for i := 0; i < 4; i++ {
+		sweep()
+	}
+	waitFor(t, "a full queue", func() bool { return eng.Stats().QueuedJobs == 4 })
+	res := submit(t, ts.URL, engine.Request{Kind: engine.KindSynthesize, Function: maj3})
+	cancel()
+	wg.Wait()
+	if apierr.CodeOf(res.Err) != apierr.CodeOverloaded {
+		t.Fatalf("saturated request: %v, want overloaded", res.Err)
+	}
+
+	// The lattice counters are process-wide: read the scrape between
+	// two equal snapshots.
+	var st engine.Stats
+	var exp *telemetry.Exposition
+	for i := 0; ; i++ {
+		st = eng.Stats()
+		exp = scrape(t, ts.URL)
+		if eng.Stats() == st {
+			break
+		}
+		if i == 100 {
+			t.Fatal("engine counters did not settle")
+		}
+	}
+	v := func(name string) float64 { return metric(t, exp, name) }
+	kind := func(k engine.Kind) uint64 {
+		n, ok := exp.Value("nanoxbar_requests_total", map[string]string{"kind": string(k)})
+		if !ok {
+			t.Fatalf("no nanoxbar_requests_total{kind=%q} series", k)
+		}
+		return uint64(n)
+	}
+	build := buildLabels(t, exp)
+	faultVersion, _ := strconv.Atoi(build["fault_version"])
+	got := engine.Stats{
+		Workers:             int(v("nanoxbar_workers")),
+		CacheCapacity:       int(v("nanoxbar_cache_capacity")),
+		CacheEntries:        int(v("nanoxbar_cache_entries")),
+		CacheHits:           uint64(v("nanoxbar_cache_hits_total")),
+		CacheMisses:         uint64(v("nanoxbar_cache_misses_total")),
+		CacheEvictions:      uint64(v("nanoxbar_cache_evictions_total")),
+		CacheLoaded:         uint64(v("nanoxbar_cache_loaded_total")),
+		SynthCalls:          uint64(v("nanoxbar_synth_calls_total")),
+		Requests:            st.Requests, // counts refusals too; no series
+		Failures:            uint64(v("nanoxbar_request_failures_total")),
+		Shed:                uint64(v("nanoxbar_engine_shed_total")),
+		Degraded:            uint64(v("nanoxbar_engine_degraded_total")),
+		QueueDepth:          int(v("nanoxbar_engine_queue_depth")),
+		QueuedJobs:          int(v("nanoxbar_engine_queued_jobs")),
+		Synthesizes:         kind(engine.KindSynthesize),
+		Compares:            kind(engine.KindCompare),
+		Maps:                kind(engine.KindMap),
+		Yields:              kind(engine.KindYield),
+		DiesMapped:          uint64(v("nanoxbar_dies_mapped_total")),
+		DefectMapsGenerated: uint64(v("nanoxbar_defect_maps_generated_total")),
+		MapAttempts:         uint64(v("nanoxbar_map_attempts_total")),
+		MeanMapAttempts:     v("nanoxbar_map_attempts_total") / v("nanoxbar_dies_mapped_total"),
+		DiesCheckedFast:     uint64(v("nanoxbar_dies_checked_fast_total")),
+		DiesDemotedScalar:   uint64(v("nanoxbar_dies_demoted_scalar_total")),
+		Evaluation: lattice.Counters{
+			FastImplements: uint64(v("nanoxbar_lattice_fast_implements_total")),
+			WordBlocks:     uint64(v("nanoxbar_lattice_word_blocks_total")),
+		},
+		Fingerprint:  build["fingerprint"],
+		FaultVersion: faultVersion,
+	}
+	if got != st {
+		t.Fatalf("/metrics reads\n%+v\nengine.Stats reads\n%+v", got, st)
+	}
+	if st.CacheEvictions == 0 || st.CacheLoaded == 0 || st.Shed == 0 || st.DiesCheckedFast+st.DiesDemotedScalar < chips {
+		t.Fatalf("the workload left counters at zero: %+v", st)
+	}
+
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /stats: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -244,7 +423,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 
 	// An invalid header (embedded space) is discarded, not echoed.
-	req3, err := http.NewRequest(http.MethodGet, ts.URL+"/stats", nil)
+	req3, err := http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

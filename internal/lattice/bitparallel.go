@@ -74,8 +74,8 @@ func onMask(s Site, wi int, vm uint64) uint64 {
 	return (p ^ neg) & vm
 }
 
-// Evaluation counters, exported through CounterSnapshot for the serving
-// daemon's /stats endpoint.
+// Evaluation counters, exported through CounterSnapshot for the engine's
+// Stats and the serving daemon's /metrics.
 var (
 	ctrFastImplements atomic.Uint64
 	ctrWordBlocks     atomic.Uint64

@@ -508,14 +508,7 @@ func FuzzMinimize(f *testing.F) {
 	f.Add(uint8(8), []byte("a dense eight-variable on-set drawn from text"), []byte("and its don't-cares"))
 	f.Fuzz(func(t *testing.T, nb uint8, onBits, dcBits []byte) {
 		n := int(nb % 9)
-		on, dc := truthtab.New(n), truthtab.New(n)
-		for a := uint64(0); a < on.Size(); a++ {
-			if k := int(a >> 3); k < len(onBits) && onBits[k]>>(a&7)&1 == 1 {
-				on.SetBit(a, true)
-			} else if k < len(dcBits) && dcBits[k]>>(a&7)&1 == 1 {
-				dc.SetBit(a, true)
-			}
-		}
+		on, dc := pairFromBytes(n, onBits, dcBits)
 		opts := DefaultOptions()
 		got, err := Minimize(on, dc, opts)
 		primes, perr := Primes(on, dc, opts)
@@ -554,6 +547,62 @@ func FuzzMinimize(f *testing.F) {
 		}
 		if len(got) != len(want) || literals(got) != literals(want) || !slices.Equal(got, want) {
 			t.Fatalf("cover %v, oracle %v", got, want)
+		}
+	})
+}
+
+// pairFromBytes reads a fuzzed on/dc pair over n variables: minterm a
+// is on when bit a of onBits is set, else a don't-care when bit a of
+// dcBits is; missing bytes read as zero.
+func pairFromBytes(n int, onBits, dcBits []byte) (on, dc truthtab.TT) {
+	on, dc = truthtab.New(n), truthtab.New(n)
+	for a := uint64(0); a < on.Size(); a++ {
+		if k := int(a >> 3); k < len(onBits) && onBits[k]>>(a&7)&1 == 1 {
+			on.SetBit(a, true)
+		} else if k < len(dcBits) && dcBits[k]>>(a&7)&1 == 1 {
+			dc.SetBit(a, true)
+		}
+	}
+	return on, dc
+}
+
+// tableBytes is the inverse of pairFromBytes for one table.
+func tableBytes(t truthtab.TT) []byte {
+	b := make([]byte, (t.Size()+7)/8)
+	for a := uint64(0); a < t.Size(); a++ {
+		if t.Bit(a) {
+			b[a>>3] |= 1 << (a & 7)
+		}
+	}
+	return b
+}
+
+// FuzzPrimes: the plane generator and the merge-based oracle return the
+// same primes, or the same error text, for an on/dc pair over 1 to 10
+// variables under any MaxPrimes; a small limit can trip at a later merge
+// generation than the minterms'.
+func FuzzPrimes(f *testing.F) {
+	// TestPrimesMatchOracle's shapes: random pairs over 1 to 10
+	// variables, at the default limit and at 20.
+	rng := rand.New(rand.NewSource(16))
+	for n := 1; n <= 10; n++ {
+		on, dc := randPair(rng, n)
+		for _, limit := range []int{DefaultOptions().MaxPrimes, 20} {
+			f.Add(uint8(n-1), uint16(limit), tableBytes(on), tableBytes(dc))
+		}
+	}
+	f.Fuzz(func(t *testing.T, nb uint8, limit uint16, onBits, dcBits []byte) {
+		n := 1 + int(nb%10)
+		on, dc := pairFromBytes(n, onBits, dcBits)
+		o := DefaultOptions()
+		o.MaxPrimes = int(limit)
+		want, wantErr := primesOracle(on, dc, o)
+		got, gotErr := Primes(on, dc, o)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("n=%d MaxPrimes %d: error %v, oracle %v", n, limit, gotErr, wantErr)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d MaxPrimes %d: primes\n%v\noracle\n%v", n, limit, got, want)
 		}
 	})
 }

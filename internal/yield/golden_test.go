@@ -221,7 +221,7 @@ func firstDifference(want, got string) string {
 
 // TestGoldenFaultPath pins every die's outcome — success, Stats and
 // mapping — on a fixed corpus of lane sweeps and single-chip maps. A
-// change that alters any outcome must bump FaultVersion (which /stats
+// change that alters any outcome must bump FaultVersion (which /healthz
 // reports) and regenerate with -update; -update refuses to write
 // changed lines under an unchanged version.
 func TestGoldenFaultPath(t *testing.T) {

@@ -56,7 +56,7 @@ import (
 // some die's success, Stats or mapping changes for its seed — a defect
 // draw, the candidate schedule, or a bism mapper's use of its stream.
 // testdata/golden.txt pins the outcomes under this version, and the
-// engine's /stats reports it.
+// daemon reports it on /healthz and as a nanoxbar_build_info label.
 const FaultVersion = 2
 
 // Spec is one yield sweep: map Dies random ChipSize×ChipSize dies drawn

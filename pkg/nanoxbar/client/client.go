@@ -126,38 +126,6 @@ func (c *Client) YieldSweep(ctx context.Context, f nanoxbar.FunctionSpec, opts .
 	return res.Yield, nil
 }
 
-// Stats fetches the server's engine counter snapshot (GET /stats).
-// Idempotent, so the resilience layer (when enabled) retries it freely.
-func (c *Client) Stats(ctx context.Context) (nanoxbar.Stats, error) {
-	var st nanoxbar.Stats
-	err := c.withResilience(ctx, "/stats", func(ctx context.Context) (bool, error) {
-		return false, c.statsOnce(ctx, &st)
-	})
-	return st, err
-}
-
-// statsOnce is one GET /stats exchange.
-func (c *Client) statsOnce(ctx context.Context, st *nanoxbar.Stats) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/stats", nil)
-	if err != nil {
-		return nanoxbar.ErrorFromCode(nanoxbar.CodeInternal, err.Error())
-	}
-	setRequestID(req)
-	setDeadlineHeader(req)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return c.transportErr(ctx, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return c.decodeErrorBody(resp)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(st); err != nil {
-		return nanoxbar.ErrorFromCode(nanoxbar.CodeInternal, err.Error())
-	}
-	return nil
-}
-
 // do runs one request through POST /v2/jobs and resolves its single
 // result from the event stream.
 func (c *Client) do(ctx context.Context, kind nanoxbar.Kind, f nanoxbar.FunctionSpec, opts []nanoxbar.Option) (nanoxbar.Result, error) {
@@ -213,7 +181,7 @@ func (c *Client) Jobs(ctx context.Context, jobs nanoxbar.JobsRequest, handle fun
 	if err != nil {
 		return nanoxbar.ErrorFromCode(nanoxbar.CodeBadSpec, err.Error())
 	}
-	return c.withResilience(ctx, "/v2/jobs", func(ctx context.Context) (bool, error) {
+	return c.withResilience(ctx, func(ctx context.Context) (bool, error) {
 		delivered := false
 		err := c.jobsOnce(ctx, payload, func(ev nanoxbar.Event) {
 			delivered = true

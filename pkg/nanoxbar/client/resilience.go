@@ -1,7 +1,7 @@
 // Client-side resilience: opt-in retries with exponential backoff and a
-// per-endpoint circuit breaker. Off by default — the base client fails
-// fast exactly as before — and deterministic under test: the clock is
-// injectable.
+// circuit breaker on POST /v2/jobs, the client's one endpoint. Off by
+// default — the base client fails fast exactly as before — and
+// deterministic under test: the clock is injectable.
 package client
 
 import (
@@ -10,7 +10,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"nanoxbar/internal/resilience"
@@ -19,10 +18,10 @@ import (
 
 // ResilienceConfig tunes WithResilience. The zero value gets the
 // resilience package defaults: 3 attempts, 50ms base backoff doubling
-// to 2s. Every endpoint has a circuit breaker that opens after 5
-// consecutive unavailable-class failures (server unreachable, 503) and
-// probes again after a 1s cooldown; an overloaded server shedding load
-// is alive and does not trip it.
+// to 2s. The circuit breaker opens after 5 consecutive
+// unavailable-class failures (server unreachable, 503) and probes again
+// after a 1s cooldown; an overloaded server shedding load is alive and
+// does not trip it.
 type ResilienceConfig struct {
 	// Retry shapes the backoff schedule for retryable failures
 	// (overloaded and unavailable-class errors on idempotent calls).
@@ -39,9 +38,9 @@ func WithResilience(cfg ResilienceConfig) Option {
 			clock = resilience.Wall()
 		}
 		c.res = &resilienceState{
-			clock:    clock,
-			retrier:  resilience.NewRetrier(cfg.Retry, clock),
-			breakers: make(map[string]*resilience.Breaker),
+			clock:   clock,
+			retrier: resilience.NewRetrier(cfg.Retry, clock),
+			breaker: resilience.NewBreaker(clock),
 		}
 	}
 }
@@ -49,8 +48,8 @@ func WithResilience(cfg ResilienceConfig) Option {
 // ResilienceStats snapshots the client's retry and breaker counters —
 // the numbers `xbarload -chaos` prints after its soak.
 type ResilienceStats struct {
-	Retry    resilience.RetryStats
-	Breakers map[string]resilience.BreakerStats // by endpoint path
+	Retry   resilience.RetryStats
+	Breaker resilience.BreakerStats
 }
 
 // ResilienceStats reports the client's resilience counters; ok is false
@@ -59,35 +58,14 @@ func (c *Client) ResilienceStats() (ResilienceStats, bool) {
 	if c.res == nil {
 		return ResilienceStats{}, false
 	}
-	st := ResilienceStats{Retry: c.res.retrier.Stats(), Breakers: map[string]resilience.BreakerStats{}}
-	c.res.mu.Lock()
-	for path, b := range c.res.breakers {
-		st.Breakers[path] = b.Stats()
-	}
-	c.res.mu.Unlock()
-	return st, true
+	return ResilienceStats{Retry: c.res.retrier.Stats(), Breaker: c.res.breaker.Stats()}, true
 }
 
 // resilienceState is the per-client retry/breaker machinery.
 type resilienceState struct {
 	clock   resilience.Clock
 	retrier *resilience.Retrier
-
-	mu       sync.Mutex
-	breakers map[string]*resilience.Breaker
-}
-
-// breaker returns the endpoint's circuit, creating it closed on first
-// use.
-func (rs *resilienceState) breaker(path string) *resilience.Breaker {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	b := rs.breakers[path]
-	if b == nil {
-		b = resilience.NewBreaker(rs.clock)
-		rs.breakers[path] = b
-	}
-	return b
+	breaker *resilience.Breaker
 }
 
 // retryable reports whether a failure class is worth retrying: the
@@ -112,21 +90,20 @@ func breakerFailure(err error) bool {
 // the attempt observably delivered data to the caller (events handed to
 // a stream handler), which makes the call non-replayable — a failure
 // after commitment aborts instead of retrying.
-func (c *Client) withResilience(ctx context.Context, path string, op func(ctx context.Context) (committed bool, err error)) error {
+func (c *Client) withResilience(ctx context.Context, op func(ctx context.Context) (committed bool, err error)) error {
 	if c.res == nil {
 		_, err := op(ctx)
 		return err
 	}
-	br := c.res.breaker(path)
 	return c.res.retrier.Do(ctx, func(ctx context.Context, _ int) error {
-		if err := br.Allow(); err != nil {
+		if err := c.res.breaker.Allow(); err != nil {
 			// Open circuit: fail fast and typed; retrying inside this
 			// Do would just burn the backoff against a fenced endpoint.
 			return resilience.Abort(nanoxbar.ErrorFromCode(nanoxbar.CodeUnavailable,
-				"client: circuit open for "+path))
+				"client: circuit open for /v2/jobs"))
 		}
 		committed, err := op(ctx)
-		br.Report(err == nil || !breakerFailure(err))
+		c.res.breaker.Report(err == nil || !breakerFailure(err))
 		if err == nil {
 			return nil
 		}
@@ -138,10 +115,10 @@ func (c *Client) withResilience(ctx context.Context, path string, op func(ctx co
 }
 
 // setDeadlineHeader forwards the context's remaining budget as
-// X-Deadline-Ms so the server can shed or degrade work the client will
-// not wait for anyway. The budget rounds up, so the server's deadline
-// never falls before the client's: a request the server cancels in its
-// queue is one the client has already given up on.
+// X-Deadline-Ms, which the server uses as the deadline of the request's
+// context. The budget rounds up, so the server's deadline never falls
+// before the client's: a request the server cancels in its queue is one
+// the client has already given up on.
 func setDeadlineHeader(req *http.Request) {
 	if d, ok := req.Context().Deadline(); ok {
 		ms := (time.Until(d) + time.Millisecond - 1).Milliseconds()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -156,7 +157,7 @@ func TestClientBreakerOpensThenRecovers(t *testing.T) {
 		t.Fatalf("probe after cooldown: %v", err)
 	}
 	st, _ := cl.ResilienceStats()
-	br := st.Breakers["/v2/jobs"]
+	br := st.Breaker
 	if br.State != resilience.BreakerClosed || br.Opens != 1 || br.Closes != 1 || br.Rejections != 2 {
 		t.Fatalf("breaker stats = %+v", br)
 	}
@@ -200,21 +201,45 @@ func TestClientNoRetryAfterEventsDelivered(t *testing.T) {
 	}
 }
 
-func TestClientStatsRetries(t *testing.T) {
-	front := &flakyFront{failFor: 2}
-	cl, _ := resilientClient(t, front, client.ResilienceConfig{
-		Retry: resilience.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-	})
-	st, err := cl.Stats(context.Background())
-	if err != nil {
-		t.Fatalf("Stats after transient 503s: %v", err)
+// TestClientBreakerOpensUnderChaos: behind a transport that drops
+// every connection, one call of six attempts opens the circuit on its
+// fifth failure and ends typed on the open circuit, and after the
+// cooldown the half-open probe is dropped and re-opens it. The soak's
+// chaos mix never gets here: its 5xx bursts are 1–3 responses long and
+// a success between them resets the count.
+func TestClientBreakerOpensUnderChaos(t *testing.T) {
+	chaos := resilience.NewChaosTransport(stubTransport{status: http.StatusOK},
+		resilience.ChaosConfig{Seed: 1, DropRate: 1})
+	fc := resilience.NewFake(time.Unix(0, 0))
+	cl := client.New("http://xbar.invalid",
+		client.WithHTTPClient(&http.Client{Transport: chaos}),
+		client.WithResilience(client.ResilienceConfig{
+			Retry: resilience.RetryPolicy{MaxAttempts: 6},
+			Clock: fc,
+		}))
+	t.Cleanup(func() { cl.Close() })
+	ctx := context.Background()
+
+	// check makes one call, which must end on the open circuit, then
+	// reads the transport's and the breaker's counts.
+	check := func(step string, requests uint64, want resilience.BreakerStats) {
+		t.Helper()
+		_, err := cl.Synthesize(ctx, nanoxbar.TT("2:0x6"))
+		if !errors.Is(err, nanoxbar.ErrUnavailable) || !strings.Contains(err.Error(), "circuit open") {
+			t.Fatalf("%s: err = %v, want ErrUnavailable from the open circuit", step, err)
+		}
+		if cs := chaos.Stats(); cs.Requests != requests || cs.Drops != requests {
+			t.Fatalf("%s: transport saw %d requests, %d dropped, want %d of each", step, cs.Requests, cs.Drops, requests)
+		}
+		if st, _ := cl.ResilienceStats(); st.Breaker != want {
+			t.Fatalf("%s: breaker stats = %+v, want %+v", step, st.Breaker, want)
+		}
 	}
-	if st.Workers != 2 {
-		t.Fatalf("stats workers = %d, want 2", st.Workers)
-	}
-	if got := front.calls.Load(); got != 3 {
-		t.Fatalf("server saw %d requests, want 3", got)
-	}
+	// Backoff sleeps of 50, 100, 200 and 400 ms separate the five
+	// drops; the 800 ms sleep after the fifth ends inside the cooldown.
+	check("first call", 5, resilience.BreakerStats{State: resilience.BreakerOpen, Opens: 1, Rejections: 1})
+	fc.Advance(time.Second)
+	check("after the cooldown", 6, resilience.BreakerStats{State: resilience.BreakerOpen, Opens: 2, HalfOpens: 1, Rejections: 2})
 }
 
 func TestClientWithoutResilienceUnchanged(t *testing.T) {
