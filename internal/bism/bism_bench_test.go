@@ -13,10 +13,8 @@ import (
 func benchChip(b *testing.B) (*Chip, *App) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
-	p := defect.UniformCrosspoint(0.05)
-	p.PRowBreak, p.PColBreak = 0.02, 0.02
-	p.PRowBridge, p.PColBridge = 0.01, 0.01
-	d := defect.Random(64, 64, p, rng)
+	d := defect.Random(64, 64, defect.UniformCrosspoint(0.05), rng)
+	addWireFaults(d, rng, 0.02, 0.02, 0.01, 0.01)
 	app := RandomApp(16, 16, 0.5, rng)
 	return NewChip(d), app
 }

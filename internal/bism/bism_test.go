@@ -125,6 +125,18 @@ func TestBridgesBlockAdjacency(t *testing.T) {
 	}
 }
 
+// addWireFaults breaks each row and each column of m, and bridges each
+// adjacent pair of rows and of columns, independently with the given
+// probabilities, drawing from rng after the die's crosspoints. Random
+// dies carry crosspoint defects only, so the tests of the wire-fault
+// rules add these to a uniform draw.
+func addWireFaults(m *defect.Map, rng *rand.Rand, rowBreak, colBreak, rowBridge, colBridge float64) {
+	defect.VisitBernoulli(rng, rowBreak, m.R, func(i int) { m.SetRowBroken(i, true) })
+	defect.VisitBernoulli(rng, colBreak, m.C, func(i int) { m.SetColBroken(i, true) })
+	defect.VisitBernoulli(rng, rowBridge, m.R-1, func(i int) { m.SetRowBridge(i, true) })
+	defect.VisitBernoulli(rng, colBridge, m.C-1, func(i int) { m.SetColBridge(i, true) })
+}
+
 // TestCheckMatchesScalarReference is the mask-equivalence property
 // test: the word-plane BIST/BISD session must agree with the retained
 // per-crosspoint reference — pass/fail verdict and the exact diagnosed
@@ -134,15 +146,10 @@ func TestCheckMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 400; trial++ {
 		n := 2 + rng.Intn(80) // crosses the 64-line word boundary
-		p := defect.Params{
-			PStuckOpen:   rng.Float64() * 0.1,
-			PStuckClosed: rng.Float64() * 0.1,
-			PRowBreak:    rng.Float64() * 0.1,
-			PColBreak:    rng.Float64() * 0.1,
-			PRowBridge:   rng.Float64() * 0.1,
-			PColBridge:   rng.Float64() * 0.1,
-		}
+		p := defect.Params{PStuckOpen: rng.Float64() * 0.1, PStuckClosed: rng.Float64() * 0.1}
+		rowBreak, colBreak, rowBridge, colBridge := rng.Float64()*0.1, rng.Float64()*0.1, rng.Float64()*0.1, rng.Float64()*0.1
 		d := defect.Random(n, n, p, rng)
+		addWireFaults(d, rng, rowBreak, colBreak, rowBridge, colBridge)
 		ch := NewChip(d)
 		appDim := 1 + rng.Intn(n)
 		app := RandomApp(appDim, appDim, rng.Float64(), rng)
@@ -326,12 +333,11 @@ func TestOneBISTPerConfiguration(t *testing.T) {
 	}
 	for trial := 0; trial < 300; trial++ {
 		n := 6 + rng.Intn(40)
-		p := defect.Params{
-			PStuckOpen: rng.Float64() * 0.2, PStuckClosed: rng.Float64() * 0.05,
-			PRowBreak: rng.Float64() * 0.05, PColBreak: rng.Float64() * 0.05,
-			PRowBridge: rng.Float64() * 0.05, PColBridge: rng.Float64() * 0.05,
-		}
-		ch := NewChip(defect.Random(n, n, p, rng))
+		p := defect.Params{PStuckOpen: rng.Float64() * 0.2, PStuckClosed: rng.Float64() * 0.05}
+		rowBreak, colBreak, rowBridge, colBridge := rng.Float64()*0.05, rng.Float64()*0.05, rng.Float64()*0.05, rng.Float64()*0.05
+		d := defect.Random(n, n, p, rng)
+		addWireFaults(d, rng, rowBreak, colBreak, rowBridge, colBridge)
+		ch := NewChip(d)
 		app := RandomApp(1+rng.Intn(n/2), 1+rng.Intn(n/2), 0.5, rng)
 		for _, m := range []Mapper{Blind{}, Greedy{}, Hybrid{}, Hybrid{BlindBudget: 1}} {
 			budget := 1 + rng.Intn(30)
@@ -384,8 +390,7 @@ func requireLiveMasks(t *testing.T, step string, app *App, m *Mapping, scr *scra
 // every replaceBad they must describe the working mapping exactly.
 func TestLiveMasksTrackMapping(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	p := defect.Params{PStuckOpen: 0.06, PStuckClosed: 0.03, PRowBreak: 0.02, PColBreak: 0.02,
-		PRowBridge: 0.02, PColBridge: 0.02}
+	p := defect.Params{PStuckOpen: 0.06, PStuckClosed: 0.03}
 	schemes := []struct {
 		name  string
 		blind int // configurations drawn at random before repairing
@@ -393,7 +398,9 @@ func TestLiveMasksTrackMapping(t *testing.T) {
 	moves := 0
 	for _, n := range []int{16, 63, 70, 130} {
 		for trial := 0; trial < 25; trial++ {
-			ch := NewChip(defect.Random(n, n, p, rng))
+			d := defect.Random(n, n, p, rng)
+			addWireFaults(d, rng, 0.02, 0.02, 0.02, 0.02)
+			ch := NewChip(d)
 			app := RandomApp(1+rng.Intn(n*3/4), 1+rng.Intn(n*3/4), 0.5, rng)
 			for _, sc := range schemes {
 				scr := getScratch(n, app.R)

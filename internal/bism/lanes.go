@@ -18,6 +18,9 @@ import (
 // selection mask, this intersects one site's die-major lane word — the
 // per-row kernel used&open | (sel&^used)&closed evaluated across all
 // lanes at once, one OR per crosspoint of the application footprint.
+// Random dies carry crosspoint defects only (defect.LanePlanes holds no
+// wire plane), so the footprint's crosspoints are the whole check; the
+// scalar check keeps the wire-fault rules for maps that have them.
 // Violations are accumulated, not diagnosed: the lane path only needs
 // pass/fail per die, and failing dies are demoted to the scalar mapper
 // which re-derives the full BISD diagnosis from the die's own map.
@@ -31,34 +34,11 @@ func CheckLanes(app *App, lp *defect.LanePlanes, rowOff, colOff int, pending uin
 		panic(fmt.Sprintf("bism: %d×%d candidate at (%d,%d) outside %d×%d lane planes",
 			app.R, app.C, rowOff, colOff, lp.R, lp.C))
 	}
-	rowBroken, colBroken := lp.RowBrokenWords(), lp.ColBrokenWords()
-	rowBridge, colBridge := lp.RowBridgeWords(), lp.ColBridgeWords()
-
-	// Wire faults first — one word per line, the cheap planes.
-	failed := uint64(0)
-	for i := 0; i < app.R; i++ {
-		failed |= rowBroken[rowOff+i]
-	}
-	for j := 0; j < app.C; j++ {
-		failed |= colBroken[colOff+j]
-	}
-	// Bridges between adjacent selected lines: the candidate selects
-	// contiguous line blocks, so exactly the interior pairs are both
-	// selected.
-	for i := 0; i+1 < app.R; i++ {
-		failed |= rowBridge[rowOff+i]
-	}
-	for j := 0; j+1 < app.C; j++ {
-		failed |= colBridge[colOff+j]
-	}
-	if failed&pending == pending {
-		return failed
-	}
-
 	// Crosspoints of the candidate footprint: a used switch fails lanes
 	// whose site is stuck open, an unused intersection of selected
 	// lines fails lanes whose site is stuck closed.
 	open, clsd := lp.OpenWords(), lp.ClosedWords()
+	failed := uint64(0)
 	for i := 0; i < app.R; i++ {
 		base := (rowOff+i)*lp.C + colOff
 		for j, u := range app.Used[i] {

@@ -22,7 +22,7 @@ func blockMapping(app *App, rowOff, colOff int) *Mapping {
 
 // TestCheckLanesMatchesScalarCheck pins the lane-word BIST session
 // against the retained scalar check, lane by lane, across chip sizes
-// that cross the 64-line word boundary of the scalar wire bitsets and
+// that cross the 64-column word boundary of the scalar planes and
 // across candidate offsets including the chip edges. Each lane draws
 // from a source of its own, so defect.RandomInto on the same seed
 // rebuilds it as a scalar map (DrawLane and RandomInto consume a source
@@ -31,8 +31,6 @@ func TestCheckLanesMatchesScalarCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	params := []defect.Params{
 		defect.UniformCrosspoint(0.05),
-		{PStuckOpen: 0.02, PStuckClosed: 0.02, PRowBreak: 0.04, PColBreak: 0.04,
-			PRowBridge: 0.04, PColBridge: 0.04},
 		{},
 		defect.UniformCrosspoint(1.0),
 	}

@@ -168,9 +168,9 @@ func anyValidMapping(ch *Chip, app *App) bool {
 // columns, with every defect kind at a rate around density.
 func oracleDie(rng *rand.Rand, density float64) (*Chip, *App) {
 	n := 4 + rng.Intn(5)
-	p := defect.Params{PStuckOpen: density * 0.8, PStuckClosed: density * 0.2,
-		PRowBreak: density / 4, PColBreak: density / 4, PRowBridge: density / 4, PColBridge: density / 4}
-	return NewChip(defect.Random(n, n, p, rng)), RandomApp(2+rng.Intn(3), 2+rng.Intn(3), 0.5, rng)
+	d := defect.Random(n, n, defect.UniformCrosspoint(density), rng)
+	addWireFaults(d, rng, density/4, density/4, density/4, density/4)
+	return NewChip(d), RandomApp(2+rng.Intn(3), 2+rng.Intn(3), 0.5, rng)
 }
 
 // TestExactOracleIsExact pins the pruned oracle to exhaustive
@@ -182,9 +182,9 @@ func TestExactOracleIsExact(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		n := 3 + rng.Intn(3)
 		density := []float64{0.2, 0.4, 0.6}[trial%3]
-		p := defect.Params{PStuckOpen: density * 0.8, PStuckClosed: density * 0.2,
-			PRowBreak: density / 4, PColBreak: density / 4, PRowBridge: density / 4, PColBridge: density / 4}
-		ch := NewChip(defect.Random(n, n, p, rng))
+		d := defect.Random(n, n, defect.UniformCrosspoint(density), rng)
+		addWireFaults(d, rng, density/4, density/4, density/4, density/4)
+		ch := NewChip(d)
 		app := RandomApp(2+rng.Intn(2), 2+rng.Intn(2), 0.5, rng)
 		w := exactMapping(ch, app)
 		if w != nil && !Validate(ch, app, w) {

@@ -1,9 +1,10 @@
 // Package defect models fabrication defects of reconfigurable
 // nano-crossbar arrays: crosspoints stuck open or stuck closed, broken
-// row/column nanowires, and bridges between adjacent wires. Defect maps
-// are generated from seeded random distributions — uniform Bernoulli or
-// clustered — standing in for the post-fabrication test data the paper's
-// flows consume (the repo has no physical chips; see DESIGN.md).
+// row/column nanowires, and bridges between adjacent wires. Random
+// maps are seeded draws from the paper's defect model, independent
+// uniform crosspoint defects, standing in for the post-fabrication test
+// data the paper's flows consume (the repo has no physical chips; see
+// DESIGN.md); wire faults reach a map only through its setters.
 //
 // The map is stored as bitset word planes: one []uint64 plane per
 // crosspoint defect kind (row-major, WordsPerRow words per row) plus one
@@ -248,24 +249,13 @@ func (m *Map) String() string {
 	return sb.String()
 }
 
-// Params control random defect generation. All probabilities are per
-// resource (crosspoint or wire). When Clustered is set, defects
-// additionally concentrate around ClusterCount random centers within
-// ClusterRadius, multiplying the local crosspoint probability by
-// ClusterBoost (capped at 1) — modeling the spatially correlated defect
-// distributions the hybrid BISM targets.
+// Params control random defect generation: the per-crosspoint
+// probabilities of a stuck-open and of a stuck-closed fault, drawn
+// independently and uniformly over the die. Random dies carry no wire
+// faults; a caller that has them sets them on the Map.
 type Params struct {
 	PStuckOpen   float64
 	PStuckClosed float64
-	PRowBreak    float64
-	PColBreak    float64
-	PRowBridge   float64
-	PColBridge   float64
-
-	Clustered     bool
-	ClusterCount  int
-	ClusterRadius int
-	ClusterBoost  float64
 }
 
 // UniformCrosspoint returns parameters with only crosspoint defects:
@@ -366,111 +356,38 @@ func Random(r, c int, p Params, rng *rand.Rand) *Map {
 	return m
 }
 
-// clusterPt is one cluster center of a clustered draw.
-type clusterPt struct{ r, c int }
-
-// appendClusters draws the cluster-center geometry into dst[:0] — the
-// shared RNG prefix of every die draw, scalar map (RandomInto) and lane
-// plane (LanePlanes.BeginLane) alike. Empty when the parameters are
-// unclustered.
-func appendClusters(dst []clusterPt, r, c int, p Params, rng *rand.Rand) []clusterPt {
-	dst = dst[:0]
-	if !p.Clustered || p.ClusterCount <= 0 {
-		return dst
-	}
-	if cap(dst) < p.ClusterCount {
-		dst = make([]clusterPt, 0, p.ClusterCount)
-	}
-	for i := 0; i < p.ClusterCount; i++ {
-		dst = append(dst, clusterPt{rng.Intn(r), rng.Intn(c)})
-	}
-	return dst
-}
-
-// boostAt returns the local probability multiplier of site (ri,ci):
-// ClusterBoost within ClusterRadius (Manhattan) of any center, 1
-// elsewhere.
-func boostAt(centers []clusterPt, p Params, ri, ci int) float64 {
-	for _, ct := range centers {
-		dr, dc := ri-ct.r, ci-ct.c
-		if dr < 0 {
-			dr = -dr
-		}
-		if dc < 0 {
-			dc = -dc
-		}
-		if dr+dc <= p.ClusterRadius {
-			return p.ClusterBoost
-		}
-	}
-	return 1
-}
-
-// envelopeP is the largest per-site total defect probability anywhere
-// on the die — the skip sampler's envelope. Sites under the envelope
-// are visited sparsely; each visit is thinned to the site's own
-// (possibly boosted) stuck-open/stuck-closed split, preserving the
-// scalar reference's marginals P(open)=min(pO·b,1),
-// P(closed)=min(pO·b+pC·b,1)-min(pO·b,1).
+// envelopeP is the per-site total defect probability, capped at 1 —
+// the skip sampler's rate. Each visited site is split into stuck open
+// or stuck closed by one uniform draw, preserving the scalar
+// reference's marginals P(open)=min(pO,1), P(closed)=min(pO+pC,1)-min(pO,1).
 func envelopeP(p Params) float64 {
-	boostMax := 1.0
-	if p.Clustered && p.ClusterCount > 0 && p.ClusterBoost > 1 {
-		boostMax = p.ClusterBoost
-	}
-	pEnv := minF(p.PStuckOpen*boostMax, 1) + minF(p.PStuckClosed*boostMax, 1)
-	if pEnv > 1 {
-		pEnv = 1
-	}
-	return pEnv
-}
-
-// wireFaults reports whether p can break or bridge a wire. Wire planes
-// come after every crosspoint in a die's stream, and every check reads
-// them, so a lane with wire faults is drawn whole on first extension.
-func (p *Params) wireFaults() bool {
-	return p.PRowBreak > 0 || p.PColBreak > 0 || p.PRowBridge > 0 || p.PColBridge > 0
+	return minF(minF(p.PStuckOpen, 1)+minF(p.PStuckClosed, 1), 1)
 }
 
 // RandomInto redraws m in place from p — Random without the allocation,
 // for per-worker die scratch. The crosspoint planes are filled by skip
-// sampling over the R·C sites: defects arrive at geometric gaps under an
-// envelope probability, and (for clustered maps) each arrival is thinned
-// to the local site probability, so a 64×64 die at 1% density costs ~40
-// random draws instead of 4096. The draw stream differs from one
-// uniform draw per site (the scalar reference the property tests hold
-// it to) — distributions match, exact maps for a given seed do not. It
-// is, however, identical draw for draw with LanePlanes.DrawLane: the
-// same seed yields the same die through either path, which is the
-// contract the lane yield engine's demotion path rests on.
+// sampling over the R·C sites: defects arrive at geometric gaps under
+// the total probability, and each arrival is split into stuck open or
+// stuck closed, so a 64×64 die at 1% density costs ~40 random draws
+// instead of 4096. The draw stream differs from one uniform draw per
+// site (the scalar reference the property tests hold it to) —
+// distributions match, exact maps for a given seed do not. It is,
+// however, identical draw for draw with LanePlanes.DrawLane: the same
+// seed yields the same die through either path, which is the contract
+// the lane yield engine's demotion path rests on.
 func RandomInto(m *Map, p Params, rng *rand.Rand) {
 	m.Reset()
-	r, c := m.R, m.C
-	centers := appendClusters(nil, r, c, p, rng)
-	pEnv := envelopeP(p)
-	VisitBernoulli(rng, pEnv, r*c, func(i int) {
-		ri, ci := i/c, i%c
-		b := 1.0
-		if len(centers) > 0 {
-			b = boostAt(centers, p, ri, ci)
-		}
-		po := minF(p.PStuckOpen*b, 1)
-		pc := minF(p.PStuckClosed*b, 1)
+	c := m.C
+	po, pc, pEnv := minF(p.PStuckOpen, 1), minF(p.PStuckClosed, 1), envelopeP(p)
+	VisitBernoulli(rng, pEnv, m.R*c, func(i int) {
 		u := rng.Float64() * pEnv
 		switch {
 		case u < po:
-			m.Set(ri, ci, StuckOpen)
+			m.Set(i/c, i%c, StuckOpen)
 		case u < minF(po+pc, 1):
-			m.Set(ri, ci, StuckClosed)
+			m.Set(i/c, i%c, StuckClosed)
 		}
 	})
-
-	if !p.wireFaults() {
-		return
-	}
-	VisitBernoulli(rng, p.PRowBreak, r, func(i int) { setBit(m.rowBroken, i, true) })
-	VisitBernoulli(rng, p.PColBreak, c, func(i int) { setBit(m.colBroken, i, true) })
-	VisitBernoulli(rng, p.PRowBridge, r-1, func(i int) { setBit(m.rowBridge, i, true) })
-	VisitBernoulli(rng, p.PColBridge, c-1, func(i int) { setBit(m.colBridge, i, true) })
 }
 
 func minF(a, b float64) float64 {

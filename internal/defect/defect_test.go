@@ -214,8 +214,7 @@ func TestRandomDensity(t *testing.T) {
 
 // TestSparseMatchesScalarStatistically pins the sparse sampler against
 // the retained scalar reference: over many seeded dies, mean crosspoint
-// and wire defect counts must agree within Monte Carlo tolerance, for
-// both uniform and clustered parameters.
+// defect counts must agree within Monte Carlo tolerance.
 func TestSparseMatchesScalarStatistically(t *testing.T) {
 	cases := []struct {
 		name string
@@ -223,15 +222,6 @@ func TestSparseMatchesScalarStatistically(t *testing.T) {
 	}{
 		{"uniform2%", UniformCrosspoint(0.02)},
 		{"uniform20%", UniformCrosspoint(0.20)},
-		{"wires", Params{PStuckOpen: 0.01, PRowBreak: 0.05, PColBreak: 0.05, PRowBridge: 0.03, PColBridge: 0.03}},
-		{"clustered", func() Params {
-			p := UniformCrosspoint(0.01)
-			p.Clustered = true
-			p.ClusterCount = 3
-			p.ClusterRadius = 5
-			p.ClusterBoost = 20
-			return p
-		}()},
 	}
 	const n, trials = 48, 60
 	for _, tc := range cases {
@@ -239,46 +229,15 @@ func TestSparseMatchesScalarStatistically(t *testing.T) {
 			rngA := rand.New(rand.NewSource(9))
 			rngB := rand.New(rand.NewSource(10009))
 			sparsePts, scalarPts := 0, 0
-			sparseWires, scalarWires := 0, 0
-			countWires := func(m *Map) int {
-				w := 0
-				for r := 0; r < n; r++ {
-					if m.RowBroken(r) {
-						w++
-					}
-					if r < n-1 && m.RowBridge(r) {
-						w++
-					}
-				}
-				for c := 0; c < n; c++ {
-					if m.ColBroken(c) {
-						w++
-					}
-					if c < n-1 && m.ColBridge(c) {
-						w++
-					}
-				}
-				return w
-			}
 			for i := 0; i < trials; i++ {
-				a := Random(n, n, tc.p, rngA)
-				b := RandomScalar(n, n, tc.p, rngB)
-				sparsePts += a.CountCrosspointDefects()
-				scalarPts += b.CountCrosspointDefects()
-				sparseWires += countWires(a)
-				scalarWires += countWires(b)
+				sparsePts += Random(n, n, tc.p, rngA).CountCrosspointDefects()
+				scalarPts += RandomScalar(n, n, tc.p, rngB).CountCrosspointDefects()
 			}
 			// Counts are sums of thousands of Bernoulli draws; a 25%
 			// relative band is > 5 sigma for every case above.
-			near := func(got, want int) bool {
-				g, w := float64(got), float64(want)
-				return math.Abs(g-w) <= 0.25*math.Max(w, 40)
-			}
-			if !near(sparsePts, scalarPts) {
+			g, w := float64(sparsePts), float64(scalarPts)
+			if math.Abs(g-w) > 0.25*math.Max(w, 40) {
 				t.Fatalf("crosspoint defects diverge: sparse %d vs scalar %d", sparsePts, scalarPts)
-			}
-			if !near(sparseWires, scalarWires) {
-				t.Fatalf("wire defects diverge: sparse %d vs scalar %d", sparseWires, scalarWires)
 			}
 		})
 	}
@@ -385,41 +344,6 @@ func TestRandomIntoReusesMap(t *testing.T) {
 	RandomInto(m, UniformCrosspoint(0.1), rand.New(rand.NewSource(3)))
 	if a.String() != m.String() {
 		t.Fatal("RandomInto diverges from Random at equal seed")
-	}
-}
-
-func TestClusteredConcentration(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	p := UniformCrosspoint(0.01)
-	p.Clustered = true
-	p.ClusterCount = 2
-	p.ClusterRadius = 4
-	p.ClusterBoost = 30
-	n := 48
-	trials := 20
-	clustered, uniform := 0, 0
-	for i := 0; i < trials; i++ {
-		clustered += Random(n, n, p, rng).CountCrosspointDefects()
-		uniform += Random(n, n, UniformCrosspoint(0.01), rng).CountCrosspointDefects()
-	}
-	if clustered <= uniform {
-		t.Fatalf("clustering should add local defects: %d vs %d", clustered, uniform)
-	}
-}
-
-func TestLineDefects(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	p := Params{PRowBreak: 1, PColBridge: 1}
-	m := Random(4, 4, p, rng)
-	for r := 0; r < 4; r++ {
-		if !m.RowBroken(r) {
-			t.Fatal("row break probability 1 must break all rows")
-		}
-	}
-	for c := 0; c+1 < 4; c++ {
-		if !m.ColBridge(c) {
-			t.Fatal("col bridge probability 1 must bridge all columns")
-		}
 	}
 }
 

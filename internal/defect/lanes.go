@@ -5,22 +5,17 @@ import (
 	"math/rand"
 )
 
-// LanePlanes holds the defect state of up to 64 same-shape dies in
-// lane-word form: one uint64 per crosspoint site and per wire, with bit
-// L belonging to die (lane) L. Where Map is site-bit/die-instance
+// LanePlanes holds the crosspoint defects of up to 64 same-shape
+// random dies in lane-word form: one uint64 per crosspoint site, with
+// bit L belonging to die (lane) L. Where Map is site-bit/die-instance
 // (words run along a row of one die), LanePlanes is the transpose —
 // die-bit/site-instance — which is what lets the lane yield engine ask
 // "which of these 64 dies fail this candidate mapping?" as a handful of
-// word ORs instead of 64 separate map walks.
+// word ORs instead of 64 separate map walks. A random die has no wire
+// faults, so the group holds none.
 //
-// Layout:
-//
-//   - open/clsd: R·C words, site-major — word r*C+c, bit L set iff die
-//     L's crosspoint (r,c) is stuck open / stuck closed.
-//   - rowBroken/colBroken: one word per line — word r bit L set iff die
-//     L's row wire r is broken.
-//   - rowBridge/colBridge: one word per adjacent line pair — word r bit
-//     L set iff die L bridges rows r and r+1 (max(R-1,0) words).
+// Layout: open/clsd are R·C words, site-major — word r*C+c, bit L set
+// iff die L's crosspoint (r,c) is stuck open / stuck closed.
 //
 // A group is filled by Reset followed by one DrawLane per die, or by
 // one BeginLane per die and ExtendLane calls that draw each die only as
@@ -31,11 +26,6 @@ type LanePlanes struct {
 	R, C int
 	open []uint64
 	clsd []uint64
-
-	rowBroken []uint64
-	colBroken []uint64
-	rowBridge []uint64
-	colBridge []uint64
 }
 
 // NewLanePlanes returns an all-healthy 64-die group of R×C planes.
@@ -43,12 +33,7 @@ func NewLanePlanes(r, c int) *LanePlanes {
 	if r < 1 || c < 1 {
 		panic(fmt.Sprintf("defect: invalid lane shape %d×%d", r, c))
 	}
-	return &LanePlanes{
-		R: r, C: c,
-		open: make([]uint64, r*c), clsd: make([]uint64, r*c),
-		rowBroken: make([]uint64, r), colBroken: make([]uint64, c),
-		rowBridge: make([]uint64, maxI(r-1, 0)), colBridge: make([]uint64, maxI(c-1, 0)),
-	}
+	return &LanePlanes{R: r, C: c, open: make([]uint64, r*c), clsd: make([]uint64, r*c)}
 }
 
 // Reset clears every lane of every plane, making the group reusable
@@ -56,10 +41,6 @@ func NewLanePlanes(r, c int) *LanePlanes {
 func (lp *LanePlanes) Reset() {
 	clearWords(lp.open)
 	clearWords(lp.clsd)
-	clearWords(lp.rowBroken)
-	clearWords(lp.colBroken)
-	clearWords(lp.rowBridge)
-	clearWords(lp.colBridge)
 }
 
 // DrawLane draws die `lane` into the group from p, using exactly the
@@ -73,65 +54,47 @@ func (lp *LanePlanes) Reset() {
 // followed by ExtendLane through the last row.
 func (lp *LanePlanes) DrawLane(lane int, p Params, rng *rand.Rand) {
 	var cur LaneCursor
-	lp.BeginLane(lane, &cur, p, rng)
+	lp.BeginLane(&cur, p, rng)
 	lp.ExtendLane(lane, &cur, p, rng, lp.R)
 }
 
 // LaneCursor is one lane's place in its die's defect stream, between
 // BeginLane and the ExtendLane that finishes the die: the crosspoint
-// sampler, the next site it visits (R·C once the die is final) and the
-// die's cluster centres. With the RNG state the caller saved after its
-// last call on the lane, it is all a resumed draw needs. A cursor is
-// reusable across dies; BeginLane overwrites it.
+// sampler and the next site it visits (R·C once the die is final).
+// With the RNG state the caller saved after its last call on the lane,
+// it is all a resumed draw needs. A cursor is reusable across dies;
+// BeginLane overwrites it.
 type LaneCursor struct {
-	sites   skipSampler
-	next    int
-	centers []clusterPt
+	sites skipSampler
+	next  int
 }
 
-// BeginLane starts a resumable draw of die `lane` from p: it draws the
-// cluster prefix and the first geometric gap, the head of the stream
-// DrawLane consumes. The lane must be clear. A die whose first gap
-// passes every crosspoint is finished here, wire planes included.
-func (lp *LanePlanes) BeginLane(lane int, cur *LaneCursor, p Params, rng *rand.Rand) {
-	bit := laneBit(lane)
-	cur.centers = appendClusters(cur.centers, lp.R, lp.C, p, rng)
-	n := lp.R * lp.C
+// BeginLane starts a resumable draw of a die from p into cur: it draws
+// the first geometric gap, the head of the stream DrawLane consumes.
+// The ExtendLane calls that continue it name the die's lane, which
+// must be clear.
+func (lp *LanePlanes) BeginLane(cur *LaneCursor, p Params, rng *rand.Rand) {
 	cur.sites = newSkipSampler(envelopeP(p))
-	cur.next = cur.sites.first(rng, n)
-	if cur.next == n {
-		lp.drawWires(bit, p, rng)
-	}
+	cur.next = cur.sites.first(rng, lp.R*lp.C)
 }
 
 // ExtendLane continues, with the same p, the draw BeginLane started on
-// `lane`, through row `rows`: afterwards every plane a footprint check inside rows
-// [0, rows) reads holds its final bits. rng must resume where the
-// lane's previous call left its source. Crosspoints come in site-major
-// order, and the wire planes come after all R·C of them; every check
-// reads the wire planes, so when p has any wire-fault probability the
-// first extension draws the whole die. Extending through R (or through
-// fewer rows than before) is idempotent once the die is final, and a
-// die extended to R leaves rng exactly where DrawLane would.
+// `lane`, through row `rows`: afterwards every crosspoint in rows
+// [0, rows) holds its final bit. rng must resume where the lane's
+// previous call left its source. Crosspoints come in site-major order,
+// so extending through R finishes the die; extending through fewer
+// rows than before is idempotent, and a die extended to R leaves rng
+// exactly where DrawLane would.
 func (lp *LanePlanes) ExtendLane(lane int, cur *LaneCursor, p Params, rng *rand.Rand, rows int) {
 	bit := laneBit(lane)
 	n := lp.R * lp.C
-	limit := rows * lp.C
-	if rows >= lp.R || p.wireFaults() {
-		limit = n
-	}
+	limit := min(rows, lp.R) * lp.C
 	if cur.next >= limit {
 		return
 	}
-	pEnv := cur.sites.p
-	open, clsd, c, centers := lp.open, lp.clsd, lp.C, cur.centers
+	po, pc, pEnv := minF(p.PStuckOpen, 1), minF(p.PStuckClosed, 1), cur.sites.p
+	open, clsd := lp.open, lp.clsd
 	cur.next = cur.sites.walk(rng, cur.next, limit, n, func(i int) {
-		b := 1.0
-		if len(centers) > 0 {
-			b = boostAt(centers, p, i/c, i%c)
-		}
-		po := minF(p.PStuckOpen*b, 1)
-		pc := minF(p.PStuckClosed*b, 1)
 		u := rng.Float64() * pEnv
 		switch {
 		case u < po:
@@ -140,22 +103,6 @@ func (lp *LanePlanes) ExtendLane(lane int, cur *LaneCursor, p Params, rng *rand.
 			clsd[i] |= bit
 		}
 	})
-	if cur.next == n {
-		lp.drawWires(bit, p, rng)
-	}
-}
-
-// drawWires draws the wire planes of the lane `bit` — the tail of a
-// die's stream, empty when p has no wire faults.
-func (lp *LanePlanes) drawWires(bit uint64, p Params, rng *rand.Rand) {
-	if !p.wireFaults() {
-		return
-	}
-	r, c := lp.R, lp.C
-	VisitBernoulli(rng, p.PRowBreak, r, func(i int) { lp.rowBroken[i] |= bit })
-	VisitBernoulli(rng, p.PColBreak, c, func(i int) { lp.colBroken[i] |= bit })
-	VisitBernoulli(rng, p.PRowBridge, r-1, func(i int) { lp.rowBridge[i] |= bit })
-	VisitBernoulli(rng, p.PColBridge, c-1, func(i int) { lp.colBridge[i] |= bit })
 }
 
 // laneBit returns the lane word bit of `lane`, rejecting lanes outside
@@ -173,25 +120,3 @@ func (lp *LanePlanes) OpenWords() []uint64 { return lp.open }
 
 // ClosedWords returns the stuck-closed plane. Read-only.
 func (lp *LanePlanes) ClosedWords() []uint64 { return lp.clsd }
-
-// RowBrokenWords returns the broken-row plane, one lane word per row.
-// Read-only.
-func (lp *LanePlanes) RowBrokenWords() []uint64 { return lp.rowBroken }
-
-// ColBrokenWords returns the broken-column plane. Read-only.
-func (lp *LanePlanes) ColBrokenWords() []uint64 { return lp.colBroken }
-
-// RowBridgeWords returns the row-bridge plane, one lane word per
-// adjacent row pair (word r = bridge between rows r and r+1).
-// Read-only.
-func (lp *LanePlanes) RowBridgeWords() []uint64 { return lp.rowBridge }
-
-// ColBridgeWords returns the column-bridge plane. Read-only.
-func (lp *LanePlanes) ColBridgeWords() []uint64 { return lp.colBridge }
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -10,26 +10,14 @@ import (
 )
 
 // laneTestParams are the draw distributions the lane/scalar equivalence
-// is pinned over: empty, uniform, saturated, wire faults only,
-// everything at once, and a clustered map.
+// is pinned over: empty, uniform, saturated, and a 2:1 stuck-open to
+// stuck-closed split.
 func laneTestParams() map[string]Params {
 	return map[string]Params{
 		"zero":      {},
 		"uniform3%": UniformCrosspoint(0.03),
 		"dense":     UniformCrosspoint(1.0),
-		"wires": {
-			PRowBreak: 0.05, PColBreak: 0.05,
-			PRowBridge: 0.04, PColBridge: 0.04,
-		},
-		"everything": {
-			PStuckOpen: 0.02, PStuckClosed: 0.01,
-			PRowBreak: 0.03, PColBreak: 0.02,
-			PRowBridge: 0.02, PColBridge: 0.03,
-		},
-		"clustered": {
-			PStuckOpen: 0.01, PStuckClosed: 0.005,
-			Clustered: true, ClusterCount: 3, ClusterRadius: 4, ClusterBoost: 12,
-		},
+		"split":     {PStuckOpen: 0.02, PStuckClosed: 0.01},
 	}
 }
 
@@ -75,11 +63,9 @@ func TestDrawLaneMatchesRandomInto(t *testing.T) {
 // begun and extended through a random increasing sequence of rows,
 // each call resuming the source state the previous one saved. After
 // every extension through row r, each crosspoint in rows < r already
-// holds its full-draw value; with wire faults the first extension
-// finishes the whole die; and the lane ends bit-identical to DrawLane,
-// with the source in the same state.
+// holds its full-draw value, and the lane ends bit-identical to
+// DrawLane, with the source in the same state.
 func TestExtendLaneMatchesDrawLane(t *testing.T) {
-	named := laneTestParams()
 	params := []struct {
 		name string
 		p    Params
@@ -88,9 +74,7 @@ func TestExtendLaneMatchesDrawLane(t *testing.T) {
 		{"uniform2%", UniformCrosspoint(0.02)},
 		{"uniform30%", UniformCrosspoint(0.3)},
 		{"dense", UniformCrosspoint(1.0)},
-		{"wires", named["wires"]},
-		{"everything", named["everything"]},
-		{"clustered", named["clustered"]},
+		{"split", laneTestParams()["split"]},
 	}
 	shapes := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
@@ -116,10 +100,10 @@ func TestExtendLaneMatchesDrawLane(t *testing.T) {
 			src.Seed(seed)
 			lp := NewLanePlanes(r, c)
 			var cur LaneCursor
-			lp.BeginLane(lane, &cur, p, rng)
+			lp.BeginLane(&cur, p, rng)
 			saved := *src
 			got := NewMap(r, c)
-			for through, first := 0, true; through < r; first = false {
+			for through := 0; through < r; {
 				through += shapes.Intn(r/3 + 2)
 				if through > r {
 					through = r
@@ -137,10 +121,6 @@ func TestExtendLaneMatchesDrawLane(t *testing.T) {
 								name, r, c, lane, ri, ci, through, got.At(ri, ci), want.At(ri, ci))
 						}
 					}
-				}
-				if first && p.wireFaults() && !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s %dx%d lane %d: wire faults, but the first extension (row %d) left the die unfinished",
-						name, r, c, lane, through)
 				}
 			}
 			lp.ExtendLane(lane, &cur, p, rng, r) // idempotent once final
@@ -160,7 +140,6 @@ func TestExtendLaneMatchesDrawLane(t *testing.T) {
 // its own die.
 func TestDrawLaneLanesIndependent(t *testing.T) {
 	p := UniformCrosspoint(0.05)
-	p.PRowBreak, p.PColBridge = 0.05, 0.05
 	lp := NewLanePlanes(20, 20)
 	lp.Reset()
 	src := rand.NewSource(7)
@@ -232,17 +211,5 @@ func extractLane(lp *LanePlanes, dst *Map, lane int) {
 				dst.Set(r, c, StuckClosed)
 			}
 		}
-	}
-	for r := 0; r < lp.R; r++ {
-		dst.SetRowBroken(r, lp.rowBroken[r]&bit != 0)
-	}
-	for c := 0; c < lp.C; c++ {
-		dst.SetColBroken(c, lp.colBroken[c]&bit != 0)
-	}
-	for r := 0; r+1 < lp.R; r++ {
-		dst.SetRowBridge(r, lp.rowBridge[r]&bit != 0)
-	}
-	for c := 0; c+1 < lp.C; c++ {
-		dst.SetColBridge(c, lp.colBridge[c]&bit != 0)
 	}
 }

@@ -18,16 +18,25 @@ func TestGreedyCleanChip(t *testing.T) {
 	}
 }
 
+// addWireFaults breaks each row and each column of m, and bridges each
+// adjacent pair of rows and of columns, independently with the given
+// probabilities, drawing from rng after the die's crosspoints: random
+// dies carry crosspoint defects only.
+func addWireFaults(m *defect.Map, rng *rand.Rand, rowBreak, colBreak, rowBridge, colBridge float64) {
+	defect.VisitBernoulli(rng, rowBreak, m.R, func(i int) { m.SetRowBroken(i, true) })
+	defect.VisitBernoulli(rng, colBreak, m.C, func(i int) { m.SetColBroken(i, true) })
+	defect.VisitBernoulli(rng, rowBridge, m.R-1, func(i int) { m.SetRowBridge(i, true) })
+	defect.VisitBernoulli(rng, colBridge, m.C-1, func(i int) { m.SetColBridge(i, true) })
+}
+
 func TestGreedyAlwaysUniversal(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 120; i++ {
 		n := 4 + rng.Intn(20)
 		p := defect.UniformCrosspoint(rng.Float64() * 0.2)
-		p.PRowBreak = rng.Float64() * 0.05
-		p.PColBreak = rng.Float64() * 0.05
-		p.PRowBridge = rng.Float64() * 0.05
-		p.PColBridge = rng.Float64() * 0.05
+		rowBreak, colBreak, rowBridge, colBridge := rng.Float64()*0.05, rng.Float64()*0.05, rng.Float64()*0.05, rng.Float64()*0.05
 		m := defect.Random(n, n, p, rng)
+		addWireFaults(m, rng, rowBreak, colBreak, rowBridge, colBridge)
 		e := Greedy(m)
 		if len(e.Rows) != len(e.Cols) {
 			t.Fatal("extraction not square")

@@ -29,26 +29,6 @@ const goldenPath = "testdata/golden.txt"
 // different version than FaultVersion.
 const goldenHeader = "faultVersion "
 
-// goldenModels are the defect models the corpus applies each density
-// to: crosspoint defects alone, clustered around two centres, and with
-// broken and bridged wires besides.
-var goldenModels = []struct {
-	name   string
-	params func(d float64) defect.Params
-}{
-	{"uniform", defect.UniformCrosspoint},
-	{"clustered", func(d float64) defect.Params {
-		p := defect.UniformCrosspoint(d)
-		p.Clustered, p.ClusterCount, p.ClusterRadius, p.ClusterBoost = true, 2, 3, 6
-		return p
-	}},
-	{"wires", func(d float64) defect.Params {
-		p := defect.UniformCrosspoint(d)
-		p.PRowBreak, p.PColBreak, p.PRowBridge, p.PColBridge = d/4, d/4, d/4, d/4
-		return p
-	}},
-}
-
 // goldenShape is an application and the die it is placed on: a tight
 // die with one candidate and few spare lines, and a die wider than one
 // 64-line word with a full candidate schedule.
@@ -111,54 +91,73 @@ func goldenLine(key string, dies []DieResult) string {
 		key, fast, ok, cfg, bist, bisd, fh.Sum64(), strings.Join(groups, ","))
 }
 
+// addWireFaults breaks each row and each column of m, and bridges each
+// adjacent pair of rows and of columns, independently with probability
+// p, drawing from rng after the die's crosspoints. Random dies carry
+// crosspoint defects only; an explicit chip on a map request is how
+// wire faults reach the mappers, and this stands in for one.
+func addWireFaults(m *defect.Map, p float64, rng *rand.Rand) {
+	defect.VisitBernoulli(rng, p, m.R, func(i int) { m.SetRowBroken(i, true) })
+	defect.VisitBernoulli(rng, p, m.C, func(i int) { m.SetColBroken(i, true) })
+	defect.VisitBernoulli(rng, p, m.R-1, func(i int) { m.SetRowBridge(i, true) })
+	defect.VisitBernoulli(rng, p, m.C-1, func(i int) { m.SetColBridge(i, true) })
+}
+
 // goldenCorpus runs the fault path over the corpus: lane-runner sweeps
-// over scheme × defect model × density × shape × seed, then single-chip
-// maps drawn the way the engine's map requests draw them (seed the
-// source, draw the whole die with defect.Random, map on the same
-// stream).
+// of uniform crosspoint defects over scheme × density × shape × seed,
+// then single-chip maps drawn the way the engine's map requests draw
+// them (seed the source, draw the whole die with defect.Random, map on
+// the same stream), and the same maps again with each line broken and
+// each adjacent pair bridged at a quarter of the density.
 func goldenCorpus(t *testing.T) []string {
 	var lines []string
 	shapes := goldenShapes()
 	for _, scheme := range goldenSchemes {
-		for _, model := range goldenModels {
-			for _, d := range goldenDensities {
-				for _, sh := range shapes {
-					for _, seed := range []int64{1, 2} {
-						spec := Spec{
-							App: sh.app, Scheme: scheme, ChipSize: sh.chip,
-							Params: model.params(d), Dies: goldenDies, Seed: seed,
-							MaxAttempts: goldenAttempts, Parallel: 2,
-						}
-						dies := make([]DieResult, spec.Dies)
-						if err := (LaneRunner{}).Run(context.Background(), spec, func(dr DieResult) { dies[dr.Die] = dr }); err != nil {
-							t.Fatal(err)
-						}
-						for _, dr := range dies {
-							if dr.Err != nil {
-								t.Fatalf("%s %s d=%v %s seed=%d die %d: %v", scheme.Name(), model.name, d, sh.name, seed, dr.Die, dr.Err)
-							}
-						}
-						key := fmt.Sprintf("sweep %s %s d=%v %s seed=%d", scheme.Name(), model.name, d, sh.name, seed)
-						lines = append(lines, goldenLine(key, dies))
+		for _, d := range goldenDensities {
+			for _, sh := range shapes {
+				for _, seed := range []int64{1, 2} {
+					spec := Spec{
+						App: sh.app, Scheme: scheme, ChipSize: sh.chip,
+						Params: defect.UniformCrosspoint(d), Dies: goldenDies, Seed: seed,
+						MaxAttempts: goldenAttempts, Parallel: 2,
 					}
+					dies := make([]DieResult, spec.Dies)
+					if err := (LaneRunner{}).Run(context.Background(), spec, func(dr DieResult) { dies[dr.Die] = dr }); err != nil {
+						t.Fatal(err)
+					}
+					for _, dr := range dies {
+						if dr.Err != nil {
+							t.Fatalf("%s d=%v %s seed=%d die %d: %v", scheme.Name(), d, sh.name, seed, dr.Die, dr.Err)
+						}
+					}
+					key := fmt.Sprintf("sweep %s uniform d=%v %s seed=%d", scheme.Name(), d, sh.name, seed)
+					lines = append(lines, goldenLine(key, dies))
 				}
 			}
 		}
 	}
 	src, rng := xrand.New()
-	for _, scheme := range goldenSchemes {
-		for _, d := range goldenDensities {
-			for _, sh := range shapes {
-				for _, seed0 := range []int64{0, 1000} {
-					dies := make([]DieResult, goldenMapDies)
-					for i := range dies {
-						src.Seed(seed0 + int64(i))
-						chip := defect.Random(sh.chip, sh.chip, defect.UniformCrosspoint(d), rng)
-						m, st := scheme.Map(bism.NewChip(chip), sh.app, goldenMapTries, rng)
-						dies[i] = DieResult{Die: i, Mapping: m, Stats: st}
+	for _, wires := range []bool{false, true} {
+		for _, scheme := range goldenSchemes {
+			for _, d := range goldenDensities {
+				for _, sh := range shapes {
+					for _, seed0 := range []int64{0, 1000} {
+						dies := make([]DieResult, goldenMapDies)
+						for i := range dies {
+							src.Seed(seed0 + int64(i))
+							chip := defect.Random(sh.chip, sh.chip, defect.UniformCrosspoint(d), rng)
+							if wires {
+								addWireFaults(chip, d/4, rng)
+							}
+							m, st := scheme.Map(bism.NewChip(chip), sh.app, goldenMapTries, rng)
+							dies[i] = DieResult{Die: i, Mapping: m, Stats: st}
+						}
+						key := fmt.Sprintf("map %s d=%v %s seeds=%d+%d", scheme.Name(), d, sh.name, seed0, goldenMapDies)
+						if wires {
+							key += " wires"
+						}
+						lines = append(lines, goldenLine(key, dies))
 					}
-					key := fmt.Sprintf("map %s d=%v %s seeds=%d+%d", scheme.Name(), d, sh.name, seed0, goldenMapDies)
-					lines = append(lines, goldenLine(key, dies))
 				}
 			}
 		}

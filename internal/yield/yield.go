@@ -10,13 +10,15 @@
 // redundancy engine uses for Monte Carlo trials — across dies:
 //
 //  1. Draw. A worker begins a group of 64 dies' defect draws directly
-//     in defect.LanePlanes lane words (die-major transposed layout),
-//     one seeded stream per die, bit-for-bit the stream RandomInto
-//     would produce for the same die seed. Each die is drawn only as
-//     far as its checks read: before candidate k is probed, the dies
-//     still pending are extended through row (k+1)·appR, each resuming
-//     its own saved source state. Most dies pass candidate 0, so most
-//     of a die's crosspoints are never drawn.
+//     in defect.LanePlanes lane words (die-major transposed layout: a
+//     stuck-open and a stuck-closed word per crosspoint site, since a
+//     random die has no wire faults), one seeded stream per die,
+//     bit-for-bit the stream RandomInto would produce for the same die
+//     seed. Each die is drawn only as far as its checks read: before
+//     candidate k is probed, the dies still pending are extended
+//     through row (k+1)·appR, each resuming its own saved source state.
+//     Most dies pass candidate 0, so most of a die's crosspoints are
+//     never drawn.
 //  2. Fast check. A fixed schedule of disjoint block-diagonal candidate
 //     mappings (candidate k places the application at rows/cols k·appR,
 //     k·appC) is probed with bism.CheckLanes — one BIST session per
@@ -288,7 +290,7 @@ func (w *laneWorker) runGroup(spec Spec, cands []*bism.Mapping, die0, lanes int)
 	w.lp.Reset()
 	for l := 0; l < lanes; l++ {
 		w.src.Seed(xrand.SubSeed(spec.Seed, die0+l))
-		w.lp.BeginLane(l, &w.cursor[l], spec.Params, w.rng)
+		w.lp.BeginLane(&w.cursor[l], spec.Params, w.rng)
 		w.state[l] = *w.src
 	}
 	pending := bitlane.Mask(lanes)

@@ -111,31 +111,6 @@ func TestLaneMatchesScalarBitForBit(t *testing.T) {
 	}
 }
 
-// TestWireFaultDensitiesAgree extends the equivalence over wire faults
-// and clustered maps, which exercise the bridge/broken lane planes.
-func TestWireFaultDensitiesAgree(t *testing.T) {
-	app := testApp(t)
-	params := []defect.Params{
-		{PStuckOpen: 0.01, PStuckClosed: 0.01, PRowBreak: 0.05, PColBreak: 0.05,
-			PRowBridge: 0.05, PColBridge: 0.05},
-		{PStuckOpen: 0.01, Clustered: true, ClusterCount: 2, ClusterRadius: 5, ClusterBoost: 20},
-	}
-	for pi, p := range params {
-		spec := Spec{
-			App: app, Scheme: bism.Greedy{}, ChipSize: 70,
-			Params: p, Dies: 100, Seed: 3, MaxAttempts: 40, Parallel: 2,
-		}
-		lane := collect(t, LaneRunner{}, spec)
-		scalar := collect(t, ScalarRunner{}, spec)
-		for die := range lane {
-			l, s := lane[die], scalar[die]
-			if l.Fast != s.Fast || !reflect.DeepEqual(l.Stats, s.Stats) || !sameMapping(l.Mapping, s.Mapping) {
-				t.Fatalf("params[%d] die %d: lane %+v != scalar %+v", pi, die, l, s)
-			}
-		}
-	}
-}
-
 // TestZeroDefectAllFast checks the fast path's best case: defect-free
 // dies all pass the first candidate with exactly one BIST session.
 func TestZeroDefectAllFast(t *testing.T) {

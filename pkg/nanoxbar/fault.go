@@ -21,7 +21,10 @@ type (
 	// per-crosspoint stuck-open/stuck-closed faults plus broken and
 	// bridged wires.
 	DefectMap = defect.Map
-	// DefectParams parameterize random defect injection.
+	// DefectParams parameterize random defect injection: the
+	// per-crosspoint stuck-open and stuck-closed probabilities of the
+	// paper's uniform model. A random map has no broken or bridged
+	// wires; set those on a DefectMap directly.
 	DefectParams = defect.Params
 )
 
