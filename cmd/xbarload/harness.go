@@ -278,13 +278,13 @@ func (h *harness) runChaos(ctx context.Context, cfg soakConfig) {
 	}
 }
 
-// statusSum adds the routing/fill counters across the live nodes.
-func (h *harness) statusSum() cluster.Status {
+// counterSum adds the routing/fill counters across the live nodes.
+func (h *harness) counterSum() cluster.Counters {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var sum cluster.Status
+	var sum cluster.Counters
 	for _, m := range h.members {
-		st := m.node.Status()
+		st := m.node.Counters()
 		sum.PeerFillHits += st.PeerFillHits
 		sum.PeerFillMisses += st.PeerFillMisses
 		sum.Forwards += st.Forwards
@@ -298,7 +298,7 @@ func (h *harness) statusSum() cluster.Status {
 // counters summed across the live nodes. A failed restart is the
 // verdict's to report.
 func (h *harness) printChronology(w io.Writer) {
-	st := h.statusSum()
+	st := h.counterSum()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	fmt.Fprintf(w,

@@ -224,8 +224,12 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	return verdict(vctx, stderr, res, watch, h)
 }
 
+// panicCounters are the recovered-panic counters a watched server must
+// serve at zero: the HTTP layer's and the engine's.
+var panicCounters = []string{"nanoxbar_http_panics_total", "nanoxbar_engine_panics_total"}
+
 // verdict decides the exit status of every mode: 1 when an op failed
-// unexpectedly; when a watched server's recovered-panic counter is
+// unexpectedly; when a watched server's recovered-panic counters are
 // non-zero or unreadable, or a -chaos transport injected no fault,
 // since a claim without the evidence would be vacuous; or when a
 // cluster's kill-victim stream failed untyped or its restart failed.
@@ -250,17 +254,20 @@ func verdict(ctx context.Context, stderr io.Writer, res *soakResult, watch map[s
 		h.mu.Unlock()
 	}
 	for _, id := range slices.Sorted(maps.Keys(watch)) {
-		panics, ok := 0.0, false
-		if exp := scrapeMetrics(ctx, stderr, watch[id]); exp != nil {
-			panics, ok = exp.Value("nanoxbar_http_panics_total", nil)
-		}
-		switch {
-		case !ok:
-			fmt.Fprintf(stderr, "xbarload: %s: could not read the panic counter from /metrics\n", id)
-			failed = true
-		case panics > 0:
-			fmt.Fprintf(stderr, "xbarload: %s: recovered %d panic(s) during the soak\n", id, int(panics))
-			failed = true
+		exp := scrapeMetrics(ctx, stderr, watch[id])
+		for _, counter := range panicCounters {
+			panics, ok := 0.0, false
+			if exp != nil {
+				panics, ok = exp.Value(counter, nil)
+			}
+			switch {
+			case !ok:
+				fmt.Fprintf(stderr, "xbarload: %s: could not read %s from /metrics\n", id, counter)
+				failed = true
+			case panics > 0:
+				fmt.Fprintf(stderr, "xbarload: %s: %s recorded %d panic(s) during the soak\n", id, counter, int(panics))
+				failed = true
+			}
 		}
 	}
 	if failed {

@@ -32,8 +32,10 @@ func metricsStub(t *testing.T, body string) string {
 // TestVerdict: each rule that fails a soak gives exit 1 on its own, and
 // the outcomes a soak tolerates give exit 0.
 func TestVerdict(t *testing.T) {
-	zero := metricsStub(t, "nanoxbar_http_panics_total 0\n")
-	two := metricsStub(t, "nanoxbar_http_panics_total 2\n")
+	zero := metricsStub(t, "nanoxbar_http_panics_total 0\nnanoxbar_engine_panics_total 0\n")
+	two := metricsStub(t, "nanoxbar_http_panics_total 2\nnanoxbar_engine_panics_total 0\n")
+	engine := metricsStub(t, "nanoxbar_http_panics_total 0\nnanoxbar_engine_panics_total 1\n")
+	noEngine := metricsStub(t, "nanoxbar_http_panics_total 0\n")
 	missing := metricsStub(t, "nanoxbar_http_requests_total 9\n")
 	broken := metricsStub(t, "")
 	typed := fmt.Errorf("client: %w", nanoxbar.ErrUnavailable)
@@ -70,7 +72,9 @@ func TestVerdict(t *testing.T) {
 		{name: "typed failure outside chaos", opErr: typed, want: 1},
 		{name: "internal error without the chaos marker", opErr: fmt.Errorf("boom: %w", nanoxbar.ErrInternal), chaos: true, want: 1},
 		{name: "recorded panic", watch: map[string]string{"n0": zero, "n1": two}, want: 1},
+		{name: "recorded engine panic", watch: map[string]string{"server": engine}, want: 1},
 		{name: "no panic counter", watch: map[string]string{"server": missing}, want: 1},
+		{name: "no engine panic counter", watch: map[string]string{"server": noEngine}, want: 1},
 		{name: "unreadable metrics", watch: map[string]string{"server": broken}, want: 1},
 		{name: "typed kill-stream error", killErr: typed, want: 0},
 		{name: "untyped kill-stream error", killErr: untyped, want: 1},

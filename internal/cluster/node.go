@@ -351,18 +351,14 @@ func (n *Node) PeerFill(ctx context.Context, key string) *core.Implementation {
 }
 
 // Status is the /healthz cluster block: the member view peers
-// heartbeat on, plus the routing counters that /metrics also serves.
+// heartbeat on. The routing counters are /metrics series, and Counters
+// reads them in process.
 type Status struct {
-	NodeID         string         `json:"node_id"`
-	Advertise      string         `json:"advertise,omitempty"`
-	Leaving        bool           `json:"leaving"`
-	RingMembers    int            `json:"ring_members"`
-	Members        []MemberStatus `json:"members,omitempty"`
-	PeerFillHits   uint64         `json:"peer_fill_hits"`
-	PeerFillMisses uint64         `json:"peer_fill_misses"`
-	Forwards       uint64         `json:"forwards"`
-	Failovers      uint64         `json:"failovers"`
-	LocalDegrades  uint64         `json:"local_degrades"`
+	NodeID      string         `json:"node_id"`
+	Advertise   string         `json:"advertise,omitempty"`
+	Leaving     bool           `json:"leaving"`
+	RingMembers int            `json:"ring_members"`
+	Members     []MemberStatus `json:"members,omitempty"`
 }
 
 // Status snapshots the node's cluster view.
@@ -373,11 +369,23 @@ func (n *Node) Status() Status {
 		size = ring.Size()
 	}
 	return Status{
-		NodeID:         n.id,
-		Advertise:      n.advertise,
-		Leaving:        n.leaving.Load(),
-		RingMembers:    size,
-		Members:        n.det.Members(),
+		NodeID:      n.id,
+		Advertise:   n.advertise,
+		Leaving:     n.leaving.Load(),
+		RingMembers: size,
+		Members:     n.det.Members(),
+	}
+}
+
+// Counters are the node's routing counters, the
+// nanoxbar_cluster_*_total series of /metrics.
+type Counters struct {
+	PeerFillHits, PeerFillMisses, Forwards, Failovers, LocalDegrades uint64
+}
+
+// Counters snapshots the routing counters for in-process readers.
+func (n *Node) Counters() Counters {
+	return Counters{
 		PeerFillHits:   n.peerFillHits.Load(),
 		PeerFillMisses: n.peerFillMisses.Load(),
 		Forwards:       n.forwards.Load(),

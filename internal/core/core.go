@@ -269,6 +269,17 @@ func (im *Implementation) App() *bism.App {
 	return a
 }
 
+// CheckMappable rejects, typed bad_spec, an implementation with no
+// array to place: the diode or FET array of a constant function has no
+// rows, and a self-mapping application needs at least one line of each
+// kind.
+func (im *Implementation) CheckMappable() error {
+	if im.Rows < 1 || im.Cols < 1 {
+		return apierr.BadSpec("core: %v implementation %d×%d has no array to map: the function is constant", im.Tech, im.Rows, im.Cols)
+	}
+	return nil
+}
+
 // MapReport is the outcome of placing an implementation on a defective
 // chip via a BISM scheme.
 type MapReport struct {
@@ -279,6 +290,9 @@ type MapReport struct {
 // MapWithRecovery runs the chosen self-mapping scheme to place the
 // implementation on a defective chip.
 func MapWithRecovery(im *Implementation, chip *defect.Map, scheme bism.Mapper, maxAttempts int, rng *rand.Rand) (*MapReport, error) {
+	if err := im.CheckMappable(); err != nil {
+		return nil, err
+	}
 	app := im.App()
 	if chip.R != chip.C {
 		return nil, apierr.BadSpec("core: chip must be square, got %d×%d", chip.R, chip.C)

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"nanoxbar/internal/apierr"
 	"nanoxbar/internal/core"
@@ -107,6 +110,80 @@ func TestRequestBoundsAdmit(t *testing.T) {
 	}
 }
 
+// TestEveryFunctionAnswersTyped crosses every function of one to three
+// variables with every request kind, technology and mapping scheme.
+// Each request answers a result or a typed bad_spec or infeasible
+// error, never internal. The bad_spec answers are exactly the map and
+// yield requests whose implementation has no array rows: the constant
+// functions on diode (constant 0) and FET (either constant).
+func TestEveryFunctionAnswersTyped(t *testing.T) {
+	e := newTestEngine(t)
+	var reqs []Request
+	for n := 1; n <= 3; n++ {
+		for tt := 0; tt < 1<<(1<<n); tt++ {
+			fn := FunctionSpec{TT: fmt.Sprintf("%d:0x%x", n, tt)}
+			for _, tech := range []string{"diode", "fet", "lattice"} {
+				reqs = append(reqs, Request{Kind: KindSynthesize, Function: fn, Tech: tech},
+					Request{Kind: KindCompare, Function: fn, Tech: tech})
+				for _, scheme := range []string{"blind", "greedy", "hybrid"} {
+					for _, kind := range []Kind{KindMap, KindYield} {
+						reqs = append(reqs, Request{Kind: kind, Function: fn, Tech: tech, Scheme: scheme,
+							Density: 0.05, Seed: 1, Chips: 8})
+					}
+				}
+			}
+		}
+	}
+	badSpec := 0
+	for i, res := range e.submitBatch(reqs) {
+		req := reqs[i]
+		switch code := apierr.CodeOf(res.Err); {
+		case res.Ok() || code == apierr.CodeInfeasible:
+		case code == apierr.CodeBadSpec:
+			badSpec++
+			n, _ := strconv.Atoi(req.Function.TT[:1])
+			allOnes := fmt.Sprintf("%d:0x%x", n, 1<<(1<<n)-1)
+			zero := strings.HasSuffix(req.Function.TT, ":0x0")
+			if req.Kind != KindMap && req.Kind != KindYield || !(zero && req.Tech != "lattice" || req.Function.TT == allOnes && req.Tech == "fet") {
+				t.Errorf("%s %s on %s (%s): bad_spec %v", req.Kind, req.Function.TT, req.Tech, req.Scheme, res.Err)
+			}
+		default:
+			t.Errorf("%s %s on %s (%s): %s %v", req.Kind, req.Function.TT, req.Tech, req.Scheme, code, res.Err)
+		}
+	}
+	// Constant 0 on diode and FET and constant 1 on FET, for n = 1, 2, 3,
+	// as map and yield requests under three schemes.
+	if want := 3 * 3 * 2 * 3; badSpec != want {
+		t.Fatalf("%d of %d requests answered bad_spec, want %d", badSpec, len(reqs), want)
+	}
+}
+
+// requestSeeds are the jobs bodies both request fuzz targets start
+// from.
+var requestSeeds = []string{
+	// README's request bodies.
+	`{"requests":[{"kind":"synthesize","function":{"expr":"x1x2 + x1x3 + x2x3"}}]}`,
+	`{"requests":[{"kind":"compare","function":{"name":"9sym"}}]}`,
+	`{"requests":[{"kind":"map","function":{"name":"maj5"},"density":0.05,"seed":42,"scheme":"hybrid"}]}`,
+	`{"requests":[{"kind":"yield","function":{"name":"maj3"},"density":0.04,"chips":200,"seed":7}]}`,
+	`{"stream_dies":true,"requests":[{"kind":"yield","function":{"name":"maj3"},"density":0.04,"chips":3,"seed":7}]}`,
+	`{"requests":[{"function":{"name":"fig4"},"density":0.05,"seed":0}]}`,
+	`{"requests":[{"kind":"map","function":{"name":"9sym"},"chip_size":8,"seed":1}]}`,
+	`{"requests":[{"kind":"synthesize","function":{"tt":"3:0xe8"},"tech":"diode"}]}`,
+	// TestV2StatusMapping's bodies, the oversized ones shortened.
+	`{nope`,
+	`{"requests":[]}`,
+	`{"requests":[{"kind":"map","function":{"expr":"xxxxxxxx"}}]}`,
+	`{"requests":[{"kind":"synthesize","function":{"name":"maj3"}},{"kind":"synthesize","function":{"name":"maj3"}}]}`,
+	// The hostile shapes, shortened.
+	`{"requests":[{"kind":"synthesize","function":{"expr":"!!!!!!!!!!!!!!!!x1"}}]}`,
+	`{"requests":[{"kind":"synthesize","function":{"expr":"x1+x1+x1+x1+x1+x1+x1+x1"}}]}`,
+	`{"requests":[{"kind":"synthesize","function":{"tt":"13:0x1"}}]}`,
+	`{"requests":[{"kind":"synthesize","function":{"expr":"x13"}}]}`,
+	`{"requests":[{"kind":"synthesize","function":{"name":"9sym"},"options":{"Synth":{"Exact":true}}}]}`,
+	`{"requests":[{"kind":"synthesize","function":{"name":"9sym"},"options":{"Synth":{"Exact":true,"QM":{"MaxPrimes":50000,"MaxCoverPrimes":96,"MaxCoverWork":2000000},"PostReduceMaxArea":5000}}}]}`,
+}
+
 // FuzzResolveRequest drives the request boundary with arbitrary jobs
 // bodies, decoded as the HTTP layer decodes them (unknown fields
 // rejected). KeyFor must never panic, every error it returns is
@@ -114,45 +191,14 @@ func TestRequestBoundsAdmit(t *testing.T) {
 //
 //	go test -run '^$' -fuzz FuzzResolveRequest -fuzztime 60s -fuzzminimizetime 2s ./internal/engine/
 func FuzzResolveRequest(f *testing.F) {
-	for _, body := range []string{
-		// README's request bodies.
-		`{"requests":[{"kind":"synthesize","function":{"expr":"x1x2 + x1x3 + x2x3"}}]}`,
-		`{"requests":[{"kind":"compare","function":{"name":"9sym"}}]}`,
-		`{"requests":[{"kind":"map","function":{"name":"maj5"},"density":0.05,"seed":42,"scheme":"hybrid"}]}`,
-		`{"requests":[{"kind":"yield","function":{"name":"maj3"},"density":0.04,"chips":200,"seed":7}]}`,
-		`{"stream_dies":true,"requests":[{"kind":"yield","function":{"name":"maj3"},"density":0.04,"chips":3,"seed":7}]}`,
-		`{"requests":[{"function":{"name":"fig4"},"density":0.05,"seed":0}]}`,
-		`{"requests":[{"kind":"map","function":{"name":"9sym"},"chip_size":8,"seed":1}]}`,
-		`{"requests":[{"kind":"synthesize","function":{"tt":"3:0xe8"},"tech":"diode"}]}`,
-		// TestV2StatusMapping's bodies, the oversized ones shortened.
-		`{nope`,
-		`{"requests":[]}`,
-		`{"requests":[{"kind":"map","function":{"expr":"xxxxxxxx"}}]}`,
-		`{"requests":[{"kind":"synthesize","function":{"name":"maj3"}},{"kind":"synthesize","function":{"name":"maj3"}}]}`,
-		// The hostile shapes, shortened.
-		`{"requests":[{"kind":"synthesize","function":{"expr":"!!!!!!!!!!!!!!!!x1"}}]}`,
-		`{"requests":[{"kind":"synthesize","function":{"expr":"x1+x1+x1+x1+x1+x1+x1+x1"}}]}`,
-		`{"requests":[{"kind":"synthesize","function":{"tt":"13:0x1"}}]}`,
-		`{"requests":[{"kind":"synthesize","function":{"expr":"x13"}}]}`,
-		`{"requests":[{"kind":"synthesize","function":{"name":"9sym"},"options":{"Synth":{"Exact":true}}}]}`,
-		`{"requests":[{"kind":"synthesize","function":{"name":"9sym"},"options":{"Synth":{"Exact":true,"QM":{"MaxPrimes":50000,"MaxCoverPrimes":96,"MaxCoverWork":2000000},"PostReduceMaxArea":5000}}}]}`,
-	} {
+	for _, body := range requestSeeds {
 		f.Add([]byte(body))
 	}
 	e := New(Config{Workers: 1, CacheSize: 8})
 	f.Cleanup(e.Close)
 	def := qm.DefaultOptions()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var jobs struct {
-			Requests   []Request `json:"requests"`
-			StreamDies bool      `json:"stream_dies,omitempty"`
-		}
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if dec.Decode(&jobs) != nil {
-			return
-		}
-		for i, req := range jobs.Requests {
+		for i, req := range decodeJobs(body) {
 			if _, err := e.KeyFor(req); err != nil {
 				if !errors.Is(err, apierr.ErrBadSpec) {
 					t.Fatalf("request %d: KeyFor error %v is not bad_spec", i, err)
@@ -180,6 +226,73 @@ func FuzzResolveRequest(f *testing.F) {
 			}
 			if a := o.Synth.PostReduceMaxArea; a > 1200 {
 				t.Fatalf("request %d: accepted PostReduceMaxArea %d", i, a)
+			}
+		}
+	})
+}
+
+// decodeJobs decodes a jobs body as the HTTP layer does (unknown fields
+// rejected) and returns its requests, none when it does not decode.
+func decodeJobs(body []byte) []Request {
+	var jobs struct {
+		Requests   []Request `json:"requests"`
+		StreamDies bool      `json:"stream_dies,omitempty"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if dec.Decode(&jobs) != nil {
+		return nil
+	}
+	return jobs.Requests
+}
+
+// FuzzRunRequest runs arbitrary jobs bodies through a one-worker engine.
+// Every request KeyFor accepts is cut to small bounds — a function of
+// at most 5 variables, at most 16 dies of at most 16×16, at most 20
+// attempts — and served under a 1 s deadline; it must answer a result
+// or a typed error, never internal.
+//
+//	go test -run '^$' -fuzz FuzzRunRequest -fuzztime 60s -fuzzminimizetime 2s ./internal/engine/
+func FuzzRunRequest(f *testing.F) {
+	for _, body := range requestSeeds {
+		f.Add([]byte(body))
+	}
+	// Constant functions: their diode and FET arrays have no rows.
+	for _, body := range []string{
+		`{"requests":[{"kind":"map","function":{"tt":"2:0x0"},"tech":"diode","density":0.05,"seed":1}]}`,
+		`{"requests":[{"kind":"map","function":{"tt":"3:0xff"},"tech":"fet","chip_size":8,"seed":1}]}`,
+		`{"requests":[{"kind":"yield","function":{"tt":"1:0x0"},"tech":"fet","density":0.05,"chips":8,"seed":1}]}`,
+		`{"requests":[{"kind":"yield","function":{"tt":"2:0xf"},"tech":"fet","density":0.05,"chips":8,"seed":1,"scheme":"blind"}]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	e := New(Config{Workers: 1, CacheSize: 8})
+	f.Cleanup(e.Close)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for i, req := range decodeJobs(body) {
+			if _, err := e.KeyFor(req); err != nil {
+				continue
+			}
+			if fn, _ := req.Function.Resolve(); fn.NumVars() > 5 {
+				continue
+			}
+			if c := req.Chip; c != nil && (len(c.Rows) > 16 || len(c.Rows) > 0 && len(c.Rows[0]) > 16) {
+				continue
+			}
+			if req.Chips < 1 || req.Chips > 16 {
+				req.Chips = 16
+			}
+			if req.ChipSize < 1 || req.ChipSize > 16 {
+				req.ChipSize = 16
+			}
+			if req.MaxAttempts < 1 || req.MaxAttempts > 20 {
+				req.MaxAttempts = 20
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			res := e.DoCtx(ctx, req)
+			cancel()
+			if errors.Is(res.Err, apierr.ErrInternal) {
+				t.Fatalf("request %d %+v: %v", i, req, res.Err)
 			}
 		}
 	})

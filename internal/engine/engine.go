@@ -112,6 +112,10 @@ type Engine struct {
 	shed         atomic.Uint64
 	degradedReqs atomic.Uint64
 
+	// panics counts the panics the engine recovered: in dispatch, and in
+	// the die groups a yield sweep turned into die errors.
+	panics atomic.Uint64
+
 	// Fault-path counters: dies placed through the self-mapper, random
 	// defect maps drawn, and total self-mapping configurations spent —
 	// mean attempts per die is mapAttempts/diesMapped. diesFast counts
@@ -419,6 +423,7 @@ func (e *Engine) logRequest(ctx context.Context, kind Kind, d time.Duration, res
 func (e *Engine) dispatch(ctx context.Context, req Request, onDie DieFunc, degraded bool) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
+			e.panics.Add(1)
 			res = errResult(req.Kind, apierr.Internal("engine: panic executing request: %v", r))
 		}
 	}()
@@ -620,6 +625,9 @@ func (e *Engine) runMap(ctx context.Context, req Request, degraded bool) Result 
 		return errResult(req.Kind, err)
 	}
 	imp, _, err := e.synth(ctx, f, tech, opts)
+	if err == nil {
+		err = imp.CheckMappable()
+	}
 	if err != nil {
 		return errResult(req.Kind, err)
 	}
@@ -662,6 +670,9 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 		return errResult(req.Kind, apierr.BadSpec("engine: yield requests draw random chips; supply density, not an explicit chip"))
 	}
 	imp, _, err := e.synth(ctx, f, tech, opts)
+	if err == nil {
+		err = imp.CheckMappable()
+	}
 	if err != nil {
 		return errResult(req.Kind, err)
 	}
@@ -705,11 +716,17 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 	yr := &YieldResult{Chips: chips}
 	var configs, bist, bisd int
 	// A failed sweep reports its lowest-index failing die, whatever
-	// order the dies complete in.
-	var dieErr error
+	// order the dies complete in. The dies of a group that panicked
+	// arrive together and share one error, so each new error is one
+	// recovered panic.
+	var dieErr, lastPanic error
 	errDie := chips
 	runErr := e.yield.Run(ctx, spec, func(dr yield.DieResult) {
 		if dr.Err != nil {
+			if dr.Err != lastPanic {
+				e.panics.Add(1)
+				lastPanic = dr.Err
+			}
 			err := apierr.Internal("engine: die %d: %v", dr.Die, dr.Err)
 			if dr.Die < errDie {
 				errDie, dieErr = dr.Die, err

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 	"nanoxbar/internal/bism"
 	"nanoxbar/internal/core"
 	"nanoxbar/internal/defect"
+	"nanoxbar/internal/telemetry"
 	"nanoxbar/internal/truthtab"
 	"nanoxbar/internal/yield"
 )
@@ -162,23 +164,35 @@ func TestBatchSingleMissDeterministic(t *testing.T) {
 	}
 }
 
+// TestMapAgainstSuppliedChip: an explicit chip is the only way broken
+// and bridged lines reach the service, since random dies carry
+// crosspoint defects only. A chip with every defect kind survives the
+// wire spec round trip, and the mapping the engine returns for it
+// validates on that chip.
 func TestMapAgainstSuppliedChip(t *testing.T) {
 	e := newTestEngine(t)
-	// Build a chip with a known defect map, round-trip through the
-	// wire spec, and check the returned mapping validates.
 	rng := rand.New(rand.NewSource(5))
 	chip := defect.Random(16, 16, defect.UniformCrosspoint(0.04), rng)
+	chip.SetRowBroken(3, true)
+	chip.SetColBroken(11, true)
+	chip.SetRowBridge(7, true)
+	chip.SetColBridge(0, true)
+	chip.SetColBridge(14, true)
 	spec := FromMap(chip)
+	if len(spec.RowBroken) != 1 || len(spec.ColBroken) != 1 || len(spec.RowBridges) != 1 || len(spec.ColBridges) != 2 {
+		t.Fatalf("wire spec lost wire faults: %+v", spec)
+	}
 	back, err := spec.ToMap()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.String() != chip.String() {
-		t.Fatal("defect map wire round trip changed the map")
+	if !reflect.DeepEqual(back, chip) {
+		t.Fatalf("defect map wire round trip changed the map:\n%s\nwant:\n%s", back, chip)
 	}
+	fn := FunctionSpec{Expr: "x1x2 + x1'x2'"}
 	res := e.DoCtx(context.Background(), Request{
 		Kind:     KindMap,
-		Function: FunctionSpec{Expr: "x1x2 + x1'x2'"},
+		Function: fn,
 		Scheme:   "hybrid",
 		Chip:     &spec,
 		Seed:     7,
@@ -189,19 +203,20 @@ func TestMapAgainstSuppliedChip(t *testing.T) {
 	if res.Map.ChipSize != 16 {
 		t.Fatalf("chip size %d, want 16", res.Map.ChipSize)
 	}
-	if res.Map.Success {
-		f, err := FunctionSpec{Expr: "x1x2 + x1'x2'"}.Resolve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		imp, _, err := e.synthesize(f, core.FourTerminal, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Map.Rows) != imp.ToApp().R || len(res.Map.Cols) != imp.ToApp().C {
-			t.Fatalf("mapping shape %dx%d does not match app %dx%d",
-				len(res.Map.Rows), len(res.Map.Cols), imp.ToApp().R, imp.ToApp().C)
-		}
+	if !res.Map.Success {
+		t.Fatalf("hybrid found no mapping on a 16×16 chip at 4%% density: %+v", res.Map)
+	}
+	f, err := fn.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp, _, err := e.synthesize(f, core.FourTerminal, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &bism.Mapping{Rows: res.Map.Rows, Cols: res.Map.Cols}
+	if !bism.Validate(bism.NewChip(chip), imp.ToApp(), m) {
+		t.Fatalf("mapping %+v fails Validate on the supplied chip", m)
 	}
 }
 
@@ -316,6 +331,71 @@ func TestYieldReportsLowestFailingDie(t *testing.T) {
 	}
 	if res := e.DoCtx(context.Background(), req); res.Ok() || !strings.Contains(res.Err.Error(), "die 3:") {
 		t.Fatalf("non-streaming result %+v, want an error naming die 3", res)
+	}
+}
+
+// groupPanicRunner stands in for a lane runner whose first 64-die
+// group panicked: those dies share one error, and the rest pass.
+type groupPanicRunner struct{}
+
+func (groupPanicRunner) Name() string { return "group-panic" }
+
+func (groupPanicRunner) Run(_ context.Context, spec yield.Spec, emit func(yield.DieResult)) error {
+	err := errors.New("yield: panic mapping die group at 0: boom")
+	for die := 0; die < spec.Dies; die++ {
+		if die < 64 {
+			emit(yield.DieResult{Die: die, Err: err})
+		} else {
+			emit(yield.DieResult{Die: die, Stats: bism.Stats{Configs: 1, BISTCalls: 1, Success: true}, Fast: true})
+		}
+	}
+	return nil
+}
+
+// panicRunner panics out of Run, as a runner bug would reach dispatch.
+type panicRunner struct{}
+
+func (panicRunner) Name() string { return "panic" }
+
+func (panicRunner) Run(context.Context, yield.Spec, func(yield.DieResult)) error { panic("boom") }
+
+// TestEnginePanicsCounted: nanoxbar_engine_panics_total counts each
+// panic the engine recovers once — one per die group a sweep turned
+// into die errors, one per request dispatch recovered — and a request
+// that answers normally counts none.
+func TestEnginePanicsCounted(t *testing.T) {
+	e := newTestEngine(t)
+	panics := func() float64 {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := e.Registry().WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		exp, err := telemetry.ParseExposition(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := exp.Value("nanoxbar_engine_panics_total", nil)
+		if !ok {
+			t.Fatal("no nanoxbar_engine_panics_total series")
+		}
+		return v
+	}
+	req := Request{Kind: KindYield, Function: FunctionSpec{Name: "maj3"}, Density: 0.02, Chips: 130, ChipSize: 20, Seed: 1}
+	if res := e.DoCtx(context.Background(), req); !res.Ok() || panics() != 0 {
+		t.Fatalf("clean sweep: %+v, %v panics", res, panics())
+	}
+	e.yield = groupPanicRunner{}
+	if res := e.DoCtx(context.Background(), req); apierr.CodeOf(res.Err) != apierr.CodeInternal || panics() != 1 {
+		t.Fatalf("a group of 64 failed dies: %v, %v panics, want internal and 1", res.Err, panics())
+	}
+	e.yield = outOfOrderErrRunner{}
+	if res := e.DoCtx(context.Background(), req); res.Ok() || panics() != 3 {
+		t.Fatalf("two failed dies of their own: %v, %v panics, want 3", res.Err, panics())
+	}
+	e.yield = panicRunner{}
+	if res := e.DoCtx(context.Background(), req); apierr.CodeOf(res.Err) != apierr.CodeInternal || panics() != 4 {
+		t.Fatalf("a panicking runner: %v, %v panics, want internal and 4", res.Err, panics())
 	}
 }
 

@@ -31,6 +31,7 @@ const (
 	metricRequestFailures     = "nanoxbar_request_failures_total"
 	metricEngineShed          = "nanoxbar_engine_shed_total"
 	metricEngineDegraded      = "nanoxbar_engine_degraded_total"
+	metricEnginePanics        = "nanoxbar_engine_panics_total"
 	metricEngineQueueDepth    = "nanoxbar_engine_queue_depth"
 	metricEngineQueuedJobs    = "nanoxbar_engine_queued_jobs"
 	metricSynthCalls          = "nanoxbar_synth_calls_total"
@@ -119,6 +120,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	counter(metricRequestFailures, "Requests that returned an error result.", e.failures.Load)
 	counter(metricEngineShed, "Requests shed at admission: the job queue stayed saturated past the wait budget.", e.shed.Load)
 	counter(metricEngineDegraded, "Requests served with the degraded fast-path synthesis options after excessive queue wait.", e.degradedReqs.Load)
+	counter(metricEnginePanics, "Panics the engine recovered: in a request's dispatch, or in a yield sweep's die group.", e.panics.Load)
 	reg.GaugeFunc(metricEngineQueueDepth, "Job queue buffer size.",
 		func() float64 { return float64(e.pool.depth()) })
 	reg.GaugeFunc(metricEngineQueuedJobs, "Jobs waiting for a worker.",

@@ -120,7 +120,9 @@ type DieResult struct {
 	// scalar demotion.
 	Fast bool
 	// Err is set when the die could not be processed at all (a panic in
-	// the mapper); Mapping and Stats are then meaningless.
+	// the mapper); Mapping and Stats are then meaningless. LaneRunner
+	// gives every die of the group that panicked the same error value,
+	// and emits them together.
 	Err error
 }
 
@@ -282,8 +284,9 @@ type laneWorker struct {
 func (w *laneWorker) runGroup(spec Spec, cands []*bism.Mapping, die0, lanes int) {
 	defer func() {
 		if r := recover(); r != nil {
+			err := fmt.Errorf("yield: panic mapping die group at %d: %v", die0, r)
 			for l := 0; l < lanes; l++ {
-				w.out[l] = DieResult{Die: die0 + l, Err: fmt.Errorf("yield: panic mapping die group at %d: %v", die0, r)}
+				w.out[l] = DieResult{Die: die0 + l, Err: err}
 			}
 		}
 	}()
