@@ -278,13 +278,13 @@ func (h *harness) runChaos(ctx context.Context, cfg soakConfig) {
 	}
 }
 
-// counterSum adds the routing/fill counters across the live nodes.
-func (h *harness) counterSum() cluster.Counters {
+// statusSum adds the routing/fill counters across the live nodes.
+func (h *harness) statusSum() cluster.Status {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var sum cluster.Counters
+	var sum cluster.Status
 	for _, m := range h.members {
-		st := m.node.Counters()
+		st := m.node.Status()
 		sum.PeerFillHits += st.PeerFillHits
 		sum.PeerFillMisses += st.PeerFillMisses
 		sum.Forwards += st.Forwards
@@ -298,7 +298,7 @@ func (h *harness) counterSum() cluster.Counters {
 // counters summed across the live nodes. A failed restart is the
 // verdict's to report.
 func (h *harness) printChronology(w io.Writer) {
-	st := h.counterSum()
+	st := h.statusSum()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	fmt.Fprintf(w,

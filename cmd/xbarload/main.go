@@ -224,10 +224,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	return verdict(vctx, stderr, res, watch, h)
 }
 
-// panicCounters are the recovered-panic counters a watched server must
-// serve at zero: the HTTP layer's and the engine's.
-var panicCounters = []string{"nanoxbar_http_panics_total", "nanoxbar_engine_panics_total"}
-
 // verdict decides the exit status of every mode: 1 when an op failed
 // unexpectedly; when a watched server's recovered-panic counters are
 // non-zero or unreadable, or a -chaos transport injected no fault,
@@ -255,7 +251,7 @@ func verdict(ctx context.Context, stderr io.Writer, res *soakResult, watch map[s
 	}
 	for _, id := range slices.Sorted(maps.Keys(watch)) {
 		exp := scrapeMetrics(ctx, stderr, watch[id])
-		for _, counter := range panicCounters {
+		for _, counter := range []string{"nanoxbar_http_panics_total", "nanoxbar_engine_panics_total"} {
 			panics, ok := 0.0, false
 			if exp != nil {
 				panics, ok = exp.Value(counter, nil)

@@ -29,11 +29,8 @@
 // spare lines it uses, uniformly without replacement from the lines
 // the failed configuration left unselected. Masks, permutations and
 // spare lists live in pooled scratch — a repair attempt performs zero
-// heap allocations. The session checks every rule above, wire faults
-// included, on any map a caller supplies. CheckLanes is its lane-word
-// form over 64 random dies at once; random dies carry crosspoint
-// defects only, so it reads the stuck-open and stuck-closed lane planes
-// and nothing else.
+// heap allocations. CheckLanes is its lane-word form over 64 random
+// dies, which carry crosspoint defects only.
 package bism
 
 import (

@@ -18,9 +18,7 @@ import (
 // selection mask, this intersects one site's die-major lane word — the
 // per-row kernel used&open | (sel&^used)&closed evaluated across all
 // lanes at once, one OR per crosspoint of the application footprint.
-// Random dies carry crosspoint defects only (defect.LanePlanes holds no
-// wire plane), so the footprint's crosspoints are the whole check; the
-// scalar check keeps the wire-fault rules for maps that have them.
+// A random die has no wire faults, so its footprint is the whole check.
 // Violations are accumulated, not diagnosed: the lane path only needs
 // pass/fail per die, and failing dies are demoted to the scalar mapper
 // which re-derives the full BISD diagnosis from the die's own map.

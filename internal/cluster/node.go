@@ -350,15 +350,19 @@ func (n *Node) PeerFill(ctx context.Context, key string) *core.Implementation {
 	return nil
 }
 
-// Status is the /healthz cluster block: the member view peers
-// heartbeat on. The routing counters are /metrics series, and Counters
-// reads them in process.
+// Status is the node's cluster view. Its JSON form, the /healthz cluster
+// block peers heartbeat on, leaves out the routing counters /metrics serves.
 type Status struct {
-	NodeID      string         `json:"node_id"`
-	Advertise   string         `json:"advertise,omitempty"`
-	Leaving     bool           `json:"leaving"`
-	RingMembers int            `json:"ring_members"`
-	Members     []MemberStatus `json:"members,omitempty"`
+	NodeID         string         `json:"node_id"`
+	Advertise      string         `json:"advertise,omitempty"`
+	Leaving        bool           `json:"leaving"`
+	RingMembers    int            `json:"ring_members"`
+	Members        []MemberStatus `json:"members,omitempty"`
+	PeerFillHits   uint64         `json:"-"`
+	PeerFillMisses uint64         `json:"-"`
+	Forwards       uint64         `json:"-"`
+	Failovers      uint64         `json:"-"`
+	LocalDegrades  uint64         `json:"-"`
 }
 
 // Status snapshots the node's cluster view.
@@ -369,23 +373,11 @@ func (n *Node) Status() Status {
 		size = ring.Size()
 	}
 	return Status{
-		NodeID:      n.id,
-		Advertise:   n.advertise,
-		Leaving:     n.leaving.Load(),
-		RingMembers: size,
-		Members:     n.det.Members(),
-	}
-}
-
-// Counters are the node's routing counters, the
-// nanoxbar_cluster_*_total series of /metrics.
-type Counters struct {
-	PeerFillHits, PeerFillMisses, Forwards, Failovers, LocalDegrades uint64
-}
-
-// Counters snapshots the routing counters for in-process readers.
-func (n *Node) Counters() Counters {
-	return Counters{
+		NodeID:         n.id,
+		Advertise:      n.advertise,
+		Leaving:        n.leaving.Load(),
+		RingMembers:    size,
+		Members:        n.det.Members(),
 		PeerFillHits:   n.peerFillHits.Load(),
 		PeerFillMisses: n.peerFillMisses.Load(),
 		Forwards:       n.forwards.Load(),

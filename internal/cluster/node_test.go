@@ -172,7 +172,7 @@ func TestPeerFillHit(t *testing.T) {
 	if res := nodes["a"].eng.DoCtx(context.Background(), req); !res.Ok() {
 		t.Fatalf("a.DoCtx: %v", res.Err)
 	}
-	st := nodes["a"].node.Counters()
+	st := nodes["a"].node.Status()
 	if st.PeerFillHits != 1 || st.PeerFillMisses != 0 {
 		t.Fatalf("a fill hits/misses = %d/%d, want 1/0", st.PeerFillHits, st.PeerFillMisses)
 	}
@@ -185,7 +185,7 @@ func TestPeerFillHit(t *testing.T) {
 	// The filled entry is cached: a second local call is a plain hit,
 	// no second fill round-trip.
 	nodes["a"].eng.DoCtx(context.Background(), req)
-	if st := nodes["a"].node.Counters(); st.PeerFillHits != 1 {
+	if st := nodes["a"].node.Status(); st.PeerFillHits != 1 {
 		t.Fatalf("second call re-filled: hits = %d", st.PeerFillHits)
 	}
 }
@@ -200,7 +200,7 @@ func TestPeerFillMiss(t *testing.T) {
 	if res := nodes["a"].eng.DoCtx(context.Background(), req); !res.Ok() {
 		t.Fatalf("a.DoCtx: %v", res.Err)
 	}
-	st := nodes["a"].node.Counters()
+	st := nodes["a"].node.Status()
 	if st.PeerFillMisses != 1 || st.PeerFillHits != 0 {
 		t.Fatalf("a fill hits/misses = %d/%d, want 0/1", st.PeerFillHits, st.PeerFillMisses)
 	}
@@ -230,7 +230,7 @@ func TestForwardToOwner(t *testing.T) {
 	if ev := postSynthesize(t, nodes["a"].srv.URL, req); ev.Result == nil || ev.Result.Synthesis == nil {
 		t.Fatalf("forwarded request: %+v", ev)
 	}
-	if st := nodes["a"].node.Counters(); st.Forwards != 1 || st.Failovers != 0 {
+	if st := nodes["a"].node.Status(); st.Forwards != 1 || st.Failovers != 0 {
 		t.Fatalf("a forwards/failovers = %d/%d, want 1/0", st.Forwards, st.Failovers)
 	}
 	if got := nodes["a"].eng.Stats().SynthCalls; got != 0 {
@@ -253,7 +253,7 @@ func TestForwardFailover(t *testing.T) {
 	if ev := postSynthesize(t, nodes["a"].srv.URL, req); ev.Result == nil || ev.Result.Synthesis == nil {
 		t.Fatalf("failover request: %+v", ev)
 	}
-	st := nodes["a"].node.Counters()
+	st := nodes["a"].node.Status()
 	if st.Failovers != 1 {
 		t.Fatalf("a failovers = %d, want 1", st.Failovers)
 	}
@@ -277,7 +277,7 @@ func TestLocalDegrade(t *testing.T) {
 	if ev := postSynthesize(t, nodes["a"].srv.URL, req); ev.Result == nil || ev.Result.Synthesis == nil {
 		t.Fatalf("degraded request: %+v", ev)
 	}
-	st := nodes["a"].node.Counters()
+	st := nodes["a"].node.Status()
 	if st.LocalDegrades != 1 || st.Forwards != 0 {
 		t.Fatalf("a degrades/forwards = %d/%d, want 1/0", st.LocalDegrades, st.Forwards)
 	}
@@ -320,7 +320,7 @@ func TestForwardDomainErrorPassesThrough(t *testing.T) {
 	if got := marker.Load(); got != "a" {
 		t.Fatalf("forward carried %s = %q, want the sender's id", cluster.ForwardedHeader, got)
 	}
-	st := nodes["a"].node.Counters()
+	st := nodes["a"].node.Status()
 	if st.Forwards != 1 || st.Failovers != 0 || st.LocalDegrades != 0 {
 		t.Fatalf("forwards/failovers/degrades = %d/%d/%d, want 1/0/0",
 			st.Forwards, st.Failovers, st.LocalDegrades)
@@ -353,7 +353,7 @@ func TestForwardOverloadedOwnerEndsLadder(t *testing.T) {
 	if marker.Load() == nil {
 		t.Fatal("the overloaded owner never saw the forward")
 	}
-	st := nodes["a"].node.Counters()
+	st := nodes["a"].node.Status()
 	if st.Forwards != 1 || st.Failovers != 0 || st.LocalDegrades != 0 {
 		t.Fatalf("forwards/failovers/degrades = %d/%d/%d, want 1/0/0",
 			st.Forwards, st.Failovers, st.LocalDegrades)
@@ -380,7 +380,7 @@ func TestForwardUnavailableOwnerFailsOver(t *testing.T) {
 	if marker.Load() == nil {
 		t.Fatal("the unavailable owner never saw the forward")
 	}
-	st := nodes["a"].node.Counters()
+	st := nodes["a"].node.Status()
 	if st.Forwards != 1 || st.Failovers != 1 || st.LocalDegrades != 0 {
 		t.Fatalf("forwards/failovers/degrades = %d/%d/%d, want 1/1/0",
 			st.Forwards, st.Failovers, st.LocalDegrades)
@@ -415,7 +415,7 @@ func TestForwardInJobsBatch(t *testing.T) {
 			t.Fatalf("index %d is not a map: %+v", i, evs[i])
 		}
 	}
-	if st := nodes["a"].node.Counters(); st.Forwards != 1 || st.Failovers != 0 || st.LocalDegrades != 0 {
+	if st := nodes["a"].node.Status(); st.Forwards != 1 || st.Failovers != 0 || st.LocalDegrades != 0 {
 		t.Fatalf("forwards/failovers/degrades = %d/%d/%d, want 1/0/0",
 			st.Forwards, st.Failovers, st.LocalDegrades)
 	}
@@ -440,11 +440,9 @@ func TestLeavingStopsRouting(t *testing.T) {
 	if imp := nodes["a"].node.PeerFill(context.Background(), "any-key"); imp != nil {
 		t.Fatal("leaving node still peer-filled")
 	}
-	if !nodes["a"].node.Status().Leaving {
-		t.Fatal("leaving node's status is not leaving")
-	}
-	if st := nodes["a"].node.Counters(); st.Forwards != 0 || st.PeerFillHits != 0 || st.PeerFillMisses != 0 {
-		t.Fatalf("leaving node's counters = %+v", st)
+	st := nodes["a"].node.Status()
+	if !st.Leaving || st.Forwards != 0 || st.PeerFillHits != 0 || st.PeerFillMisses != 0 {
+		t.Fatalf("leaving status = %+v", st)
 	}
 }
 

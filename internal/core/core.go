@@ -269,10 +269,8 @@ func (im *Implementation) App() *bism.App {
 	return a
 }
 
-// CheckMappable rejects, typed bad_spec, an implementation with no
-// array to place: the diode or FET array of a constant function has no
-// rows, and a self-mapping application needs at least one line of each
-// kind.
+// CheckMappable answers bad_spec for an implementation with no array to
+// place: a constant function's diode or FET array has no rows.
 func (im *Implementation) CheckMappable() error {
 	if im.Rows < 1 || im.Cols < 1 {
 		return apierr.BadSpec("core: %v implementation %d×%d has no array to map: the function is constant", im.Tech, im.Rows, im.Cols)

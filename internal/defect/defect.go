@@ -249,10 +249,8 @@ func (m *Map) String() string {
 	return sb.String()
 }
 
-// Params control random defect generation: the per-crosspoint
-// probabilities of a stuck-open and of a stuck-closed fault, drawn
-// independently and uniformly over the die. Random dies carry no wire
-// faults; a caller that has them sets them on the Map.
+// Params are a random die's per-crosspoint stuck-open and stuck-closed
+// probabilities. A random die has no wire faults; set those on a Map.
 type Params struct {
 	PStuckOpen   float64
 	PStuckClosed float64
@@ -356,12 +354,12 @@ func Random(r, c int, p Params, rng *rand.Rand) *Map {
 	return m
 }
 
-// envelopeP is the per-site total defect probability, capped at 1 —
-// the skip sampler's rate. Each visited site is split into stuck open
-// or stuck closed by one uniform draw, preserving the scalar
-// reference's marginals P(open)=min(pO,1), P(closed)=min(pO+pC,1)-min(pO,1).
-func envelopeP(p Params) float64 {
-	return minF(minF(p.PStuckOpen, 1)+minF(p.PStuckClosed, 1), 1)
+// rates returns the stuck-open and the total defect probability of a
+// site, each capped at 1. The skip sampler visits sites at the total,
+// and a visited site's draw u·total is stuck open below the first.
+func (p Params) rates() (open, total float64) {
+	open = minF(p.PStuckOpen, 1)
+	return open, minF(open+minF(p.PStuckClosed, 1), 1)
 }
 
 // RandomInto redraws m in place from p — Random without the allocation,
@@ -378,13 +376,12 @@ func envelopeP(p Params) float64 {
 func RandomInto(m *Map, p Params, rng *rand.Rand) {
 	m.Reset()
 	c := m.C
-	po, pc, pEnv := minF(p.PStuckOpen, 1), minF(p.PStuckClosed, 1), envelopeP(p)
+	po, pEnv := p.rates()
 	VisitBernoulli(rng, pEnv, m.R*c, func(i int) {
-		u := rng.Float64() * pEnv
-		switch {
+		switch u := rng.Float64() * pEnv; {
 		case u < po:
 			m.Set(i/c, i%c, StuckOpen)
-		case u < minF(po+pc, 1):
+		case u < pEnv:
 			m.Set(i/c, i%c, StuckClosed)
 		}
 	})

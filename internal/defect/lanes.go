@@ -11,8 +11,7 @@ import (
 // (words run along a row of one die), LanePlanes is the transpose —
 // die-bit/site-instance — which is what lets the lane yield engine ask
 // "which of these 64 dies fail this candidate mapping?" as a handful of
-// word ORs instead of 64 separate map walks. A random die has no wire
-// faults, so the group holds none.
+// word ORs instead of 64 separate map walks.
 //
 // Layout: open/clsd are R·C words, site-major — word r*C+c, bit L set
 // iff die L's crosspoint (r,c) is stuck open / stuck closed.
@@ -74,7 +73,8 @@ type LaneCursor struct {
 // The ExtendLane calls that continue it name the die's lane, which
 // must be clear.
 func (lp *LanePlanes) BeginLane(cur *LaneCursor, p Params, rng *rand.Rand) {
-	cur.sites = newSkipSampler(envelopeP(p))
+	_, pEnv := p.rates()
+	cur.sites = newSkipSampler(pEnv)
 	cur.next = cur.sites.first(rng, lp.R*lp.C)
 }
 
@@ -92,14 +92,13 @@ func (lp *LanePlanes) ExtendLane(lane int, cur *LaneCursor, p Params, rng *rand.
 	if cur.next >= limit {
 		return
 	}
-	po, pc, pEnv := minF(p.PStuckOpen, 1), minF(p.PStuckClosed, 1), cur.sites.p
+	po, pEnv := p.rates()
 	open, clsd := lp.open, lp.clsd
 	cur.next = cur.sites.walk(rng, cur.next, limit, n, func(i int) {
-		u := rng.Float64() * pEnv
-		switch {
+		switch u := rng.Float64() * pEnv; {
 		case u < po:
 			open[i] |= bit
-		case u < minF(po+pc, 1):
+		case u < pEnv:
 			clsd[i] |= bit
 		}
 	})

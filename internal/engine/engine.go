@@ -103,6 +103,7 @@ type Engine struct {
 
 	requests   atomic.Uint64
 	failures   atomic.Uint64
+	panics     atomic.Uint64 // recovered in dispatch or in a yield die group
 	synthCalls atomic.Uint64
 	byKind     [4]atomic.Uint64 // synthesize, compare, map, yield
 
@@ -111,10 +112,6 @@ type Engine struct {
 	// degraded fast-path synthesis options after excessive queue wait.
 	shed         atomic.Uint64
 	degradedReqs atomic.Uint64
-
-	// panics counts the panics the engine recovered: in dispatch, and in
-	// the die groups a yield sweep turned into die errors.
-	panics atomic.Uint64
 
 	// Fault-path counters: dies placed through the self-mapper, random
 	// defect maps drawn, and total self-mapping configurations spent —
@@ -716,9 +713,7 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 	yr := &YieldResult{Chips: chips}
 	var configs, bist, bisd int
 	// A failed sweep reports its lowest-index failing die, whatever
-	// order the dies complete in. The dies of a group that panicked
-	// arrive together and share one error, so each new error is one
-	// recovered panic.
+	// order the dies complete in. A panicked group's dies share one error.
 	var dieErr, lastPanic error
 	errDie := chips
 	runErr := e.yield.Run(ctx, spec, func(dr yield.DieResult) {

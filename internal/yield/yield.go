@@ -9,16 +9,14 @@
 // applies the remaining 64x axis — the same 64-lanes-per-word trick the
 // redundancy engine uses for Monte Carlo trials — across dies:
 //
-//  1. Draw. A worker begins a group of 64 dies' defect draws directly
-//     in defect.LanePlanes lane words (die-major transposed layout: a
-//     stuck-open and a stuck-closed word per crosspoint site, since a
-//     random die has no wire faults), one seeded stream per die,
-//     bit-for-bit the stream RandomInto would produce for the same die
-//     seed. Each die is drawn only as far as its checks read: before
-//     candidate k is probed, the dies still pending are extended
-//     through row (k+1)·appR, each resuming its own saved source state.
-//     Most dies pass candidate 0, so most of a die's crosspoints are
-//     never drawn.
+//  1. Draw. A worker begins a group of 64 dies' crosspoint draws
+//     directly in defect.LanePlanes lane words (die-major transposed
+//     layout), one seeded stream per die, bit-for-bit the stream
+//     RandomInto would produce for the same die seed. Each die is drawn
+//     only as far as its checks read: before candidate k is probed, the
+//     dies still pending are extended through row (k+1)·appR, each
+//     resuming its own saved source state. Most dies pass candidate 0,
+//     so most of a die's crosspoints are never drawn.
 //  2. Fast check. A fixed schedule of disjoint block-diagonal candidate
 //     mappings (candidate k places the application at rows/cols k·appR,
 //     k·appC) is probed with bism.CheckLanes — one BIST session per
@@ -120,9 +118,8 @@ type DieResult struct {
 	// scalar demotion.
 	Fast bool
 	// Err is set when the die could not be processed at all (a panic in
-	// the mapper); Mapping and Stats are then meaningless. LaneRunner
-	// gives every die of the group that panicked the same error value,
-	// and emits them together.
+	// the mapper); Mapping and Stats are then meaningless. The dies of
+	// a group that panicked share one error and are emitted together.
 	Err error
 }
 

@@ -21,10 +21,8 @@ type (
 	// per-crosspoint stuck-open/stuck-closed faults plus broken and
 	// bridged wires.
 	DefectMap = defect.Map
-	// DefectParams parameterize random defect injection: the
-	// per-crosspoint stuck-open and stuck-closed probabilities of the
-	// paper's uniform model. A random map has no broken or bridged
-	// wires; set those on a DefectMap directly.
+	// DefectParams parameterize random defect injection: the paper's
+	// uniform stuck-open and stuck-closed crosspoint probabilities.
 	DefectParams = defect.Params
 )
 
