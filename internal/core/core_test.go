@@ -173,31 +173,17 @@ func TestMapWithRecoveryErrors(t *testing.T) {
 	if _, err := MapWithRecovery(im, defect.NewMap(2, 2), bism.Blind{}, 10, rng); err == nil {
 		t.Fatal("too-small chip accepted")
 	}
-}
-
-// TestMapConstantIsBadSpec: a constant function's diode and FET
-// arrays have no rows, so placing one answers bad_spec instead of
-// reaching bism.NewApp's panic; the 1×1 constant lattice still maps.
-func TestMapConstantIsBadSpec(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, tc := range []struct {
+	// A constant function's diode and FET arrays have no rows to place.
+	for _, c := range []struct {
 		f    truthtab.TT
 		tech Technology
-		ok   bool
-	}{
-		{truthtab.New(2), Diode, false},
-		{truthtab.New(2), FET, false},
-		{truthtab.New(2).Not(), FET, false},
-		{truthtab.New(2), FourTerminal, true},
-		{truthtab.New(2).Not(), FourTerminal, true},
-	} {
-		im, err := Synthesize(tc.f, tc.tech, DefaultOptions())
+	}{{truthtab.New(2), Diode}, {truthtab.New(2), FET}, {truthtab.New(2).Not(), FET}} {
+		im, err := Synthesize(c.f, c.tech, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = MapWithRecovery(im, defect.NewMap(4, 4), bism.Greedy{}, 10, rng)
-		if tc.ok != (err == nil) || !tc.ok && !errors.Is(err, apierr.ErrBadSpec) {
-			t.Fatalf("%v %d×%d: MapWithRecovery error %v", tc.tech, im.Rows, im.Cols, err)
+		if _, err := MapWithRecovery(im, defect.NewMap(4, 4), bism.Blind{}, 10, rng); !errors.Is(err, apierr.ErrBadSpec) {
+			t.Fatalf("%v %d×%d implementation: error %v, want bad_spec", c.tech, im.Rows, im.Cols, err)
 		}
 	}
 }

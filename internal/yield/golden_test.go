@@ -92,15 +92,15 @@ func goldenLine(key string, dies []DieResult) string {
 }
 
 // addWireFaults breaks each row and each column of m, and bridges each
-// adjacent pair of rows and of columns, independently with probability
-// p, drawing from rng after the die's crosspoints. Random dies carry
-// crosspoint defects only; an explicit chip on a map request is how
-// wire faults reach the mappers, and this stands in for one.
-func addWireFaults(m *defect.Map, p float64, rng *rand.Rand) {
-	defect.VisitBernoulli(rng, p, m.R, func(i int) { m.SetRowBroken(i, true) })
-	defect.VisitBernoulli(rng, p, m.C, func(i int) { m.SetColBroken(i, true) })
-	defect.VisitBernoulli(rng, p, m.R-1, func(i int) { m.SetRowBridge(i, true) })
-	defect.VisitBernoulli(rng, p, m.C-1, func(i int) { m.SetColBridge(i, true) })
+// adjacent pair of rows and of columns, independently with the given
+// probabilities, drawing from rng after the die's crosspoints. Random
+// dies carry crosspoint defects only; an explicit chip on a map request
+// is how wire faults reach the mappers, and this stands in for one.
+func addWireFaults(m *defect.Map, rng *rand.Rand, rowBreak, colBreak, rowBridge, colBridge float64) {
+	defect.VisitBernoulli(rng, rowBreak, m.R, func(i int) { m.SetRowBroken(i, true) })
+	defect.VisitBernoulli(rng, colBreak, m.C, func(i int) { m.SetColBroken(i, true) })
+	defect.VisitBernoulli(rng, rowBridge, m.R-1, func(i int) { m.SetRowBridge(i, true) })
+	defect.VisitBernoulli(rng, colBridge, m.C-1, func(i int) { m.SetColBridge(i, true) })
 }
 
 // goldenCorpus runs the fault path over the corpus: lane-runner sweeps
@@ -147,7 +147,7 @@ func goldenCorpus(t *testing.T) []string {
 							src.Seed(seed0 + int64(i))
 							chip := defect.Random(sh.chip, sh.chip, defect.UniformCrosspoint(d), rng)
 							if wires {
-								addWireFaults(chip, d/4, rng)
+								addWireFaults(chip, rng, d/4, d/4, d/4, d/4)
 							}
 							m, st := scheme.Map(bism.NewChip(chip), sh.app, goldenMapTries, rng)
 							dies[i] = DieResult{Die: i, Mapping: m, Stats: st}
