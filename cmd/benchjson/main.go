@@ -14,8 +14,10 @@
 //	benchjson -compare BENCH_lattice.json -against bench_ci.json [-tolerance 0.25]
 //
 // A benchmark regresses when its ns/op exceeds baseline×(1+tolerance),
-// and baseline benchmarks missing from the new report fail the gate
-// too. Exit status 1 on a failed gate.
+// or when its allocs/op exceed the baseline's by more than max(4, 2%)
+// (a fixed slack: allocation counts barely depend on the machine), and
+// baseline benchmarks missing from the new report fail the gate too.
+// Exit status 1 on a failed gate.
 //
 // CI emits with -benchtime 20ms (steady-state but fast; single-
 // iteration -benchtime 1x timings are warmup-dominated and useless for

@@ -107,6 +107,43 @@ func TestCompareGatePassesWithinTolerance(t *testing.T) {
 	}
 }
 
+// TestCompareGateTripsOnAllocRegression proves the gate fails a
+// benchmark whose allocs/op rose past the slack at an unchanged ns/op:
+// a synthetic regression of one allocation over it on the baseline's
+// BenchmarkV2RoundTrip.
+func TestCompareGateTripsOnAllocRegression(t *testing.T) {
+	base, err := benchreport.Load(td("baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withAllocs := func(rep benchreport.Report, v2 int64) string {
+		rep.Benchmarks = append([]benchreport.Benchmark(nil), rep.Benchmarks...)
+		for i := range rep.Benchmarks {
+			n := int64(10)
+			if rep.Benchmarks[i].Name == "BenchmarkV2RoundTrip" {
+				n = v2
+			}
+			rep.Benchmarks[i].AllocsPerOp = &n
+		}
+		path := filepath.Join(t.TempDir(), "report.json")
+		if err := benchreport.WriteFile(path, rep); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	oldPath := withAllocs(base, 150)
+	if code, out := capture(t, oldPath, withAllocs(base, 153), 0.25); code != 0 {
+		t.Fatalf("+3 allocs/op failed the gate: exit %d\n%s", code, out)
+	}
+	code, out := capture(t, oldPath, withAllocs(base, 155), 0.25)
+	if code != 1 || !strings.Contains(out, "ALLOCATION REGRESSIONS") || !strings.Contains(out, "BenchmarkV2RoundTrip") {
+		t.Fatalf("+5 allocs/op passed the gate: exit %d\n%s", code, out)
+	}
+	if strings.Contains(out, "BenchmarkEval8x8") {
+		t.Fatalf("unregressed benchmark reported:\n%s", out)
+	}
+}
+
 func TestCompareGateMissingBenchmark(t *testing.T) {
 	// A new report that silently dropped a baseline benchmark fails.
 	var rep benchreport.Report

@@ -1,6 +1,7 @@
 package benchreport
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -106,5 +107,36 @@ func TestCompareZeroBaselineIgnored(t *testing.T) {
 	new := mkReport(map[string]float64{"BenchmarkZero": 1000})
 	if cmp := Compare(old, new, 0.25); !cmp.OK() {
 		t.Fatalf("zero baseline produced a regression: %+v", cmp)
+	}
+}
+
+// allocReport builds a report with the given name→allocs/op pairs, all
+// at the same ns/op; a negative count leaves the row without an
+// allocation figure.
+func allocReport(allocs map[string]int64) Report {
+	var rep Report
+	for name, n := range allocs {
+		b := Benchmark{Pkg: "p", Name: name, Iterations: 1, NsPerOp: 100}
+		if n >= 0 {
+			b.AllocsPerOp = &n
+		}
+		rep.Benchmarks = append(rep.Benchmarks, b)
+	}
+	return rep
+}
+
+func TestCompareGatesAllocations(t *testing.T) {
+	old := allocReport(map[string]int64{"A": 10, "B": 1000, "C": 10, "D": 1000, "E": -1, "F": 10, "G": 50})
+	new := allocReport(map[string]int64{"A": 14, "B": 1020, "C": 15, "D": 1021, "E": 500, "F": -1, "G": 20})
+	cmp := Compare(old, new, 0.25)
+	// A (+4) and B (+2%) sit at the slack, C (+5) and D (+2.1%) pass it,
+	// E and F lack a figure on one side, and G fell.
+	want := []AllocDelta{{ID: "p.C", OldAllocs: 10, NewAllocs: 15}, {ID: "p.D", OldAllocs: 1000, NewAllocs: 1021}}
+	if cmp.OK() || !reflect.DeepEqual(cmp.AllocRegressions, want) || len(cmp.Regressions) != 0 {
+		t.Fatalf("allocation regressions %+v (ns/op %+v), want %+v", cmp.AllocRegressions, cmp.Regressions, want)
+	}
+	out := cmp.Format()
+	if !strings.Contains(out, "ALLOCATION REGRESSIONS") || !strings.Contains(out, "p.D") || !strings.Contains(out, "FAIL") {
+		t.Fatalf("format lacks the allocation offenders:\n%s", out)
 	}
 }

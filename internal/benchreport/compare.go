@@ -14,12 +14,32 @@ type Delta struct {
 	Ratio float64 `json:"ratio"` // new / old; > 1 is slower
 }
 
+// AllocDelta is one benchmark whose allocs/op rose past the slack.
+type AllocDelta struct {
+	ID        string `json:"id"`
+	OldAllocs int64  `json:"old_allocs_per_op"`
+	NewAllocs int64  `json:"new_allocs_per_op"`
+}
+
+// Allocation counts barely depend on the machine, so they are gated
+// against the baseline with a small slack for run-to-run drift, mostly
+// sync.Pool refills after a garbage collection: a row fails when its
+// allocs/op exceeds the baseline by more than allocSlack or
+// allocSlackFrac of it, whichever is larger.
+const (
+	allocSlack     = 4
+	allocSlackFrac = 0.02
+)
+
 // Comparison is the outcome of diffing a new report against a baseline.
 type Comparison struct {
 	Tolerance float64 `json:"tolerance"`
 	Compared  int     `json:"compared"`
 	// Regressions exceed the tolerance — each one fails the gate.
 	Regressions []Delta `json:"regressions,omitempty"`
+	// AllocRegressions exceed the allocation slack — each one fails
+	// the gate too.
+	AllocRegressions []AllocDelta `json:"alloc_regressions,omitempty"`
 	// Missing are baseline benchmarks absent from the new report — a
 	// deleted or renamed benchmark would silently escape the gate, so
 	// the gate fails on them too.
@@ -27,10 +47,15 @@ type Comparison struct {
 }
 
 // OK reports whether the gate passes.
-func (c Comparison) OK() bool { return len(c.Regressions) == 0 && len(c.Missing) == 0 }
+func (c Comparison) OK() bool {
+	return len(c.Regressions) == 0 && len(c.AllocRegressions) == 0 && len(c.Missing) == 0
+}
 
-// Compare diffs `new` against the `old` baseline on ns/op. A benchmark
-// regresses when new > old×(1+tolerance).
+// Compare diffs `new` against the `old` baseline on ns/op and
+// allocs/op. A benchmark regresses when new ns/op > old×(1+tolerance),
+// or when its allocs/op exceed the baseline's by more than the
+// allocation slack; rows either report lacks an allocation figure for
+// are not gated on allocations.
 func Compare(old, new Report, tolerance float64) Comparison {
 	cmp := Comparison{Tolerance: tolerance}
 	newByID := make(map[string]Benchmark, len(new.Benchmarks))
@@ -44,6 +69,10 @@ func Compare(old, new Report, tolerance float64) Comparison {
 			continue
 		}
 		cmp.Compared++
+		if oa, na := ob.AllocsPerOp, nb.AllocsPerOp; oa != nil && na != nil &&
+			float64(*na-*oa) > max(allocSlack, allocSlackFrac*float64(*oa)) {
+			cmp.AllocRegressions = append(cmp.AllocRegressions, AllocDelta{ID: ob.ID(), OldAllocs: *oa, NewAllocs: *na})
+		}
 		if ob.NsPerOp <= 0 {
 			continue // a zero baseline cannot regress meaningfully
 		}
@@ -53,6 +82,7 @@ func Compare(old, new Report, tolerance float64) Comparison {
 		}
 	}
 	sort.Slice(cmp.Regressions, func(i, j int) bool { return cmp.Regressions[i].Ratio > cmp.Regressions[j].Ratio })
+	sort.Slice(cmp.AllocRegressions, func(i, j int) bool { return cmp.AllocRegressions[i].ID < cmp.AllocRegressions[j].ID })
 	sort.Strings(cmp.Missing)
 	return cmp
 }
@@ -70,6 +100,12 @@ func (c Comparison) Format() string {
 			line(d)
 		}
 	}
+	if len(c.AllocRegressions) > 0 {
+		fmt.Fprintf(&sb, "ALLOCATION REGRESSIONS (> max(%d, %.0f%%) allocs/op over baseline):\n", allocSlack, allocSlackFrac*100)
+		for _, d := range c.AllocRegressions {
+			fmt.Fprintf(&sb, "  %-60s %12d → %12d allocs/op\n", d.ID, d.OldAllocs, d.NewAllocs)
+		}
+	}
 	if len(c.Missing) > 0 {
 		sb.WriteString("MISSING from new report:\n")
 		for _, id := range c.Missing {
@@ -80,7 +116,7 @@ func (c Comparison) Format() string {
 	if !c.OK() {
 		verdict = "FAIL"
 	}
-	fmt.Fprintf(&sb, "%s: %d benchmarks compared, %d regressions, %d missing (tolerance %.0f%%)\n",
-		verdict, c.Compared, len(c.Regressions), len(c.Missing), c.Tolerance*100)
+	fmt.Fprintf(&sb, "%s: %d benchmarks compared, %d regressions, %d allocation regressions, %d missing (tolerance %.0f%%)\n",
+		verdict, c.Compared, len(c.Regressions), len(c.AllocRegressions), len(c.Missing), c.Tolerance*100)
 	return sb.String()
 }

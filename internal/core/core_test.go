@@ -47,6 +47,27 @@ func TestSynthesizeAllTechnologiesCorrect(t *testing.T) {
 	}
 }
 
+// TestEveryFourVarFunctionCompares runs each of the 65 536 functions of
+// four variables through CompareTechnologies with the default options:
+// every diode, FET and lattice implementation must compute its
+// function. Relabelling the inputs can change an implementation's area
+// but not its correctness, which Verify checks directly.
+func TestEveryFourVarFunctionCompares(t *testing.T) {
+	opts := DefaultOptions()
+	for tt := uint64(0); tt < 1<<16; tt++ {
+		f := truthtab.FromFunc(4, func(a uint64) bool { return tt>>a&1 == 1 })
+		cmp, err := CompareTechnologies(f, opts)
+		if err != nil {
+			t.Fatalf("4:%#04x: %v", tt, err)
+		}
+		for _, im := range []*Implementation{cmp.Diode, cmp.FET, cmp.Lattice} {
+			if !im.Verify(f) {
+				t.Fatalf("4:%#04x: %v implementation %d×%d computes another function", tt, im.Tech, im.Rows, im.Cols)
+			}
+		}
+	}
+}
+
 func TestPaperExampleSizes(t *testing.T) {
 	// The §III running example must reproduce the paper's numbers:
 	// diode 2×5, FET 4×4, lattice 2×2.

@@ -263,29 +263,20 @@ func UniformCrosspoint(density float64) Params {
 	return Params{PStuckOpen: density * 0.8, PStuckClosed: density * 0.2}
 }
 
-// geoGap returns the number of Bernoulli(p) failures before the next
-// success — the gap between consecutive defects in skip sampling. A
-// geometric deviate is the floor of an exponential one rescaled by the
-// rate λ = -log1p(-p): P(gap=k) = e^{-λk}(1-e^{-λ}) = (1-p)^k·p. The
-// exponential comes from the ziggurat (ExpFloat64), which is table
-// lookups on almost every draw — no math.Log on the hot path, unlike
-// the textbook log(1-U)/log(1-p) inversion. invLambda is 1/λ,
-// precomputed by the caller since p is constant across a sweep.
-func geoGap(rng *rand.Rand, invLambda float64) int {
-	// ExpFloat64 ≥ 0 and invLambda > 0, so the product is ≥ 0. Large
-	// gaps are capped so callers can add them to indices without
-	// overflow.
-	g := rng.ExpFloat64() * invLambda
-	if g >= math.MaxInt32 {
-		return math.MaxInt32
-	}
-	return int(g)
-}
-
 // skipSampler is the geometric-gap (skip) sampler over independent
-// Bernoulli(p) indices, and the package's only one: VisitBernoulli
-// (and through it RandomInto) and the resumable lane draw all find
-// their indices with first and walk.
+// Bernoulli(p) indices, and the package's only one. The gap between
+// consecutive successes, the number of failures before the next one, is
+// a geometric deviate: the floor of an exponential one rescaled by the
+// rate λ = -log1p(-p), since P(gap=k) = e^{-λk}(1-e^{-λ}) = (1-p)^k·p.
+// The exponential comes from the ziggurat (ExpFloat64), which is table
+// lookups on almost every draw — no math.Log on the hot path, unlike
+// the textbook log(1-U)/log(1-p) inversion; invLambda is 1/λ. Every
+// draw here (VisitBernoulli, the lane draw, the map fill) walks the
+// indices that succeed as
+//
+//	for i := s.first(rng, n); i < limit; i = s.step(rng, i, n) { … }
+//
+// with its visit body inline, so no draw calls a closure per index.
 type skipSampler struct{ p, invLambda float64 }
 
 func newSkipSampler(p float64) skipSampler {
@@ -306,45 +297,40 @@ func (s skipSampler) first(rng *rand.Rand, n int) int {
 	case s.p >= 1:
 		return 0
 	}
-	return min(geoGap(rng, s.invLambda), n)
+	if g := rng.ExpFloat64() * s.invLambda; g < float64(n) {
+		return int(g)
+	}
+	return n
 }
 
-// walk calls visit on i, an index returned by first or walk, and on
-// every later index that succeeds its draw, in increasing order, until
-// it reaches one at or past limit. It returns that index without
-// visiting it, or n when no index of [0, n) remains. Besides what visit
-// draws, the walk draws one gap per visited index (none when p ≥ 1), so
-// a walk stopped at limit resumes from the returned index and the RNG
-// state it left, and continues the stream one pass over [0, n) would
-// have drawn.
-func (s skipSampler) walk(rng *rand.Rand, i, limit, n int, visit func(i int)) int {
+// step returns the index after i, one that first or step returned, that
+// next succeeds its draw, or n when no index of (i, n) does. It draws
+// one gap (none when p ≥ 1), so a walk stopped at some limit resumes
+// from the index it stopped at and the RNG state it left, and continues
+// the stream one pass over [0, n) would have drawn. The gap is compared
+// as a float, so a long one cannot overflow the index.
+func (s skipSampler) step(rng *rand.Rand, i, n int) int {
 	if s.p >= 1 {
-		for ; i < limit; i++ {
-			visit(i)
-		}
-		return i
+		return i + 1
 	}
-	for inv := s.invLambda; i < limit; {
-		visit(i)
-		g := geoGap(rng, inv)
-		if i >= n-1-g { // i + 1 + g ≥ n, overflow-safe
-			return n
-		}
-		i += 1 + g
+	if g := rng.ExpFloat64() * s.invLambda; g < float64(n-1-i) {
+		return i + 1 + int(g)
 	}
-	return i
+	return n
 }
 
 // VisitBernoulli calls visit(i) for each i in [0,n) that succeeds an
 // independent Bernoulli(p) draw, using geometric-gap (skip) sampling:
 // the cost is O(p·n) random draws instead of n, the indices are visited
 // in increasing order, and the visited set has exactly the independent
-// per-index Bernoulli distribution. This is the shared sparse sampler of
-// the fault-tolerance paths: defect maps here, transient-upset masks in
-// internal/redundancy.
+// per-index Bernoulli distribution. It is the sampler's entry for
+// callers with a visit of their own, such as the transient-upset masks
+// of internal/redundancy.
 func VisitBernoulli(rng *rand.Rand, p float64, n int, visit func(i int)) {
 	s := newSkipSampler(p)
-	s.walk(rng, s.first(rng, n), n, n, visit)
+	for i := s.first(rng, n); i < n; i = s.step(rng, i, n) {
+		visit(i)
+	}
 }
 
 // Random draws a defect map.
@@ -370,21 +356,45 @@ func (p Params) rates() (open, total float64) {
 // instead of 4096. The draw stream differs from one uniform draw per
 // site (the scalar reference the property tests hold it to) —
 // distributions match, exact maps for a given seed do not. It is,
-// however, identical draw for draw with LanePlanes.DrawLane: the same
-// seed yields the same die through either path, which is the contract
-// the lane yield engine's demotion path rests on.
+// however, identical draw for draw with LanePlanes.DrawLane, and with a
+// lane begun, extended and finished by FinishLane: the same seed yields
+// the same die and the same end state through any of them, which is
+// the contract the lane yield engine's demotion path rests on.
 func RandomInto(m *Map, p Params, rng *rand.Rand) {
 	m.Reset()
-	c := m.C
+	_, pEnv := p.rates()
+	s := newSkipSampler(pEnv)
+	m.fill(nil, s, s.first(rng, m.R*m.C), p, rng)
+}
+
+// fill draws into m, which must be clear, a die whose stream has drawn
+// the defects rec holds (site<<1 | 1 if stuck closed, as LaneCursor
+// records them) and resumes at site i of s's walk: it replays rec, then
+// draws the rest of the stream. Each defect is one OR into its plane
+// word, at one unsigned division to split its site into row and column.
+func (m *Map) fill(rec []uint32, s skipSampler, i int, p Params, rng *rand.Rand) {
+	n, c, w := m.R*m.C, uint(m.C), m.w
+	for _, e := range rec {
+		site := uint(e >> 1)
+		r := site / c
+		col := site - r*c
+		if e&1 == 0 {
+			m.open[int(r)*w+int(col>>6)] |= 1 << (col & 63)
+		} else {
+			m.clsd[int(r)*w+int(col>>6)] |= 1 << (col & 63)
+		}
+	}
 	po, pEnv := p.rates()
-	VisitBernoulli(rng, pEnv, m.R*c, func(i int) {
+	for ; i < n; i = s.step(rng, i, n) {
+		r := uint(i) / c
+		col := uint(i) - r*c
 		switch u := rng.Float64() * pEnv; {
 		case u < po:
-			m.Set(i/c, i%c, StuckOpen)
+			m.open[int(r)*w+int(col>>6)] |= 1 << (col & 63)
 		case u < pEnv:
-			m.Set(i/c, i%c, StuckClosed)
+			m.clsd[int(r)*w+int(col>>6)] |= 1 << (col & 63)
 		}
-	})
+	}
 }
 
 func minF(a, b float64) float64 {

@@ -2,6 +2,7 @@ package defect
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -100,7 +101,7 @@ func TestExtendLaneMatchesDrawLane(t *testing.T) {
 			src.Seed(seed)
 			lp := NewLanePlanes(r, c)
 			var cur LaneCursor
-			lp.BeginLane(&cur, p, rng)
+			lp.BeginLane(&cur, p, rng, nil)
 			saved := *src
 			got := NewMap(r, c)
 			for through := 0; through < r; {
@@ -132,6 +133,97 @@ func TestExtendLaneMatchesDrawLane(t *testing.T) {
 				t.Fatalf("%s %dx%d lane %d: source state diverges from DrawLane's", name, r, c, lane)
 			}
 		}
+	}
+}
+
+// TestFinishLaneMatchesRandomInto is the demotion contract the lane
+// yield runner rests on: a lane begun with a record, extended through
+// any row r from 0 to R and finished by FinishLane yields the map
+// RandomInto draws from the same seed, and leaves the source in the
+// same state, on shapes either side of the 64-column word boundary and
+// at densities from none to every site. As in the runner, the shared
+// source draws for another die between the lane's calls.
+func TestFinishLaneMatchesRandomInto(t *testing.T) {
+	shapes := [][2]int{{9, 1}, {5, 63}, {4, 64}, {6, 65}, {70, 70}}
+	for _, density := range []float64{0, 0.02, 0.3, 1} {
+		p := UniformCrosspoint(density)
+		for _, shape := range shapes {
+			r, c := shape[0], shape[1]
+			lp := NewLanePlanes(r, c)
+			got, want := NewMap(r, c), NewMap(r, c)
+			rec := make([]uint32, r*c)
+			src, rng := xrand.New()
+			for through := 0; through <= r; through++ {
+				seed := int64(through*7919 + r*c)
+				src.Seed(seed)
+				RandomInto(want, p, rng)
+				wantNext := rng.Uint64()
+
+				lp.Reset()
+				src.Seed(seed)
+				var cur LaneCursor
+				lp.BeginLane(&cur, p, rng, rec)
+				lp.ExtendLane(through%64, &cur, p, rng, through)
+				saved := *src
+				src.Seed(seed + 1)
+				rng.ExpFloat64()
+				*src = saved
+				got.SetRowBroken(0, true) // FinishLane must clear what it does not draw
+				if !lp.FinishLane(got, &cur, p, rng) {
+					t.Fatalf("d=%v %dx%d through %d: FinishLane refused a record of %d entries", density, r, c, through, len(rec))
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("d=%v %dx%d through %d: finished lane differs from RandomInto\ngot:\n%s\nwant:\n%s", density, r, c, through, got, want)
+				}
+				if rng.Uint64() != wantNext {
+					t.Fatalf("d=%v %dx%d through %d: source state diverges from RandomInto's", density, r, c, through)
+				}
+			}
+		}
+	}
+}
+
+// TestFinishLaneWithoutRecord checks the fallback signal: a lane begun
+// without a record, or one whose record filled, is not finished, and
+// the map is left alone for the caller's redraw from the seed.
+func TestFinishLaneWithoutRecord(t *testing.T) {
+	p := UniformCrosspoint(1)
+	lp := NewLanePlanes(8, 8)
+	m := NewMap(8, 8)
+	m.Set(3, 3, StuckClosed)
+	for name, rec := range map[string][]uint32{"none": nil, "full": make([]uint32, 63)} {
+		var cur LaneCursor
+		rng := rand.New(rand.NewSource(1))
+		lp.Reset()
+		lp.BeginLane(&cur, p, rng, rec)
+		lp.ExtendLane(0, &cur, p, rng, 8) // 64 defects
+		if lp.FinishLane(m, &cur, p, rng) {
+			t.Fatalf("%s: FinishLane finished a lane with no complete record", name)
+		}
+		if m.CountCrosspointDefects() != 1 || m.At(3, 3) != StuckClosed {
+			t.Fatalf("%s: a refused FinishLane changed the map", name)
+		}
+	}
+}
+
+// TestRecordLenBounded checks a lane's record stays within MaxRecord
+// and within the sites it covers, at every chip size the engine accepts
+// and at any density, out-of-range ones included.
+func TestRecordLenBounded(t *testing.T) {
+	for _, n := range []int{1, 16, 64, 500, 4096} {
+		for _, d := range []float64{-0.5, 0, 0.001, 0.02, 0.3, 1, 2, math.NaN(), math.Inf(1)} {
+			for _, rows := range []int{1, n / 2, n} {
+				sites := max(rows, 1) * n
+				got := RecordLen(UniformCrosspoint(d), sites)
+				if got < 0 || got > MaxRecord || got > sites {
+					t.Fatalf("n=%d d=%v rows=%d: RecordLen %d outside [0, min(%d, %d)]", n, d, rows, got, sites, MaxRecord)
+				}
+			}
+		}
+	}
+	// 1 024 sites at 2% expect 20.48 defects with a deviation of 4.48.
+	if got := RecordLen(UniformCrosspoint(0.02), 1024); got != 27 {
+		t.Fatalf("RecordLen(2%%, 1024) = %d, want 27", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -107,6 +108,33 @@ func TestRequestBoundsAdmit(t *testing.T) {
 				t.Fatalf("DoCtx = %v %v", apierr.CodeOf(res.Err), res.Err)
 			}
 		})
+	}
+}
+
+// TestDensityBounds: a map or yield request drawing random dies answers
+// bad_spec naming its density unless it lies in [0, 1]; NaN and the
+// infinities reach the engine only from SDK callers. An explicit chip
+// draws nothing, so its map ignores the density.
+func TestDensityBounds(t *testing.T) {
+	e := newTestEngine(t)
+	for _, kind := range []Kind{KindMap, KindYield} {
+		for _, d := range []float64{-0.5, 1.0000001, 2, math.NaN(), math.Inf(1)} {
+			req := Request{Kind: kind, Function: FunctionSpec{Name: "maj3"}, Density: d, Seed: 1, Chips: 4}
+			res := e.DoCtx(context.Background(), req)
+			if apierr.CodeOf(res.Err) != apierr.CodeBadSpec || !strings.Contains(res.Err.Error(), "density") {
+				t.Errorf("%s at density %v = %q %v, want bad_spec naming the density", kind, d, apierr.CodeOf(res.Err), res.Err)
+			}
+		}
+		for _, d := range []float64{0, 1} {
+			req := Request{Kind: kind, Function: FunctionSpec{Name: "maj3"}, Density: d, Seed: 1, Chips: 4}
+			if res := e.DoCtx(context.Background(), req); !res.Ok() {
+				t.Errorf("%s at density %v = %q %v, want an answer", kind, d, apierr.CodeOf(res.Err), res.Err)
+			}
+		}
+	}
+	chip := &DefectMapSpec{Rows: []string{"....", "....", "....", "...."}}
+	if res := e.DoCtx(context.Background(), Request{Kind: KindMap, Function: FunctionSpec{Name: "maj3"}, Chip: chip, Density: 2}); !res.Ok() {
+		t.Errorf("map on an explicit chip at density 2 = %q %v, want an answer", apierr.CodeOf(res.Err), res.Err)
 	}
 }
 

@@ -556,11 +556,12 @@ func (e *Engine) runCompare(ctx context.Context, req Request, degraded bool) Res
 	return Result{Kind: req.Kind, Compare: &cr, Degraded: deg}
 }
 
-// chipSizeFor resolves and bounds the chip side for random defect
-// draws: the request's ChipSize, defaulting to twice the implementation
-// footprint. Resolved once per request — the per-die sweep must not
+// randomDie resolves and bounds a request's random defect draws: the
+// chip side, its ChipSize defaulting to twice the implementation
+// footprint, and the defect parameters of its Density, which must lie
+// in [0, 1]. Resolved once per request — the per-die sweep must not
 // rebuild the app matrix just to read its dimensions.
-func chipSizeFor(req Request, imp *core.Implementation) (int, error) {
+func randomDie(req Request, imp *core.Implementation) (int, defect.Params, error) {
 	n := req.ChipSize
 	if n <= 0 {
 		app := imp.App()
@@ -571,9 +572,12 @@ func chipSizeFor(req Request, imp *core.Implementation) (int, error) {
 		n *= 2
 	}
 	if n > maxChipSize {
-		return 0, apierr.BadSpec("engine: chip_size %d exceeds limit %d", n, maxChipSize)
+		return 0, defect.Params{}, apierr.BadSpec("engine: chip_size %d exceeds limit %d", n, maxChipSize)
 	}
-	return n, nil
+	if !(req.Density >= 0 && req.Density <= 1) { // NaN fails both
+		return 0, defect.Params{}, apierr.BadSpec("engine: density %v outside [0, 1]", req.Density)
+	}
+	return n, defect.UniformCrosspoint(req.Density), nil
 }
 
 // boundedAttempts resolves and bounds the per-chip configuration budget.
@@ -639,8 +643,9 @@ func (e *Engine) runMap(ctx context.Context, req Request, degraded bool) Result 
 		chip, err = req.Chip.ToMap()
 	} else {
 		var n int
-		if n, err = chipSizeFor(req, imp); err == nil {
-			chip = defect.Random(n, n, defect.UniformCrosspoint(req.Density), rng)
+		var p defect.Params
+		if n, p, err = randomDie(req, imp); err == nil {
+			chip = defect.Random(n, n, p, rng)
 			e.defectMaps.Add(1)
 		}
 	}
@@ -684,7 +689,7 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 	if err != nil {
 		return errResult(req.Kind, err)
 	}
-	size, err := chipSizeFor(req, imp)
+	size, params, err := randomDie(req, imp)
 	if err != nil {
 		return errResult(req.Kind, err)
 	}
@@ -704,7 +709,7 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 		App:         app,
 		Scheme:      scheme,
 		ChipSize:    size,
-		Params:      defect.UniformCrosspoint(req.Density),
+		Params:      params,
 		Dies:        chips,
 		Seed:        req.Seed,
 		MaxAttempts: maxAttempts,

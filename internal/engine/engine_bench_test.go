@@ -61,7 +61,9 @@ func perChipBatch(n int) []Request {
 }
 
 func BenchmarkMapBatchPooled(b *testing.B) {
-	e := New(Config{CacheSize: 64}) // default worker count
+	// Two workers, as the baseline row was recorded with: allocations
+	// grow with the worker count.
+	e := New(Config{Workers: 2, CacheSize: 64})
 	defer e.Close()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -100,9 +102,11 @@ func BenchmarkMapOnce(b *testing.B) {
 
 // BenchmarkYieldSweep is the CI-gated end-to-end number: one KindYield
 // request sweeping 64 dies of a 64×64 chip at 2% density through the
-// full engine path (cache hit, per-worker die scratch, aggregation).
+// full engine path (cache hit, per-worker die scratch, aggregation), on
+// two workers, as the baseline row was recorded with: each worker
+// allocates its own lane scratch.
 func BenchmarkYieldSweep(b *testing.B) {
-	e := New(Config{CacheSize: 64}) // default worker count
+	e := New(Config{Workers: 2, CacheSize: 64})
 	defer e.Close()
 	req := Request{
 		Kind:     KindYield,

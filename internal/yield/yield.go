@@ -24,10 +24,12 @@
 //     die passing candidate k is done: it took k+1 configurations and
 //     k+1 BIST calls, and its mapping is the shared candidate.
 //  3. Demote. Only dies failing every candidate fall back to the
-//     scalar path: reseed the die's stream, draw its whole map with
-//     RandomInto (the same bits the lane holds so far, and it leaves
-//     the RNG where a full lane draw would), and run the requested bism
-//     mapper with its full greedy/hybrid repair machinery.
+//     scalar path: finish the die's scalar map with FinishLane, from
+//     the defects the lane recorded and the rest of its stream (the map
+//     and the RNG end as RandomInto from the die's seed would leave
+//     them, and no crosspoint is drawn twice), and run the requested
+//     bism mapper with its full greedy/hybrid repair machinery. A lane
+//     whose bounded record filled is redrawn from its seed instead.
 //
 // Because the candidates are disjoint, their failure events are
 // independent under uniform defects, so the demotion rate falls
@@ -209,6 +211,9 @@ func (LaneRunner) Run(ctx context.Context, spec Spec, emit func(DieResult)) erro
 		par = groups
 	}
 	cands := candidateMappings(spec.App, spec.ChipSize)
+	// A lane is drawn at most through the schedule's last row before it
+	// demotes, and records the defects it draws there.
+	recLen := defect.RecordLen(spec.Params, len(cands)*spec.App.R*spec.ChipSize)
 	var (
 		next   atomic.Int64
 		wg     sync.WaitGroup
@@ -220,8 +225,10 @@ func (LaneRunner) Run(ctx context.Context, spec Spec, emit func(DieResult)) erro
 		go func() {
 			defer wg.Done()
 			w := laneWorker{
-				lp:   defect.NewLanePlanes(spec.ChipSize, spec.ChipSize),
-				chip: defect.NewMap(spec.ChipSize, spec.ChipSize),
+				lp:     defect.NewLanePlanes(spec.ChipSize, spec.ChipSize),
+				chip:   defect.NewMap(spec.ChipSize, spec.ChipSize),
+				rec:    make([]uint32, groupSize*recLen),
+				recLen: recLen,
 			}
 			w.src, w.rng = xrand.New()
 			for {
@@ -258,13 +265,15 @@ func (LaneRunner) Run(ctx context.Context, spec Spec, emit func(DieResult)) erro
 // laneWorker is one worker's scratch, reused across every group it
 // pulls from the shared counter: the lane planes, one scalar map for
 // demotions, the worker's one reseedable die stream, each lane's draw
-// cursor and saved stream state between probes, and the group's
-// results.
+// cursor, defect record (a fixed recLen-entry slice of rec) and saved
+// stream state between probes, and the group's results.
 type laneWorker struct {
 	lp     *defect.LanePlanes
 	chip   *defect.Map
 	src    *xrand.SplitMix
 	rng    *rand.Rand
+	rec    []uint32
+	recLen int
 	cursor [64]defect.LaneCursor
 	state  [64]xrand.SplitMix
 	out    [64]DieResult
@@ -290,7 +299,8 @@ func (w *laneWorker) runGroup(spec Spec, cands []*bism.Mapping, die0, lanes int)
 	w.lp.Reset()
 	for l := 0; l < lanes; l++ {
 		w.src.Seed(xrand.SubSeed(spec.Seed, die0+l))
-		w.lp.BeginLane(&w.cursor[l], spec.Params, w.rng)
+		end := (l + 1) * w.recLen
+		w.lp.BeginLane(&w.cursor[l], spec.Params, w.rng, w.rec[end-w.recLen:end:end])
 		w.state[l] = *w.src
 	}
 	pending := bitlane.Mask(lanes)
@@ -312,12 +322,17 @@ func (w *laneWorker) runGroup(spec Spec, cands []*bism.Mapping, die0, lanes int)
 			w.out[l] = DieResult{Die: die0 + l, Mapping: cand, Stats: fastStats(k), Fast: true}
 		}
 	}
-	// Demote the lanes no candidate fit: replay the die scalar-side.
+	// Demote the lanes no candidate fit: finish each die's map from its
+	// record and the rest of its stream, or, if the record filled, redraw
+	// the die from its seed.
 	for p := pending; p != 0; p &= p - 1 {
 		l := bits.TrailingZeros64(p)
 		die := die0 + l
-		w.src.Seed(xrand.SubSeed(spec.Seed, die))
-		defect.RandomInto(w.chip, spec.Params, w.rng)
+		*w.src = w.state[l]
+		if !w.lp.FinishLane(w.chip, &w.cursor[l], spec.Params, w.rng) {
+			w.src.Seed(xrand.SubSeed(spec.Seed, die))
+			defect.RandomInto(w.chip, spec.Params, w.rng)
+		}
 		m, st := spec.Scheme.Map(bism.NewChip(w.chip), spec.App, spec.MaxAttempts, w.rng)
 		st.Configs += len(cands)
 		st.BISTCalls += len(cands)

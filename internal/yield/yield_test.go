@@ -65,7 +65,10 @@ func sameMapping(a, b *bism.Mapping) bool {
 // masking), all-defective and zero-defect planes, every mapping scheme,
 // both serial and parallel execution, and schedules whose progressive
 // draws end on the chip's last row (a tall application with K·appR = N)
-// or stop after one candidate (a chip that fits only one).
+// or stop after one candidate (a chip that fits only one). Two dense,
+// tall sweeps fill lane records, so demoted dies also take the redraw
+// from their seeds: one whose schedule spans more crosspoints than
+// defect.MaxRecord, and FuzzLaneMatchesScalar's seed of that kind.
 func TestLaneMatchesScalarBitForBit(t *testing.T) {
 	app := testApp(t)
 	tall := bism.RandomApp(6, 4, 0.5, rand.New(rand.NewSource(23)))
@@ -86,29 +89,102 @@ func TestLaneMatchesScalarBitForBit(t *testing.T) {
 			for _, density := range densities {
 				for _, dies := range dieCounts {
 					for _, par := range []int{1, 4} {
-						spec := Spec{
+						requireLaneMatchesScalar(t, lay.name, Spec{
 							App: lay.app, Scheme: scheme, ChipSize: lay.chip,
 							Params: defect.UniformCrosspoint(density),
 							Dies:   dies, Seed: 99, MaxAttempts: 50, Parallel: par,
-						}
-						lane := collect(t, LaneRunner{}, spec)
-						scalar := collect(t, ScalarRunner{}, spec)
-						for die := range lane {
-							l, s := lane[die], scalar[die]
-							if l.Err != nil || s.Err != nil {
-								t.Fatalf("%s %s d=%v dies=%d par=%d die %d: unexpected errors %v / %v",
-									lay.name, scheme.Name(), density, dies, par, die, l.Err, s.Err)
-							}
-							if l.Fast != s.Fast || !reflect.DeepEqual(l.Stats, s.Stats) || !sameMapping(l.Mapping, s.Mapping) {
-								t.Fatalf("%s %s d=%v dies=%d par=%d die %d: lane %+v != scalar %+v",
-									lay.name, scheme.Name(), density, dies, par, die, l, s)
-							}
-						}
+						})
 					}
 				}
 			}
 		}
 	}
+	// 8·6 rows of 96 crosspoints, 4 608 draws, before a lane demotes.
+	requireLaneMatchesScalar(t, "6x4 on 96, records full", Spec{
+		App: tall, Scheme: bism.Greedy{}, ChipSize: 96,
+		Params: defect.UniformCrosspoint(1.0),
+		Dies:   70, Seed: 99, MaxAttempts: 5, Parallel: 2,
+	})
+	requireLaneMatchesScalar(t, "fuzz seed, records full", fuzzSpec(denseTallSeed()))
+}
+
+// requireLaneMatchesScalar runs spec through LaneRunner and ScalarRunner
+// and fails on the first die whose outcome differs.
+func requireLaneMatchesScalar(t *testing.T, name string, spec Spec) {
+	t.Helper()
+	lane := collect(t, LaneRunner{}, spec)
+	scalar := collect(t, ScalarRunner{}, spec)
+	for die := range lane {
+		l, s := lane[die], scalar[die]
+		if l.Err != nil || s.Err != nil {
+			t.Fatalf("%s %s d=%v dies=%d par=%d die %d: unexpected errors %v / %v",
+				name, spec.Scheme.Name(), spec.Params, spec.Dies, spec.Parallel, die, l.Err, s.Err)
+		}
+		if l.Fast != s.Fast || !reflect.DeepEqual(l.Stats, s.Stats) || !sameMapping(l.Mapping, s.Mapping) {
+			t.Fatalf("%s %s d=%v dies=%d par=%d die %d: lane %+v != scalar %+v",
+				name, spec.Scheme.Name(), spec.Params, spec.Dies, spec.Parallel, die, l, s)
+		}
+	}
+}
+
+// fuzzInput is one FuzzLaneMatchesScalar input: an application of
+// 1–8 × 1–8 lines whose crosspoints close with density closure/255, a
+// chip from the application's size up to 24, a crosspoint density in
+// 1/256 steps from 0 to 1, 1–130 dies, a scheme and 1–3 workers.
+type fuzzInput struct {
+	appR, appC, closure, chip uint8
+	density                   uint16
+	dies                      uint8
+	seed                      int64
+	scheme, par               uint8
+}
+
+// fuzzSpec maps a fuzz input onto a runnable spec.
+func fuzzSpec(in fuzzInput) Spec {
+	r, c := 1+int(in.appR%8), 1+int(in.appC%8)
+	lo := max(r, c)
+	return Spec{
+		App:         bism.RandomApp(r, c, float64(in.closure)/255, rand.New(rand.NewSource(in.seed))),
+		Scheme:      []bism.Mapper{bism.Greedy{}, bism.Blind{}, bism.Hybrid{}}[in.scheme%3],
+		ChipSize:    lo + int(in.chip)%(25-lo),
+		Params:      defect.UniformCrosspoint(float64(in.density%257) / 256),
+		Dies:        1 + int(in.dies)%130,
+		Seed:        in.seed,
+		MaxAttempts: 50,
+		Parallel:    1 + int(in.par%3),
+	}
+}
+
+// denseTallSeed is a fuzz input whose lanes fill their records: a fully
+// used 8×2 application on a 24-chip, whose three candidates span the
+// whole die, at 30% density. 128 of its 130 dies demote, and 7 of
+// those outgrow their records (counted when the seed was chosen).
+func denseTallSeed() fuzzInput {
+	return fuzzInput{appR: 7, appC: 1, closure: 255, chip: 16, density: 77, dies: 129, seed: 5, par: 2}
+}
+
+// FuzzLaneMatchesScalar holds LaneRunner to ScalarRunner die by die on
+// fuzzed sweeps. Its seeds are TestLaneMatchesScalarBitForBit's layouts
+// (the 48-chip on 24) over its schemes, densities and worker counts,
+// and the dense, tall sweep that fills lane records.
+func FuzzLaneMatchesScalar(f *testing.F) {
+	add := func(in fuzzInput) {
+		f.Add(in.appR, in.appC, in.closure, in.chip, in.density, in.dies, in.seed, in.scheme, in.par)
+	}
+	layouts := [][3]uint8{{3, 5, 24}, {5, 3, 24}, {3, 5, 9}} // appR-1, appC-1, chip
+	for i, lay := range layouts {
+		for scheme := range uint8(3) {
+			for j, density := range []uint16{0, 8, 256} { // 0, 3%, 1
+				dies := []uint8{0, 62, 63, 64, 129}[(i+int(scheme)+j)%5]
+				add(fuzzInput{appR: lay[0], appC: lay[1], closure: 128, chip: lay[2] - 6,
+					density: density, dies: dies, seed: 99, scheme: scheme, par: uint8(j % 2 * 2)})
+			}
+		}
+	}
+	add(denseTallSeed())
+	f.Fuzz(func(t *testing.T, appR, appC, closure, chip uint8, density uint16, dies uint8, seed int64, scheme, par uint8) {
+		requireLaneMatchesScalar(t, "fuzz", fuzzSpec(fuzzInput{appR, appC, closure, chip, density, dies, seed, scheme, par}))
+	})
 }
 
 // TestZeroDefectAllFast checks the fast path's best case: defect-free

@@ -43,7 +43,8 @@ func WithSeed(seed int64) Option {
 }
 
 // WithDensity sets the crosspoint defect density for random chip draws
-// (uniform, 80/20 stuck-open/stuck-closed).
+// (uniform, 80/20 stuck-open/stuck-closed). A density outside [0, 1],
+// NaN included, answers bad_spec.
 func WithDensity(density float64) Option {
 	return func(cc *callConfig) { cc.req.Density = density }
 }
