@@ -164,20 +164,25 @@ func denseTallSeed() fuzzInput {
 }
 
 // FuzzLaneMatchesScalar holds LaneRunner to ScalarRunner die by die on
-// fuzzed sweeps. Its seeds are TestLaneMatchesScalarBitForBit's layouts
-// (the 48-chip on 24) over its schemes, densities and worker counts,
-// and the dense, tall sweep that fills lane records.
+// fuzzed sweeps. Its seeds are TestLaneMatchesScalarBitForBit's 270
+// cases, with 24, the fuzzed maximum, for its 48-chip and 3 workers for
+// its 4, and the dense, tall sweep that fills lane records.
 func FuzzLaneMatchesScalar(f *testing.F) {
 	add := func(in fuzzInput) {
 		f.Add(in.appR, in.appC, in.closure, in.chip, in.density, in.dies, in.seed, in.scheme, in.par)
 	}
-	layouts := [][3]uint8{{3, 5, 24}, {5, 3, 24}, {3, 5, 9}} // appR-1, appC-1, chip
-	for i, lay := range layouts {
+	// 4×6 and 6×4 on 24 and 4×6 on 9: fuzzSpec puts these shapes on a
+	// chip of 6 + chip%19.
+	layouts := []struct{ appR, appC, chip uint8 }{{3, 5, 18}, {5, 3, 18}, {3, 5, 3}}
+	for _, lay := range layouts {
 		for scheme := range uint8(3) {
-			for j, density := range []uint16{0, 8, 256} { // 0, 3%, 1
-				dies := []uint8{0, 62, 63, 64, 129}[(i+int(scheme)+j)%5]
-				add(fuzzInput{appR: lay[0], appC: lay[1], closure: 128, chip: lay[2] - 6,
-					density: density, dies: dies, seed: 99, scheme: scheme, par: uint8(j % 2 * 2)})
+			for _, density := range []uint16{0, 8, 256} { // 0, 3%, 1
+				for _, dies := range []uint8{0, 62, 63, 64, 129} { // 1, 63, 64, 65, 130
+					for _, par := range []uint8{0, 2} { // 1 and 3 workers
+						add(fuzzInput{appR: lay.appR, appC: lay.appC, closure: 128, chip: lay.chip,
+							density: density, dies: dies, seed: 99, scheme: scheme, par: par})
+					}
+				}
 			}
 		}
 	}
