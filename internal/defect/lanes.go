@@ -89,15 +89,14 @@ const MaxRecord = 4096
 
 // RecordLen sizes the record of a lane that draws `sites` crosspoints
 // under p before FinishLane finishes its die: the expected defect count
-// there plus one and a half standard deviations, capped at the site
-// count and MaxRecord. The margin is small because every lane of a
-// group holds a record, though few demote, and a lane that outgrows its
-// record costs only a redraw of its die from the seed.
+// there plus two standard deviations and two, capped at the site count
+// and MaxRecord. A lane that outgrows its record costs a redraw of its
+// die from the seed.
 func RecordLen(p Params, sites int) int {
 	_, q := p.rates()
 	q = max(q, 0)
 	mean := float64(sites) * q
-	return int(min(mean+1.5*math.Sqrt(mean*(1-q)), float64(sites), MaxRecord))
+	return int(min(mean+2*math.Sqrt(mean*(1-q))+2, float64(sites), MaxRecord))
 }
 
 // BeginLane starts a resumable draw of a die from p into cur: it draws

@@ -222,8 +222,8 @@ func TestRecordLenBounded(t *testing.T) {
 		}
 	}
 	// 1 024 sites at 2% expect 20.48 defects with a deviation of 4.48.
-	if got := RecordLen(UniformCrosspoint(0.02), 1024); got != 27 {
-		t.Fatalf("RecordLen(2%%, 1024) = %d, want 27", got)
+	if got := RecordLen(UniformCrosspoint(0.02), 1024); got != 31 {
+		t.Fatalf("RecordLen(2%%, 1024) = %d, want 31", got)
 	}
 }
 

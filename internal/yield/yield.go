@@ -212,8 +212,13 @@ func (LaneRunner) Run(ctx context.Context, spec Spec, emit func(DieResult)) erro
 	}
 	cands := candidateMappings(spec.App, spec.ChipSize)
 	// A lane is drawn at most through the schedule's last row before it
-	// demotes, and records the defects it draws there.
+	// demotes, and records the defects it draws there. A worker holds
+	// records for as many lanes as the sweep can fill, whatever its group
+	// size: the groups of a sweep of 64 dies or more shrink below 64
+	// lanes only to spread over more workers, and scratch that followed
+	// them would grow with the die count.
 	recLen := defect.RecordLen(spec.Params, len(cands)*spec.App.R*spec.ChipSize)
+	recLanes := min(spec.Dies, 64)
 	var (
 		next   atomic.Int64
 		wg     sync.WaitGroup
@@ -227,7 +232,7 @@ func (LaneRunner) Run(ctx context.Context, spec Spec, emit func(DieResult)) erro
 			w := laneWorker{
 				lp:     defect.NewLanePlanes(spec.ChipSize, spec.ChipSize),
 				chip:   defect.NewMap(spec.ChipSize, spec.ChipSize),
-				rec:    make([]uint32, groupSize*recLen),
+				rec:    make([]uint32, recLanes*recLen),
 				recLen: recLen,
 			}
 			w.src, w.rng = xrand.New()

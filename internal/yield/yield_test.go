@@ -157,7 +157,7 @@ func fuzzSpec(in fuzzInput) Spec {
 
 // denseTallSeed is a fuzz input whose lanes fill their records: a fully
 // used 8×2 application on a 24-chip, whose three candidates span the
-// whole die, at 30% density. 128 of its 130 dies demote, and 7 of
+// whole die, at 30% density. 128 of its 130 dies demote, and 4 of
 // those outgrow their records (counted when the seed was chosen).
 func denseTallSeed() fuzzInput {
 	return fuzzInput{appR: 7, appC: 1, closure: 255, chip: 16, density: 77, dies: 129, seed: 5, par: 2}
