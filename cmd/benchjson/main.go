@@ -19,11 +19,13 @@
 // baseline benchmarks missing from the new report fail the gate too.
 // Exit status 1 on a failed gate.
 //
-// CI emits with -benchtime 20ms (steady-state but fast; single-
-// iteration -benchtime 1x timings are warmup-dominated and useless for
-// a ns/op gate) and gates with a loose tolerance that absorbs
-// cross-machine noise; release numbers are regenerated with the
-// default benchtime and committed as BENCH_lattice.json.
+// CI emits at the default benchtime, the one the committed
+// BENCH_lattice.json rows are recorded at, so allocs/op compares like
+// with like: a shorter benchtime gives the millisecond-scale rows a few
+// iterations, whose allocs/op drift past the slack with no code change
+// (single-iteration -benchtime 1x timings are also warmup-dominated).
+// It gates ns/op with a loose tolerance that absorbs cross-machine
+// noise.
 package main
 
 import (

@@ -2,6 +2,7 @@ package bism
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -137,48 +138,134 @@ func addWireFaults(m *defect.Map, rng *rand.Rand, rowBreak, colBreak, rowBridge,
 	defect.VisitBernoulli(rng, colBridge, m.C-1, func(i int) { m.SetColBridge(i, true) })
 }
 
+// checkShape is one trial shape of the mask-check property: a
+// side×side die of crosspoint defects at the open and closed rates,
+// with broken and bridged lines added at the four wire rates, and an
+// appR×appC application of density appDensity.
+type checkShape struct {
+	side                                     int
+	open, closed                             float64
+	rowBreak, colBreak, rowBridge, colBridge float64
+	appR, appC                               int
+	appDensity                               float64
+}
+
+// die draws the shape's die from rng.
+func (s checkShape) die(rng *rand.Rand) *Chip {
+	d := defect.Random(s.side, s.side, defect.Params{PStuckOpen: s.open, PStuckClosed: s.closed}, rng)
+	addWireFaults(d, rng, s.rowBreak, s.colBreak, s.rowBridge, s.colBridge)
+	return NewChip(d)
+}
+
+// randomCheck draws a random mapping of app onto ch from rng into
+// pooled scratch, which the caller returns with putScratch.
+func randomCheck(ch *Chip, app *App, rng *rand.Rand) (*Mapping, *scratch) {
+	scr := getScratch(ch.N, app.R)
+	m := scr.mapping(app)
+	scr.randomMapping(ch.N, app, rng, m)
+	return m, scr
+}
+
+// referenceTrials draws TestCheckMatchesScalarReference's 400 trials
+// from seed 7 and hands each one's shape, die, application and random
+// mapping to visit.
+func referenceTrials(visit func(trial int, s checkShape, ch *Chip, app *App, m *Mapping, scr *scratch)) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := range 400 {
+		s := checkShape{side: 2 + rng.Intn(80)} // crosses the 64-line word boundary
+		s.open, s.closed = rng.Float64()*0.1, rng.Float64()*0.1
+		s.rowBreak, s.colBreak, s.rowBridge, s.colBridge = rng.Float64()*0.1, rng.Float64()*0.1, rng.Float64()*0.1, rng.Float64()*0.1
+		ch := s.die(rng)
+		s.appR = 1 + rng.Intn(s.side)
+		s.appC, s.appDensity = s.appR, rng.Float64()
+		app := RandomApp(s.appR, s.appC, s.appDensity, rng)
+		m, scr := randomCheck(ch, app, rng)
+		visit(trial, s, ch, app, m, scr)
+		putScratch(scr)
+	}
+}
+
+// requireCheckMatchesScalar fails t unless the word-plane BIST/BISD
+// session on m agrees with the per-crosspoint reference: the same
+// pass/fail verdict and exactly the same diagnosed resource set.
+func requireCheckMatchesScalar(t testing.TB, what string, ch *Chip, app *App, m *Mapping, scr *scratch) {
+	t.Helper()
+	gotOK := ch.check(app, m, scr)
+	wantOK, wantBad := ch.checkScalar(app, m)
+	if gotOK != wantOK {
+		t.Fatalf("%s: mask check %v, scalar %v\n%s", what, gotOK, wantOK, ch.defects)
+	}
+	gotBad := map[Resource]bool{}
+	if !gotOK {
+		for _, r := range resources(&scr.bad) {
+			gotBad[r] = true
+		}
+	}
+	if len(gotBad) != len(wantBad) {
+		t.Fatalf("%s: diagnosis size %d, scalar %d\nmask: %v\nscalar: %v",
+			what, len(gotBad), len(wantBad), gotBad, wantBad)
+	}
+	for r := range wantBad {
+		if !gotBad[r] {
+			t.Fatalf("%s: scalar diagnoses %v, mask does not", what, r)
+		}
+	}
+}
+
 // TestCheckMatchesScalarReference is the mask-equivalence property
 // test: the word-plane BIST/BISD session must agree with the retained
 // per-crosspoint reference — pass/fail verdict and the exact diagnosed
 // resource set — over random chips, applications and mappings,
 // including wire faults and bridges around word boundaries.
 func TestCheckMatchesScalarReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 400; trial++ {
-		n := 2 + rng.Intn(80) // crosses the 64-line word boundary
-		p := defect.Params{PStuckOpen: rng.Float64() * 0.1, PStuckClosed: rng.Float64() * 0.1}
-		rowBreak, colBreak, rowBridge, colBridge := rng.Float64()*0.1, rng.Float64()*0.1, rng.Float64()*0.1, rng.Float64()*0.1
-		d := defect.Random(n, n, p, rng)
-		addWireFaults(d, rng, rowBreak, colBreak, rowBridge, colBridge)
-		ch := NewChip(d)
-		appDim := 1 + rng.Intn(n)
-		app := RandomApp(appDim, appDim, rng.Float64(), rng)
-		scr := getScratch(ch.N, app.R)
-		m := scr.mapping(app)
-		scr.randomMapping(ch.N, app, rng, m)
+	referenceTrials(func(trial int, s checkShape, ch *Chip, app *App, m *Mapping, scr *scratch) {
+		requireCheckMatchesScalar(t, fmt.Sprintf("trial %d (n=%d)", trial, s.side), ch, app, m, scr)
+	})
+}
 
-		gotOK := ch.check(app, m, scr)
-		wantOK, wantBad := ch.checkScalar(app, m)
-		if gotOK != wantOK {
-			t.Fatalf("trial %d (n=%d): mask check %v, scalar %v\n%s", trial, n, gotOK, wantOK, d)
-		}
-		gotBad := map[Resource]bool{}
-		if !gotOK {
-			for _, r := range resources(&scr.bad) {
-				gotBad[r] = true
-			}
-		}
-		if len(gotBad) != len(wantBad) {
-			t.Fatalf("trial %d (n=%d): diagnosis size %d, scalar %d\nmask: %v\nscalar: %v",
-				trial, n, len(gotBad), len(wantBad), gotBad, wantBad)
-		}
-		for r := range wantBad {
-			if !gotBad[r] {
-				t.Fatalf("trial %d (n=%d): scalar diagnoses %v, mask does not", trial, n, r)
-			}
-		}
-		putScratch(scr)
+// unitRate folds a fuzzed rate into [0, 1]: its magnitude, less its
+// integer part above 1; NaN and the infinities read 0.
+func unitRate(x float64) float64 {
+	x = math.Abs(x)
+	switch {
+	case math.IsNaN(x) || math.IsInf(x, 0):
+		return 0
+	case x > 1:
+		return x - math.Floor(x)
 	}
+	return x
+}
+
+// FuzzCheckMatchesScalar holds the mask check to checkScalar on fuzzed
+// dies: a side of 2–129 lines, across two word boundaries, the
+// crosspoint and wire-fault rates, the application's shape and
+// density, and the seed of the die, application and mapping draws. Its
+// seeds are TestCheckMatchesScalarReference's 400 trial shapes, each
+// with its trial index as the seed, and testdata's bridge-carry-64, a
+// 75-line die that fails a mask check dropping the carry of a bridge
+// between lines 63 and 64; the 400 trials pass such a check.
+//
+//	go test -run '^$' -fuzz FuzzCheckMatchesScalar -fuzztime 60s -fuzzminimizetime 2s ./internal/bism/
+func FuzzCheckMatchesScalar(f *testing.F) {
+	referenceTrials(func(trial int, s checkShape, _ *Chip, _ *App, _ *Mapping, _ *scratch) {
+		f.Add(uint8(s.side-2), s.open, s.closed, s.rowBreak, s.colBreak, s.rowBridge, s.colBridge,
+			uint8(s.appR-1), uint8(s.appC-1), s.appDensity, int64(trial))
+	})
+	f.Fuzz(func(t *testing.T, side uint8, open, closed, rowBreak, colBreak, rowBridge, colBridge float64,
+		appR, appC uint8, appDensity float64, seed int64) {
+		s := checkShape{side: 2 + int(side)%128,
+			open: unitRate(open), closed: unitRate(closed),
+			rowBreak: unitRate(rowBreak), colBreak: unitRate(colBreak),
+			rowBridge: unitRate(rowBridge), colBridge: unitRate(colBridge),
+			appDensity: unitRate(appDensity)}
+		s.appR, s.appC = 1+int(appR)%s.side, 1+int(appC)%s.side
+		rng := rand.New(rand.NewSource(seed))
+		ch := s.die(rng)
+		app := RandomApp(s.appR, s.appC, s.appDensity, rng)
+		m, scr := randomCheck(ch, app, rng)
+		defer putScratch(scr)
+		requireCheckMatchesScalar(t, fmt.Sprintf("%+v seed %d", s, seed), ch, app, m, scr)
+	})
 }
 
 func TestBlindDegradesGreedySurvives(t *testing.T) {

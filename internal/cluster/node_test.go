@@ -427,6 +427,55 @@ func TestForwardInJobsBatch(t *testing.T) {
 	}
 }
 
+// TestForwardsInJobsBatchBounded: the peer-owned syntheses of one
+// /v2/jobs batch share at most the engine's worker count of forwards in
+// flight, the bound the rest of the batch runs under, whatever the
+// batch's size. The stub owner holds each forward briefly, so forwards
+// started together overlap.
+func TestForwardsInJobsBatchBounded(t *testing.T) {
+	var inFlight, peak atomic.Int64
+	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v2/jobs" {
+			http.NotFound(w, r)
+			return
+		}
+		n := inFlight.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(5 * time.Millisecond)
+		inFlight.Add(-1)
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprintln(w, `{"type":"result","index":0,"result":{"kind":"synthesize","synthesis":{"tech":"4T-lattice","rows":1,"cols":1,"area":1,"method":"dual","cache_hit":true,"key":"k"}}}`)
+		fmt.Fprintln(w, `{"type":"done","done":{"results":1,"errors":0}}`)
+	})
+	members := []string{"a", "z"}
+	nodes := startCluster(t, members, map[string]http.Handler{"z": stub})
+	ring := cluster.NewRing(members, 0)
+	var reqs []engine.Request
+	for v := 0; len(reqs) < 32; v++ {
+		req := engine.Request{Kind: engine.KindSynthesize,
+			Function: engine.FunctionSpec{TT: fmt.Sprintf("4:0x%04x", v)}}
+		key, err := nodes["a"].eng.KeyFor(req)
+		if err != nil {
+			t.Fatalf("KeyFor: %v", err)
+		}
+		if o, _ := ring.Owner(key); o == "z" {
+			reqs = append(reqs, req)
+		}
+	}
+
+	if _, done := postJob(t, nodes["a"].srv.URL, reqs...); done.Results != len(reqs) || done.Errors != 0 {
+		t.Fatalf("done = %+v, want %d results and no errors", done, len(reqs))
+	}
+	if st := nodes["a"].node.Status(); st.Forwards != uint64(len(reqs)) {
+		t.Fatalf("forwards = %d, want %d", st.Forwards, len(reqs))
+	}
+	workers := nodes["a"].eng.Stats().Workers
+	if got := peak.Load(); got > int64(workers) {
+		t.Fatalf("%d forwards in flight at the owner, want at most the %d engine workers", got, workers)
+	}
+}
+
 // TestLeavingStopsRouting: a draining node serves everything locally —
 // no forwards, no fills — so the drain window never depends on peers.
 func TestLeavingStopsRouting(t *testing.T) {

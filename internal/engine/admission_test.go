@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"nanoxbar/internal/apierr"
-	"nanoxbar/internal/core"
 )
 
 // occupyWorkers takes every run slot, as if Workers requests were
@@ -97,7 +96,7 @@ func TestAdmissionBlocksForeverWithoutBudget(t *testing.T) {
 
 func TestDegradationAfterQueueWait(t *testing.T) {
 	// DegradeAfter of 1ns: any real queue wait exceeds it, so every
-	// request that does not pin Options runs degraded.
+	// request runs degraded.
 	e := New(Config{Workers: 2, CacheSize: 8, DegradeAfter: time.Nanosecond})
 	defer e.Close()
 
@@ -113,16 +112,6 @@ func TestDegradationAfterQueueWait(t *testing.T) {
 	}
 	if st := e.Stats(); st.Degraded != 1 {
 		t.Fatalf("degraded counter = %d, want 1", st.Degraded)
-	}
-
-	// Pinned options opt out of degradation.
-	opts := core.DefaultOptions()
-	res = e.DoCtx(context.Background(), Request{Kind: KindSynthesize, Function: FunctionSpec{Name: "maj3"}, Options: &opts})
-	if !res.Ok() || res.Degraded {
-		t.Fatalf("pinned-options request: ok=%v degraded=%v", res.Ok(), res.Degraded)
-	}
-	if st := e.Stats(); st.Degraded != 1 {
-		t.Fatalf("degraded counter moved for pinned options: %d", st.Degraded)
 	}
 }
 

@@ -50,10 +50,10 @@ type Config struct {
 	// pre-admission-control behavior of blocking indefinitely.
 	MaxQueueWait time.Duration
 	// DegradeAfter is the degradation threshold: a request that sat in
-	// the queue longer than this, and that did not pin explicit Options,
-	// runs with the fast degraded synthesis options (ISOP covers, no
-	// exact search, no post-reduction) instead of the defaults, trading
-	// area optimality for latency under load. 0 disables degradation.
+	// the queue longer than this runs with the fast degraded synthesis
+	// options (ISOP covers, no exact search, no post-reduction) instead
+	// of the defaults, trading area optimality for latency under load.
+	// 0 disables degradation.
 	DegradeAfter time.Duration
 }
 
@@ -160,12 +160,14 @@ func (e *Engine) PeekCached(key string) (*core.Implementation, bool) {
 	return e.cache.peek(key)
 }
 
-// KeyFor resolves a request's function/technology/options and returns
-// its canonical cache key. This is the routing key the cluster tier
-// hashes; it errors exactly when serving the request would produce a
-// typed bad-spec result.
+// KeyFor resolves a request's function and technology and returns its
+// canonical cache key under the default synthesis options: the routing
+// key the cluster tier hashes. It checks no other field. For a
+// synthesize request, the only kind the cluster routes, it errors
+// exactly when serving the request would answer bad_spec; a request of
+// another kind may pass KeyFor and still answer bad_spec when served.
 func (e *Engine) KeyFor(req Request) (string, error) {
-	f, tech, opts, _, err := e.resolve(req, false)
+	f, tech, opts, err := e.resolve(req, false)
 	if err != nil {
 		return "", err
 	}
@@ -332,9 +334,8 @@ func (e *Engine) serve(ctx context.Context, i int, req Request, done func(int, R
 	wait := time.Since(enqueued)
 	e.met.queueWait.Observe(wait)
 	// Degrade rather than queue-collapse: a request that already burned
-	// its wait budget in the queue gets the cheap synthesis path
-	// (unless it pinned explicit Options).
-	degraded := e.degradeAfter > 0 && wait > e.degradeAfter && req.Options == nil
+	// its wait budget in the queue gets the cheap synthesis path.
+	degraded := e.degradeAfter > 0 && wait > e.degradeAfter
 	var df DieFunc
 	if onDie != nil {
 		df = func(die int, mr *MapResult, err error) { onDie(i, die, mr, err) }
@@ -414,9 +415,8 @@ func (e *Engine) logRequest(ctx context.Context, kind Kind, d time.Duration, res
 }
 
 // dispatch routes by kind, converting panics into error results so one
-// bad request cannot take down the daemon.
-// degraded substitutes the fast synthesis options for requests that did
-// not pin their own.
+// bad request cannot take down the daemon. degraded substitutes the
+// fast synthesis options for the defaults.
 func (e *Engine) dispatch(ctx context.Context, req Request, onDie DieFunc, degraded bool) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -458,59 +458,24 @@ func degradedOptions() core.Options {
 	}
 }
 
-// resolve elaborates the shared request fields: function, technology,
-// options. The returned bool reports that the degraded fast-path
-// options were substituted (only ever when req.Options is nil).
-func (e *Engine) resolve(req Request, degraded bool) (truthtab.TT, core.Technology, core.Options, bool, error) {
+// resolve elaborates the shared request fields: the function, the
+// technology, and the synthesis options, the defaults or, for a
+// degraded request, the fast-path ones.
+func (e *Engine) resolve(req Request, degraded bool) (truthtab.TT, core.Technology, core.Options, error) {
 	f, err := req.Function.Resolve()
 	if err != nil {
-		return truthtab.TT{}, 0, core.Options{}, false, err
+		return truthtab.TT{}, 0, core.Options{}, err
 	}
 	tech := core.FourTerminal
 	if req.Tech != "" {
 		if tech, err = core.ParseTechnology(req.Tech); err != nil {
-			return truthtab.TT{}, 0, core.Options{}, false, err
+			return truthtab.TT{}, 0, core.Options{}, err
 		}
 	}
-	opts := core.DefaultOptions()
-	applied := false
-	if req.Options != nil {
-		if err := checkOptions(*req.Options); err != nil {
-			return truthtab.TT{}, 0, core.Options{}, false, err
-		}
-		opts = *req.Options
-	} else if degraded {
-		opts = degradedOptions()
-		applied = true
+	if degraded {
+		return f, tech, degradedOptions(), nil
 	}
-	return f, tech, opts, applied, nil
-}
-
-// checkOptions bounds a request's pinned synthesis options. qm reads a
-// zero prime or covering limit as unlimited and a zero covering budget
-// as 2^40 work units, so an exact request must set each limit, no
-// looser than qm's defaults. Post-reduction re-verifies the lattice on
-// every deletion trial, so its area cap may not pass the default.
-func checkOptions(o core.Options) error {
-	if o.Synth.Exact {
-		def := qm.DefaultOptions()
-		for _, l := range []struct {
-			name   string
-			v, max int
-		}{
-			{"MaxPrimes", o.Synth.QM.MaxPrimes, def.MaxPrimes},
-			{"MaxCoverPrimes", o.Synth.QM.MaxCoverPrimes, def.MaxCoverPrimes},
-			{"MaxCoverWork", o.Synth.QM.MaxCoverWork, def.MaxCoverWork},
-		} {
-			if l.v < 1 || l.v > l.max {
-				return apierr.BadSpec("engine: exact synthesis needs options Synth.QM.%s in [1,%d], got %d", l.name, l.max, l.v)
-			}
-		}
-	}
-	if area, max := o.Synth.PostReduceMaxArea, latsynth.DefaultOptions().PostReduceLimit(); area > max {
-		return apierr.BadSpec("engine: options Synth.PostReduceMaxArea %d exceeds limit %d", area, max)
-	}
-	return nil
+	return f, tech, core.DefaultOptions(), nil
 }
 
 // synth runs one cached synthesis and summarizes it.
@@ -526,7 +491,7 @@ func (e *Engine) synth(ctx context.Context, f truthtab.TT, tech core.Technology,
 }
 
 func (e *Engine) runSynthesize(ctx context.Context, req Request, degraded bool) Result {
-	f, tech, opts, deg, err := e.resolve(req, degraded)
+	f, tech, opts, err := e.resolve(req, degraded)
 	if err != nil {
 		return errResult(req.Kind, err)
 	}
@@ -534,11 +499,11 @@ func (e *Engine) runSynthesize(ctx context.Context, req Request, degraded bool) 
 	if err != nil {
 		return errResult(req.Kind, err)
 	}
-	return Result{Kind: req.Kind, Synthesis: &sr, Degraded: deg}
+	return Result{Kind: req.Kind, Synthesis: &sr, Degraded: degraded}
 }
 
 func (e *Engine) runCompare(ctx context.Context, req Request, degraded bool) Result {
-	f, _, opts, deg, err := e.resolve(req, degraded)
+	f, _, opts, err := e.resolve(req, degraded)
 	if err != nil {
 		return errResult(req.Kind, err)
 	}
@@ -553,7 +518,7 @@ func (e *Engine) runCompare(ctx context.Context, req Request, degraded bool) Res
 		}
 		*tc.dst = sr
 	}
-	return Result{Kind: req.Kind, Compare: &cr, Degraded: deg}
+	return Result{Kind: req.Kind, Compare: &cr, Degraded: degraded}
 }
 
 // randomDie resolves and bounds a request's random defect draws: the
@@ -617,7 +582,7 @@ func (e *Engine) mapOnce(imp *core.Implementation, chip *defect.Map, scheme bism
 }
 
 func (e *Engine) runMap(ctx context.Context, req Request, degraded bool) Result {
-	f, tech, opts, deg, err := e.resolve(req, degraded)
+	f, tech, opts, err := e.resolve(req, degraded)
 	if err != nil {
 		return errResult(req.Kind, err)
 	}
@@ -656,11 +621,11 @@ func (e *Engine) runMap(ctx context.Context, req Request, degraded bool) Result 
 	if err != nil {
 		return errResult(req.Kind, err)
 	}
-	return Result{Kind: req.Kind, Map: mr, Degraded: deg}
+	return Result{Kind: req.Kind, Map: mr, Degraded: degraded}
 }
 
 func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degraded bool) Result {
-	f, tech, opts, deg, err := e.resolve(req, degraded)
+	f, tech, opts, err := e.resolve(req, degraded)
 	if err != nil {
 		return errResult(req.Kind, err)
 	}
@@ -780,7 +745,7 @@ func (e *Engine) runYield(ctx context.Context, req Request, onDie DieFunc, degra
 	yr.AvgConfigs = float64(configs) / float64(chips)
 	yr.AvgBIST = float64(bist) / float64(chips)
 	yr.AvgBISD = float64(bisd) / float64(chips)
-	return Result{Kind: req.Kind, Yield: yr, Degraded: deg}
+	return Result{Kind: req.Kind, Yield: yr, Degraded: degraded}
 }
 
 // Stats is a point-in-time snapshot of the engine counters, read in

@@ -12,7 +12,6 @@ import (
 	"nanoxbar/internal/benchfn"
 	"nanoxbar/internal/bexpr"
 	"nanoxbar/internal/bism"
-	"nanoxbar/internal/core"
 	"nanoxbar/internal/defect"
 	"nanoxbar/internal/truthtab"
 )
@@ -165,9 +164,6 @@ type Request struct {
 	// Tech is the target technology ("diode", "fet", "lattice");
 	// default lattice. Ignored by KindCompare.
 	Tech string `json:"tech,omitempty"`
-	// Options override core.DefaultOptions when non-nil. The struct is
-	// part of the cache key, so distinct options never share results.
-	Options *core.Options `json:"options,omitempty"`
 
 	// Per-chip fields (KindMap, KindYield).
 
@@ -244,8 +240,7 @@ type Result struct {
 
 	// Degraded marks a result produced with the engine's fast-path
 	// synthesis options after the request overran its queue-wait budget
-	// (correct, but not area-optimal). Never set when the request
-	// pinned explicit Options.
+	// (correct, but not area-optimal).
 	Degraded bool `json:"degraded,omitempty"`
 
 	// Err is the typed failure. It does not travel in a result frame:

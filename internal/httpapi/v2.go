@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -133,36 +134,30 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Cluster routing: synthesis requests in the batch take the
-	// forward → failover → local-degrade ladder, each on its own
-	// goroutine so a slow forward never stalls the local stream.
-	// Indices into the original batch are preserved, so frames
-	// interleave transparently. Everything else — and every request on
-	// an already-forwarded stream (loop marker) — runs locally.
+	// forward → failover → local-degrade ladder (route), beside the
+	// local stream so a slow forward never stalls it. Indices into the
+	// original batch are preserved, so frames interleave transparently.
+	// Everything else — and every request on an already-forwarded
+	// stream (loop marker) — runs locally.
 	submit := jobs.Requests
 	orig := make([]int, len(jobs.Requests))
 	for i := range orig {
 		orig[i] = i
 	}
-	var routeWG sync.WaitGroup
+	wait := func() {}
 	if s.cluster != nil && r.Header.Get(cluster.ForwardedHeader) == "" {
+		var routed []int
 		submit = submit[:0:0]
 		orig = orig[:0]
 		for i, req := range jobs.Requests {
-			if req.Kind != engine.KindSynthesize {
-				submit = append(submit, req)
-				orig = append(orig, i)
+			if req.Kind == engine.KindSynthesize {
+				routed = append(routed, i)
 				continue
 			}
-			routeWG.Add(1)
-			go func(i int, req engine.Request) {
-				defer routeWG.Done()
-				res, handled := s.cluster.RouteSynthesize(r.Context(), req)
-				if !handled {
-					res = s.eng.DoCtx(r.Context(), req)
-				}
-				emit(i, res)
-			}(i, req)
+			submit = append(submit, req)
+			orig = append(orig, i)
 		}
+		wait = s.route(r.Context(), jobs.Requests, routed, emit)
 	}
 
 	var onDie func(req, die int, mr *engine.MapResult, err error)
@@ -179,9 +174,35 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			emit(orig[i], res)
 		}, onDie)
 	}
-	routeWG.Wait()
+	wait()
 
 	es.send(nanoxbar.Event{Type: nanoxbar.EventDone, Done: &nanoxbar.JobsSummary{
 		Results: len(jobs.Requests), Errors: errs,
 	}}, false)
+}
+
+// route serves the synthesize requests of reqs at the indices routed
+// by key ownership, each forwarded, failed over or served locally, and
+// hands each result to emit. They share at most the engine's worker
+// count of goroutines, the bound SubmitStream keeps for the rest of the
+// batch, so one batch cannot open a forward per request. route returns
+// at once, with a func that waits for the routed requests.
+func (s *Server) route(ctx context.Context, reqs []engine.Request, routed []int, emit func(int, engine.Result)) (wait func()) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(len(routed), s.eng.Stats().Workers) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < len(routed); k = int(next.Add(1)) - 1 {
+				i := routed[k]
+				res, handled := s.cluster.RouteSynthesize(ctx, reqs[i])
+				if !handled {
+					res = s.eng.DoCtx(ctx, reqs[i])
+				}
+				emit(i, res)
+			}
+		}()
+	}
+	return wg.Wait
 }

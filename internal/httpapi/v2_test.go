@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"nanoxbar/internal/apierr"
+	"nanoxbar/internal/core"
 	"nanoxbar/internal/engine"
 	"nanoxbar/pkg/nanoxbar"
 	"nanoxbar/pkg/nanoxbar/client"
@@ -224,6 +225,65 @@ func TestV2StatusMapping(t *testing.T) {
 	var er nanoxbar.ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error.Code != apierr.CodeBadSpec {
 		t.Fatalf("GET error body: %+v (err %v)", er, err)
+	}
+}
+
+// TestV2RejectsPinnedOptions: a request carries no synthesis options.
+// Each body pins options, the first six outside qm's or
+// post-reduction's default limits and the rest within them; each
+// answers 400 bad_spec naming the unknown field, before anything is
+// synthesized.
+func TestV2RejectsPinnedOptions(t *testing.T) {
+	eng := engine.New(engine.Config{Workers: 1, CacheSize: 8})
+	t.Cleanup(eng.Close)
+	ts := httptest.NewServer(New(eng))
+	t.Cleanup(ts.Close)
+	// pin returns the default options, edited, as JSON.
+	pin := func(edit func(*core.Options)) string {
+		o := core.DefaultOptions()
+		edit(&o)
+		b, err := json.Marshal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, tc := range []struct{ name, fn, options string }{
+		{"exact with zero limits", "9sym", `{"Synth":{"Exact":true}}`},
+		{"MaxPrimes above default", "9sym", pin(func(o *core.Options) { o.Synth.QM.MaxPrimes++ })},
+		{"MaxCoverPrimes zero", "9sym", pin(func(o *core.Options) { o.Synth.QM.MaxCoverPrimes = 0 })},
+		{"MaxCoverWork zero", "9sym", pin(func(o *core.Options) { o.Synth.QM.MaxCoverWork = 0 })},
+		{"MaxCoverWork above default", "9sym", pin(func(o *core.Options) { o.Synth.QM.MaxCoverWork++ })},
+		{"PostReduceMaxArea above default", "9sym", pin(func(o *core.Options) { o.Synth.PostReduceMaxArea = 1201 })},
+		{"default options", "maj3", pin(func(*core.Options) {})},
+		{"degraded options", "maj3", pin(func(o *core.Options) {
+			o.Synth.Exact, o.Synth.PostReduce, o.TryPCircuit, o.TryDReduce = false, false, false, false
+		})},
+		{"limits at the defaults", "maj3", pin(func(o *core.Options) { o.Synth.PostReduceMaxArea = 1200 })},
+		{"limits at one", "maj3", pin(func(o *core.Options) {
+			o.Synth.QM.MaxPrimes, o.Synth.QM.MaxCoverPrimes, o.Synth.QM.MaxCoverWork = 1, 1, 1
+		})},
+		{"heuristic with zero limits", "maj3", `{}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := `{"requests":[{"kind":"synthesize","function":{"name":"` + tc.fn + `"},"options":` + tc.options + `}]}`
+			resp, err := http.Post(ts.URL+"/v2/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var er nanoxbar.ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+				t.Fatalf("HTTP %d, unparsable error body: %v", resp.StatusCode, err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || er.Error.Code != apierr.CodeBadSpec ||
+				!strings.Contains(er.Error.Message, `unknown field "options"`) {
+				t.Fatalf("HTTP %d %+v, want 400 bad_spec naming the unknown field", resp.StatusCode, er)
+			}
+		})
+	}
+	if st := eng.Stats(); st.Requests != 0 || st.SynthCalls != 0 {
+		t.Fatalf("rejected bodies reached the engine: %d requests, %d syntheses", st.Requests, st.SynthCalls)
 	}
 }
 

@@ -68,10 +68,6 @@ type ClientConfig struct {
 	// wait for a queue slot before being shed with ErrOverloaded. Zero
 	// blocks forever (the pre-admission-control behavior).
 	MaxQueueWait time.Duration
-	// DegradeAfter switches requests that waited longer than this in
-	// the queue to the fast degraded synthesis path (correct but not
-	// optimal; Result.Degraded is set). Zero disables degradation.
-	DegradeAfter time.Duration
 	// Logger receives the engine's per-request debug logs (kind,
 	// duration, outcome, request ID when the context carries one — see
 	// ContextWithRequestID). Nil discards.
@@ -92,7 +88,6 @@ func NewClient(cfg ClientConfig) *Client {
 	return &Client{eng: engine.New(engine.Config{
 		Workers:      cfg.Workers,
 		MaxQueueWait: cfg.MaxQueueWait,
-		DegradeAfter: cfg.DegradeAfter,
 		Logger:       cfg.Logger,
 	})}
 }

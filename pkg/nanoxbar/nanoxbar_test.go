@@ -41,7 +41,7 @@ func TestBuildRequest(t *testing.T) {
 	}
 	// No options → plain request, nil observer.
 	req, onDie = nanoxbar.BuildRequest(nanoxbar.KindSynthesize, nanoxbar.Expr("x1x2"))
-	if req.Tech != "" || req.Options != nil || onDie != nil {
+	if req.Tech != "" || onDie != nil {
 		t.Fatalf("defaults not empty: %+v", req)
 	}
 }
