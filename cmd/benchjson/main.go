@@ -44,12 +44,14 @@ import (
 // (the P-circuit search in internal/pcircuit is most of a cold
 // four-terminal synthesis), including the client/server round trip
 // through the v2 HTTP protocol (internal/httpapi) so serving overhead
-// is tracked alongside raw engine numbers, the fault-tolerance path
+// is tracked alongside raw engine numbers, the SDK's frame decoder
+// (pkg/nanoxbar/client: a frame shape that leaves its fast path for
+// encoding/json fails the allocation gate), the fault-tolerance path
 // (defect-map generation, BISM repair, transient Monte Carlo) gated
 // since the bit-parallel rewrite, and the telemetry substrate
 // (histogram observation sits inside the per-die loop, so its cost is
 // gated like any hot path).
-const defaultPkgs = "./internal/lattice,./internal/latsynth,./internal/qm,./internal/pcircuit,./internal/engine,./internal/httpapi,./internal/defect,./internal/bism,./internal/redundancy,./internal/telemetry,./internal/yield"
+const defaultPkgs = "./internal/lattice,./internal/latsynth,./internal/qm,./internal/pcircuit,./internal/engine,./internal/httpapi,./internal/defect,./internal/bism,./internal/redundancy,./internal/telemetry,./internal/yield,./pkg/nanoxbar/client"
 
 func main() {
 	out := flag.String("out", "BENCH_lattice.json", "output JSON path (- for stdout)")

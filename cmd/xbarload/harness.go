@@ -123,7 +123,6 @@ func (h *harness) startMember(i int, ln net.Listener) error {
 			m.eng.Close()
 			return err
 		}
-		m.eng.SetPeerFill(node.PeerFill)
 		handler = httpapi.New(m.eng, httpapi.WithCluster(node))
 		var runCtx context.Context
 		runCtx, m.cancel = context.WithCancel(context.Background())

@@ -176,7 +176,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "xbarserverd:", err)
 			os.Exit(2)
 		}
-		eng.SetPeerFill(node.PeerFill)
 		sopts = append(sopts, httpapi.WithCluster(node))
 		go node.Run(ctx)
 		if eng.Stats().CacheEntries == 0 {

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 
-	"nanoxbar/internal/isop"
 	"nanoxbar/internal/latsynth"
 	"nanoxbar/internal/lattice"
-	"nanoxbar/internal/qm"
 	"nanoxbar/internal/truthtab"
 )
 
@@ -85,7 +83,7 @@ func SynthesizeSSM(sp *MooreSpec, opts latsynth.Options) (*SSM, error) {
 			in := int(a >> uint(sb))
 			return sp.Next[s][in]>>uint(b)&1 == 1
 		})
-		g := flexibleCover(on, dc, opts)
+		g := latsynth.IntervalCover(on, dc, opts)
 		res, err := latsynth.DualMethod(g, opts)
 		if err != nil {
 			return nil, err
@@ -96,23 +94,13 @@ func SynthesizeSSM(sp *MooreSpec, opts latsynth.Options) (*SSM, error) {
 		return int(a) < sp.NumStates && sp.Out[a]
 	})
 	outDC := truthtab.FromFunc(sb, func(a uint64) bool { return int(a) >= sp.NumStates })
-	g := flexibleCover(outOn, outDC, opts)
+	g := latsynth.IntervalCover(outOn, outDC, opts)
 	res, err := latsynth.DualMethod(g, opts)
 	if err != nil {
 		return nil, err
 	}
 	m.OutBit = res.Lattice
 	return m, nil
-}
-
-// flexibleCover picks a function in [on, on∨dc] with a small cover.
-func flexibleCover(on, dc truthtab.TT, opts latsynth.Options) truthtab.TT {
-	if opts.Exact {
-		if cov, err := qm.Minimize(on, dc, opts.QM); err == nil {
-			return cov.ToTT(on.NumVars())
-		}
-	}
-	return isop.Cover(on, on.Or(dc)).ToTT(on.NumVars())
 }
 
 // Reset returns the machine to state 0.

@@ -136,7 +136,8 @@ type Node struct {
 // New builds a Node around eng. The initial ring contains every
 // configured member (peers start optimistically alive); Run starts the
 // heartbeat loop that maintains it. New also registers the cluster
-// metrics on the engine's telemetry registry.
+// metrics on the engine's telemetry registry and installs PeerFill as
+// the engine's cache-miss hook.
 func New(eng *engine.Engine, cfg Config) (*Node, error) {
 	if cfg.NodeID == "" {
 		return nil, fmt.Errorf("cluster: NodeID is required")
@@ -185,6 +186,7 @@ func New(eng *engine.Engine, cfg Config) (*Node, error) {
 	}
 	n.rebuildRing()
 	n.registerMetrics(eng.Registry())
+	eng.SetPeerFill(n.PeerFill)
 	return n, nil
 }
 
@@ -330,8 +332,7 @@ func (n *Node) fillTargets(key string) []*peerState {
 // the key's owner (and on failure or breaker-open, one fallback
 // replica) for its cached Implementation. Returns nil on any miss or
 // failure — the engine then synthesizes locally, so this path can only
-// ever make a cold miss cheaper, never fail it. Wire it with
-// engine.SetPeerFill.
+// ever make a cold miss cheaper, never fail it.
 func (n *Node) PeerFill(ctx context.Context, key string) *core.Implementation {
 	if n.leaving.Load() {
 		return nil

@@ -82,7 +82,6 @@ func startCluster(t *testing.T, ids []string, stubs map[string]http.Handler) map
 		if err != nil {
 			t.Fatalf("cluster.New(%s): %v", id, err)
 		}
-		eng.SetPeerFill(node.PeerFill)
 		swaps[id].set(httpapi.New(eng, httpapi.WithCluster(node)))
 		nodes[id] = &testNode{id: id, eng: eng, node: node, srv: srvs[id]}
 	}

@@ -16,13 +16,15 @@ import (
 // invalidated automatically across such changes.
 const synthVersion = 1
 
+// fingerprint is Fingerprint's string, formatted once: every cache key
+// hashes it.
+var fingerprint = fmt.Sprintf("nanoxbar-core/%d dual+pcircuit+dreduce qm+isop", synthVersion)
+
 // Fingerprint identifies the synthesis implementation deterministically:
 // same binary behavior ⇒ same string, changed behavior ⇒ changed
 // version. Persisted caches and cross-process shards include it in
 // their keys so stale results can never be served.
-func Fingerprint() string {
-	return fmt.Sprintf("nanoxbar-core/%d dual+pcircuit+dreduce qm+isop", synthVersion)
-}
+func Fingerprint() string { return fingerprint }
 
 // ParseTechnology converts a wire-format name into a Technology. It
 // accepts the String() forms plus common aliases.

@@ -142,8 +142,8 @@ type Engine struct {
 type PeerFillFunc func(ctx context.Context, key string) *core.Implementation
 
 // SetPeerFill installs (or, with nil, removes) the cache-miss peer
-// fill hook. Safe to call at any time; typically wired once at daemon
-// startup before traffic.
+// fill hook. Safe to call at any time; cluster.New installs its node's
+// before traffic.
 func (e *Engine) SetPeerFill(fn PeerFillFunc) {
 	if fn == nil {
 		e.peerFill.Store(nil)

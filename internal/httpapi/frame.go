@@ -1,10 +1,12 @@
 package httpapi
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"strconv"
-	"unicode/utf8"
+	"strings"
 
 	"nanoxbar/pkg/nanoxbar"
 )
@@ -12,9 +14,10 @@ import (
 // The v2 frame encoder. appendEvent writes one NDJSON line per event
 // without reflection, byte for byte what a json.Encoder with
 // SetEscapeHTML(false) writes for the same nanoxbar.Event: fields in
-// declaration order, the omitempty fields left out at their zero value,
-// strings escaped the same way and floats formatted the same way. The
-// frame tests compare the two on every field of every payload, so a
+// declaration order, the omitempty fields left out at their zero value
+// and floats formatted the same way. A string of printable ASCII needs
+// no escape and is copied as it is; a json.Encoder quotes any other.
+// The frame tests compare the two on every field of every payload, so a
 // field added to a payload type without a case here fails them.
 
 // errNonFinite refuses a NaN or infinite float, which JSON cannot
@@ -193,56 +196,29 @@ func appendFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// appendString quotes s as encoding/json does with HTML escaping off:
-// '"' and '\\' backslash-escaped, \b \f \n \r \t by name, other control
-// bytes as \u00XX, each invalid UTF-8 byte as \ufffd, and U+2028 and
-// U+2029 escaped; everything else, '<', '>' and '&' included, verbatim.
+// appendString quotes s as encoding/json does with HTML escaping off.
+// Printable ASCII other than '"' and '\\', which covers the types,
+// kinds, methods, keys and minted request IDs of every frame, is copied
+// as it is; any other string, such as a message quoting a bad spec,
+// goes through a json.Encoder.
 func appendString(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '"', '\\':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
-			}
-			i++
-			start = i
-			continue
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return appendQuoted(dst, s)
 		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-		case c == 0x2028 || c == 0x2029:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
 	}
-	dst = append(dst, s[start:]...)
+	dst = append(dst, '"')
+	dst = append(dst, s...)
 	return append(dst, '"')
+}
+
+// appendQuoted quotes s with a json.Encoder. It encodes a copy of s:
+// handing s itself to the encoder would move every frame's payload to
+// the heap.
+func appendQuoted(dst []byte, s string) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	enc.Encode(strings.Clone(s)) // a string always encodes
+	return append(dst, bytes.TrimSuffix(buf.Bytes(), []byte{'\n'})...)
 }

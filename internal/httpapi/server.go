@@ -40,6 +40,9 @@ type Server struct {
 	reg    *telemetry.Registry
 	logger *slog.Logger
 	start  time.Time
+	// workers is the engine's worker count, which bounds route's
+	// goroutines; it is fixed when the engine is built.
+	workers int
 
 	// Protection state (protect.go): the drain flag and the
 	// panic/drain counters.
@@ -58,11 +61,12 @@ type Server struct {
 // join the engine's registry so GET /metrics is one scrape.
 func New(eng *engine.Engine, opts ...Option) *Server {
 	s := &Server{
-		eng:    eng,
-		mux:    http.NewServeMux(),
-		reg:    eng.Registry(),
-		logger: slog.New(slog.DiscardHandler),
-		start:  time.Now(),
+		eng:     eng,
+		mux:     http.NewServeMux(),
+		reg:     eng.Registry(),
+		logger:  slog.New(slog.DiscardHandler),
+		start:   time.Now(),
+		workers: eng.Stats().Workers,
 	}
 	handle := func(path string, h http.HandlerFunc) {
 		s.mux.HandleFunc(path, s.instrument(path, h))

@@ -190,7 +190,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) route(ctx context.Context, reqs []engine.Request, routed []int, emit func(int, engine.Result)) (wait func()) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range min(len(routed), s.eng.Stats().Workers) {
+	for range min(len(routed), s.workers) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -99,6 +99,18 @@ func Covers(f truthtab.TT, opts Options) (fc, dc cube.Cover, exact bool) {
 	return isop.OfTT(f), isop.OfTT(fd), false
 }
 
+// IntervalCover picks a function g in the interval [on, on∨dc] with a
+// small cover: exact by QM with don't-cares when opts.Exact and
+// affordable, otherwise ISOP.
+func IntervalCover(on, dc truthtab.TT, opts Options) truthtab.TT {
+	if opts.Exact {
+		if cov, err := qm.Minimize(on, dc, opts.QM); err == nil {
+			return cov.ToTT(on.NumVars())
+		}
+	}
+	return isop.Cover(on, on.Or(dc)).ToTT(on.NumVars())
+}
+
 // DualMethod synthesizes a lattice with the Altun–Riedel construction.
 // The resulting size is #products(f^D) rows × #products(f) columns
 // before post-reduction (the paper's Fig. 5 formula).

@@ -23,10 +23,8 @@ import (
 	"fmt"
 
 	"nanoxbar/internal/cube"
-	"nanoxbar/internal/isop"
 	"nanoxbar/internal/latsynth"
 	"nanoxbar/internal/lattice"
-	"nanoxbar/internal/qm"
 	"nanoxbar/internal/truthtab"
 )
 
@@ -68,18 +66,6 @@ type Result struct {
 // Area returns the lattice area.
 func (r *Result) Area() int { return r.Lattice.Area() }
 
-// blockCover selects a function g in the interval [on, on ∨ dc]
-// minimizing its cover, honouring the Synth options (exact via QM with
-// don't-cares where affordable, ISOP otherwise), and returns g.
-func blockCover(on, dc truthtab.TT, opts latsynth.Options) truthtab.TT {
-	if opts.Exact {
-		if cov, err := qm.Minimize(on, dc, opts.QM); err == nil {
-			return cov.ToTT(on.NumVars())
-		}
-	}
-	return isop.Cover(on, on.Or(dc)).ToTT(on.NumVars())
-}
-
 // Decompose synthesizes the P-circuit lattice of f for splitting
 // variable v.
 func Decompose(f truthtab.TT, v int, opts Options) (*Result, error) {
@@ -100,8 +86,8 @@ func Decompose(f truthtab.TT, v int, opts Options) (*Result, error) {
 	case Shannon:
 		fEq, fNeq, fInt = c0, c1, truthtab.Zero(n)
 	case WithIntersection:
-		fEq = blockCover(c0.AndNot(inter), inter, opts.Synth)
-		fNeq = blockCover(c1.AndNot(inter), inter, opts.Synth)
+		fEq = latsynth.IntervalCover(c0.AndNot(inter), inter, opts.Synth)
+		fNeq = latsynth.IntervalCover(c1.AndNot(inter), inter, opts.Synth)
 		fInt = inter
 	default:
 		return nil, fmt.Errorf("pcircuit: unknown mode %d", opts.Mode)

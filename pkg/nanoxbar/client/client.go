@@ -19,6 +19,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -30,6 +31,11 @@ import (
 // from bufio's default 4 KiB buffer and grows only for longer lines,
 // so a round trip pays for the lines it actually reads.
 const maxEventBytes = 16 << 20
+
+// maxErrorBodyBytes bounds the read of a non-200 body. The server's
+// error bodies are a few hundred bytes; a body that runs past the bound
+// without ending its JSON value answers as one that is not that shape.
+const maxErrorBodyBytes = 64 << 10
 
 // Client speaks the v2 streaming HTTP API. It is safe for concurrent
 // use; requests share the underlying http.Client's connection pool.
@@ -268,14 +274,15 @@ func (c *Client) transportErr(ctx context.Context, err error) error {
 
 // decodeErrorBody turns a non-200 response into its typed error: the
 // {"error":{code,message}} body the server writes, or ErrInternal
-// naming the status when the body is not that shape. A Retry-After
-// header (when present) rides along as a backoff hint for the
-// resilience layer.
+// naming the status when the body is not that shape within its first
+// maxErrorBodyBytes. A Retry-After header (when present) rides along as
+// a backoff hint for the resilience layer.
 func (c *Client) decodeErrorBody(resp *http.Response) error {
 	err := nanoxbar.ErrorFromCode(nanoxbar.CodeInternal,
 		fmt.Sprintf("client: server status %d", resp.StatusCode))
 	var er nanoxbar.ErrorResponse
-	if json.NewDecoder(resp.Body).Decode(&er) == nil && er.Error.Code != "" {
+	body := io.LimitReader(resp.Body, maxErrorBodyBytes)
+	if json.NewDecoder(body).Decode(&er) == nil && er.Error.Code != "" {
 		err = er.Error.Err()
 	}
 	return c.withRetryAfterHint(resp, err)

@@ -1,37 +1,22 @@
 package client
 
 import (
-	"errors"
-	"fmt"
+	"encoding/json"
 	"strconv"
-	"strings"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"nanoxbar/pkg/nanoxbar"
 )
 
 // The v2 frame decoder. decodeEvent reads one NDJSON line of a
-// /v2/jobs stream into a nanoxbar.Event without reflection. It accepts
-// a strict subset of what json.Unmarshal accepts, and on every line it
-// accepts it yields the Event json.Unmarshal would. Keys match exactly;
-// an unknown key's value is checked and skipped. A key that matches a
-// field only case-insensitively, which json.Unmarshal would fill the
-// field from, and a repeated key, which json.Unmarshal would merge,
-// fail the line instead. A null value leaves its field at zero, as
-// json.Unmarshal leaves a field it has not yet filled. Every string and
-// slice is copied out of the line, which the stream's scanner reuses.
-
-var (
-	errFrameSyntax = errors.New("malformed JSON")
-	errFrameType   = errors.New("a value of the wrong type")
-	errFrameRange  = errors.New("a number out of range")
-	errFrameKey    = errors.New("a repeated or case-variant key")
-)
-
-// maxDepth bounds a frame's nesting, unknown values included, well
-// inside encoding/json's own bound of 10000.
-const maxDepth = 512
+// /v2/jobs stream into a nanoxbar.Event and returns what json.Unmarshal
+// returns for it, Event and error, on every line. The frames the
+// server writes take a fast path without reflection: no white space,
+// known keys each at most once, strings with no escape and valid
+// UTF-8, and numbers, booleans and integer arrays, with no null. Any
+// other line, malformed or not, goes to json.Unmarshal. The fast path
+// copies every string and slice out of the line, which the stream's
+// scanner reuses.
 
 // The JSON keys of each frame object, in declaration order; a decoder's
 // member callback switches on the index into these.
@@ -65,23 +50,39 @@ var vocabulary = func() map[string]string {
 
 // eventDecoder decodes the frames of one stream, one line at a time.
 type eventDecoder struct {
-	data  []byte
-	pos   int
-	depth int // objects and arrays open at pos
-	err   error
+	data []byte
+	pos  int
+	slow bool // the line left the fast path
 	// reqID is the last request ID decoded. Every frame of a stream
 	// carries the same one, so it is allocated once per stream.
 	reqID string
-	// unescaped holds a string's text while its escapes are resolved,
-	// and intBuf an integer array's elements while they are counted.
-	unescaped []byte
-	intBuf    []int
+	// intBuf holds an integer array's elements while they are counted.
+	intBuf []int
 }
 
-// decodeEvent decodes one frame. It keeps no reference to line.
+// decodeEvent decodes one frame as json.Unmarshal does. It keeps no
+// reference to line.
 func (d *eventDecoder) decodeEvent(line []byte) (nanoxbar.Event, error) {
+	if ev, ok := d.fast(line); ok {
+		return ev, nil
+	}
+	return unmarshalEvent(line)
+}
+
+// unmarshalEvent decodes a line the fast path does not take. It fills
+// an Event of its own: unmarshalling into fast's would move that one to
+// the heap on every frame.
+func unmarshalEvent(line []byte) (nanoxbar.Event, error) {
 	var ev nanoxbar.Event
-	d.data, d.pos, d.depth, d.err = line, 0, 0, nil
+	err := json.Unmarshal(line, &ev)
+	return ev, err
+}
+
+// fast decodes a frame of the shape the server writes, and reports
+// false for any other line.
+func (d *eventDecoder) fast(line []byte) (nanoxbar.Event, bool) {
+	var ev nanoxbar.Event
+	d.data, d.pos, d.slow = line, 0, false
 	d.object(eventKeys, func(k int) {
 		switch k {
 		case 0:
@@ -115,11 +116,9 @@ func (d *eventDecoder) decodeEvent(line []byte) (nanoxbar.Event, error) {
 			})
 		}
 	})
-	if d.space(); d.pos < len(d.data) {
-		d.fail(errFrameSyntax)
-	}
+	ok := !d.slow && d.pos == len(d.data)
 	d.data = nil
-	return ev, d.err
+	return ev, ok
 }
 
 func (d *eventDecoder) result() *nanoxbar.Result {
@@ -231,16 +230,13 @@ func (d *eventDecoder) wireError() *nanoxbar.WireError {
 	return e
 }
 
-// object decodes one JSON object (or a null, which leaves everything
-// at zero) whose known keys are keys, calling member with a key's
-// index and d at its value for every known key whose value is not
-// null.
+// object decodes one JSON object whose keys are all in keys, calling
+// member with a key's index and d at its value. An unknown or repeated
+// key ends the fast path, and so does a null value, which no member
+// decodes.
 func (d *eventDecoder) object(keys []string, member func(k int)) {
-	if d.space(); d.literal("null") {
-		return
-	}
 	if !d.next('{') {
-		d.fail(errFrameType)
+		d.fail()
 		return
 	}
 	var seen uint32
@@ -248,10 +244,6 @@ func (d *eventDecoder) object(keys []string, member func(k int)) {
 	// each key starts after the one before.
 	from := 0
 	d.list('}', func() {
-		if d.pos >= len(d.data) || d.data[d.pos] != '"' {
-			d.fail(errFrameSyntax)
-			return
-		}
 		key := d.text()
 		k := len(keys)
 		for i := range keys {
@@ -260,29 +252,12 @@ func (d *eventDecoder) object(keys []string, member func(k int)) {
 				break
 			}
 		}
-		if k == len(keys) {
-			for _, known := range keys {
-				if strings.EqualFold(string(key), known) {
-					d.fail(errFrameKey)
-					return
-				}
-			}
-		} else if seen&(1<<k) != 0 {
-			d.fail(errFrameKey)
+		if k == len(keys) || seen&(1<<k) != 0 || !d.next(':') {
+			d.fail()
 			return
 		}
-		if !d.next(':') {
-			d.fail(errFrameSyntax)
-			return
-		}
-		if d.space(); k == len(keys) {
-			d.skip()
-		} else {
-			seen |= 1 << k
-			if !d.literal("null") {
-				member(k)
-			}
-		}
+		seen |= 1 << k
+		member(k)
 	})
 }
 
@@ -290,45 +265,17 @@ func (d *eventDecoder) object(keys []string, member func(k int)) {
 // bracket d has passed, calling elem with d at each element and
 // expecting end after the last.
 func (d *eventDecoder) list(end byte, elem func()) {
-	if d.depth++; d.depth > maxDepth {
-		d.fail(errFrameSyntax)
+	if d.next(end) {
 		return
+	}
+	for {
+		elem()
+		if !d.next(',') {
+			break
+		}
 	}
 	if !d.next(end) {
-		for {
-			d.space()
-			elem()
-			if !d.next(',') {
-				break
-			}
-		}
-		if !d.next(end) {
-			d.fail(errFrameSyntax)
-		}
-	}
-	d.depth--
-}
-
-// skip checks and steps over one JSON value of any type.
-func (d *eventDecoder) skip() {
-	if d.pos >= len(d.data) {
-		d.fail(errFrameSyntax)
-		return
-	}
-	switch d.data[d.pos] {
-	case '{':
-		d.object(nil, nil)
-	case '[':
-		d.pos++
-		d.list(']', d.skip)
-	case '"':
-		d.scanString()
-	case 't', 'f', 'n':
-		if !d.literal("true") && !d.literal("false") && !d.literal("null") {
-			d.fail(errFrameSyntax)
-		}
-	default:
-		d.number()
+		d.fail()
 	}
 }
 
@@ -341,175 +288,54 @@ func (d *eventDecoder) str() string {
 	return string(b)
 }
 
-// text decodes a JSON string and returns its text, which aliases the
-// line or d.unescaped and is valid until the next call.
+// text steps over a JSON string and returns the bytes between its
+// quotes, which alias the line. An escape, a control byte or invalid
+// UTF-8 ends the fast path.
 func (d *eventDecoder) text() []byte {
-	if d.pos >= len(d.data) || d.data[d.pos] != '"' {
-		d.fail(errFrameType)
+	if !d.next('"') {
+		d.fail()
 		return nil
 	}
-	raw, plain := d.scanString()
-	if plain || d.err != nil {
-		return raw
-	}
-	d.unescaped = unescape(d.unescaped[:0], raw)
-	return d.unescaped
-}
-
-// scanString checks the JSON string at d.pos and steps over it. It
-// returns the bytes between the quotes, and whether they are already
-// the string's text: no escape and valid UTF-8.
-func (d *eventDecoder) scanString() (raw []byte, plain bool) {
-	start := d.pos + 1
-	plain, ascii := true, true
+	start, ascii := d.pos, true
 	for i := start; i < len(d.data); i++ {
 		c := d.data[i]
-		if !stringStop[c] {
-			continue
-		}
-		switch {
-		case c == '"':
+		if c == '"' {
+			raw := d.data[start:i]
+			if !ascii && !utf8.Valid(raw) {
+				break
+			}
 			d.pos = i + 1
-			raw = d.data[start:i]
-			return raw, plain && (ascii || utf8.Valid(raw))
-		case c < ' ':
-			d.fail(errFrameSyntax)
-			return nil, false
-		case c >= utf8.RuneSelf:
-			ascii = false
-		case c == '\\':
-			plain = false
-			if i++; i == len(d.data) {
-				d.fail(errFrameSyntax)
-				return nil, false
-			}
-			switch d.data[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				if i+4 >= len(d.data) || hex4(d.data[i+1:i+5]) < 0 {
-					d.fail(errFrameSyntax)
-					return nil, false
-				}
-				i += 4
-			default:
-				d.fail(errFrameSyntax)
-				return nil, false
-			}
+			return raw
 		}
+		if c < ' ' || c == '\\' {
+			break
+		}
+		ascii = ascii && c < utf8.RuneSelf
 	}
-	d.fail(errFrameSyntax)
-	return nil, false
+	d.fail()
+	return nil
 }
 
-// stringStop marks the bytes a string scan stops at: the closing quote,
-// a backslash, control bytes and the bytes of multi-byte UTF-8.
-var stringStop = func() (stop [256]bool) {
-	for c := range stop {
-		stop[c] = c < ' ' || c == '"' || c == '\\' || c >= utf8.RuneSelf
-	}
-	return stop
-}()
-
-// unescape appends the text of a checked JSON string body to dst,
-// resolving it as encoding/json does: a \u surrogate pair joins into
-// one rune, a lone surrogate and each invalid UTF-8 byte become
-// U+FFFD.
-func unescape(dst, raw []byte) []byte {
-	for i := 0; i < len(raw); {
-		c := raw[i]
-		switch {
-		case c == '\\' && raw[i+1] == 'u':
-			r := rune(hex4(raw[i+2 : i+6]))
-			i += 6
-			if utf16.IsSurrogate(r) {
-				r2 := rune(-1)
-				if i+6 <= len(raw) && raw[i] == '\\' && raw[i+1] == 'u' {
-					r2 = rune(hex4(raw[i+2 : i+6]))
-				}
-				if r = utf16.DecodeRune(r, r2); r != utf8.RuneError {
-					i += 6
-				}
-			}
-			dst = utf8.AppendRune(dst, r)
-		case c == '\\':
-			switch c = raw[i+1]; c {
-			case 'b':
-				c = '\b'
-			case 'f':
-				c = '\f'
-			case 'n':
-				c = '\n'
-			case 'r':
-				c = '\r'
-			case 't':
-				c = '\t'
-			}
-			dst = append(dst, c)
-			i += 2
-		case c < utf8.RuneSelf:
-			dst = append(dst, c)
-			i++
-		default:
-			r, size := utf8.DecodeRune(raw[i:])
-			dst = utf8.AppendRune(dst, r)
-			i += size
-		}
-	}
-	return dst
-}
-
-// hex4 parses four hex digits, or returns -1.
-func hex4(b []byte) int {
-	n := 0
-	for _, c := range b[:4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		n = n<<4 | int(c)
-	}
-	return n
-}
-
-// number checks the JSON number at d.pos and steps over it, returning
-// its literal and whether it is an integer (no fraction or exponent).
-func (d *eventDecoder) number() (lit []byte, integer bool) {
+// number steps over the JSON number at d.pos and returns its literal,
+// or nil if none starts there.
+func (d *eventDecoder) number() []byte {
 	start := d.pos
-	if d.pos < len(d.data) && d.data[d.pos] == '-' {
-		d.pos++
+	d.next('-')
+	if n := d.digits(); n == 0 || n > 1 && d.data[d.pos-n] == '0' {
+		return nil
 	}
-	lead := d.pos
-	if n := d.digits(); n == 0 || n > 1 && d.data[lead] == '0' {
-		d.fail(errFrameSyntax)
-		return nil, false
+	if d.next('.') && d.digits() == 0 {
+		return nil
 	}
-	integer = true
-	if d.pos < len(d.data) && d.data[d.pos] == '.' {
-		d.pos++
-		integer = false
-		if d.digits() == 0 {
-			d.fail(errFrameSyntax)
-			return nil, false
-		}
-	}
-	if d.pos < len(d.data) && (d.data[d.pos] == 'e' || d.data[d.pos] == 'E') {
-		d.pos++
-		integer = false
-		if d.pos < len(d.data) && (d.data[d.pos] == '+' || d.data[d.pos] == '-') {
-			d.pos++
+	if d.next('e') || d.next('E') {
+		if !d.next('+') {
+			d.next('-')
 		}
 		if d.digits() == 0 {
-			d.fail(errFrameSyntax)
-			return nil, false
+			return nil
 		}
 	}
-	return d.data[start:d.pos], integer
+	return d.data[start:d.pos]
 }
 
 // digits steps over a run of decimal digits and returns its length.
@@ -525,51 +351,23 @@ func (d *eventDecoder) int() int { return int(d.integer(strconv.IntSize)) }
 
 func (d *eventDecoder) int64() int64 { return d.integer(64) }
 
-// integer decodes a JSON integer that fits in bits bits; a fraction or
-// an exponent is the wrong type even when its value is whole, as in
-// encoding/json.
+// integer decodes a JSON integer that fits in bits bits. A fraction or
+// an exponent, which json.Unmarshal refuses for an integer field even
+// when the value is whole, fails the parse and so ends the fast path.
 func (d *eventDecoder) integer(bits int) int64 {
-	if !d.numeric() {
-		return 0
-	}
-	lit, integer := d.number()
-	if d.err != nil {
-		return 0
-	}
-	if !integer {
-		d.fail(errFrameType)
-		return 0
-	}
-	n, err := strconv.ParseInt(string(lit), 10, bits)
+	n, err := strconv.ParseInt(string(d.number()), 10, bits)
 	if err != nil {
-		d.fail(errFrameRange)
+		d.fail()
 	}
 	return n
 }
 
 func (d *eventDecoder) float() float64 {
-	if !d.numeric() {
-		return 0
-	}
-	lit, _ := d.number()
-	if d.err != nil {
-		return 0
-	}
-	f, err := strconv.ParseFloat(string(lit), 64)
+	f, err := strconv.ParseFloat(string(d.number()), 64)
 	if err != nil {
-		d.fail(errFrameRange)
+		d.fail()
 	}
 	return f
-}
-
-// numeric reports whether a number starts at d.pos, failing the frame
-// with errFrameType if not.
-func (d *eventDecoder) numeric() bool {
-	if d.pos < len(d.data) && (d.data[d.pos] == '-' || '0' <= d.data[d.pos] && d.data[d.pos] <= '9') {
-		return true
-	}
-	d.fail(errFrameType)
-	return false
 }
 
 func (d *eventDecoder) boolean() bool {
@@ -577,7 +375,7 @@ func (d *eventDecoder) boolean() bool {
 	case d.literal("true"):
 		return true
 	case !d.literal("false"):
-		d.fail(errFrameType)
+		d.fail()
 	}
 	return false
 }
@@ -586,7 +384,7 @@ func (d *eventDecoder) boolean() bool {
 // exactly, and empty but not nil for [].
 func (d *eventDecoder) ints() []int {
 	if !d.next('[') {
-		d.fail(errFrameType)
+		d.fail()
 		return nil
 	}
 	xs := d.intBuf[:0]
@@ -597,38 +395,24 @@ func (d *eventDecoder) ints() []int {
 
 // literal steps over word if it starts at d.pos.
 func (d *eventDecoder) literal(word string) bool {
-	if d.err != nil || len(d.data)-d.pos < len(word) || string(d.data[d.pos:d.pos+len(word)]) != word {
+	if len(d.data)-d.pos < len(word) || string(d.data[d.pos:d.pos+len(word)]) != word {
 		return false
 	}
 	d.pos += len(word)
 	return true
 }
 
-// next skips white space and steps over c if it comes next.
+// next steps over c if it starts at d.pos.
 func (d *eventDecoder) next(c byte) bool {
-	if d.space(); d.err != nil || d.pos >= len(d.data) || d.data[d.pos] != c {
+	if d.pos >= len(d.data) || d.data[d.pos] != c {
 		return false
 	}
 	d.pos++
 	return true
 }
 
-// space skips JSON white space.
-func (d *eventDecoder) space() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case ' ', '\t', '\n', '\r':
-			d.pos++
-		default:
-			return
-		}
-	}
-}
-
-// fail records the frame's first error and ends the scan.
-func (d *eventDecoder) fail(err error) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w at byte %d", err, d.pos)
-	}
+// fail ends the scan: the line leaves the fast path.
+func (d *eventDecoder) fail() {
+	d.slow = true
 	d.pos = len(d.data)
 }

@@ -3,7 +3,6 @@ package client
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -14,10 +13,11 @@ import (
 
 // setLeaves walks the JSON fields of the struct v, allocating the
 // pointers on its way, and sets leaf number which (every leaf, when
-// which is negative) to a non-zero value built from the leaf's number.
-// next counts the leaves passed so far; the result reports whether a
-// leaf under v was set, so an untouched pointer can stay nil.
-func setLeaves(v reflect.Value, which int, next *int) bool {
+// which is negative) to a non-zero value built from the leaf's number,
+// a string leaf to str of it. next counts the leaves passed so far; the
+// result reports whether a leaf under v was set, so an untouched
+// pointer can stay nil.
+func setLeaves(v reflect.Value, which int, next *int, str func(n int) string) bool {
 	set := false
 	for i := 0; i < v.NumField(); i++ {
 		sf := v.Type().Field(i)
@@ -28,12 +28,12 @@ func setLeaves(v reflect.Value, which int, next *int) bool {
 		switch {
 		case f.Kind() == reflect.Pointer:
 			p := reflect.New(f.Type().Elem())
-			if setLeaves(p.Elem(), which, next) {
+			if setLeaves(p.Elem(), which, next, str) {
 				f.Set(p)
 				set = true
 			}
 		case f.Kind() == reflect.Struct:
-			set = setLeaves(f, which, next) || set
+			set = setLeaves(f, which, next, str) || set
 		default:
 			n := *next
 			*next++
@@ -43,7 +43,7 @@ func setLeaves(v reflect.Value, which int, next *int) bool {
 			set = true
 			switch f.Kind() {
 			case reflect.String:
-				f.SetString(fmt.Sprintf("v%d \"<&>\\\n\t\x01 é 𝄞 \u2028", n))
+				f.SetString(str(n))
 			case reflect.Int, reflect.Int64:
 				f.SetInt(int64(n+1) * -7)
 			case reflect.Float64:
@@ -62,130 +62,150 @@ func setLeaves(v reflect.Value, which int, next *int) bool {
 
 // eventVariants returns one Event per JSON leaf field of Event and of
 // every payload it reaches, each setting only that leaf, and last one
-// Event setting every leaf at once.
-func eventVariants() []nanoxbar.Event {
+// Event setting every leaf at once; str makes the string leaves.
+func eventVariants(str func(n int) string) []nanoxbar.Event {
 	var all nanoxbar.Event
 	leaves := 0
-	setLeaves(reflect.ValueOf(&all).Elem(), -1, &leaves)
+	setLeaves(reflect.ValueOf(&all).Elem(), -1, &leaves, str)
 	out := make([]nanoxbar.Event, 0, leaves+1)
 	for which := 0; which < leaves; which++ {
 		var ev nanoxbar.Event
 		n := 0
-		setLeaves(reflect.ValueOf(&ev).Elem(), which, &n)
+		setLeaves(reflect.ValueOf(&ev).Elem(), which, &n, str)
 		out = append(out, ev)
 	}
 	return append(out, all)
 }
 
 // TestDecodeEventMatchesJSONSchema pins the decoder to encoding/json
-// on every field of Event and its payloads: a field added to a payload
-// type without a decoder case is dropped, and the comparison fails.
+// on every field of Event and its payloads, and pins the fast path to
+// every frame shape the server writes: with plain string leaves (no
+// escape in the JSON) each variant must decode on the fast path, so a
+// field added to a payload type without a decoder case fails here
+// rather than quietly falling back to json.Unmarshal. With string
+// leaves needing every kind of escape, each variant must still decode
+// as json.Unmarshal does.
 func TestDecodeEventMatchesJSONSchema(t *testing.T) {
-	variants := eventVariants()
-	if len(variants) < 40 {
-		t.Fatalf("the walk reached %d leaves, want the whole schema", len(variants)-1)
-	}
-	var d eventDecoder
-	for i, want := range variants {
-		line, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		str  func(n int) string
+		fast bool
+	}{
+		{"plain", func(n int) string { return fmt.Sprintf("v%d é 𝄞", n) }, true},
+		{"escaped", func(n int) string { return fmt.Sprintf("v%d \"<&>\\\n\t\x01 é 𝄞 \u2028", n) }, false},
+	} {
+		variants := eventVariants(tc.str)
+		if len(variants) < 40 {
+			t.Fatalf("the walk reached %d leaves, want the whole schema", len(variants)-1)
 		}
-		got, err := d.decodeEvent(line)
-		if err != nil {
-			t.Fatalf("variant %d: decodeEvent(%s): %v", i, line, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			back, _ := json.Marshal(got)
-			t.Fatalf("variant %d: decodeEvent(%s) reads back as\n%s", i, line, back)
+		for i, want := range variants {
+			line, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.fast {
+				var d eventDecoder
+				got, ok := d.fast(line)
+				if !ok {
+					t.Fatalf("%s variant %d: %s leaves the fast path", tc.name, i, line)
+				}
+				if !reflect.DeepEqual(got, want) {
+					back, _ := json.Marshal(got)
+					t.Fatalf("%s variant %d: the fast path reads %s back as\n%s", tc.name, i, line, back)
+				}
+			}
+			if err := checkDecode(t, line); err != nil {
+				t.Fatalf("%s variant %d: decodeEvent(%s): %v", tc.name, i, line, err)
+			}
 		}
 	}
 }
 
-// checkSubset decodes line and, if the decoder accepts it, checks that
-// json.Unmarshal accepts it too with a DeepEqual Event. It scribbles
-// over line after decoding, so a string or slice still aliasing it
-// shows up as a mismatch.
-func checkSubset(t *testing.T, line []byte) (nanoxbar.Event, error) {
+// checkDecode decodes line with decodeEvent and with json.Unmarshal and
+// fails t unless both give the same Event and decodeEvent errs exactly
+// when json.Unmarshal does. It scribbles over line after decoding, so a
+// string or slice still aliasing it shows up as a mismatch.
+func checkDecode(t *testing.T, line []byte) error {
 	t.Helper()
 	orig := bytes.Clone(line)
+	var want nanoxbar.Event
+	jerr := json.Unmarshal(orig, &want)
 	var d eventDecoder
 	got, err := d.decodeEvent(line)
 	for i := range line {
 		line[i] = 'x'
 	}
-	if err != nil {
-		return got, err
-	}
-	var want nanoxbar.Event
-	if jerr := json.Unmarshal(orig, &want); jerr != nil {
-		t.Fatalf("decodeEvent accepted %q, which json.Unmarshal rejects: %v", orig, jerr)
+	if (err != nil) != (jerr != nil) {
+		t.Fatalf("decodeEvent(%q) error %v, json.Unmarshal error %v", orig, err, jerr)
 	}
 	if !reflect.DeepEqual(got, want) {
 		g, _ := json.Marshal(got)
 		w, _ := json.Marshal(want)
 		t.Fatalf("decodeEvent(%q) =\n%s, json.Unmarshal gives\n%s", orig, g, w)
 	}
-	return got, nil
+	return err
 }
 
 // hostileFrames are lines where a hand decoder and encoding/json are
-// most likely to part ways; each names the sentinel it must fail with,
-// or nil when it decodes as json.Unmarshal does.
+// most likely to part ways, each with whether json.Unmarshal refuses
+// it.
 var hostileFrames = []struct {
-	line string
-	want error
+	line    string
+	wantErr bool
 }{
-	{`{"type":"done","type":"result"}`, errFrameKey},
-	{`{"type":"result","result":{"kind":"map"},"result":{"map":{"success":true}}}`, errFrameKey},
-	{`{"type":"die","die_map":{"rows":[1],"rows":[2]}}`, errFrameKey},
-	{`{"Type":"done"}`, errFrameKey},
-	{`{"type":"result","result":{"KIND":"map"}}`, errFrameKey},
-	{"{\"type\":\"result\",\"result\":{\"\u212Aind\":\"map\"}}", errFrameKey}, // KELVIN SIGN folds to k
-	{`{"type":"done","done":{"results":1}}`, nil},
-	{`{"type":"done"}`, nil},
-	{`null`, nil},
-	{` {"type":null,"index":null,"die_map":null,"result":{"compare":{"diode":null}},"error":null} `, nil},
-	{`{"type":"die","die_map":{"rows":null,"cols":[]}}`, nil},
-	{`{"type":"die","die_map":{"rows":[1,null]}}`, errFrameType},
-	{`{"type":"error","error":{"code":"bad_spec","message":"pair \ud834\udd1e, lone \ud834 and \udd1e, swapped \udd1e\ud834"}}`, nil},
-	{`{"type":"error","error":{"message":"high then escape \ud834\n"}}`, nil},
-	{"{\"type\":\"error\",\"error\":{\"message\":\"raw \xff\xfe and \xed\xa0\x80 bytes\"}}", nil},
-	{`{"type":"error","error":{"message":"\/\b\f\n\r\t\\\"\u0000\u001f"}}`, nil},
-	{`{"type":"error","error":{"message":"\'"}}`, errFrameSyntax},
-	{`{"type":"error","error":{"message":"\u12"}}`, errFrameSyntax},
-	{"{\"type\":\"error\",\"error\":{\"message\":\"tab\there\"}}", errFrameSyntax},
-	{`{"type":"die","die":9223372036854775807,"index":-9223372036854775808}`, nil},
-	{`{"type":"die","die":9223372036854775808}`, errFrameRange},
-	{`{"type":"die","die":-9223372036854775809}`, errFrameRange},
-	{`{"type":"error","error":{"retry_after_ms":99999999999999999999}}`, errFrameRange},
-	{`{"type":"die","die":1e2}`, errFrameType},
-	{`{"type":"die","die":1.0}`, errFrameType},
-	{`{"type":"die","die":-0}`, nil},
-	{`{"type":"die","die":01}`, errFrameSyntax},
-	{`{"type":"die","die":"1"}`, errFrameType},
-	{`{"type":"result","result":{"yield":{"success_rate":1e400}}}`, errFrameRange},
-	{`{"type":"result","result":{"yield":{"success_rate":-0.0,"avg_configs":1E-400,"avg_bist":2.5e+3,"avg_bisd":7}}}`, nil},
-	{`{"type":"result","result":{"yield":{"success_rate":.5}}}`, errFrameType},
-	{`{"type":"result","result":{"degraded":1}}`, errFrameType},
-	{`{"type":"result","result":"map"}`, errFrameType},
-	{`{"type":"done","extra":{"a":[1,{"b":null},"c",true,false,-1.5e3]},"done":{"results":1}}`, nil},
-	{`{"type":"done","extra":[1,]}`, errFrameSyntax},
-	{`{"type":"done","extra":tru}`, errFrameSyntax},
-	{`{"type":"done",}`, errFrameSyntax},
-	{`{"type":"done"} {}`, errFrameSyntax},
-	{`{"type":"done"`, errFrameSyntax},
-	{`["done"]`, errFrameType},
-	{`{"type":"done","extra":` + strings.Repeat("[", maxDepth) + strings.Repeat("]", maxDepth) + `}`, errFrameSyntax},
+	{`{"type":"done","type":"result"}`, false},
+	{`{"type":"result","result":{"kind":"map"},"result":{"map":{"success":true}}}`, false},
+	{`{"type":"die","die_map":{"rows":[1],"rows":[2]}}`, false},
+	{`{"Type":"done"}`, false},
+	{`{"type":"result","result":{"KIND":"map"}}`, false},
+	{"{\"type\":\"result\",\"result\":{\"\u212Aind\":\"map\"}}", false}, // KELVIN SIGN folds to k
+	{`{"typ\u0065":"done"}`, false},
+	{` {"type" : "done"}`, false},
+	{`{"type":"done","done":{"results":1}}`, false},
+	{`{"type":"done"}`, false},
+	{`{}`, false},
+	{`null`, false},
+	{` {"type":null,"index":null,"die_map":null,"result":{"compare":{"diode":null}},"error":null} `, false},
+	{`{"type":"die","die_map":{"rows":null,"cols":[]}}`, false},
+	{`{"type":"die","die_map":{"rows":[1,null]}}`, false},
+	{`{"type":"error","error":{"code":"bad_spec","message":"pair \ud834\udd1e, lone \ud834 and \udd1e, swapped \udd1e\ud834"}}`, false},
+	{`{"type":"error","error":{"message":"high then escape \ud834\n"}}`, false},
+	{"{\"type\":\"error\",\"error\":{\"message\":\"raw \xff\xfe and \xed\xa0\x80 bytes\"}}", false},
+	{`{"type":"error","error":{"message":"\/\b\f\n\r\t\\\"\u0000\u001f"}}`, false},
+	{`{"type":"error","error":{"message":"\'"}}`, true},
+	{`{"type":"error","error":{"message":"\u12"}}`, true},
+	{"{\"type\":\"error\",\"error\":{\"message\":\"tab\there\"}}", true},
+	{`{"type":"die","die":9223372036854775807,"index":-9223372036854775808}`, false},
+	{`{"type":"die","die":9223372036854775808}`, true},
+	{`{"type":"die","die":-9223372036854775809}`, true},
+	{`{"type":"error","error":{"retry_after_ms":99999999999999999999}}`, true},
+	{`{"type":"die","die":1e2}`, true},
+	{`{"type":"die","die":1.0}`, true},
+	{`{"type":"die","die":-0}`, false},
+	{`{"type":"die","die":01}`, true},
+	{`{"type":"die","die":"1"}`, true},
+	{`{"type":"result","result":{"yield":{"success_rate":1e400}}}`, true},
+	{`{"type":"result","result":{"yield":{"success_rate":-0.0,"avg_configs":1E-400,"avg_bist":2.5e+3,"avg_bisd":7}}}`, false},
+	{`{"type":"result","result":{"yield":{"success_rate":.5}}}`, true},
+	{`{"type":"result","result":{"yield":{"success_rate":1.}}}`, true},
+	{`{"type":"result","result":{"degraded":1}}`, true},
+	{`{"type":"result","result":"map"}`, true},
+	{`{"type":"done","extra":{"a":[1,{"b":null},"c",true,false,-1.5e3]},"done":{"results":1}}`, false},
+	{`{"type":"done","extra":[1,]}`, true},
+	{`{"type":"done","extra":tru}`, true},
+	{`{"type":"done",}`, true},
+	{`{"type":"done"} {}`, true},
+	{`{"type":"done"`, true},
+	{`["done"]`, true},
+	{`{"type":"done","extra":` + strings.Repeat("[", 512) + strings.Repeat("]", 512) + `}`, false},
 }
 
-// TestDecodeEventHostileLines checks each hostile frame's verdict and,
-// where it decodes, that encoding/json reads the same Event.
+// TestDecodeEventHostileLines checks each hostile frame's verdict and
+// that decodeEvent and json.Unmarshal agree on it.
 func TestDecodeEventHostileLines(t *testing.T) {
 	for _, tc := range hostileFrames {
-		_, err := checkSubset(t, []byte(tc.line))
-		if tc.want == nil && err != nil || !errors.Is(err, tc.want) {
-			t.Errorf("decodeEvent(%q) = %v, want %v", tc.line, err, tc.want)
+		if err := checkDecode(t, []byte(tc.line)); (err != nil) != tc.wantErr {
+			t.Errorf("decodeEvent(%q) error %v, want an error: %v", tc.line, err, tc.wantErr)
 		}
 	}
 }
@@ -206,8 +226,8 @@ func TestDecodeEventReusesRequestID(t *testing.T) {
 	}
 }
 
-// FuzzEventDecode: arbitrary bytes never panic the decoder, and every
-// line it accepts, json.Unmarshal accepts with a DeepEqual Event.
+// FuzzEventDecode: arbitrary bytes never panic the decoder, which gives
+// the Event json.Unmarshal gives and errs exactly when it does.
 func FuzzEventDecode(f *testing.F) {
 	for _, line := range []string{
 		// FuzzJobsStream's frames.
@@ -231,7 +251,7 @@ func FuzzEventDecode(f *testing.F) {
 		f.Add([]byte(tc.line))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
-		checkSubset(t, line)
+		checkDecode(t, line)
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -49,5 +50,56 @@ func TestReaderRejectsOverlongEvents(t *testing.T) {
 	_, err := cl.Synthesize(context.Background(), nanoxbar.Func("maj3"))
 	if !errors.Is(err, nanoxbar.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
+	}
+}
+
+// endlessErrorBody is a 500's body that never ends its JSON value: an
+// error whose message runs on in 'x' bytes up to size bytes. It counts
+// the bytes read from it.
+type endlessErrorBody struct {
+	size, read int
+}
+
+func (b *endlessErrorBody) Read(p []byte) (int, error) {
+	const prefix = `{"error":{"code":"internal","message":"`
+	if b.read >= b.size {
+		return 0, io.EOF
+	}
+	n := min(len(p), b.size-b.read)
+	for i := range p[:n] {
+		if k := b.read + i; k < len(prefix) {
+			p[i] = prefix[k]
+		} else {
+			p[i] = 'x'
+		}
+	}
+	b.read += n
+	return n, nil
+}
+
+func (b *endlessErrorBody) Close() error { return nil }
+
+// errorBodyTransport answers every request with a 500 and body.
+type errorBodyTransport struct{ body *endlessErrorBody }
+
+func (s errorBodyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		r.Body.Close()
+	}
+	return &http.Response{StatusCode: http.StatusInternalServerError, Header: http.Header{}, Body: s.body, Request: r}, nil
+}
+
+// TestErrorBodyReadIsBounded: a non-200 body whose JSON value does not
+// end is read no further than maxErrorBodyBytes, not to its end, and
+// answers ErrInternal naming the status.
+func TestErrorBodyReadIsBounded(t *testing.T) {
+	body := &endlessErrorBody{size: 32 << 20}
+	cl := New("http://stub", WithHTTPClient(&http.Client{Transport: errorBodyTransport{body}}))
+	_, err := cl.Synthesize(context.Background(), nanoxbar.Func("maj3"))
+	if !errors.Is(err, nanoxbar.ErrInternal) || !strings.Contains(err.Error(), "server status 500") {
+		t.Fatalf("err = %v, want ErrInternal naming status 500", err)
+	}
+	if body.read > maxErrorBodyBytes {
+		t.Fatalf("read %d bytes of the error body, want at most %d", body.read, maxErrorBodyBytes)
 	}
 }
